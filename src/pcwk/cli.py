@@ -103,6 +103,15 @@ class ProblemSpec:
     base_dir: Path = Path(".")
 
 
+def _is_int(value):
+    # JSON booleans load as bool, a subclass of int; they are not counts
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _check_keys(obj, allowed, where, errors):
     for key in obj:
         if key not in allowed:
@@ -141,22 +150,22 @@ def parse_spec(path) -> ProblemSpec:
     else:
         _check_keys(num, {"grid", "truncation", "tolerance", "seed"}, "numerics", errors)
         grid = num.get("grid", DEFAULT_GRID_SIZE)
-        if not isinstance(grid, int) or grid < 8 or grid & (grid - 1):
+        if not _is_int(grid) or grid < 8 or grid & (grid - 1):
             errors.append("numerics.grid must be a power of two >= 8")
         else:
             numerics.grid = grid
         trunc = num.get("truncation")
-        if trunc is not None and (not isinstance(trunc, int) or trunc < 0):
+        if trunc is not None and (not _is_int(trunc) or trunc < 0):
             errors.append("numerics.truncation must be a nonnegative integer")
         else:
             numerics.truncation = trunc
         tol = num.get("tolerance", 1e-10)
-        if not isinstance(tol, (int, float)) or not (0 < tol < 1):
+        if not _is_number(tol) or not (0 < tol < 1):
             errors.append("numerics.tolerance must lie in (0, 1)")
         else:
             numerics.tolerance = float(tol)
         seed = num.get("seed", 0)
-        if not isinstance(seed, int) or seed < 0:
+        if not _is_int(seed) or seed < 0:
             errors.append("numerics.seed must be a nonnegative integer")
         else:
             numerics.seed = seed
@@ -172,14 +181,14 @@ def parse_spec(path) -> ProblemSpec:
             )
             period = lift_raw.get("period")
             harmonics = lift_raw.get("harmonics")
-            if not isinstance(period, (int, float)) or period <= 0:
+            if not _is_number(period) or period <= 0:
                 errors.append("lift.period must be a positive number")
-            if not isinstance(harmonics, int) or harmonics < 1:
+            if not _is_int(harmonics) or harmonics < 1:
                 errors.append("lift.harmonics must be a positive integer (>= 1)")
             qp = lift_raw.get("quadrature_points")
-            if qp is not None and (not isinstance(qp, int) or qp < 1):
+            if qp is not None and (not _is_int(qp) or qp < 1):
                 errors.append("lift.quadrature_points must be a positive integer")
-            if not errors or (period and isinstance(harmonics, int) and harmonics >= 1):
+            if not errors or (period and _is_int(harmonics) and harmonics >= 1):
                 try:
                     lift = LiftConfig(
                         period=float(period),
@@ -213,6 +222,12 @@ def parse_spec(path) -> ProblemSpec:
             weights_inline = wraw.get("inline")
             weights_csv = wraw.get("csv")
             weights_blocks = wraw.get("blocks")
+            if weights_inline is not None:
+                weights_inline = _parse_inline(weights_inline, errors)
+            if weights_blocks is not None and (
+                not _is_int(weights_blocks) or weights_blocks < 1
+            ):
+                errors.append("weights.blocks must be a positive integer")
             if weights_inline is not None and weights_csv is not None:
                 errors.append("weights doubly specified: give inline blocks or a csv")
             if weights_inline is None and weights_csv is None:
@@ -245,22 +260,39 @@ def parse_spec(path) -> ProblemSpec:
     )
 
 
+def _parse_inline(inline, errors):
+    """Inline weight blocks as lists of complex entries; bad entries are errors."""
+    if not isinstance(inline, list) or not inline:
+        errors.append("weights.inline must be a non-empty list of blocks")
+        return inline
+    blocks = []
+    for j, row in enumerate(inline):
+        if not isinstance(row, list):
+            errors.append(f"weights.inline[{j}] must be a list of entries")
+            continue
+        entries = []
+        for entry in row:
+            if _is_number(entry):
+                entries.append(complex(entry))
+            elif isinstance(entry, list) and len(entry) == 2 and all(
+                _is_number(part) for part in entry
+            ):
+                entries.append(complex(entry[0], entry[1]))
+            else:
+                errors.append(
+                    f"weights.inline[{j}]: entries are numbers or [re, im] "
+                    f"pairs of numbers; got {entry!r}"
+                )
+        blocks.append(entries)
+    if len({len(row) for row in inline if isinstance(row, list)}) > 1:
+        errors.append("weights.inline blocks must all have the same length")
+    return blocks
+
+
 def _load_weights(spec: ProblemSpec, horizon: str) -> FunctionalWeights:
     if spec.weights_inline is not None:
-        blocks = []
-        for j, row in enumerate(spec.weights_inline):
-            entries = []
-            for entry in row:
-                if isinstance(entry, (list, tuple)):
-                    if len(entry) != 2:
-                        raise SpecValidationError(
-                            [f"weights.inline[{j}]: complex entries are [re, im]"]
-                        )
-                    entries.append(complex(entry[0], entry[1]))
-                else:
-                    entries.append(complex(entry))
-            blocks.append(entries)
-        return FunctionalWeights(blocks=np.array(blocks, dtype=complex), horizon=horizon)
+        blocks = np.array(spec.weights_inline, dtype=complex)
+        return FunctionalWeights(blocks=blocks, horizon=horizon)
     path = spec.base_dir / spec.weights_csv
     times, values = _read_weight_csv(path)
 
@@ -357,6 +389,11 @@ def _summary_block(entries):
 
 
 def _solution_summary(task, solution, seed):
+    """Summary rows of an estimation task.
+
+    ``condition`` is LAPACK's estimate of the 1-norm condition number of
+    the solved system, taken from its Cholesky factor (``?pocon``).
+    """
     diag = solution.diagnostics
     entries = [
         ("task", task),
@@ -415,17 +452,35 @@ def _class_param(spec, key, default=None, required=False):
     return default
 
 
+def _int_param(spec, key, default=None, required=False):
+    value = _class_param(spec, key, default, required)
+    if not _is_int(value) or value < 0:
+        raise SpecValidationError(
+            [f"class_params.{key} must be a nonnegative integer; got {value!r}"]
+        )
+    return value
+
+
+def _float_param(spec, key, default=None, required=False):
+    value = _class_param(spec, key, default, required)
+    if not _is_number(value):
+        raise SpecValidationError(
+            [f"class_params.{key} must be a number; got {value!r}"]
+        )
+    return float(value)
+
+
 def _run_minimax(spec: ProblemSpec, out: Path):
     task = spec.task
     horizon = _TASK_HORIZON[task]
     weights = _load_weights(spec, horizon)
     rng = np.random.default_rng(spec.numerics.seed)
-    samples_n = int(_class_param(spec, "samples", 50))
+    samples_n = _int_param(spec, "samples", 50)
     entries = [("task", task), ("version", __version__),
                ("seed", spec.numerics.seed)]
 
     if task == "minimax-y":
-        power = float(_class_param(spec, "total_power", required=True))
+        power = _float_param(spec, "total_power", required=True)
         result = minimax.least_favorable_class_y(
             weights, power, grid_size=spec.numerics.grid
         )
@@ -460,6 +515,10 @@ def _run_minimax(spec: ProblemSpec, out: Path):
         ]
     elif task == "minimax-interp-dm":
         constraints = _class_param(spec, "moments", required=True)
+        if not isinstance(constraints, list) or not constraints:
+            raise SpecValidationError(
+                ["class_params.moments must be a non-empty list of K x K matrices"]
+            )
         p_list = [np.asarray(m, dtype=complex) for m in constraints]
         result = minimax.least_favorable_dm_interpolation(
             p_list, weights, grid_size=spec.numerics.grid
@@ -479,9 +538,9 @@ def _run_minimax(spec: ProblemSpec, out: Path):
             ("system_residual", repr(result.certificate["system_residual"])),
         ]
     else:  # minimax-filter-d0eps
-        signal_power = float(_class_param(spec, "signal_power", required=True))
-        noise_power = float(_class_param(spec, "noise_power", required=True))
-        eps = float(_class_param(spec, "eps", required=True))
+        signal_power = _float_param(spec, "signal_power", required=True)
+        noise_power = _float_param(spec, "noise_power", required=True)
+        eps = _float_param(spec, "eps", required=True)
         g2 = _load_density(spec, "g2", required=True)
         result = minimax.least_favorable_d0eps_filtering_scalar(
             weights, signal_power, noise_power, eps, g2,
@@ -536,11 +595,11 @@ def _run_oracle_check(spec: ProblemSpec, out: Path):
         solution = extrapolate(f, g, weights, truncation=spec.numerics.truncation)
     else:
         solution = filtering(f, g, weights, truncation=spec.numerics.truncation)
-    initial = int(_class_param(spec, "initial_window", 8))
+    initial = _int_param(spec, "initial_window", 8)
     projection, _ = oracle.time_domain_projection_converged(
         f, g, weights, initial_window=initial
     )
-    tolerance = float(_class_param(spec, "tolerance", 1e-5))
+    tolerance = _float_param(spec, "tolerance", 1e-5)
     report = oracle.compare_report(solution.mse, projection.mse, tolerance)
     _write_rows(
         out / "oracle.csv",
@@ -569,7 +628,7 @@ def _run_oracle_check(spec: ProblemSpec, out: Path):
 
 def _run_simulate(spec: ProblemSpec, out: Path):
     f = _load_density(spec, "f", required=True)
-    n_blocks = int(_class_param(spec, "n_blocks", required=True))
+    n_blocks = _int_param(spec, "n_blocks", required=True)
     fact = spectral_factorize(f, tol=spec.numerics.tolerance)
     path_blocks = oracle.simulate_sequence(fact, n_blocks, spec.numerics.seed)
     rows = []

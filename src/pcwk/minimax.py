@@ -315,7 +315,10 @@ def least_favorable_dm_interpolation(
     case only) the missing moments are the ones that make the solved
     coefficients vanish beyond M; they follow by forward substitution, and
     the result is only admissible if the extended polynomial stays
-    positive, otherwise the class is reported infeasible.
+    positive, otherwise the class is reported infeasible. So is a
+    constraint set whose Toeplitz section is not positive definite (its
+    Cholesky factorization fails): the moment polynomial is then not
+    positive semi-definite on the circle.
     """
     if weights.horizon != "interpolation":
         raise ValueError("weights must carry the interpolation horizon")
@@ -333,7 +336,9 @@ def least_favorable_dm_interpolation(
         for l in range(n + 1):
             for j in range(n + 1):
                 dense[l * K : (l + 1) * K, j * K : (j + 1) * K] = table[l - j].T
-        alpha, cond = _solve_hermitian(dense, a, cond_threshold, "moment system")
+        alpha, cond = _solve_hermitian(
+            dense, a, cond_threshold, "moment system", indefinite=InfeasibleClassError
+        )
         alpha_blocks = alpha.reshape(n + 1, K)
         extended = poly
     else:
@@ -349,7 +354,8 @@ def least_favorable_dm_interpolation(
                 m = l - j
                 toep[l, j] = p_vals[abs(m)] if m >= 0 else np.conj(p_vals[abs(m)])
         alpha_head, cond = _solve_hermitian(
-            toep, a[: M + 1], cond_threshold, "moment system"
+            toep, a[: M + 1], cond_threshold, "moment system",
+            indefinite=InfeasibleClassError,
         )
         if abs(alpha_head[0]) < 1e-14 * max(np.abs(alpha_head).max(), 1.0):
             raise InfeasibleClassError(

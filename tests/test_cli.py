@@ -247,3 +247,71 @@ class TestMainOracleAndSimulate:
         )
         # constant weight on [0, 2): two unit blocks of white noise
         assert float(summary["mse"]) == pytest.approx(2.0, abs=1e-8)
+
+
+class TestWronglyTypedValues:
+    """Wrongly typed values are validation errors (exit 1), never tracebacks."""
+
+    @pytest.mark.parametrize(
+        "section, key, message",
+        [
+            ("numerics", "grid", "numerics.grid"),
+            ("numerics", "truncation", "numerics.truncation"),
+            ("numerics", "seed", "numerics.seed"),
+            ("lift", "harmonics", "lift.harmonics"),
+            ("lift", "quadrature_points", "lift.quadrature_points"),
+        ],
+    )
+    def test_boolean_integer_rejected(self, tmp_path, capsys, section, key, message):
+        payload = {
+            "task": "interpolate",
+            "lift": {"period": 1.0, "harmonics": 1},
+            "densities": {"f": write_white(tmp_path, "f.csv")},
+            "weights": {"inline": [[1.0]]},
+            "numerics": {"grid": GRID},
+        }
+        payload[section][key] = True
+        spec = write_spec(tmp_path, payload)
+        assert main(["--spec", str(spec), "--out", str(tmp_path / "out")]) == 1
+        assert f"error: {message} must be" in capsys.readouterr().err
+
+    def test_string_weight_block_count(self, tmp_path, capsys):
+        spec = filter_spec(
+            tmp_path,
+            lift={"period": 1.0, "harmonics": 1},
+            weights={"csv": "a.csv", "blocks": "2"},
+        )
+        assert main(["--spec", str(spec), "--out", str(tmp_path / "out")]) == 1
+        assert "weights.blocks must be a positive integer" in capsys.readouterr().err
+
+    def test_null_inline_entry(self, tmp_path, capsys):
+        spec = filter_spec(tmp_path, weights={"inline": [[None]]})
+        assert main(["--spec", str(spec), "--out", str(tmp_path / "out")]) == 1
+        assert "weights.inline[0]: entries are numbers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "task, class_params, key",
+        [
+            ("minimax-y", {"total_power": 1.0, "samples": None}, "samples"),
+            ("oracle-check", {"task": "filter", "initial_window": None},
+             "initial_window"),
+            ("simulate", {"n_blocks": None}, "n_blocks"),
+        ],
+    )
+    def test_null_integer_class_param(self, tmp_path, capsys, task, class_params, key):
+        spec = filter_spec(tmp_path, task=task, class_params=class_params)
+        assert main(["--spec", str(spec), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"error: class_params.{key} must be a nonnegative integer" in err
+
+    def test_null_number_class_param(self, tmp_path, capsys):
+        spec = filter_spec(tmp_path, task="minimax-y", class_params={"total_power": None})
+        assert main(["--spec", str(spec), "--out", str(tmp_path / "out")]) == 1
+        assert "class_params.total_power must be a number" in capsys.readouterr().err
+
+    def test_null_moments(self, tmp_path, capsys):
+        spec = filter_spec(
+            tmp_path, task="minimax-interp-dm", class_params={"moments": None}
+        )
+        assert main(["--spec", str(spec), "--out", str(tmp_path / "out")]) == 1
+        assert "class_params.moments must be a non-empty list" in capsys.readouterr().err

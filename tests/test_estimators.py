@@ -6,7 +6,9 @@ from pcwk import (
     IllPosedError,
     MinimalityError,
     SpectralDensity,
+    TruncationError,
     build_block_matrix,
+    check_minimality,
     evaluate_mse,
     extrapolate,
     extrapolate_noiseless,
@@ -15,6 +17,7 @@ from pcwk import (
     interpolate,
     interpolate_noiseless,
 )
+from pcwk.estimators import _solve_hermitian
 from pcwk.oracle import time_domain_projection_converged
 from conftest import GRID, ar1, coupled_ma2, ma1, white
 
@@ -155,6 +158,19 @@ class TestExtrapolation:
         with pytest.raises(ValueError):
             extrapolate_noiseless(ma1(), w, truncation=1)
 
+    def test_automatic_truncation_on_small_grid(self):
+        # on G = 128 the doubling schedule starts at its cap; it used to hold
+        # that single level and could never pass its Cauchy test
+        w = FunctionalWeights.extrapolation([[1.0]])
+        sol = extrapolate(SpectralDensity.white(1, grid_size=128), None, w)
+        assert sol.mse == pytest.approx(1.0, abs=1e-12)
+        assert [J for J, _ in sol.diagnostics["history"]] == [31, 63]
+
+    def test_weights_beyond_grid_resolution_refused(self):
+        w = FunctionalWeights.extrapolation(0.5 ** np.arange(40).reshape(40, 1))
+        with pytest.raises(TruncationError, match="beyond the largest truncation"):
+            extrapolate(SpectralDensity.white(1, grid_size=64), None, w)
+
     def test_monotone_and_cauchy_in_truncation(self):
         w = FunctionalWeights.extrapolation([[1.0], [0.5]])
         f, g = ma1(), white(scale=0.5)
@@ -269,3 +285,54 @@ class TestConditioning:
         w = unit_interp()
         with pytest.raises((IllPosedError, MinimalityError)):
             interpolate(white(), white(), w, cond_threshold=0.5)
+
+
+class TestSolveGate:
+    def test_indefinite_system_refused(self):
+        # |eigenvalue| ratio 2, far below the threshold: a ratio guard alone
+        # solves it, the Cholesky factor does not exist
+        matrix = np.diag([1.0, -2.0]).astype(complex)
+        with pytest.raises(IllPosedError, match="not positive definite"):
+            _solve_hermitian(matrix, np.ones(2, dtype=complex), 1e12, "test")
+
+    def test_condition_is_one_norm_estimate(self):
+        matrix = np.array(
+            [[4.0, 1.0 + 1.0j, 0.0], [1.0 - 1.0j, 3.0, 0.5], [0.0, 0.5, 2.0]]
+        )
+        rhs = np.array([1.0, 2.0j, 3.0])
+        x, cond = _solve_hermitian(matrix, rhs, 1e12, "test")
+        np.testing.assert_allclose(matrix @ x, rhs, atol=1e-14)
+        assert cond == pytest.approx(np.linalg.cond(matrix, 1), rel=1e-12)
+
+    @staticmethod
+    def _stable_ma(rng, dim):
+        d0 = np.eye(dim) + 0.2 * rng.standard_normal((dim, dim))
+        d1 = 0.3 * rng.standard_normal((dim, dim))
+        return SpectralDensity.from_moving_average([d0, d1], grid_size=GRID)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize(
+        "task", ["interp", "interp_noiseless", "extrap", "extrap_noiseless", "filter"]
+    )
+    def test_system_condition_within_grid_bound(self, seed, task):
+        # each system is a principal submatrix of the block circulant of its
+        # kernel on the grid, so its 2-norm condition obeys the grid bound
+        rng = np.random.default_rng(seed)
+        dim = 1 + seed % 3
+        f = self._stable_ma(rng, dim)
+        g = None if task.endswith("noiseless") else white(dim=dim, scale=0.5)
+        blocks = rng.standard_normal((3, dim)) + 1j * rng.standard_normal((3, dim))
+        if task.startswith("interp"):
+            sol = interpolate(f, g, FunctionalWeights.interpolation(blocks))
+            rows = range(3)
+        elif task.startswith("extrap"):
+            sol = extrapolate(f, g, FunctionalWeights.extrapolation(blocks))
+            rows = range(sol.diagnostics["truncation"] + 1)
+        else:
+            sol = filtering(f, g, FunctionalWeights.filtering(blocks))
+            rows = range(1, sol.diagnostics["truncation"] + 1)
+        kind = "U" if task == "filter" else "B"
+        dense = build_block_matrix(kind, f, g, rows, rows).dense
+        bound = check_minimality(f, g).max_condition
+        assert np.linalg.cond(dense) <= bound * (1.0 + 1e-8)
+        assert np.isfinite(sol.diagnostics["condition"])

@@ -249,6 +249,16 @@ class TestDmInterpolation:
         with pytest.raises(InfeasibleClassError):
             least_favorable_dm_interpolation(bad, w, grid_size=GRID)
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_indefinite_moment_system_infeasible(self, n):
+        # the Toeplitz section [[1, 2], [2, 1]] has eigenvalues 3 and -1: its
+        # Cholesky factorization fails in the moment solve itself, for the
+        # band case (n = 1) and the forward-substituted one (n = 3)
+        w = FunctionalWeights.interpolation(np.ones((n + 1, 1)))
+        bad = [np.array([[1.0]]), np.array([[2.0]])]
+        with pytest.raises(InfeasibleClassError, match="moment system"):
+            least_favorable_dm_interpolation(bad, w, grid_size=GRID)
+
     def test_optimal_error_margins(self):
         # within the constrained band every class member shares the solver
         # blocks, so the optimal errors coincide and margins are ~ 0
