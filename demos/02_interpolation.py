@@ -16,7 +16,6 @@ from pcwk import (
     SpectralDensity,
     frequency_grid,
     interpolate,
-    interpolate_noiseless,
     time_domain_projection_converged,
 )
 
@@ -26,20 +25,20 @@ one_gap = FunctionalWeights.interpolation([[1.0]])
 # white signal: the other samples carry no information, the error is the
 # full variance
 white = SpectralDensity.white(1, grid_size=G)
-sol = interpolate_noiseless(white, one_gap)
+sol = interpolate(white, None, one_gap)
 print(f"white signal, one missing block:      mse = {sol.mse:.6f} (variance 1)")
 
 # moving-average signal: neighbours help; the classical reciprocal-integral
 # formula gives 1 - b^2 for taps (1, b)
 ma = SpectralDensity.from_moving_average([[[1.0]], [[0.5]]], grid_size=G)
-sol = interpolate_noiseless(ma, one_gap)
+sol = interpolate(ma, None, one_gap)
 print(f"moving average (1, 0.5), one gap:     mse = {sol.mse:.6f} (closed form 0.75)")
 
 # autoregressive signal, built by sampling the inverse polynomial on the grid
 lam = frequency_grid(G)
 ar = SpectralDensity.from_grid(1.0 / np.abs(1 - 0.5 * np.exp(-1j * lam)) ** 2,
                                grid_size=G)
-sol = interpolate_noiseless(ar, one_gap)
+sol = interpolate(ar, None, one_gap)
 print(f"autoregressive (phi = 0.5), one gap:  mse = {sol.mse:.6f} (closed form 0.8)")
 
 # observation noise raises the error and fills in a nonzero characteristic

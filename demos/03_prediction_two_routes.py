@@ -17,7 +17,6 @@ from pcwk import (
     SpectralDensity,
     extrapolate,
     extrapolate_factorized,
-    extrapolate_noiseless,
     simulate_sequence,
     spectral_factorize,
 )
@@ -27,7 +26,7 @@ f = SpectralDensity.from_moving_average([[[1.0]], [[0.5]]], grid_size=G)
 w = FunctionalWeights.extrapolation([[1.0], [1.0]])
 
 # route one: truncated block system on the inverse density
-toeplitz = extrapolate_noiseless(f, w)
+toeplitz = extrapolate(f, None, w)
 print(f"block-system route: mse = {toeplitz.mse:.10f} "
       f"(truncation J = {toeplitz.diagnostics['truncation']})")
 
@@ -59,7 +58,7 @@ print(np.round(fact2.coeffs[0], 6))
 
 # Monte-Carlo sanity: the one-step-ahead error of the moving average is the
 # innovation variance
-sol = extrapolate_noiseless(f, FunctionalWeights.extrapolation([[1.0]]))
+sol = extrapolate(f, None, FunctionalWeights.extrapolation([[1.0]]))
 path = simulate_sequence(fact, 200_000, seed=7)[:, 0].real
 # the optimal one-step predictor of taps (1, b) is the alternating series
 # -(-b)^u applied to past values

@@ -17,7 +17,7 @@ import numpy as np
 from pcwk import (
     FunctionalWeights,
     SpectralDensity,
-    interpolate_noiseless,
+    interpolate,
     least_favorable_class_y,
     least_favorable_d0eps_filtering_scalar,
     least_favorable_dm_interpolation,
@@ -56,7 +56,7 @@ dm = least_favorable_dm_interpolation(moments, wi, grid_size=G)
 print("\nmoment-constrained class, one missing block:")
 print(f"  worst-case mse       = {dm.minimax_mse:.10f}")
 print(f"  moment reproduction  = {dm_class_residual(dm.f0, moments):.2e}")
-print(f"  independent re-solve = {interpolate_noiseless(dm.f0, wi).mse:.10f}")
+print(f"  independent re-solve = {interpolate(dm.f0, None, wi).mse:.10f}")
 print(f"  autoregressive taps  = "
       f"{np.round(dm.certificate['ar_coeffs'][:, 0, 0].real, 6)}")
 

@@ -13,23 +13,19 @@ from .errors import (
     TruncationError,
 )
 from .estimators import (
-    BlockMatrix,
     EstimateSolution,
     build_block_matrix,
     evaluate_mse,
     extrapolate,
-    extrapolate_noiseless,
     filtering,
     forbidden_lag_residual,
     forbidden_lags,
     functional_symbol,
     interpolate,
-    interpolate_noiseless,
 )
 from .factorization import (
     Factorization,
     extrapolate_factorized,
-    extrapolate_factorized_finite,
     left_inverse,
     spectral_factorize,
 )
@@ -71,7 +67,6 @@ from .spectral import (
     SpectralDensity,
     check_minimality,
     evaluate_on_grid,
-    fourier_coefficient,
     fourier_coefficients,
     frequency_grid,
     read_density_csv,

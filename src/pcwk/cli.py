@@ -410,10 +410,9 @@ def _solution_summary(task, solution, seed):
     return entries
 
 
-def _run_estimation(spec: ProblemSpec, out: Path):
-    task = spec.task
-    horizon = _TASK_HORIZON[task]
-    weights = _load_weights(spec, horizon)
+def _solve_task(spec: ProblemSpec, task: str):
+    """Load the weights and densities of an estimation task and solve it."""
+    weights = _load_weights(spec, _TASK_HORIZON[task])
     f = _load_density(spec, "f", required=True)
     g = _load_density(spec, "g", required=(task == "filter"))
     if task == "interpolate":
@@ -422,6 +421,12 @@ def _run_estimation(spec: ProblemSpec, out: Path):
         solution = extrapolate(f, g, weights, truncation=spec.numerics.truncation)
     else:
         solution = filtering(f, g, weights, truncation=spec.numerics.truncation)
+    return weights, f, g, solution
+
+
+def _run_estimation(spec: ProblemSpec, out: Path):
+    task = spec.task
+    _, _, _, solution = _solve_task(spec, task)
     _write_characteristic(out / f"{task}_h.csv", solution, spec.numerics.grid)
     entries = _solution_summary(task, solution, spec.numerics.seed)
     _write_summary(out / "summary.csv", entries)
@@ -523,8 +528,6 @@ def _run_minimax(spec: ProblemSpec, out: Path):
         result = minimax.least_favorable_dm_interpolation(
             p_list, weights, grid_size=spec.numerics.grid
         )
-        from .estimators import interpolate_noiseless
-
         samples = minimax.sample_dm_class(
             rng, p_list, extra_degree=3, count=samples_n,
             grid_size=spec.numerics.grid,
@@ -532,7 +535,7 @@ def _run_minimax(spec: ProblemSpec, out: Path):
         report = minimax.saddle_point_check(
             result.h0, result.f0, None, samples, weights,
             validator=lambda fs: minimax.dm_class_residual(fs, p_list),
-            optimal_error=lambda fs, gs: interpolate_noiseless(fs, weights).mse,
+            optimal_error=lambda fs, gs: interpolate(fs, None, weights).mse,
         )
         entries += [
             ("system_residual", repr(result.certificate["system_residual"])),
@@ -585,16 +588,7 @@ def _run_oracle_check(spec: ProblemSpec, out: Path):
         raise SpecValidationError(
             ["class_params.task must name an estimation task for oracle-check"]
         )
-    horizon = _TASK_HORIZON[target]
-    weights = _load_weights(spec, horizon)
-    f = _load_density(spec, "f", required=True)
-    g = _load_density(spec, "g", required=(target == "filter"))
-    if target == "interpolate":
-        solution = interpolate(f, g, weights)
-    elif target in ("extrapolate", "extrapolate-finite"):
-        solution = extrapolate(f, g, weights, truncation=spec.numerics.truncation)
-    else:
-        solution = filtering(f, g, weights, truncation=spec.numerics.truncation)
+    weights, f, g, solution = _solve_task(spec, target)
     initial = _int_param(spec, "initial_window", 8)
     projection, _ = oracle.time_domain_projection_converged(
         f, g, weights, initial_window=initial

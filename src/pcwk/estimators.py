@@ -11,13 +11,20 @@ by the task:
 * filtering: the functional runs over blocks <= 0, blocks j <= 0 are
   observed with noise.
 
-The solvers assemble block matrices whose (r, c) entry is the Fourier
-coefficient of a density kernel (transposed inside the integral, which is
-what the component pairing of the lifted basis produces), solve one
-Hermitian system for the unknown coefficient blocks, and report both the
-spectral characteristic on the grid and the mean square error. Infinite
+All tasks run one path, which differs between them only in its index sets:
+one minimality check and one inversion of f+g on the grid, the Fourier
+coefficient tables of the kernels (f+g)^{-1}, f (f+g)^{-1} and
+f (f+g)^{-1} g (transposed inside the integral, as the component pairing of
+the lifted basis requires), block matrices gathered from them, one
+Hermitian solve for the unknown coefficient blocks, and the characteristic
+h = A - (C + A g)(f+g)^{-1} on the grid with the mean square error. Infinite
 systems are truncated and the truncation is doubled until the error value
 stabilises.
+
+Exact observations are ``g=None`` (kernels f^{-1}, I and 0):
+``interpolate(f, None, w)`` and ``extrapolate(f, None, w)`` replace the
+removed ``interpolate_noiseless`` and ``extrapolate_noiseless``. Filtering
+requires a noise density.
 """
 
 from __future__ import annotations
@@ -29,7 +36,6 @@ from typing import Iterable
 
 import numpy as np
 import scipy.linalg
-import scipy.linalg.lapack
 
 from .errors import IllPosedError, MinimalityError, TruncationError
 from .lifting import FunctionalWeights, check_weight_summability
@@ -45,13 +51,10 @@ from .spectral import (
 
 __all__ = [
     "BLOCK_KINDS",
-    "BlockMatrix",
     "EstimateSolution",
     "build_block_matrix",
     "interpolate",
-    "interpolate_noiseless",
     "extrapolate",
-    "extrapolate_noiseless",
     "filtering",
     "evaluate_mse",
     "functional_symbol",
@@ -62,52 +65,55 @@ __all__ = [
 BLOCK_KINDS = ("B", "D", "R", "U", "V", "W")
 
 MSE_CAUCHY_TOL = 1e-8
-FORBIDDEN_LAG_TOL = 1e-8
 
 
-# -- block matrices -----------------------------------------------------
+# -- kernel tables and block matrices -----------------------------------
 
 
-@dataclass(frozen=True)
-class BlockMatrix:
-    """A block matrix of Fourier coefficients of a density kernel.
+def _kernel_tables(f, g, cond_threshold, check=True):
+    """Check minimality, invert f+g on the grid once and tabulate the kernels.
 
-    ``blocks[i, j]`` is the K x K block for row index ``row_range[i]`` and
-    column index ``col_range[j]``; ``dense`` flattens them into an ordinary
-    matrix.
+    Returns the grid values of (f+g)^{-1} and of g, and the coefficient
+    tables, indexed by lag mod G, of the transposed kernels (f+g)^{-1},
+    f (f+g)^{-1} and f (f+g)^{-1} g. Without noise the last two kernels are
+    the identity and zero, and their tables are None.
     """
+    fv = density_values(f)
+    gv = None if g is None else density_values(g)
+    if check:
+        report = check_minimality(fv, gv, cond_threshold=cond_threshold)
+        if not report.passed:
+            observed = "signal" if g is None else "observed"
+            raise MinimalityError(
+                f"minimality condition violated: {observed} density is singular near "
+                f"lambda = {report.worst_node:.6f} "
+                f"(grid condition {report.max_condition:.3e})"
+            )
+    inv = np.linalg.inv(fv if gv is None else fv + gv)
+    kernels = (inv, None, None) if gv is None else (inv, fv @ inv, fv @ inv @ gv)
+    tables = tuple(
+        None if k is None else _all_fourier_coefficients(np.transpose(k, (0, 2, 1)))
+        for k in kernels
+    )
+    return inv, gv, tables
 
-    kind: str
-    blocks: np.ndarray = field(repr=False)
-    row_range: tuple[int, ...]
-    col_range: tuple[int, ...]
 
-    @property
-    def dim(self) -> int:
-        return self.blocks.shape[2]
+def _gather(table, kind, rows, cols):
+    """Dense block matrix of a coefficient table on the index sets rows x cols.
 
-    @property
-    def dense(self) -> np.ndarray:
-        r, c, k, _ = self.blocks.shape
-        return self.blocks.transpose(0, 2, 1, 3).reshape(r * k, c * k)
-
-
-def _kernel_values(kind, fv, gv):
-    """Grid values of the density kernel belonging to a block kind."""
-    if gv is None:
-        total = fv
-    else:
-        total = fv + gv
-    inv = np.linalg.inv(total)
-    if kind in ("B", "U"):
-        return inv
-    if kind in ("D", "V"):
-        return fv @ inv
-    if kind in ("R", "W"):
-        if gv is None:
-            return np.zeros_like(fv)
-        return fv @ inv @ gv
-    raise ValueError(f"unknown block kind {kind!r}; expected one of {BLOCK_KINDS}")
+    Block (r, c) is the coefficient at lag row + col for kind V, col - row
+    for kind W and row - col for the others.
+    """
+    lag = np.add.outer(rows, cols) if kind == "V" else np.subtract.outer(rows, cols)
+    if kind == "W":
+        lag = -lag
+    G, K = table.shape[:2]
+    if np.abs(lag).max(initial=0) >= G // 2:
+        raise TruncationError(
+            f"requested block lags exceed the grid resolution (G = {G})"
+        )
+    r, c = lag.shape
+    return table[lag % G].transpose(0, 2, 1, 3).reshape(r * K, c * K)
 
 
 def build_block_matrix(
@@ -118,55 +124,40 @@ def build_block_matrix(
     cols: Iterable[int],
     cond_threshold: float = DEFAULT_COND_THRESHOLD,
     check: bool = True,
-) -> BlockMatrix:
-    """Assemble one of the estimation block matrices.
+) -> np.ndarray:
+    """Assemble one of the estimation block matrices as a dense matrix.
 
-    Kinds B, D, R and U place the kernel coefficient at lag ``row - col``
-    (block-Toeplitz); kind V places it at lag ``row + col`` (block-Hankel);
-    kind W at lag ``col - row``, the orientation of the backward-running
-    functional it weights (the transposed-kernel variant at ``row - col``
-    agrees only when the densities commute, and fails the projection
-    oracle for coupled ones). The kernels are, in order: the inverse of
-    f+g (B and U), f (f+g)^{-1} (D and V) and f (f+g)^{-1} g (R and W),
-    each transposed pointwise before the Fourier coefficients are taken.
-    With g absent the inverse kernel is built from f alone.
+    The K x K block for row index ``rows[i]`` and column index ``cols[j]``
+    sits at rows i*K..(i+1)*K and columns j*K..(j+1)*K. Kinds B, D, R and U
+    place the kernel coefficient at lag ``row - col`` (block-Toeplitz); kind
+    V places it at lag ``row + col`` (block-Hankel); kind W at lag
+    ``col - row``, the orientation of the backward-running functional it
+    weights (the transposed-kernel variant at ``row - col`` agrees only when
+    the densities commute, and fails the projection oracle for coupled
+    ones). The kernels are, in order: the inverse of f+g (B and U),
+    f (f+g)^{-1} (D and V) and f (f+g)^{-1} g (R and W), each transposed
+    pointwise before the Fourier coefficients are taken. With g absent the
+    kernels are f^{-1}, the identity and zero.
     """
     if kind not in BLOCK_KINDS:
         raise ValueError(f"unknown block kind {kind!r}; expected one of {BLOCK_KINDS}")
-    rows = tuple(int(r) for r in rows)
-    cols = tuple(int(c) for c in cols)
-    if not rows or not cols:
+    rows = np.array([int(r) for r in rows], dtype=int)
+    cols = np.array([int(c) for c in cols], dtype=int)
+    if not rows.size or not cols.size:
         raise ValueError("row and column ranges must be non-empty")
-    if check:
-        report = check_minimality(f, g, cond_threshold=cond_threshold)
-        if not report.passed:
-            raise MinimalityError(
-                "minimality condition violated: observed density is singular near "
-                f"lambda = {report.worst_node:.6f} "
-                f"(grid condition {report.max_condition:.3e})"
-            )
-    fv = density_values(f)
-    gv = None if g is None else density_values(g)
-    kernel = np.transpose(_kernel_values(kind, fv, gv), (0, 2, 1))
-    table = _all_fourier_coefficients(kernel)
-    G = f.grid_size
-    if kind == "V":
-        lag = np.add.outer(rows, cols)
-    elif kind == "W":
-        lag = -np.subtract.outer(rows, cols)
-    else:
-        lag = np.subtract.outer(rows, cols)
-    if np.abs(lag).max() >= G // 2:
-        raise TruncationError(
-            f"requested block lags exceed the grid resolution (G = {G})"
-        )
-    blocks = table[lag % G]
-    return BlockMatrix(kind=kind, blocks=blocks, row_range=rows, col_range=cols)
+    tables = _kernel_tables(f, g, cond_threshold, check)[2]
+    which = BLOCK_KINDS.index(kind) % 3  # B and U, D and V, R and W share a kernel
+    table = tables[which]
+    if table is None:
+        table = np.zeros_like(tables[0])
+        if which == 1:
+            table[0] = np.eye(f.dim)
+    return _gather(table, kind, rows, cols)
 
 
 @functools.lru_cache(maxsize=None)
 def _pocon(dtype):
-    (pocon,) = scipy.linalg.lapack.get_lapack_funcs(("pocon",), dtype=dtype)
+    (pocon,) = scipy.linalg.get_lapack_funcs(("pocon",), dtype=dtype)
     return pocon
 
 
@@ -248,11 +239,9 @@ def functional_symbol(
     Interpolation and extrapolation weights enter at nonnegative powers of
     e^{i lambda}; filtering weights at nonpositive powers.
     """
-    lam = frequency_grid(grid_size)
-    sign = -1.0 if (task or weights.horizon) == "filtering" else 1.0
-    j = np.arange(weights.n_blocks)
-    phases = np.exp(1j * sign * np.outer(lam, j))  # (G, n_blocks)
-    return phases @ weights.blocks
+    if (task or weights.horizon) == "filtering":
+        return _blocks_symbol(weights.blocks[::-1], 1 - weights.n_blocks, grid_size)
+    return _blocks_symbol(weights.blocks, 0, grid_size)
 
 
 def _blocks_symbol(blocks: np.ndarray, first_index: int, grid_size: int) -> np.ndarray:
@@ -301,12 +290,10 @@ def forbidden_lag_residual(solution: EstimateSolution) -> float:
     return float(norms[mask].max(initial=0.0)) / scale
 
 
-def _finish_solution(task, mse, h_grid, solved_blocks, diagnostics, weights=None):
-    if weights is not None:
-        diagnostics.setdefault(
-            "weight_scale",
-            float(np.linalg.norm(weights.blocks, axis=1).max(initial=0.0)),
-        )
+def _finish_solution(task, mse, h_grid, solved_blocks, diagnostics, weights):
+    diagnostics["weight_scale"] = float(
+        np.linalg.norm(weights.blocks, axis=1).max(initial=0.0)
+    )
     lags, coeffs = _vector_coefficients(h_grid)
     sol = EstimateSolution(
         task=task,
@@ -328,100 +315,7 @@ def _real_mse(value: complex) -> float:
     return float(value.real)
 
 
-# -- interpolation -------------------------------------------------------
-
-
-def interpolate(
-    f: SpectralDensity | GridMatrixFunction,
-    g: SpectralDensity | GridMatrixFunction | None,
-    weights: FunctionalWeights,
-    cond_threshold: float = DEFAULT_COND_THRESHOLD,
-) -> EstimateSolution:
-    """Best estimate of an interpolation functional from noisy observations.
-
-    Blocks 0..n carry the functional and are unobserved; all other blocks
-    of signal plus noise are observed. With ``g`` absent the noiseless
-    variant is used. Returns the spectral characteristic, the solved
-    coefficient blocks and the mean square error.
-    """
-    if g is None:
-        return interpolate_noiseless(f, weights, cond_threshold=cond_threshold)
-    if weights.horizon != "interpolation":
-        raise ValueError("weights must carry the interpolation horizon")
-    if weights.dim != f.dim or f.dim != g.dim:
-        raise ValueError("weights and densities must share one dimension")
-    n = weights.n
-    rng = range(n + 1)
-    B = build_block_matrix("B", f, g, rng, rng, cond_threshold)
-    D = build_block_matrix("D", f, g, rng, rng, cond_threshold, check=False)
-    R = build_block_matrix("R", f, g, rng, rng, cond_threshold, check=False)
-    a = weights.stacked()
-    c, cond = _solve_hermitian(B.dense, D.dense @ a, cond_threshold, "interpolation")
-    mse = _real_mse(np.vdot(a, R.dense @ a) + np.vdot(c, B.dense @ c))
-
-    G = f.grid_size
-    fv = density_values(f)
-    gv = density_values(g)
-    inv = np.linalg.inv(fv + gv)
-    A = functional_symbol(weights, G)
-    C = _blocks_symbol(c.reshape(n + 1, f.dim), 0, G)
-    h = np.einsum("gk,gkn->gn", A, fv) - C
-    h = np.einsum("gk,gkn->gn", h, inv)
-    return _finish_solution(
-        "interpolation",
-        mse,
-        h,
-        c.reshape(n + 1, f.dim),
-        {"n": n, "condition": cond, "noisy": True},
-        weights,
-    )
-
-
-def interpolate_noiseless(
-    f: SpectralDensity | GridMatrixFunction,
-    weights: FunctionalWeights,
-    cond_threshold: float = DEFAULT_COND_THRESHOLD,
-) -> EstimateSolution:
-    """Interpolation from exact (noise-free) observations of the signal."""
-    if weights.horizon != "interpolation":
-        raise ValueError("weights must carry the interpolation horizon")
-    if weights.dim != f.dim:
-        raise ValueError("weights and density must share one dimension")
-    n = weights.n
-    rng = range(n + 1)
-    B = build_block_matrix("B", f, None, rng, rng, cond_threshold)
-    a = weights.stacked()
-    c, cond = _solve_hermitian(B.dense, a, cond_threshold, "interpolation")
-    mse = _real_mse(np.vdot(a, c))
-
-    G = f.grid_size
-    finv = np.linalg.inv(density_values(f))
-    A = functional_symbol(weights, G)
-    C = _blocks_symbol(c.reshape(n + 1, f.dim), 0, G)
-    h = A - np.einsum("gk,gkn->gn", C, finv)
-    return _finish_solution(
-        "interpolation",
-        mse,
-        h,
-        c.reshape(n + 1, f.dim),
-        {"n": n, "condition": cond, "noisy": False},
-        weights,
-    )
-
-
-# -- extrapolation and filtering (truncated infinite systems) ------------
-
-
-def _stacked_to(weights: FunctionalWeights, n_blocks: int) -> np.ndarray:
-    """Weight blocks stacked into (n_blocks * K,), padded or truncated.
-
-    Truncation may only drop zero blocks; the truncation schedule already
-    guarantees that.
-    """
-    out = np.zeros(n_blocks * weights.dim, dtype=complex)
-    keep = min(n_blocks, weights.n_blocks)
-    out[: keep * weights.dim] = weights.blocks[:keep].reshape(-1)
-    return out
+# -- truncation of the infinite systems ----------------------------------
 
 
 def _truncation_schedule(weights, truncation, cap, context):
@@ -431,6 +325,11 @@ def _truncation_schedule(weights, truncation, cap, context):
             raise ValueError(
                 "truncation must cover the last nonzero weight block "
                 f"({truncation} < {j_last})"
+            )
+        if truncation > cap:
+            raise TruncationError(
+                f"{context}: truncation {truncation} exceeds the grid resolution "
+                f"(largest {cap})"
             )
         return [int(truncation)]
     if cap < j_last:
@@ -465,10 +364,9 @@ def _solve_truncated(solve_at, weights, truncation, cap, context):
             prev = None
             continue
         history.append((J, result[0]))
-        if truncation is not None:
-            return result, history
-        if prev is not None and abs(result[0] - prev[0]) <= MSE_CAUCHY_TOL * max(
-            1.0, abs(result[0])
+        if truncation is not None or (
+            prev is not None
+            and abs(result[0] - prev[0]) <= MSE_CAUCHY_TOL * max(1.0, abs(result[0]))
         ):
             return result, history
         prev = result
@@ -479,12 +377,88 @@ def _solve_truncated(solve_at, weights, truncation, cap, context):
 
 
 def _summability_warning(weights):
-    report = check_weight_summability(weights)
-    if not report.passed:
+    if not check_weight_summability(weights).passed:
         warnings.warn(
             "weight tail looks non-summable; truncated solution may be meaningless"
         )
-    return report
+
+
+# -- the estimation path -------------------------------------------------
+
+
+def _estimate(f, g, weights, truncation, cond_threshold):
+    """Solve the task named by the weights' horizon; ``g=None`` is exact data.
+
+    Interpolation solves for the blocks c_0..c_n at once. Extrapolation
+    solves for c_0..c_J and filtering for d_1..d_J, with J doubled until
+    the error value is Cauchy. The system is B c = D a with error value
+    a* R a + c* B c = a* R a + c* (D a); filtering uses the kinds U, V, W.
+    """
+    if weights.dim != f.dim or (g is not None and g.dim != f.dim):
+        raise ValueError("weights and densities must share one dimension")
+    task = weights.horizon
+    context = task.removesuffix("_finite")
+    if task != "interpolation":
+        _summability_warning(weights)
+    K, G = f.dim, f.grid_size
+    inv, gv, (B, D, R) = _kernel_tables(f, g, cond_threshold)
+    first = 1 if task == "filtering" else 0
+    kind_b, kind_d, kind_r = "UVW" if first else "BDR"
+    # the weights vanish beyond block n_w - 1, so D and R are only read in
+    # their first n_w block columns, and R's block does not depend on J
+    n_w = weights.last_nonzero + 1
+    a = weights.blocks[:n_w].reshape(-1)
+    cols = np.arange(n_w)
+    aRa = 0.0 if R is None else np.vdot(a, _gather(R, kind_r, cols, cols) @ a)
+
+    def solve_at(J):
+        rows = np.arange(first, J + 1)
+        Bd = _gather(B, kind_b, rows, rows)
+        if D is None:  # exact observations: D = I
+            rhs = np.pad(a, (0, rows.size * K - a.size))
+        else:
+            rhs = _gather(D, kind_d, rows, cols) @ a
+        c, cond = _solve_hermitian(Bd, rhs, cond_threshold, context)
+        return _real_mse(aRa + np.vdot(c, rhs)), c, cond, J
+
+    if task == "interpolation":
+        (mse, c, cond, J), truncated = solve_at(weights.n), {}
+    else:
+        cap = G // 2 - 1 - (weights.n_blocks if first else 0)
+        (mse, c, cond, J), history = _solve_truncated(
+            solve_at, weights, truncation, cap, context
+        )
+        truncated = {"truncation": J, "history": history}
+    diagnostics = {"n": weights.n, "condition": cond, **truncated}
+    if first:
+        diagnostics["first_index"] = first
+    diagnostics["noisy"] = g is not None
+
+    c = c.reshape(-1, K)
+    A = functional_symbol(weights, G)
+    C = _blocks_symbol(c, first, G)
+    if gv is not None:
+        C = C + np.einsum("gk,gkn->gn", A, gv)
+    h = A - np.einsum("gk,gkn->gn", C, inv)
+    return _finish_solution(task, mse, h, c, diagnostics, weights)
+
+
+def interpolate(
+    f: SpectralDensity | GridMatrixFunction,
+    g: SpectralDensity | GridMatrixFunction | None,
+    weights: FunctionalWeights,
+    cond_threshold: float = DEFAULT_COND_THRESHOLD,
+) -> EstimateSolution:
+    """Best estimate of an interpolation functional from noisy observations.
+
+    Blocks 0..n carry the functional and are unobserved; all other blocks
+    of signal plus noise are observed. With ``g=None`` the observations are
+    exact. Returns the spectral characteristic, the solved coefficient
+    blocks and the mean square error.
+    """
+    if weights.horizon != "interpolation":
+        raise ValueError("weights must carry the interpolation horizon")
+    return _estimate(f, g, weights, None, cond_threshold)
 
 
 def extrapolate(
@@ -497,116 +471,14 @@ def extrapolate(
     """Best estimate of a forward functional from noisy past observations.
 
     The functional runs over blocks j >= 0 with the stored weights; the
-    observations are signal plus noise at blocks j < 0. The infinite
-    coefficient system is truncated at ``truncation`` blocks (doubled
-    automatically until the error stabilises when not given).
+    observations are signal plus noise at blocks j < 0 (exact signal with
+    ``g=None``). The infinite coefficient system is truncated at
+    ``truncation`` blocks (doubled automatically until the error stabilises
+    when not given).
     """
-    if g is None:
-        return extrapolate_noiseless(
-            f, weights, truncation=truncation, cond_threshold=cond_threshold
-        )
     if weights.horizon not in ("extrapolation", "extrapolation_finite"):
         raise ValueError("weights must carry an extrapolation horizon")
-    if weights.dim != f.dim or f.dim != g.dim:
-        raise ValueError("weights and densities must share one dimension")
-    _summability_warning(weights)
-    report = check_minimality(f, g, cond_threshold=cond_threshold)
-    if not report.passed:
-        raise MinimalityError(
-            "minimality condition violated: observed density is singular near "
-            f"lambda = {report.worst_node:.6f}"
-        )
-    K, G = f.dim, f.grid_size
-    fv = density_values(f)
-    gv = density_values(g)
-    inv = np.linalg.inv(fv + gv)
-    tableB = _all_fourier_coefficients(np.transpose(inv, (0, 2, 1)))
-    tableD = _all_fourier_coefficients(np.transpose(fv @ inv, (0, 2, 1)))
-    tableR = _all_fourier_coefficients(np.transpose(fv @ inv @ gv, (0, 2, 1)))
-    # the weights vanish beyond block j_last <= J, so D and R are only read
-    # in their first n_w block columns, and R's block does not depend on J
-    n_w = weights.last_nonzero + 1
-    a = weights.blocks[:n_w].reshape(-1)
-    lagR = np.subtract.outer(np.arange(n_w), np.arange(n_w))
-    Rd = tableR[lagR % G].transpose(0, 2, 1, 3).reshape(n_w * K, n_w * K)
-    aRa = np.vdot(a, Rd @ a)
-
-    def solve_at(J):
-        if J >= G // 2:
-            raise TruncationError("truncation exceeds the grid resolution")
-        lag = np.subtract.outer(np.arange(J + 1), np.arange(J + 1))
-        Bd = tableB[lag % G].transpose(0, 2, 1, 3).reshape((J + 1) * K, (J + 1) * K)
-        lagD = lag[:, :n_w]
-        Dd = tableD[lagD % G].transpose(0, 2, 1, 3).reshape((J + 1) * K, n_w * K)
-        c, cond = _solve_hermitian(Bd, Dd @ a, cond_threshold, "extrapolation")
-        mse = _real_mse(aRa + np.vdot(c, Bd @ c))
-        return mse, c, cond, J
-
-    (mse, c, cond, J), history = _solve_truncated(
-        solve_at, weights, truncation, G // 2 - 1, "extrapolation"
-    )
-    A = functional_symbol(weights, G)
-    C = _blocks_symbol(c.reshape(J + 1, K), 0, G)
-    h = np.einsum("gk,gkn->gn", A, fv) - C
-    h = np.einsum("gk,gkn->gn", h, inv)
-    return _finish_solution(
-        weights.horizon,
-        mse,
-        h,
-        c.reshape(J + 1, K),
-        {"n": weights.n, "condition": cond, "truncation": J, "history": history,
-         "noisy": True},
-        weights,
-    )
-
-
-def extrapolate_noiseless(
-    f: SpectralDensity | GridMatrixFunction,
-    weights: FunctionalWeights,
-    truncation: int | None = None,
-    cond_threshold: float = DEFAULT_COND_THRESHOLD,
-) -> EstimateSolution:
-    """Forward estimation from exact past observations of the signal."""
-    if weights.horizon not in ("extrapolation", "extrapolation_finite"):
-        raise ValueError("weights must carry an extrapolation horizon")
-    if weights.dim != f.dim:
-        raise ValueError("weights and density must share one dimension")
-    _summability_warning(weights)
-    report = check_minimality(f, None, cond_threshold=cond_threshold)
-    if not report.passed:
-        raise MinimalityError(
-            "minimality condition violated: signal density is singular near "
-            f"lambda = {report.worst_node:.6f}"
-        )
-    K, G = f.dim, f.grid_size
-    finv = np.linalg.inv(density_values(f))
-    tableB = _all_fourier_coefficients(np.transpose(finv, (0, 2, 1)))
-
-    def solve_at(J):
-        if J >= G // 2:
-            raise TruncationError("truncation exceeds the grid resolution")
-        lag = np.subtract.outer(np.arange(J + 1), np.arange(J + 1))
-        Bd = tableB[lag % G].transpose(0, 2, 1, 3).reshape((J + 1) * K, (J + 1) * K)
-        a = _stacked_to(weights, J + 1)
-        c, cond = _solve_hermitian(Bd, a, cond_threshold, "extrapolation")
-        mse = _real_mse(np.vdot(a, c))
-        return mse, c, cond, J
-
-    (mse, c, cond, J), history = _solve_truncated(
-        solve_at, weights, truncation, G // 2 - 1, "extrapolation"
-    )
-    A = functional_symbol(weights, G)
-    C = _blocks_symbol(c.reshape(J + 1, K), 0, G)
-    h = A - np.einsum("gk,gkn->gn", C, finv)
-    return _finish_solution(
-        weights.horizon,
-        mse,
-        h,
-        c.reshape(J + 1, K),
-        {"n": weights.n, "condition": cond, "truncation": J, "history": history,
-         "noisy": False},
-        weights,
-    )
+    return _estimate(f, g, weights, truncation, cond_threshold)
 
 
 def filtering(
@@ -627,58 +499,7 @@ def filtering(
         raise ValueError("weights must carry the filtering horizon")
     if g is None:
         raise ValueError("filtering requires a noise density")
-    if weights.dim != f.dim or f.dim != g.dim:
-        raise ValueError("weights and densities must share one dimension")
-    _summability_warning(weights)
-    report = check_minimality(f, g, cond_threshold=cond_threshold)
-    if not report.passed:
-        raise MinimalityError(
-            "minimality condition violated: observed density is singular near "
-            f"lambda = {report.worst_node:.6f}"
-        )
-    K, G = f.dim, f.grid_size
-    fv = density_values(f)
-    gv = density_values(g)
-    inv = np.linalg.inv(fv + gv)
-    tableU = _all_fourier_coefficients(np.transpose(inv, (0, 2, 1)))
-    tableV = _all_fourier_coefficients(np.transpose(fv @ inv, (0, 2, 1)))
-    tableW = _all_fourier_coefficients(np.transpose(fv @ inv @ gv, (0, 2, 1)))
-    a = weights.stacked()
-    n_a = weights.n_blocks
-    lagW = -np.subtract.outer(np.arange(n_a), np.arange(n_a))
-    Wd = tableW[lagW % G].transpose(0, 2, 1, 3).reshape(n_a * K, n_a * K)
-
-    def solve_at(J):
-        if J + n_a >= G // 2:
-            raise TruncationError("truncation exceeds the grid resolution")
-        if J < 1:
-            d = np.zeros(0, dtype=complex)
-            return _real_mse(np.vdot(a, Wd @ a)), d, 1.0, 0
-        rows = np.arange(1, J + 1)
-        lagU = np.subtract.outer(rows, rows)
-        Ud = tableU[lagU % G].transpose(0, 2, 1, 3).reshape(J * K, J * K)
-        lagV = np.add.outer(rows, np.arange(n_a))
-        Vd = tableV[lagV % G].transpose(0, 2, 1, 3).reshape(J * K, n_a * K)
-        d, cond = _solve_hermitian(Ud, Vd @ a, cond_threshold, "filtering")
-        mse = _real_mse(np.vdot(a, Wd @ a) + np.vdot(d, Ud @ d))
-        return mse, d, cond, J
-
-    (mse, d, cond, J), history = _solve_truncated(
-        solve_at, weights, truncation, G // 2 - n_a - 1, "filtering"
-    )
-    A = functional_symbol(weights, G)
-    Dsym = _blocks_symbol(d.reshape(J, K), 1, G)
-    h = np.einsum("gk,gkn->gn", A, fv) - Dsym
-    h = np.einsum("gk,gkn->gn", h, inv)
-    return _finish_solution(
-        "filtering",
-        mse,
-        h,
-        d.reshape(J, K),
-        {"n": weights.n, "condition": cond, "truncation": J, "history": history,
-         "first_index": 1, "noisy": True},
-        weights,
-    )
+    return _estimate(f, g, weights, truncation, cond_threshold)
 
 
 # -- generic error functional --------------------------------------------

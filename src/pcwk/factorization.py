@@ -46,7 +46,6 @@ __all__ = [
     "spectral_factorize",
     "left_inverse",
     "extrapolate_factorized",
-    "extrapolate_factorized_finite",
 ]
 
 RANK_TOLERANCE = 1e-12
@@ -290,12 +289,3 @@ def extrapolate_factorized(
         },
         weights,
     )
-
-
-def extrapolate_factorized_finite(
-    f, weights: FunctionalWeights, tol: float = 1e-10, max_iter: int = 100
-) -> EstimateSolution:
-    """Factorization-route estimation of a finite forward functional."""
-    if weights.horizon != "extrapolation_finite":
-        raise ValueError("weights must carry the finite extrapolation horizon")
-    return extrapolate_factorized(f, weights, tol=tol, max_iter=max_iter)

@@ -36,7 +36,6 @@ __all__ = [
     "GridMatrixFunction",
     "frequency_grid",
     "evaluate_on_grid",
-    "fourier_coefficient",
     "fourier_coefficients",
     "check_minimality",
     "validate_density",
@@ -282,17 +281,6 @@ def fourier_coefficients(values, lags) -> np.ndarray:
     return table[lags % G]
 
 
-def fourier_coefficient(values, lag: int) -> np.ndarray:
-    """(1/2pi) integral of M(lambda) e^{-i lag lambda}, as a K x K matrix."""
-    vals = as_grid_values(values)
-    G = vals.shape[0]
-    if abs(lag) >= G // 2:
-        raise AliasingError(f"lag {lag} is not resolvable on a grid of size {G}")
-    lam = frequency_grid(G)
-    phase = np.exp(-1j * lag * lam).reshape(G, 1, 1)
-    return (vals * phase).mean(axis=0)
-
-
 # -- validation and minimality ----------------------------------------
 
 
@@ -486,13 +474,7 @@ def read_density_csv(path, grid_size=DEFAULT_GRID_SIZE) -> SpectralDensity:
             mat[row, col] = v
         coeffs[m] = mat
     for m in sorted(coeffs):
-        if m > 0 and -m not in coeffs:
-            warnings.warn(
-                f"density file {path}: lag {-m} missing, filled by Hermitian symmetry",
-                stacklevel=2,
-            )
-            coeffs[-m] = coeffs[m].conj().T
-        elif m < 0 and -m not in coeffs:
+        if m != 0 and -m not in coeffs:
             warnings.warn(
                 f"density file {path}: lag {-m} missing, filled by Hermitian symmetry",
                 stacklevel=2,

@@ -17,10 +17,8 @@ from pcwk import (
     evaluate_on_grid,
     extrapolate,
     extrapolate_factorized,
-    extrapolate_noiseless,
     filtering,
     interpolate,
-    interpolate_noiseless,
     least_favorable_class_y,
     least_favorable_d01_extrapolation,
     least_favorable_d0eps_filtering_scalar,
@@ -102,7 +100,7 @@ def test_criterion_1_oracle_equivalence():
 
 def test_criterion_2_closed_forms():
     """Three independently derived closed-form error values."""
-    gap = interpolate_noiseless(ar1(), FunctionalWeights.interpolation([[1.0]]))
+    gap = interpolate(ar1(), None, FunctionalWeights.interpolation([[1.0]]))
     ok1 = abs(gap.mse - 0.8) <= 1e-6
     wiener = filtering(
         white(scale=2.0), white(), FunctionalWeights.filtering([[1.0]])
@@ -141,7 +139,7 @@ def test_criterion_3_factorization():
         residual = float(np.abs(recon - evaluate_on_grid(f).values).max())
         worst_residual = max(worst_residual, residual)
         w = suite_weights(dim, 3, "extrapolation", seed=trial)
-        toeplitz = extrapolate_noiseless(f, w).mse
+        toeplitz = extrapolate(f, None, w).mse
         via_factor = extrapolate_factorized(fact, w).mse
         worst_route = max(
             worst_route, abs(toeplitz - via_factor) / max(abs(toeplitz), 1e-300)
@@ -213,7 +211,7 @@ def test_criterion_6_inverse_moment_class():
     for constraints, w in instances:
         result = least_favorable_dm_interpolation(constraints, w, grid_size=GRID)
         worst_moment = max(worst_moment, dm_class_residual(result.f0, constraints))
-        check = interpolate_noiseless(result.f0, w)
+        check = interpolate(result.f0, None, w)
         worst_value = max(worst_value, abs(check.mse - result.minimax_mse))
     report(
         6,

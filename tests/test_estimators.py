@@ -11,12 +11,11 @@ from pcwk import (
     check_minimality,
     evaluate_mse,
     extrapolate,
-    extrapolate_noiseless,
     filtering,
     forbidden_lags,
     interpolate,
-    interpolate_noiseless,
 )
+from pcwk import estimators
 from pcwk.estimators import _solve_hermitian
 from pcwk.oracle import time_domain_projection_converged
 from conftest import GRID, ar1, coupled_ma2, ma1, white
@@ -31,22 +30,22 @@ def unit_interp(n=0, dim=1):
 class TestBlockMatrices:
     def test_inverse_kernel_block(self):
         bm = build_block_matrix("B", white(), white(), [0], [0])
-        assert bm.dense[0, 0] == pytest.approx(0.5, abs=1e-12)
+        assert bm[0, 0] == pytest.approx(0.5, abs=1e-12)
 
     def test_error_floor_kernel_block(self):
         # f (f+g)^{-1} g = 1/2 for the white pair; its lag-0 coefficient is 1/2
         bm = build_block_matrix("W", white(), white(), [0], [0])
-        assert bm.dense[0, 0] == pytest.approx(0.5, abs=1e-12)
+        assert bm[0, 0] == pytest.approx(0.5, abs=1e-12)
 
     def test_hankel_block_vanishes_for_constant_kernel(self):
         bm = build_block_matrix("V", white(), white(), [1], [0])
-        assert abs(bm.dense[0, 0]) < 1e-13
+        assert abs(bm[0, 0]) < 1e-13
 
     def test_hermitian_and_psd_kinds(self):
         f, g = ma1(2, 0.4), white(dim=2, scale=0.5)
         rng = range(0, 3)
         for kind in ("B", "U", "R", "W"):
-            dense = build_block_matrix(kind, f, g, rng, rng).dense
+            dense = build_block_matrix(kind, f, g, rng, rng)
             np.testing.assert_allclose(dense, dense.conj().T, atol=1e-12)
             assert np.linalg.eigvalsh(dense).min() > -1e-12
 
@@ -72,7 +71,7 @@ class TestInterpolation:
         assert sol.mse == pytest.approx(0.0, abs=1e-14)
 
     def test_noiseless_white_variance(self):
-        sol = interpolate_noiseless(white(scale=2.5), unit_interp())
+        sol = interpolate(white(scale=2.5), None, unit_interp())
         assert sol.mse == pytest.approx(2.5, abs=1e-10)
 
     def test_absent_noise_routes_to_noiseless(self):
@@ -81,16 +80,16 @@ class TestInterpolation:
 
     def test_identity_two_blocks(self):
         w = FunctionalWeights.interpolation(np.ones((2, 2)))
-        sol = interpolate_noiseless(white(dim=2), w)
+        sol = interpolate(white(dim=2), None, w)
         assert sol.mse == pytest.approx(4.0, abs=1e-10)
 
     def test_ma1_single_gap_closed_form(self):
         # 1 / ((1/2pi) int 1/f) with f = |1 + b e^{-il}|^2 equals 1 - b^2
-        sol = interpolate_noiseless(ma1(), unit_interp())
+        sol = interpolate(ma1(), None, unit_interp())
         assert sol.mse == pytest.approx(0.75, rel=1e-10)
 
     def test_ma1_single_gap_matches_oracle(self):
-        sol = interpolate_noiseless(ma1(), unit_interp())
+        sol = interpolate(ma1(), None, unit_interp())
         proj, _ = time_domain_projection_converged(ma1(), None, unit_interp())
         assert sol.mse == pytest.approx(proj.mse, rel=1e-6)
 
@@ -145,18 +144,18 @@ class TestExtrapolation:
 
     def test_ma1_one_step(self):
         w = FunctionalWeights.extrapolation([[1.0]])
-        sol = extrapolate_noiseless(ma1(), w)
+        sol = extrapolate(ma1(), None, w)
         assert sol.mse == pytest.approx(1.0, rel=1e-8)
 
     def test_ma1_two_blocks(self):
         w = FunctionalWeights.extrapolation([[1.0], [1.0]])
-        sol = extrapolate_noiseless(ma1(), w)
+        sol = extrapolate(ma1(), None, w)
         assert sol.mse == pytest.approx(3.25, rel=1e-8)
 
     def test_truncation_must_cover_weights(self):
         w = FunctionalWeights.extrapolation([[1.0], [1.0], [1.0]])
         with pytest.raises(ValueError):
-            extrapolate_noiseless(ma1(), w, truncation=1)
+            extrapolate(ma1(), None, w, truncation=1)
 
     def test_automatic_truncation_on_small_grid(self):
         # on G = 128 the doubling schedule starts at its cap; it used to hold
@@ -201,6 +200,13 @@ class TestFiltering:
         w = FunctionalWeights.filtering([[1.0]])
         with pytest.raises(ValueError):
             filtering(white(), None, w)
+
+    def test_truncation_beyond_grid_resolution_refused(self):
+        # the largest truncation leaves the Hankel block's lags J + n_blocks - 1
+        # one short of G/2 - 1; the lag check alone would accept J = G/2 - 2
+        w = FunctionalWeights.filtering([[1.0], [0.5]])
+        with pytest.raises(TruncationError, match="exceeds the grid resolution"):
+            filtering(ma1(), white(scale=0.5), w, truncation=GRID // 2 - 2)
 
     def test_ma1_matches_oracle(self):
         w = FunctionalWeights.filtering([[1.0], [0.5]])
@@ -272,12 +278,61 @@ class TestForbiddenLags:
                                 FunctionalWeights.extrapolation([[1.0], [0.5]])),
             lambda: filtering(ma1(), white(scale=0.5),
                               FunctionalWeights.filtering([[1.0], [0.5]])),
-            lambda: interpolate_noiseless(ar1(), unit_interp()),
+            lambda: interpolate(ar1(), None, unit_interp()),
         ],
     )
     def test_solutions_live_in_their_subspace(self, make):
         sol = make()
         assert sol.diagnostics["forbidden_lag_residual"] < 1e-8
+
+
+class TestOnePath:
+    @pytest.mark.parametrize(
+        "task", ["interp", "interp_noiseless", "extrap", "extrap_noiseless", "filter"]
+    )
+    def test_one_minimality_check_and_one_inversion(self, monkeypatch, task):
+        calls = {"check_minimality": 0, "inv": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            estimators, "check_minimality",
+            counted("check_minimality", estimators.check_minimality),
+        )
+        monkeypatch.setattr(
+            estimators.np.linalg, "inv", counted("inv", estimators.np.linalg.inv)
+        )
+        f = coupled_ma2()
+        g = None if task.endswith("noiseless") else white(dim=2, scale=0.5)
+        blocks = np.array([[1.0, -0.5], [0.3, 0.2]])
+        if task.startswith("interp"):
+            interpolate(f, g, FunctionalWeights.interpolation(blocks))
+        elif task.startswith("extrap"):
+            extrapolate(f, g, FunctionalWeights.extrapolation(blocks))
+        else:
+            filtering(f, g, FunctionalWeights.filtering(blocks))
+        assert calls == {"check_minimality": 1, "inv": 1}
+
+    @pytest.mark.parametrize(
+        "solver, make",
+        [
+            (interpolate, FunctionalWeights.interpolation),
+            (extrapolate, FunctionalWeights.extrapolation),
+        ],
+    )
+    def test_noiseless_case_is_the_vanishing_noise_limit(self, solver, make):
+        rng = np.random.default_rng(3)
+        w = make(rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2)))
+        f = coupled_ma2()
+        exact = solver(f, None, w)
+        noisy = solver(f, white(dim=2, scale=1e-10), w)
+        assert noisy.mse == pytest.approx(exact.mse, abs=1e-8)
+        np.testing.assert_allclose(noisy.h_grid, exact.h_grid, atol=1e-8)
 
 
 class TestConditioning:
@@ -332,7 +387,7 @@ class TestSolveGate:
             sol = filtering(f, g, FunctionalWeights.filtering(blocks))
             rows = range(1, sol.diagnostics["truncation"] + 1)
         kind = "U" if task == "filter" else "B"
-        dense = build_block_matrix(kind, f, g, rows, rows).dense
+        dense = build_block_matrix(kind, f, g, rows, rows)
         bound = check_minimality(f, g).max_condition
         assert np.linalg.cond(dense) <= bound * (1.0 + 1e-8)
         assert np.isfinite(sol.diagnostics["condition"])

@@ -9,8 +9,6 @@ from pcwk import (
     evaluate_on_grid,
     extrapolate,
     extrapolate_factorized,
-    extrapolate_factorized_finite,
-    extrapolate_noiseless,
     left_inverse,
     spectral_factorize,
 )
@@ -145,15 +143,15 @@ class TestFactorizedExtrapolation:
 
     def test_finite_variant(self):
         w = FunctionalWeights.extrapolation_finite([[1.0], [1.0]])
-        assert extrapolate_factorized_finite(ma1(), w).mse == pytest.approx(
+        assert extrapolate_factorized(ma1(), w).mse == pytest.approx(
             3.25, rel=1e-10
         )
         w0 = FunctionalWeights.extrapolation_finite([[1.0]])
-        assert extrapolate_factorized_finite(white(), w0).mse == pytest.approx(1.0)
+        assert extrapolate_factorized(white(), w0).mse == pytest.approx(1.0)
 
     def test_finite_variant_identity_component(self):
         w = FunctionalWeights.extrapolation_finite([[1.0, 0.0], [0.0, 0.0]])
-        assert extrapolate_factorized_finite(white(dim=2), w).mse == pytest.approx(
+        assert extrapolate_factorized(white(dim=2), w).mse == pytest.approx(
             1.0, abs=1e-12
         )
 
@@ -169,7 +167,7 @@ class TestFactorizedExtrapolation:
         f = random_psd_density(rng, dim, order=2)
         blocks = rng.normal(size=(3, dim)) * [[1.0], [0.6], [0.3]]
         w = FunctionalWeights.extrapolation(blocks)
-        toeplitz = extrapolate_noiseless(f, w).mse
+        toeplitz = extrapolate(f, None, w).mse
         factorized = extrapolate_factorized(f, w).mse
         assert factorized == pytest.approx(toeplitz, rel=1e-5)
 

@@ -9,7 +9,7 @@ from pcwk import (
     build_q_operator,
     evaluate_on_grid,
     filtering_relation_residuals,
-    interpolate_noiseless,
+    interpolate,
     least_favorable_class_y,
     least_favorable_d01_extrapolation,
     least_favorable_d0eps_filtering_scalar,
@@ -204,7 +204,7 @@ class TestDmInterpolation:
         w = FunctionalWeights.interpolation([[1.0], [0.5]])
         p = [np.array([[1.5]]), np.array([[0.4]]), np.array([[0.1]])]
         result = least_favorable_dm_interpolation(p, w, grid_size=GRID)
-        check = interpolate_noiseless(result.f0, w)
+        check = interpolate(result.f0, None, w)
         assert check.mse == pytest.approx(result.minimax_mse, abs=1e-10)
 
     def test_moment_reproduction(self):
@@ -221,7 +221,7 @@ class TestDmInterpolation:
                                                   grid_size=GRID)
         assert result.certificate["system_residual"] < 1e-8
         assert dm_class_residual(result.f0, [np.array([[1.0]])]) < 1e-8
-        check = interpolate_noiseless(result.f0, w)
+        check = interpolate(result.f0, None, w)
         assert check.mse == pytest.approx(result.minimax_mse, abs=1e-9)
 
     def test_underdetermined_infeasible_extension_rejected(self):
@@ -270,7 +270,7 @@ class TestDmInterpolation:
         report = saddle_point_check(
             result.h0, result.f0, None, samples, w,
             validator=lambda fs: dm_class_residual(fs, p),
-            optimal_error=lambda fs, gs: interpolate_noiseless(fs, w).mse,
+            optimal_error=lambda fs, gs: interpolate(fs, None, w).mse,
         )
         assert report.n_rejected == 0
         assert report.min_margin >= -1e-8

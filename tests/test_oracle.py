@@ -7,7 +7,7 @@ from pcwk import (
     compare_report,
     covariances_from_density,
     empirical_mse,
-    extrapolate_noiseless,
+    extrapolate,
     filtering,
     simulate_sequence,
     spectral_factorize,
@@ -126,7 +126,7 @@ class TestSimulation:
     def test_empirical_mse_prediction(self):
         f = ma1()
         w = FunctionalWeights.extrapolation([[1.0]])
-        sol = extrapolate_noiseless(f, w)
+        sol = extrapolate(f, None, w)
         report = empirical_mse(sol, w, spectral_factorize(f), None,
                                n_blocks=100_000, seed=5)
         assert abs(report.value - sol.mse) < report.half_width_99

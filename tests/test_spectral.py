@@ -6,7 +6,7 @@ from pcwk import (
     SpectralDensity,
     check_minimality,
     evaluate_on_grid,
-    fourier_coefficient,
+    fourier_coefficients,
     read_density_csv,
     validate_density,
     write_density_csv,
@@ -37,30 +37,32 @@ class TestEvaluateOnGrid:
 class TestFourierCoefficient:
     def test_identity_lag_zero(self):
         vals = evaluate_on_grid(white(dim=2)).values
-        np.testing.assert_allclose(fourier_coefficient(vals, 0), np.eye(2), atol=1e-14)
+        np.testing.assert_allclose(
+            fourier_coefficients(vals, [0])[0], np.eye(2), atol=1e-14
+        )
 
     def test_identity_nonzero_lag(self):
         vals = evaluate_on_grid(white(dim=2)).values
         np.testing.assert_allclose(
-            fourier_coefficient(vals, 3), np.zeros((2, 2)), atol=1e-14
+            fourier_coefficients(vals, [3])[0], np.zeros((2, 2)), atol=1e-14
         )
 
     def test_reads_off_trig_coefficient(self, grid):
         vals = (1.25 + np.cos(grid)).astype(complex)
-        assert fourier_coefficient(vals, 1)[0, 0] == pytest.approx(0.5, abs=1e-13)
+        assert fourier_coefficients(vals, [1])[0][0, 0] == pytest.approx(0.5, abs=1e-13)
 
     def test_roundtrip_is_exact(self):
         f = coupled_ma2()
         vals = evaluate_on_grid(f)
         for m in (-1, 0, 1):
             np.testing.assert_allclose(
-                fourier_coefficient(vals, m), f.coeff(m), atol=1e-12
+                fourier_coefficients(vals, [m])[0], f.coeff(m), atol=1e-12
             )
 
     def test_aliasing_guard(self):
         vals = evaluate_on_grid(white()).values
         with pytest.raises(AliasingError):
-            fourier_coefficient(vals, GRID // 2)
+            fourier_coefficients(vals, [GRID // 2])[0]
 
 
 class TestCheckMinimality:
