@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import minimax, oracle
-from .errors import PcwkError
+from .errors import PcwkError, TruncationError
 from .estimators import (
     extrapolate,
     filtering,
@@ -594,24 +594,31 @@ def _run_oracle_check(spec: ProblemSpec, out: Path):
         f, g, weights, initial_window=initial
     )
     tolerance = _float_param(spec, "tolerance", 1e-5)
-    report = oracle.compare_report(solution.mse, projection.mse, tolerance)
-    _write_rows(
-        out / "oracle.csv",
-        ["task", "spectral_mse", "oracle_mse", "rel_diff", "window"],
-        [[target, repr(report.spectral_mse), repr(report.oracle_mse),
-          repr(report.rel_diff), projection.window]],
-    )
     entries = [
         ("task", "oracle-check"),
         ("version", __version__),
         ("target", target),
-        ("spectral_mse", repr(report.spectral_mse)),
-        ("oracle_mse", repr(report.oracle_mse)),
-        ("rel_diff", repr(report.rel_diff)),
-        ("passed", report.passed),
-        ("seed", spec.numerics.seed),
+        ("spectral_mse", repr(solution.mse)),
+        ("oracle_mse", repr(projection.mse)),
+        ("oracle_converged", projection.converged),
+        ("oracle_window", projection.window),
     ]
+    if projection.converged:  # an unsettled oracle value is not compared
+        report = oracle.compare_report(solution.mse, projection.mse, tolerance)
+        _write_rows(
+            out / "oracle.csv",
+            ["task", "spectral_mse", "oracle_mse", "rel_diff", "window"],
+            [[target, repr(report.spectral_mse), repr(report.oracle_mse),
+              repr(report.rel_diff), projection.window]],
+        )
+        entries += [("rel_diff", repr(report.rel_diff)), ("passed", report.passed)]
+    entries.append(("seed", spec.numerics.seed))
     _write_summary(out / "summary.csv", entries)
+    if not projection.converged:
+        raise TruncationError(
+            f"oracle projection did not settle by window {projection.window}; "
+            "no comparison made"
+        )
     if not report.passed:
         raise PcwkError(
             f"oracle disagreement: relative difference {report.rel_diff:.3e} "

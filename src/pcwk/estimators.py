@@ -70,13 +70,14 @@ MSE_CAUCHY_TOL = 1e-8
 # -- kernel tables and block matrices -----------------------------------
 
 
-def _kernel_tables(f, g, cond_threshold, check=True):
+def _kernel_tables(f, g, cond_threshold, check=True, which=(0, 1, 2)):
     """Check minimality, invert f+g on the grid once and tabulate the kernels.
 
     Returns the grid values of (f+g)^{-1} and of g, and the coefficient
     tables, indexed by lag mod G, of the transposed kernels (f+g)^{-1},
-    f (f+g)^{-1} and f (f+g)^{-1} g. Without noise the last two kernels are
-    the identity and zero, and their tables are None.
+    f (f+g)^{-1} and f (f+g)^{-1} g; only the kernels numbered in ``which``
+    are tabulated, the others are None. Without noise the last two kernels
+    are the identity and zero, and their tables are None.
     """
     fv = density_values(f)
     gv = None if g is None else density_values(g)
@@ -90,12 +91,14 @@ def _kernel_tables(f, g, cond_threshold, check=True):
                 f"(grid condition {report.max_condition:.3e})"
             )
     inv = np.linalg.inv(fv if gv is None else fv + gv)
-    kernels = (inv, None, None) if gv is None else (inv, fv @ inv, fv @ inv @ gv)
-    tables = tuple(
-        None if k is None else _all_fourier_coefficients(np.transpose(k, (0, 2, 1)))
-        for k in kernels
-    )
-    return inv, gv, tables
+
+    def table(i):
+        if i not in which or (i > 0 and gv is None):
+            return None
+        kernel = inv if i == 0 else fv @ inv if i == 1 else fv @ inv @ gv
+        return _all_fourier_coefficients(np.transpose(kernel, (0, 2, 1)))
+
+    return inv, gv, tuple(table(i) for i in range(3))
 
 
 def _gather(table, kind, rows, cols):
@@ -145,11 +148,10 @@ def build_block_matrix(
     cols = np.array([int(c) for c in cols], dtype=int)
     if not rows.size or not cols.size:
         raise ValueError("row and column ranges must be non-empty")
-    tables = _kernel_tables(f, g, cond_threshold, check)[2]
     which = BLOCK_KINDS.index(kind) % 3  # B and U, D and V, R and W share a kernel
-    table = tables[which]
+    table = _kernel_tables(f, g, cond_threshold, check, which=(which,))[2][which]
     if table is None:
-        table = np.zeros_like(tables[0])
+        table = np.zeros((f.grid_size, f.dim, f.dim), dtype=complex)
         if which == 1:
             table[0] = np.eye(f.dim)
     return _gather(table, kind, rows, cols)
@@ -424,7 +426,8 @@ def _estimate(f, g, weights, truncation, cond_threshold):
     if task == "interpolation":
         (mse, c, cond, J), truncated = solve_at(weights.n), {}
     else:
-        cap = G // 2 - 1 - (weights.n_blocks if first else 0)
+        # the largest lag read is J (Toeplitz) or J + n_blocks - 1 (Hankel V)
+        cap = G // 2 - weights.n_blocks if first else G // 2 - 1
         (mse, c, cond, J), history = _solve_truncated(
             solve_at, weights, truncation, cap, context
         )

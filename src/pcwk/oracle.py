@@ -10,14 +10,17 @@ values and the spectral formulas is the package's main correctness check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import AliasingError, IllPosedError
-from .factorization import Factorization
 from .lifting import FunctionalWeights
 from .spectral import SpectralDensity, evaluate_on_grid, fourier_coefficients
+
+if TYPE_CHECKING:  # the factorization module imports the spectral solvers
+    from .factorization import Factorization
 
 __all__ = [
     "CovarianceTable",
@@ -91,12 +94,31 @@ def observation_indices(task: str, n: int, window: int) -> list[int]:
     raise ValueError(f"unknown task {task!r}")
 
 
+def _at_lags(values: np.ndarray, lags: np.ndarray) -> np.ndarray:
+    """Covariance blocks of a (2 L + 1, K, K) table at integer lags.
+
+    Returns shape ``lags.shape + (K, K)``. Every lag must lie within the
+    table: callers size it so that no block read is beyond ``max_lag``, where
+    :meth:`CovarianceTable.cov` would read zero.
+    """
+    L = values.shape[0] // 2
+    assert np.abs(lags).max(initial=0) <= L, "lag beyond the covariance table"
+    return values[lags + L]
+
+
 @dataclass(frozen=True)
 class OracleProjection:
+    """Residual variance of the projection onto one observation window.
+
+    ``converged`` is False when :func:`time_domain_projection_converged`
+    stopped at its largest window without passing its Cauchy test.
+    """
+
     mse: float
     window: int
     n_observations: int
     condition: float
+    converged: bool = True
 
 
 def time_domain_projection(
@@ -115,35 +137,27 @@ def time_domain_projection(
     K = weights.dim
     if f.dim != K or (g is not None and g.dim != K):
         raise ValueError("weights and densities must share one dimension")
-    obs = observation_indices(task, weights.n, window)
+    obs = np.array(observation_indices(task, weights.n, window))
     n_a = weights.n_blocks
-    span = (max(obs) - min(obs)) + n_a + 1
-    cz = covariances_from_density(f, span)
-    ct = covariances_from_density(g, span) if g is not None else None
+    span = (obs.max() - obs.min()) + n_a + 1
+    cz = covariances_from_density(f, span).values
+    cx = cz if g is None else cz + covariances_from_density(g, span).values
 
-    def cov_x(m):
-        total = cz.cov(m)
-        if ct is not None:
-            total = total + ct.cov(m)
-        return total
-
-    nobs = len(obs)
-    sigma = np.zeros((nobs * K, nobs * K), dtype=complex)
-    for i, l in enumerate(obs):
-        for j, m in enumerate(obs):
-            sigma[i * K : (i + 1) * K, j * K : (j + 1) * K] = cov_x(l - m)
+    nobs = obs.size
+    sigma = _at_lags(cx, np.subtract.outer(obs, obs))
+    sigma = sigma.transpose(0, 2, 1, 3).reshape(nobs * K, nobs * K)
     blocks = weights.blocks
-    cross = np.zeros(nobs * K, dtype=complex)
     sign = -1 if task == "filtering" else 1
-    for i, l in enumerate(obs):
-        acc = np.zeros(K, dtype=complex)
-        for j in range(n_a):
-            acc += cz.cov(l - sign * j) @ blocks[j].conj()
-        cross[i * K : (i + 1) * K] = acc
-    variance = 0.0 + 0.0j
-    for j in range(n_a):
-        for j2 in range(n_a):
-            variance += blocks[j] @ cz.cov(sign * (j - j2)) @ blocks[j2].conj()
+    j = np.arange(n_a)
+    cross = np.einsum(
+        "ljkm,jm->lk", _at_lags(cz, np.subtract.outer(obs, sign * j)), blocks.conj()
+    ).reshape(-1)
+    variance = np.einsum(
+        "jk,jikm,im->",
+        blocks,
+        _at_lags(cz, sign * np.subtract.outer(j, j)),
+        blocks.conj(),
+    )
 
     eigs = np.linalg.eigvalsh(0.5 * (sigma + sigma.conj().T))
     emax = float(eigs.max())
@@ -170,7 +184,12 @@ def time_domain_projection_converged(
     rel_tol: float = 1e-7,
     max_window: int = 512,
 ) -> tuple[OracleProjection, list[OracleProjection]]:
-    """Double the window until the projection error stabilises."""
+    """Double the window until the projection error stabilises.
+
+    Returns the last projection and every projection tried. When the window
+    reaches ``max_window`` before two successive values agree to
+    ``rel_tol``, the last projection is returned with ``converged=False``.
+    """
     history: list[OracleProjection] = []
     window = initial_window
     prev = None
@@ -182,7 +201,8 @@ def time_domain_projection_converged(
         ):
             return current, history
         if window >= max_window:
-            return current, history
+            history[-1] = replace(current, converged=False)
+            return history[-1], history
         prev = current
         window = min(2 * window, max_window)
 

@@ -1,9 +1,10 @@
+import functools
 import json
 
 import numpy as np
 import pytest
 
-from pcwk import SpectralDensity, write_density_csv
+from pcwk import SpectralDensity, oracle, write_density_csv
 from pcwk.cli import SpecValidationError, main, parse_spec
 
 GRID = 256
@@ -13,6 +14,11 @@ def write_spec(tmp_path, payload, name="spec.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload), encoding="utf-8")
     return path
+
+
+def read_summary(out):
+    rows = (out / "summary.csv").read_text().splitlines()[1:]
+    return dict(row.split(",", 1) for row in rows)
 
 
 def write_white(tmp_path, name, scale=1.0, dim=1):
@@ -217,6 +223,38 @@ class TestMainOracleAndSimulate:
         assert lines[0] == "task,spectral_mse,oracle_mse,rel_diff,window"
         fields = lines[1].split(",")
         assert float(fields[3]) < 1e-5
+        summary = read_summary(out)
+        assert summary["oracle_converged"] == "True"
+        assert summary["oracle_window"] == "16"  # windows 8 and 16 agree
+        assert summary["passed"] == "True"
+
+    def test_oracle_check_unsettled_window_exits_2(self, tmp_path, monkeypatch, capsys):
+        # near a unit root the oracle has not settled by window 32
+        monkeypatch.setattr(
+            oracle,
+            "time_domain_projection_converged",
+            functools.partial(oracle.time_domain_projection_converged, max_window=32),
+        )
+        ma = SpectralDensity.from_moving_average([[[1.0]], [[0.95]]], grid_size=GRID)
+        write_density_csv(ma, tmp_path / "f.csv")
+        spec = write_spec(
+            tmp_path,
+            {
+                "task": "oracle-check",
+                "densities": {"f": "f.csv"},
+                "weights": {"inline": [[1.0]]},
+                "numerics": {"grid": GRID},
+                "class_params": {"task": "interpolate"},
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["--spec", str(spec), "--out", str(out)]) == 2
+        assert "did not settle by window 32" in capsys.readouterr().err
+        summary = read_summary(out)
+        assert summary["oracle_converged"] == "False"
+        assert summary["oracle_window"] == "32"
+        assert "passed" not in summary
+        assert not (out / "oracle.csv").exists()
 
     def test_simulate_deterministic(self, tmp_path):
         spec = filter_spec(

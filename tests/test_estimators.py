@@ -58,6 +58,19 @@ class TestBlockMatrices:
         with pytest.raises(ValueError):
             build_block_matrix("X", white(), None, [0], [0])
 
+    @pytest.mark.parametrize("kind", estimators.BLOCK_KINDS)
+    def test_only_the_returned_kernel_is_tabulated(self, monkeypatch, kind):
+        calls = []
+        table = estimators._all_fourier_coefficients
+
+        def counted(values):
+            calls.append(kind)
+            return table(values)
+
+        monkeypatch.setattr(estimators, "_all_fourier_coefficients", counted)
+        build_block_matrix(kind, coupled_ma2(), white(dim=2, scale=0.5), [0, 1], [0, 1])
+        assert len(calls) == 1
+
 
 class TestInterpolation:
     def test_white_noisy_single_gap(self):
@@ -202,11 +215,16 @@ class TestFiltering:
             filtering(white(), None, w)
 
     def test_truncation_beyond_grid_resolution_refused(self):
-        # the largest truncation leaves the Hankel block's lags J + n_blocks - 1
-        # one short of G/2 - 1; the lag check alone would accept J = G/2 - 2
+        # the Hankel block's largest lag J + n_blocks - 1 stays below G/2 up
+        # to J = G/2 - n_blocks, the largest truncation the grid resolves
         w = FunctionalWeights.filtering([[1.0], [0.5]])
+        f, g = ma1(), white(scale=0.5)
+        sol = filtering(f, g, w, truncation=GRID // 2 - 2)
+        assert sol.diagnostics["truncation"] == GRID // 2 - 2
+        proj, _ = time_domain_projection_converged(f, g, w)
+        assert sol.mse == pytest.approx(proj.mse, rel=1e-6)
         with pytest.raises(TruncationError, match="exceeds the grid resolution"):
-            filtering(ma1(), white(scale=0.5), w, truncation=GRID // 2 - 2)
+            filtering(f, g, w, truncation=GRID // 2 - 1)
 
     def test_ma1_matches_oracle(self):
         w = FunctionalWeights.filtering([[1.0], [0.5]])

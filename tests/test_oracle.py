@@ -1,14 +1,23 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+import pcwk
 from pcwk import (
     FunctionalWeights,
     IllPosedError,
+    SpectralDensity,
+    check_minimality,
     compare_report,
     covariances_from_density,
     empirical_mse,
     extrapolate,
     filtering,
+    interpolate,
     simulate_sequence,
     spectral_factorize,
     time_domain_projection,
@@ -69,6 +78,7 @@ class TestProjection:
         w = FunctionalWeights.interpolation([[1.0]])
         proj, history = time_domain_projection_converged(ar1(), None, w)
         assert proj.mse == pytest.approx(0.8, rel=1e-6)
+        assert proj.converged and history[-1] is proj
         values = [h.mse for h in history]
         for early, late in zip(values, values[1:]):
             assert late <= early + 1e-12
@@ -83,6 +93,142 @@ class TestProjection:
         w = FunctionalWeights.filtering([[1.0]])
         with pytest.raises(IllPosedError):
             time_domain_projection(zero, zero, w, window=4)
+
+    def test_unsettled_window_is_flagged(self):
+        # near a unit root the projection error still moves at window 32
+        w = FunctionalWeights.extrapolation([[1.0]])
+        proj, history = time_domain_projection_converged(
+            ma1(b=0.95), None, w, max_window=32
+        )
+        assert not proj.converged
+        assert proj.window == 32
+        assert history[-1] is proj
+        assert all(h.converged for h in history[:-1])
+
+
+def loop_projection(f, g, weights, window):
+    """Reference: the normal equations assembled block by block from ``cov``."""
+    task = weights.horizon
+    obs = observation_indices(task, weights.n, window)
+    blocks, n_a = weights.blocks, weights.n_blocks
+    span = max(obs) - min(obs) + n_a + 1
+    cz = covariances_from_density(f, span)
+    ct = None if g is None else covariances_from_density(g, span)
+
+    def cov_x(m):
+        return cz.cov(m) if ct is None else cz.cov(m) + ct.cov(m)
+
+    sigma = np.block([[cov_x(l - m) for m in obs] for l in obs])
+    sign = -1 if task == "filtering" else 1
+    cross = np.concatenate(
+        [sum(cz.cov(l - sign * j) @ blocks[j].conj() for j in range(n_a)) for l in obs]
+    )
+    variance = sum(
+        blocks[j] @ cz.cov(sign * (j - i)) @ blocks[i].conj()
+        for j in range(n_a)
+        for i in range(n_a)
+    )
+    eigs = np.linalg.eigvalsh(0.5 * (sigma + sigma.conj().T))
+    mse = (variance - np.vdot(cross, np.linalg.solve(sigma, cross))).real
+    return mse, eigs.max() / eigs.min()
+
+
+class TestAgainstBlockLoop:
+    @pytest.mark.parametrize(
+        "horizon, noisy",
+        [
+            (horizon, noisy)
+            for horizon in ("interpolation", "extrapolation", "extrapolation_finite")
+            for noisy in (True, False)
+        ]
+        + [("filtering", True)],
+    )
+    def test_tiny_case(self, horizon, noisy):
+        f = coupled_ma2()
+        g = white(dim=2, scale=0.5) if noisy else None
+        w = FunctionalWeights(
+            blocks=np.array([[1.0, -0.5j], [0.3 + 0.2j, 0.4]]), horizon=horizon
+        )
+        mse, condition = loop_projection(f, g, w, window=3)
+        proj = time_domain_projection(f, g, w, window=3)
+        assert proj.mse == pytest.approx(mse, rel=1e-12)
+        assert proj.condition == pytest.approx(condition, rel=1e-12)
+
+
+def _runtime_imports(module):
+    """pcwk modules imported by ``module`` outside ``if TYPE_CHECKING`` blocks."""
+    tree = ast.parse(Path(pcwk.__file__).with_name(f"{module}.py").read_text())
+    typing_only = {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.If) and getattr(node.test, "id", "") == "TYPE_CHECKING"
+        for inner in ast.walk(node)
+    }
+    found = set()
+    for node in ast.walk(tree):
+        if id(node) in typing_only:
+            continue
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("pcwk"):
+            found.add(node.module.removeprefix("pcwk").lstrip(".") or "__init__")
+        elif isinstance(node, ast.Import):
+            found |= {a.name[5:] for a in node.names if a.name.startswith("pcwk.")}
+    return {name for name in found if (Path(pcwk.__file__).parent / f"{name}.py").exists()}
+
+
+def test_oracle_does_not_import_the_spectral_solvers():
+    seen, todo = set(), ["oracle"]
+    while todo:
+        module = todo.pop()
+        if module not in seen:
+            seen.add(module)
+            todo.extend(_runtime_imports(module))
+    assert "estimators" not in seen
+    assert "factorization" not in seen
+
+
+PROPERTY_GRID = 1024
+
+
+@st.composite
+def stable_ma_problems(draw):
+    """A stable MA(1) or MA(2) density, K <= 3, with grid condition <= 100."""
+    dim = draw(st.integers(1, 3))
+    order = draw(st.integers(1, 2))
+    taps = draw(arrays(np.float64, (order, dim, dim, 2), elements=st.floats(-0.5, 0.5)))
+    taps = taps[..., 0] + 1j * taps[..., 1]
+    f = SpectralDensity.from_moving_average(
+        [np.eye(dim), *taps], grid_size=PROPERTY_GRID
+    )
+    assume(check_minimality(f).max_condition <= 100.0)
+    n_blocks = draw(st.integers(1, 3))
+    raw = draw(arrays(np.float64, (n_blocks, dim, 2), elements=st.floats(-1.0, 1.0)))
+    assume(np.abs(raw).max() > 0.1)
+    blocks = (raw[..., 0] + 1j * raw[..., 1]) * 0.7 ** np.arange(n_blocks)[:, None]
+    return f, blocks
+
+
+@pytest.mark.parametrize(
+    "solver, horizon, noisy",
+    [
+        (interpolate, "interpolation", True),
+        (interpolate, "interpolation", False),
+        (extrapolate, "extrapolation", True),
+        (extrapolate, "extrapolation", False),
+        (filtering, "filtering", True),
+    ],
+)
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(problem=stable_ma_problems())
+def test_spectral_error_agrees_with_oracle(solver, horizon, noisy, problem):
+    f, blocks = problem
+    g = SpectralDensity.white(f.dim, scale=0.5, grid_size=PROPERTY_GRID) if noisy else None
+    w = FunctionalWeights(blocks=blocks, horizon=horizon)
+    sol = solver(f, g, w)
+    proj, _ = time_domain_projection_converged(f, g, w, initial_window=16, rel_tol=1e-8)
+    assert proj.converged
+    assert abs(sol.mse - proj.mse) <= 1e-5 * max(abs(proj.mse), 1e-300)
 
 
 class TestSimulation:
