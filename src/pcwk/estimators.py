@@ -29,13 +29,11 @@ requires a noise density.
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
-import scipy.linalg
 
 from .errors import IllPosedError, MinimalityError, TruncationError
 from .lifting import FunctionalWeights, check_weight_summability
@@ -46,7 +44,6 @@ from .spectral import (
     _all_fourier_coefficients,
     check_minimality,
     density_values,
-    frequency_grid,
 )
 
 __all__ = [
@@ -157,22 +154,101 @@ def build_block_matrix(
     return _gather(table, kind, rows, cols)
 
 
-@functools.lru_cache(maxsize=None)
-def _pocon(dtype):
-    (pocon,) = scipy.linalg.get_lapack_funcs(("pocon",), dtype=dtype)
-    return pocon
+# block size of the substitutions: larger blocks take fewer Python steps per
+# solve but cost more to invert on the diagonal; 32 was fastest for n = 65..1032
+_PANEL = 32
+_SAFMIN = np.finfo(float).tiny
 
 
-def _solve_hermitian(matrix, rhs, cond_threshold, context, indefinite=IllPosedError):
+def _cholesky(matrix, context, indefinite=IllPosedError):
+    """Lower Cholesky factor of a Hermitian matrix; ``indefinite`` when none exists."""
+    try:
+        return np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError as exc:
+        raise indefinite(f"{context}: system is not positive definite ({exc})") from exc
+
+
+def _cholesky_solver(chol):
+    """The map b -> (L L^H)^{-1} b for a lower triangular factor L.
+
+    Both triangular solves are blocked substitutions: the diagonal blocks
+    are inverted once, in one batched solve, and each step is then two
+    matrix-vector products, one with a panel of L and one with an inverted
+    diagonal block.
+    """
+    n = chol.shape[0]
+    starts = range(0, n, _PANEL)
+    eye = np.eye(_PANEL, dtype=chol.dtype)
+    stack = np.broadcast_to(eye, (len(starts), _PANEL, _PANEL)).copy()
+    for k, i in enumerate(starts):
+        m = min(_PANEL, n - i)
+        stack[k, :m, :m] = chol[i : i + m, i : i + m]
+    inv_diag = np.linalg.solve(stack, np.broadcast_to(eye, stack.shape))
+    steps = [(k, i, min(i + _PANEL, n)) for k, i in enumerate(starts)]
+
+    def solve(b):
+        y = np.empty(n, dtype=np.result_type(chol, b))
+        for k, i, j in steps:
+            y[i:j] = inv_diag[k, : j - i, : j - i] @ (b[i:j] - chol[i:j, :i] @ y[:i])
+        x = np.empty_like(y)
+        for k, i, j in reversed(steps):
+            r = y[i:j] - (x[j:].conj() @ chol[j:, i:j]).conj()
+            x[i:j] = (r.conj() @ inv_diag[k, : j - i, : j - i]).conj()
+        return x
+
+    return solve
+
+
+def _unit_phases(x):
+    """x_i / |x_i|, and 1 where |x_i| is below the safe minimum."""
+    size = np.abs(x)
+    small = size <= _SAFMIN
+    return np.where(small, 1.0, x / np.where(small, 1.0, size))
+
+
+def _inverse_one_norm(solve, n):
+    """Estimate of ||A^{-1}||_1 for a Hermitian A, given b -> A^{-1} b.
+
+    Hager's estimator in Higham's form, the complex LAPACK ``?lacn2`` step
+    for step (Hager 1984, SIAM J. Sci. Stat. Comput. 5; Higham 1988,
+    ACM TOMS 14). The estimate is a lower bound, in practice rarely more
+    than three times too small and often exact. A^{-H} = A^{-1}, so both
+    of its operator applications are ``solve``.
+    """
+    x = solve(np.full(n, 1.0 / n, dtype=complex))
+    if n == 1:
+        return float(abs(x[0]))
+    est = np.abs(x).sum()
+    x = solve(_unit_phases(x))
+    j = int(np.argmax(np.abs(x)))
+    for _ in range(4):  # ITMAX = 5 iterations, the steps above being the first
+        x = solve(np.eye(1, n, j, dtype=complex)[0])
+        est, previous = np.abs(x).sum(), est
+        if est <= previous:  # cycling: keep the smaller value, as LAPACK does
+            break
+        x = solve(_unit_phases(x))
+        last, j = j, int(np.argmax(np.abs(x)))
+        if abs(x[last]) == abs(x[j]):
+            break
+    alternating = (1.0 + np.arange(n) / (n - 1)) * np.where(np.arange(n) % 2, -1.0, 1.0)
+    x = solve(alternating.astype(complex))
+    return float(max(est, 2.0 * np.abs(x).sum() / (3 * n)))
+
+
+def _solve_hermitian(
+    matrix, rhs, cond_threshold, context, indefinite=IllPosedError, factor=None
+):
     """Solve a Hermitian positive definite system through one Cholesky factor.
 
     The factor gives the solution, one refinement step and the condition
-    estimate ``cond = 1/rcond`` of LAPACK ``?pocon``: Higham's estimate of
-    the 1-norm condition number. The gate refuses the system
-    (``IllPosedError``) when that estimate is not finite or exceeds
-    ``cond_threshold``, and raises ``indefinite`` when the Cholesky
-    factorization fails, since an indefinite system has no estimate to
-    return.
+    estimate ``cond = ||A||_1 * est(||A^{-1}||_1)``, the Hager-Higham
+    1-norm estimate of LAPACK ``?pocon`` (see :func:`_inverse_one_norm`).
+    The gate refuses the system (``IllPosedError``) when that estimate is
+    not finite or exceeds ``cond_threshold``, and raises ``indefinite``
+    when the Cholesky factorization fails, since an indefinite system has
+    no estimate to return. ``factor``, when given, is the lower Cholesky
+    factor of a matrix whose leading principal block is ``matrix``; its
+    leading block is then the factor of ``matrix``.
 
     The 1-norm gate is no looser than the former 2-norm one (largest over
     smallest |eigenvalue|): for Hermitian A, kappa_2(A) <= kappa_1(A). For
@@ -184,23 +260,19 @@ def _solve_hermitian(matrix, rhs, cond_threshold, context, indefinite=IllPosedEr
     ``check_minimality(...).max_condition``, which every solver checks
     against ``cond_threshold`` before it solves.
     """
-    if matrix.shape[0] == 0:
+    n = matrix.shape[0]
+    if n == 0:
         return np.zeros_like(rhs), 1.0
-    try:
-        factor = scipy.linalg.cho_factor(matrix, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise indefinite(f"{context}: system is not positive definite ({exc})") from exc
-    chol, lower = factor
-    anorm = float(np.linalg.norm(matrix, 1))
-    rcond, _ = _pocon(chol.dtype)(chol, anorm, uplo=b"L" if lower else b"U")
-    cond = np.inf if rcond == 0.0 else 1.0 / rcond
+    chol = _cholesky(matrix, context, indefinite) if factor is None else factor[:n, :n]
+    solve = _cholesky_solver(chol)
+    cond = float(np.linalg.norm(matrix, 1)) * _inverse_one_norm(solve, n)
     if not np.isfinite(cond) or cond > cond_threshold:
         raise IllPosedError(
             f"{context}: system condition number {cond:.3e} exceeds "
             f"threshold {cond_threshold:.1e}"
         )
-    x = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
-    x = x + scipy.linalg.cho_solve(factor, rhs - matrix @ x, check_finite=False)
+    x = solve(rhs)
+    x = x + solve(rhs - matrix @ x)
     return x, cond
 
 
@@ -247,11 +319,15 @@ def functional_symbol(
 
 
 def _blocks_symbol(blocks: np.ndarray, first_index: int, grid_size: int) -> np.ndarray:
-    """sum_j blocks[j] e^{i (first_index + j) lambda} on the grid, (G, K)."""
-    lam = frequency_grid(grid_size)
-    j = first_index + np.arange(blocks.shape[0])
-    phases = np.exp(1j * np.outer(lam, j))
-    return phases @ blocks
+    """sum_j blocks[j] e^{i (first_index + j) lambda} on the grid, (G, K).
+
+    On lambda_g = -pi + 2 pi g / G the phase e^{i m lambda_g} is
+    (-1)^m e^{2 pi i m g / G}, so the sum is one inverse FFT.
+    """
+    m = first_index + np.arange(blocks.shape[0])
+    buf = np.zeros((grid_size, blocks.shape[1]), dtype=complex)
+    np.add.at(buf, m % grid_size, np.where(m % 2, -1.0, 1.0)[:, None] * blocks)
+    return np.fft.ifft(buf, axis=0) * grid_size
 
 
 def _vector_coefficients(h_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -349,14 +425,34 @@ def _truncation_schedule(weights, truncation, cap, context):
     return schedule
 
 
-def _solve_truncated(solve_at, weights, truncation, cap, context):
-    """Run ``solve_at(J)`` over a doubling schedule until the mse is Cauchy."""
+def _solve_truncated(system_at, mse_of, weights, truncation, cap, cond_threshold, context):
+    """Solve ``system_at(J)`` over a doubling schedule until the mse is Cauchy.
+
+    ``system_at(J)`` returns the matrix and right-hand side at truncation J,
+    ``mse_of(c, rhs)`` the error value of its solution. Each level's matrix
+    is the leading principal block of the next level's, so the first level
+    is solved from the leading block of the second level's Cholesky factor:
+    one factorization per step of the schedule. Each level keeps its own
+    condition estimate and gate.
+    """
     schedule = _truncation_schedule(weights, truncation, cap, context)
+    ahead = None  # the second level's system and factor, made for the first
+    if len(schedule) > 1:
+        matrix, rhs = system_at(schedule[1])
+        try:
+            ahead = matrix, rhs, _cholesky(matrix, context)
+        except IllPosedError:
+            pass  # each level factors its own system; the second fails in turn
     history: list[tuple[int, float]] = []
     prev = None
-    for J in schedule:
+    for k, J in enumerate(schedule):
+        if k == 1 and ahead is not None:
+            (matrix, rhs, factor), ahead = ahead, None
+        else:
+            matrix, rhs = system_at(J)
+            factor = None if ahead is None else ahead[2]
         try:
-            result = solve_at(J)
+            c, cond = _solve_hermitian(matrix, rhs, cond_threshold, context, factor=factor)
         except IllPosedError as exc:
             if J == schedule[-1]:
                 raise TruncationError(
@@ -365,6 +461,7 @@ def _solve_truncated(solve_at, weights, truncation, cap, context):
                 ) from exc
             prev = None
             continue
+        result = mse_of(c, rhs), c, cond, J
         history.append((J, result[0]))
         if truncation is not None or (
             prev is not None
@@ -413,23 +510,25 @@ def _estimate(f, g, weights, truncation, cond_threshold):
     cols = np.arange(n_w)
     aRa = 0.0 if R is None else np.vdot(a, _gather(R, kind_r, cols, cols) @ a)
 
-    def solve_at(J):
+    def system_at(J):
         rows = np.arange(first, J + 1)
         Bd = _gather(B, kind_b, rows, rows)
         if D is None:  # exact observations: D = I
-            rhs = np.pad(a, (0, rows.size * K - a.size))
-        else:
-            rhs = _gather(D, kind_d, rows, cols) @ a
-        c, cond = _solve_hermitian(Bd, rhs, cond_threshold, context)
-        return _real_mse(aRa + np.vdot(c, rhs)), c, cond, J
+            return Bd, np.pad(a, (0, rows.size * K - a.size))
+        return Bd, _gather(D, kind_d, rows, cols) @ a
+
+    def mse_of(c, rhs):
+        return _real_mse(aRa + np.vdot(c, rhs))
 
     if task == "interpolation":
-        (mse, c, cond, J), truncated = solve_at(weights.n), {}
+        Bd, rhs = system_at(weights.n)
+        c, cond = _solve_hermitian(Bd, rhs, cond_threshold, context)
+        mse, truncated = mse_of(c, rhs), {}
     else:
         # the largest lag read is J (Toeplitz) or J + n_blocks - 1 (Hankel V)
         cap = G // 2 - weights.n_blocks if first else G // 2 - 1
         (mse, c, cond, J), history = _solve_truncated(
-            solve_at, weights, truncation, cap, context
+            system_at, mse_of, weights, truncation, cap, cond_threshold, context
         )
         truncated = {"truncation": J, "history": history}
     diagnostics = {"n": weights.n, "condition": cond, **truncated}

@@ -28,6 +28,7 @@ import numpy as np
 from .errors import FactorizationError, MultiplicityError, SingularFactorError
 from .estimators import (
     EstimateSolution,
+    _blocks_symbol,
     _finish_solution,
     _summability_warning,
     functional_symbol,
@@ -38,7 +39,6 @@ from .spectral import (
     SpectralDensity,
     _alternating_signs,
     evaluate_on_grid,
-    frequency_grid,
 )
 
 __all__ = [
@@ -170,7 +170,7 @@ def spectral_factorize(
         psi_inv = np.linalg.inv(psi)
         ratio = psi_inv @ fv @ np.conj(np.transpose(psi_inv, (0, 2, 1))) + identity
         plus = _causal_part(ratio)
-        zero_lag = 0.5 * _taps_from_grid(ratio)[0]
+        zero_lag = 0.5 * ratio.mean(axis=0)  # the zero-lag tap
         skew = np.triu(zero_lag)
         skew = skew - skew.conj().T
         psi = psi @ (plus + skew)
@@ -270,9 +270,7 @@ def extrapolate_factorized(
     sums = _weighted_tap_sums(weights, fact)
     mse = float(np.sum(np.abs(sums) ** 2))
     G = fact.grid_size
-    lam = frequency_grid(G)
-    phases = np.exp(1j * np.outer(lam, np.arange(sums.shape[0])))
-    S = phases @ sums  # (G, M)
+    S = _blocks_symbol(sums, 0, G)  # (G, M)
     Q = _left_inverse_values(fact.symbol())
     A = functional_symbol(weights, G)
     h = A - np.einsum("gm,gmk->gk", S, Q)

@@ -106,6 +106,23 @@ def _at_lags(values: np.ndarray, lags: np.ndarray) -> np.ndarray:
     return values[lags + L]
 
 
+def _table_span(weights: FunctionalWeights, window: int) -> int:
+    """Largest lag of the covariance tables a projection onto ``window`` reads."""
+    obs = observation_indices(weights.horizon, weights.n, window)
+    return obs[-1] - obs[0] + weights.n_blocks + 1
+
+
+def _largest_window(weights: FunctionalWeights, grid_size: int) -> int:
+    """Largest window whose covariance tables the grid resolves (lags < G/2).
+
+    The span grows linearly with the window: by one lag per block for the
+    one-sided observation sets, by two for interpolation's two sides.
+    """
+    base = _table_span(weights, 1)
+    slope = _table_span(weights, 2) - base
+    return 1 + (grid_size // 2 - 1 - base) // slope
+
+
 @dataclass(frozen=True)
 class OracleProjection:
     """Residual variance of the projection onto one observation window.
@@ -139,7 +156,7 @@ def time_domain_projection(
         raise ValueError("weights and densities must share one dimension")
     obs = np.array(observation_indices(task, weights.n, window))
     n_a = weights.n_blocks
-    span = (obs.max() - obs.min()) + n_a + 1
+    span = _table_span(weights, window)
     cz = covariances_from_density(f, span).values
     cx = cz if g is None else cz + covariances_from_density(g, span).values
 
@@ -186,11 +203,14 @@ def time_domain_projection_converged(
 ) -> tuple[OracleProjection, list[OracleProjection]]:
     """Double the window until the projection error stabilises.
 
-    Returns the last projection and every projection tried. When the window
-    reaches ``max_window`` before two successive values agree to
-    ``rel_tol``, the last projection is returned with ``converged=False``.
+    Returns the last projection and every projection tried. The window
+    grows up to ``max_window`` or the largest window whose lag covariances
+    the grid resolves, whichever is smaller; when it gets there before two
+    successive values agree to ``rel_tol``, the last projection is returned
+    with ``converged=False``.
     """
     history: list[OracleProjection] = []
+    largest = min(max_window, _largest_window(weights, f.grid_size))
     window = initial_window
     prev = None
     while True:
@@ -200,11 +220,11 @@ def time_domain_projection_converged(
             1.0, abs(current.mse)
         ):
             return current, history
-        if window >= max_window:
+        if window >= largest:
             history[-1] = replace(current, converged=False)
             return history[-1], history
         prev = current
-        window = min(2 * window, max_window)
+        window = min(2 * window, largest)
 
 
 def simulate_sequence(fact: Factorization, n_blocks: int, seed: int) -> np.ndarray:

@@ -1,11 +1,16 @@
 import functools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pcwk import SpectralDensity, oracle, write_density_csv
-from pcwk.cli import SpecValidationError, main, parse_spec
+import pcwk
+from pcwk import SpectralDensity, TruncationError, oracle, write_density_csv
+from pcwk.cli import SpecValidationError, main, parse_spec, run
 
 GRID = 256
 
@@ -256,6 +261,32 @@ class TestMainOracleAndSimulate:
         assert "passed" not in summary
         assert not (out / "oracle.csv").exists()
 
+    def test_oracle_check_stops_at_the_grid_resolution(self, tmp_path, capsys):
+        # the oracle is still moving at window 254, the largest the 512 grid
+        # resolves: it stops there flagged, not with an AliasingError
+        grid = 512
+        ma = SpectralDensity.from_moving_average([[[1.0]], [[0.95]]], grid_size=grid)
+        write_density_csv(ma, tmp_path / "f.csv")
+        spec = write_spec(
+            tmp_path,
+            {
+                "task": "oracle-check",
+                "densities": {"f": "f.csv"},
+                "weights": {"inline": [[1.0]]},
+                "numerics": {"grid": grid},
+                "class_params": {"task": "extrapolate"},
+            },
+        )
+        with pytest.raises(TruncationError, match="did not settle by window 254"):
+            run(parse_spec(spec), tmp_path / "lib")
+        out = tmp_path / "out"
+        assert main(["--spec", str(spec), "--out", str(out)]) == 2
+        assert "did not settle by window 254" in capsys.readouterr().err
+        summary = read_summary(out)
+        assert summary["oracle_converged"] == "False"
+        assert summary["oracle_window"] == "254"
+        assert not (out / "oracle.csv").exists()
+
     def test_simulate_deterministic(self, tmp_path):
         spec = filter_spec(
             tmp_path, task="simulate", class_params={"n_blocks": 64}
@@ -353,3 +384,18 @@ class TestWronglyTypedValues:
         )
         assert main(["--spec", str(spec), "--out", str(tmp_path / "out")]) == 1
         assert "class_params.moments must be a non-empty list" in capsys.readouterr().err
+
+
+def test_import_leaves_scipy_unloaded():
+    src = str(Path(pcwk.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = (
+        "import sys, pcwk.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=60, check=True,
+    )
+    assert out.stdout.strip() == "[]"

@@ -16,7 +16,7 @@ from pcwk import (
     interpolate,
 )
 from pcwk import estimators
-from pcwk.estimators import _solve_hermitian
+from pcwk.estimators import _blocks_symbol, _solve_hermitian
 from pcwk.oracle import time_domain_projection_converged
 from conftest import GRID, ar1, coupled_ma2, ma1, white
 
@@ -353,6 +353,18 @@ class TestOnePath:
         np.testing.assert_allclose(noisy.h_grid, exact.h_grid, atol=1e-8)
 
 
+class TestBlocksSymbol:
+    @pytest.mark.parametrize("first_index", [-9, -1, 0, 1, 5])
+    def test_inverse_fft_equals_exponential_sum(self, grid, first_index):
+        rng = np.random.default_rng(first_index + 10)
+        blocks = rng.standard_normal((7, 3)) + 1j * rng.standard_normal((7, 3))
+        powers = first_index + np.arange(blocks.shape[0])
+        direct = np.exp(1j * np.outer(grid, powers)) @ blocks
+        np.testing.assert_allclose(
+            _blocks_symbol(blocks, first_index, GRID), direct, rtol=0, atol=1e-12
+        )
+
+
 class TestConditioning:
     def test_condition_threshold_enforced(self):
         w = unit_interp()
@@ -376,6 +388,45 @@ class TestSolveGate:
         x, cond = _solve_hermitian(matrix, rhs, 1e12, "test")
         np.testing.assert_allclose(matrix @ x, rhs, atol=1e-14)
         assert cond == pytest.approx(np.linalg.cond(matrix, 1), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 65, 260])
+    def test_condition_estimate_equals_lapack_pocon(self, n):
+        linalg = pytest.importorskip("scipy.linalg")
+        rng = np.random.default_rng(n)
+        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        matrix = z @ z.conj().T + 0.1 * np.eye(n)
+        rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        x, cond = _solve_hermitian(matrix, rhs, 1e12, "test")
+        np.testing.assert_allclose(matrix @ x, rhs, rtol=0, atol=1e-10 * np.abs(rhs).max())
+        chol, lower = linalg.cho_factor(matrix)
+        (pocon,) = linalg.get_lapack_funcs(("pocon",), dtype=chol.dtype)
+        rcond, info = pocon(chol, np.linalg.norm(matrix, 1), uplo="L" if lower else "U")
+        assert info == 0
+        assert cond == pytest.approx(1.0 / rcond, rel=1e-10)
+
+    @pytest.mark.parametrize("task", ["extrap", "extrap_noiseless", "filter"])
+    def test_history_levels_equal_explicit_truncation(self, monkeypatch, task):
+        # the first level is solved from the leading block of the second
+        # level's factor: one factorization per step of the schedule
+        f = coupled_ma2()
+        g = None if task == "extrap_noiseless" else white(dim=2, scale=0.5)
+        blocks = np.array([[1.0, -0.5], [0.3, 0.2j]])
+        if task == "filter":
+            solver, w = filtering, FunctionalWeights.filtering(blocks)
+        else:
+            solver, w = extrapolate, FunctionalWeights.extrapolation(blocks)
+        calls = []
+        cholesky = estimators.np.linalg.cholesky
+        monkeypatch.setattr(
+            estimators.np.linalg, "cholesky", lambda m: calls.append(1) or cholesky(m)
+        )
+        history = solver(f, g, w).diagnostics["history"]
+        assert len(history) >= 2
+        assert len(calls) == len(history) - 1
+        for J, mse in history:
+            explicit = solver(f, g, w, truncation=J)
+            assert explicit.diagnostics["history"] == [(J, explicit.mse)]
+            assert mse == pytest.approx(explicit.mse, rel=1e-12)
 
     @staticmethod
     def _stable_ma(rng, dim):

@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 import pcwk
 from pcwk import (
+    AliasingError,
     FunctionalWeights,
     IllPosedError,
     SpectralDensity,
@@ -104,6 +105,16 @@ class TestProjection:
         assert proj.window == 32
         assert history[-1] is proj
         assert all(h.converged for h in history[:-1])
+
+    def test_window_stops_at_the_grid_resolution(self):
+        # still moving at window 254, the largest whose lags the 512 grid
+        # resolves for one-step extrapolation: it stops there, flagged
+        f, w = ma1(b=0.95), FunctionalWeights.extrapolation([[1.0]])
+        proj, history = time_domain_projection_converged(f, None, w)
+        assert not proj.converged
+        assert [h.window for h in history] == [8, 16, 32, 64, 128, 254]
+        with pytest.raises(AliasingError):
+            time_domain_projection(f, None, w, window=255)
 
 
 def loop_projection(f, g, weights, window):
