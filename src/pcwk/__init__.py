@@ -63,10 +63,8 @@ from .oracle import (
     time_domain_projection_converged,
 )
 from .spectral import (
-    GridMatrixFunction,
     SpectralDensity,
     check_minimality,
-    evaluate_on_grid,
     fourier_coefficients,
     frequency_grid,
     read_density_csv,

@@ -72,6 +72,12 @@ _TASK_HORIZON = {
 }
 
 
+# upper bounds of the sizes a problem file may ask for; the largest benchmark
+# inputs are G = 8192 and 50 samples
+MAX_GRID = 2**16
+MAX_SAMPLES = 1000
+
+
 class SpecValidationError(ValueError):
     """Carries the full list of problem-file validation errors."""
 
@@ -112,6 +118,10 @@ def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_grid(value):
+    return _is_int(value) and 8 <= value <= MAX_GRID and not value & (value - 1)
+
+
 def _check_keys(obj, allowed, where, errors):
     for key in obj:
         if key not in allowed:
@@ -150,8 +160,8 @@ def parse_spec(path) -> ProblemSpec:
     else:
         _check_keys(num, {"grid", "truncation", "tolerance", "seed"}, "numerics", errors)
         grid = num.get("grid", DEFAULT_GRID_SIZE)
-        if not _is_int(grid) or grid < 8 or grid & (grid - 1):
-            errors.append("numerics.grid must be a power of two >= 8")
+        if not _is_grid(grid):
+            errors.append(f"numerics.grid must be a power of two in [8, {MAX_GRID}]")
         else:
             numerics.grid = grid
         trunc = num.get("truncation")
@@ -391,8 +401,9 @@ def _summary_block(entries):
 def _solution_summary(task, solution, seed):
     """Summary rows of an estimation task.
 
-    ``condition`` is LAPACK's estimate of the 1-norm condition number of
-    the solved system, taken from its Cholesky factor (``?pocon``).
+    ``condition`` is the Hager-Higham estimate of the 1-norm condition
+    number of the solved system, computed from its Cholesky factor by the
+    numpy port of LAPACK's ``?lacn2`` in ``estimators._inverse_one_norm``.
     """
     diag = solution.diagnostics
     entries = [
@@ -457,11 +468,12 @@ def _class_param(spec, key, default=None, required=False):
     return default
 
 
-def _int_param(spec, key, default=None, required=False):
+def _int_param(spec, key, default=None, required=False, upper=None):
     value = _class_param(spec, key, default, required)
-    if not _is_int(value) or value < 0:
+    if not _is_int(value) or value < 0 or (upper is not None and value > upper):
+        bound = "" if upper is None else f" no larger than {upper}"
         raise SpecValidationError(
-            [f"class_params.{key} must be a nonnegative integer; got {value!r}"]
+            [f"class_params.{key} must be a nonnegative integer{bound}; got {value!r}"]
         )
     return value
 
@@ -475,12 +487,24 @@ def _float_param(spec, key, default=None, required=False):
     return float(value)
 
 
+def _matrix_param(spec, key, dim):
+    value = _class_param(spec, key, required=True)
+    rows = value if isinstance(value, list) and len(value) == dim else [None]
+    if not all(isinstance(r, list) and len(r) == dim and all(map(_is_number, r))
+               for r in rows):
+        raise SpecValidationError(
+            [f"class_params.{key} must be a {dim} x {dim} nested list of numbers; "
+             f"got {value!r}"]
+        )
+    return np.asarray(value, dtype=complex)
+
+
 def _run_minimax(spec: ProblemSpec, out: Path):
     task = spec.task
     horizon = _TASK_HORIZON[task]
     weights = _load_weights(spec, horizon)
     rng = np.random.default_rng(spec.numerics.seed)
-    samples_n = _int_param(spec, "samples", 50)
+    samples_n = _int_param(spec, "samples", 50, upper=MAX_SAMPLES)
     entries = [("task", task), ("version", __version__),
                ("seed", spec.numerics.seed)]
 
@@ -501,7 +525,7 @@ def _run_minimax(spec: ProblemSpec, out: Path):
             ("eigen_residual", repr(result.certificate["eigen_residual"])),
         ]
     elif task == "minimax-extrap-d01":
-        P = np.asarray(_class_param(spec, "power_matrix", required=True), dtype=complex)
+        P = _matrix_param(spec, "power_matrix", weights.dim)
         result = minimax.least_favorable_d01_extrapolation(
             weights, P, grid_size=spec.numerics.grid
         )
@@ -588,12 +612,12 @@ def _run_oracle_check(spec: ProblemSpec, out: Path):
         raise SpecValidationError(
             ["class_params.task must name an estimation task for oracle-check"]
         )
+    initial = _int_param(spec, "initial_window", 8, upper=oracle.MAX_WINDOW)
+    tolerance = _float_param(spec, "tolerance", 1e-5)
     weights, f, g, solution = _solve_task(spec, target)
-    initial = _int_param(spec, "initial_window", 8)
     projection, _ = oracle.time_domain_projection_converged(
         f, g, weights, initial_window=initial
     )
-    tolerance = _float_param(spec, "tolerance", 1e-5)
     entries = [
         ("task", "oracle-check"),
         ("version", __version__),
@@ -700,8 +724,9 @@ def main(argv=None) -> int:
     if args.seed is not None:
         spec.numerics.seed = args.seed
     if args.grid is not None:
-        if args.grid < 8 or args.grid & (args.grid - 1):
-            print("error: --grid must be a power of two >= 8", file=sys.stderr)
+        if not _is_grid(args.grid):
+            print(f"error: --grid must be a power of two in [8, {MAX_GRID}]",
+                  file=sys.stderr)
             return 1
         spec.numerics.grid = args.grid
 

@@ -39,11 +39,9 @@ from .errors import IllPosedError, MinimalityError, TruncationError
 from .lifting import FunctionalWeights, check_weight_summability
 from .spectral import (
     DEFAULT_COND_THRESHOLD,
-    GridMatrixFunction,
     SpectralDensity,
     _all_fourier_coefficients,
     check_minimality,
-    density_values,
 )
 
 __all__ = [
@@ -76,10 +74,10 @@ def _kernel_tables(f, g, cond_threshold, check=True, which=(0, 1, 2)):
     are tabulated, the others are None. Without noise the last two kernels
     are the identity and zero, and their tables are None.
     """
-    fv = density_values(f)
-    gv = None if g is None else density_values(g)
+    fv = f.values
+    gv = None if g is None else g.values
     if check:
-        report = check_minimality(fv, gv, cond_threshold=cond_threshold)
+        report = check_minimality(f, g, cond_threshold=cond_threshold)
         if not report.passed:
             observed = "signal" if g is None else "observed"
             raise MinimalityError(
@@ -118,8 +116,8 @@ def _gather(table, kind, rows, cols):
 
 def build_block_matrix(
     kind: str,
-    f: SpectralDensity | GridMatrixFunction,
-    g: SpectralDensity | GridMatrixFunction | None,
+    f: SpectralDensity,
+    g: SpectralDensity | None,
     rows: Iterable[int],
     cols: Iterable[int],
     cond_threshold: float = DEFAULT_COND_THRESHOLD,
@@ -429,28 +427,31 @@ def _solve_truncated(system_at, mse_of, weights, truncation, cap, cond_threshold
     """Solve ``system_at(J)`` over a doubling schedule until the mse is Cauchy.
 
     ``system_at(J)`` returns the matrix and right-hand side at truncation J,
-    ``mse_of(c, rhs)`` the error value of its solution. Each level's matrix
-    is the leading principal block of the next level's, so the first level
-    is solved from the leading block of the second level's Cholesky factor:
-    one factorization per step of the schedule. Each level keeps its own
-    condition estimate and gate.
+    one block row per unknown block up to J; ``mse_of(c, rhs)`` the error
+    value of its solution. Each level's system is the leading block of the
+    next level's, so the first level's matrix, right-hand side and Cholesky
+    factor are the leading blocks of the second level's, which is gathered
+    and factored once: one gather and one factorization per step of the
+    schedule. Each level keeps its own condition estimate and gate.
     """
     schedule = _truncation_schedule(weights, truncation, cap, context)
-    ahead = None  # the second level's system and factor, made for the first
+    ahead = None  # the second level's system and factor, shared with the first
     if len(schedule) > 1:
         matrix, rhs = system_at(schedule[1])
         try:
-            ahead = matrix, rhs, _cholesky(matrix, context)
+            factor = _cholesky(matrix, context)
         except IllPosedError:
-            pass  # each level factors its own system; the second fails in turn
+            factor = None  # each level factors its own block; the second fails in turn
+        ahead = matrix, rhs, factor
     history: list[tuple[int, float]] = []
     prev = None
     for k, J in enumerate(schedule):
-        if k == 1 and ahead is not None:
-            (matrix, rhs, factor), ahead = ahead, None
+        if k < 2 and ahead is not None:
+            n = ahead[0].shape[0] - (schedule[1] - J) * weights.dim
+            matrix, rhs, factor = ahead[0][:n, :n], ahead[1][:n], ahead[2]
         else:
             matrix, rhs = system_at(J)
-            factor = None if ahead is None else ahead[2]
+            factor = None
         try:
             c, cond = _solve_hermitian(matrix, rhs, cond_threshold, context, factor=factor)
         except IllPosedError as exc:
@@ -546,8 +547,8 @@ def _estimate(f, g, weights, truncation, cond_threshold):
 
 
 def interpolate(
-    f: SpectralDensity | GridMatrixFunction,
-    g: SpectralDensity | GridMatrixFunction | None,
+    f: SpectralDensity,
+    g: SpectralDensity | None,
     weights: FunctionalWeights,
     cond_threshold: float = DEFAULT_COND_THRESHOLD,
 ) -> EstimateSolution:
@@ -564,8 +565,8 @@ def interpolate(
 
 
 def extrapolate(
-    f: SpectralDensity | GridMatrixFunction,
-    g: SpectralDensity | GridMatrixFunction | None,
+    f: SpectralDensity,
+    g: SpectralDensity | None,
     weights: FunctionalWeights,
     truncation: int | None = None,
     cond_threshold: float = DEFAULT_COND_THRESHOLD,
@@ -584,8 +585,8 @@ def extrapolate(
 
 
 def filtering(
-    f: SpectralDensity | GridMatrixFunction,
-    g: SpectralDensity | GridMatrixFunction,
+    f: SpectralDensity,
+    g: SpectralDensity,
     weights: FunctionalWeights,
     truncation: int | None = None,
     cond_threshold: float = DEFAULT_COND_THRESHOLD,
@@ -609,8 +610,8 @@ def filtering(
 
 def evaluate_mse(
     h,
-    f: SpectralDensity | GridMatrixFunction,
-    g: SpectralDensity | GridMatrixFunction | None,
+    f: SpectralDensity,
+    g: SpectralDensity | None,
     weights: FunctionalWeights,
     task: str | None = None,
 ) -> float:
@@ -633,10 +634,8 @@ def evaluate_mse(
     if task is None:
         task = weights.horizon
     A = functional_symbol(weights, G, task)
-    fv = density_values(f)
     diff = A - h
-    total = np.einsum("gk,gkn,gn->", diff, fv, diff.conj()) / G
+    total = np.einsum("gk,gkn,gn->", diff, f.values, diff.conj()) / G
     if g is not None:
-        gv = density_values(g)
-        total = total + np.einsum("gk,gkn,gn->", h, gv, h.conj()) / G
+        total = total + np.einsum("gk,gkn,gn->", h, g.values, h.conj()) / G
     return _real_mse(total)

@@ -34,12 +34,7 @@ from .estimators import (
     functional_symbol,
 )
 from .lifting import FunctionalWeights
-from .spectral import (
-    GridMatrixFunction,
-    SpectralDensity,
-    _alternating_signs,
-    evaluate_on_grid,
-)
+from .spectral import SpectralDensity, _alternating_signs
 
 __all__ = [
     "Factorization",
@@ -96,7 +91,7 @@ class Factorization:
         return np.fft.fft(buf, axis=0)
 
     def density(self, grid_size: int | None = None) -> SpectralDensity:
-        """The moving-average density P P^* as a coefficient map."""
+        """The moving-average density P P^*."""
         return SpectralDensity.from_moving_average(
             list(self.coeffs), grid_size=grid_size or self.grid_size
         )
@@ -149,8 +144,7 @@ def spectral_factorize(
         is attached to the exception. Densities with spectral zeros on the
         unit circle (non-regular inputs) end up here.
     """
-    fv = evaluate_on_grid(f).values
-    fv = 0.5 * (fv + np.conj(np.transpose(fv, (0, 2, 1))))
+    fv = 0.5 * (f.values + np.conj(np.transpose(f.values, (0, 2, 1))))
     G, K = fv.shape[0], fv.shape[1]
     eigs = np.linalg.eigvalsh(fv)
     scale = float(eigs.max(initial=0.0))
@@ -231,12 +225,14 @@ def _left_inverse_values(p_values: np.ndarray, cond_threshold: float = 1e12):
     return np.linalg.solve(gram, np.conj(np.transpose(p_values, (0, 2, 1))))
 
 
-def left_inverse(fact: Factorization, cond_threshold: float = 1e12) -> GridMatrixFunction:
-    """Q(lambda) with Q P = I at every grid node (square full-rank factor)."""
+def left_inverse(fact: Factorization, cond_threshold: float = 1e12) -> np.ndarray:
+    """Q(lambda) with Q P = I at every grid node, as a (G, K, K) array.
+
+    The factor must be square and of full rank.
+    """
     if fact.dim != fact.multiplicity:
         raise ValueError("left_inverse expects a square factor; got K != M")
-    values = _left_inverse_values(fact.symbol(), cond_threshold)
-    return GridMatrixFunction(values=values)
+    return _left_inverse_values(fact.symbol(), cond_threshold)
 
 
 def _weighted_tap_sums(weights: FunctionalWeights, fact: Factorization) -> np.ndarray:

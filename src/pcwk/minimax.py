@@ -44,14 +44,7 @@ from .estimators import (
 )
 from .factorization import Factorization, extrapolate_factorized, spectral_factorize
 from .lifting import FunctionalWeights
-from .spectral import (
-    DEFAULT_COND_THRESHOLD,
-    DEFAULT_GRID_SIZE,
-    GridMatrixFunction,
-    SpectralDensity,
-    as_grid_values,
-    evaluate_on_grid,
-)
+from .spectral import DEFAULT_COND_THRESHOLD, DEFAULT_GRID_SIZE, SpectralDensity
 
 __all__ = [
     "QOperator",
@@ -330,12 +323,11 @@ def least_favorable_dm_interpolation(
     poly = _moment_polynomial(p_constraints, K, grid_size)
     a = weights.stacked()
 
+    # block (l, j) of the moment system is P(l - j)^T, at index l - j + M
+    lag_index = np.subtract.outer(np.arange(n + 1), np.arange(n + 1)) + M
     if M >= n:
-        table = {m: poly.coeff(m) for m in range(-(n + 1), n + 2)}
-        dense = np.zeros(((n + 1) * K, (n + 1) * K), dtype=complex)
-        for l in range(n + 1):
-            for j in range(n + 1):
-                dense[l * K : (l + 1) * K, j * K : (j + 1) * K] = table[l - j].T
+        blocks = np.swapaxes(poly.coeffs[lag_index], -1, -2)
+        dense = blocks.transpose(0, 2, 1, 3).reshape((n + 1) * K, (n + 1) * K)
         alpha, cond = _solve_hermitian(
             dense, a, cond_threshold, "moment system", indefinite=InfeasibleClassError
         )
@@ -347,12 +339,8 @@ def least_favorable_dm_interpolation(
                 "unconstrained moments beyond the horizon are only supported "
                 "in the scalar case"
             )
-        p_vals = np.array([poly.coeff(m)[0, 0] for m in range(M + 1)])
-        toep = np.empty((M + 1, M + 1), dtype=complex)
-        for l in range(M + 1):
-            for j in range(M + 1):
-                m = l - j
-                toep[l, j] = p_vals[abs(m)] if m >= 0 else np.conj(p_vals[abs(m)])
+        p_vals = poly.coeffs[M:, 0, 0]
+        toep = poly.coeffs[lag_index[: M + 1, : M + 1], 0, 0]
         alpha_head, cond = _solve_hermitian(
             toep, a[: M + 1], cond_threshold, "moment system",
             indefinite=InfeasibleClassError,
@@ -370,16 +358,14 @@ def least_favorable_dm_interpolation(
                 pm = p_ext[m] if m >= 0 else np.conj(p_ext[-m])
                 acc = acc - alpha_head[j] * pm
             p_ext[l] = acc / alpha_head[0]
-        coeffs = {0: np.atleast_2d(p_ext[0])}
-        for m in range(1, n + 1):
-            coeffs[m] = np.atleast_2d(p_ext[m])
-            coeffs[-m] = np.atleast_2d(np.conj(p_ext[m]))
-        extended = SpectralDensity(dim=1, coeffs=coeffs, grid_size=grid_size)
+        ext = np.array([p_ext[m] for m in range(n + 1)])
+        ext = np.concatenate([ext[:0:-1].conj(), ext]).reshape(-1, 1, 1)  # lags -n..n
+        extended = SpectralDensity(dim=1, coeffs=ext, grid_size=grid_size)
         alpha_blocks = np.zeros((n + 1, 1), dtype=complex)
         alpha_blocks[: M + 1, 0] = alpha_head
         alpha = alpha_blocks.reshape(-1)
 
-    vals = evaluate_on_grid(extended).values
+    vals = extended.values
     herm = 0.5 * (vals + np.conj(np.transpose(vals, (0, 2, 1))))
     eigs = np.linalg.eigvalsh(herm)
     if eigs.min() <= 1e-12 * max(eigs.max(), 1.0):
@@ -470,9 +456,7 @@ def filtering_relation_residuals(
     if phi.shape != (grid_size,):
         raise ValueError("phi must be a scalar or a grid-sized vector")
     sol = filtering(f, g, weights, truncation=truncation)
-    fv = evaluate_on_grid(f).values
-    gv = evaluate_on_grid(g).values
-    g2v = evaluate_on_grid(g2).values
+    fv, gv, g2v = f.values, g.values, g2.values
     A = functional_symbol(weights, grid_size)
     first = sol.diagnostics.get("first_index", 1)
     D = _blocks_symbol(sol.solved_blocks, first, grid_size)
@@ -513,9 +497,8 @@ def filtering_relation_residuals(
     )
 
 
-def _trace_power(values) -> float:
-    vals = as_grid_values(values)
-    return float(np.trace(vals, axis1=1, axis2=2).real.mean())
+def _trace_power(values: np.ndarray) -> float:
+    return float(np.trace(values, axis1=1, axis2=2).real.mean())
 
 
 def _nonnegative_root(aq, bq, cq, fallback):
@@ -567,7 +550,7 @@ def least_favorable_d0eps_filtering_scalar(
     if signal_power <= 0 or noise_power <= 0:
         raise ValueError("powers must be positive")
     G = grid_size or g2.grid_size
-    g2v = evaluate_on_grid(g2).values[:, 0, 0].real
+    g2v = g2.values[:, 0, 0].real
     if g2v.min() < -1e-12:
         raise ValueError("contamination baseline must be nonnegative")
     p2 = float(g2v.mean())
@@ -587,8 +570,8 @@ def least_favorable_d0eps_filtering_scalar(
     total_power = signal_power + noise_power
     if float(np.linalg.norm(weights.blocks)) == 0.0:
         # zero functional: every feasible pair is worst, with zero error
-        f0 = SpectralDensity.from_grid(f_vals.astype(complex), grid_size=G)
-        g0 = SpectralDensity.from_grid(g_vals.astype(complex), grid_size=G)
+        f0 = SpectralDensity.from_grid(f_vals, grid_size=G)
+        g0 = SpectralDensity.from_grid(g_vals, grid_size=G)
         h0 = filtering(f0, g0, weights, truncation=truncation or G // 4)
         return LeastFavorableResult(
             f0=f0, g0=g0, minimax_mse=0.0, h0=h0,
@@ -608,8 +591,8 @@ def least_favorable_d0eps_filtering_scalar(
     work_trunc = truncation if truncation is not None else G // 4
     best = None  # (mse, f, g, alpha, beta, phi, res_noise, res_signal)
     for iterations in range(1, max_iter + 1):
-        fd = GridMatrixFunction(values=f_vals.astype(complex).reshape(G, 1, 1))
-        gd = GridMatrixFunction(values=g_vals.astype(complex).reshape(G, 1, 1))
+        fd = SpectralDensity.from_grid(f_vals, grid_size=G)
+        gd = SpectralDensity.from_grid(g_vals, grid_size=G)
         try:
             sol = filtering(fd, gd, weights, truncation=work_trunc)
         except PcwkError as exc:
@@ -675,14 +658,9 @@ def least_favorable_d0eps_filtering_scalar(
     if not converged and best is not None:
         # fall back to the best (largest-error) iterate seen
         _, f_vals, g_vals, alpha, beta, phi, res_noise, res_signal = best
-    f0 = SpectralDensity.from_grid(f_vals.astype(complex), grid_size=G)
-    g0 = SpectralDensity.from_grid(g_vals.astype(complex), grid_size=G)
-    h0 = filtering(
-        GridMatrixFunction(values=f_vals.astype(complex).reshape(G, 1, 1)),
-        GridMatrixFunction(values=g_vals.astype(complex).reshape(G, 1, 1)),
-        weights,
-        truncation=work_trunc,
-    )
+    f0 = SpectralDensity.from_grid(f_vals, grid_size=G)
+    g0 = SpectralDensity.from_grid(g_vals, grid_size=G)
+    h0 = filtering(f0, g0, weights, truncation=work_trunc)
     if not converged:
         warnings.warn(
             f"filtering class iteration not certified (relation residuals "
@@ -741,8 +719,7 @@ def sample_power_class(
 
 
 def power_class_residual(f: SpectralDensity, total_power: float) -> float:
-    vals = evaluate_on_grid(f).values
-    return abs(_trace_power(vals) - total_power)
+    return abs(_trace_power(f.values) - total_power)
 
 
 def sample_d01_class(
@@ -774,8 +751,7 @@ def sample_d01_class(
 
 def d01_class_residual(f: SpectralDensity, power_matrix) -> float:
     P = np.atleast_2d(np.asarray(power_matrix, dtype=complex))
-    vals = evaluate_on_grid(f).values
-    return float(np.linalg.norm(vals.mean(axis=0) - P))
+    return float(np.linalg.norm(f.values.mean(axis=0) - P))
 
 
 def sample_dm_class(
@@ -795,7 +771,7 @@ def sample_dm_class(
     dim = first.shape[0]
     base = _moment_polynomial(p_constraints, dim, grid_size)
     M = len(p_constraints) - 1
-    base_vals = evaluate_on_grid(base).values
+    base_vals = base.values
     base_herm = 0.5 * (base_vals + np.conj(np.transpose(base_vals, (0, 2, 1))))
     margin = float(np.linalg.eigvalsh(base_herm).min())
     if margin <= 0:
@@ -804,16 +780,16 @@ def sample_dm_class(
     tries = 0
     while len(out) < count and tries < max_tries * count:
         tries += 1
-        coeffs = {m: base.coeff(m) for m in base.coeffs}
+        L = M + extra_degree
+        coeffs = np.zeros((2 * L + 1, dim, dim), dtype=complex)
+        coeffs[L - M : L + M + 1] = base.coeffs
         for i in range(1, extra_degree + 1):
-            m = M + i
             bump = (
                 rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
             ) * (0.25 * margin * 0.5**i / dim)
-            coeffs[m] = bump
-            coeffs[-m] = bump.conj().T
-        cand = SpectralDensity(dim=dim, coeffs=coeffs, grid_size=grid_size)
-        vals = evaluate_on_grid(cand).values
+            coeffs[L + M + i] = bump
+            coeffs[L - M - i] = bump.conj().T
+        vals = SpectralDensity(dim=dim, coeffs=coeffs, grid_size=grid_size).values
         herm = 0.5 * (vals + np.conj(np.transpose(vals, (0, 2, 1))))
         if np.linalg.eigvalsh(herm).min() <= 1e-10:
             continue
@@ -826,7 +802,7 @@ def sample_dm_class(
 
 
 def dm_class_residual(f: SpectralDensity, p_constraints: Sequence) -> float:
-    vals = np.linalg.inv(evaluate_on_grid(f).values)
+    vals = np.linalg.inv(f.values)
     worst = 0.0
     G = vals.shape[0]
     lam = -np.pi + 2.0 * np.pi * np.arange(G) / G
@@ -850,7 +826,7 @@ def sample_d0eps_class(
     if g2.dim != 1:
         raise ValueError("scalar class sampling only")
     G = g2.grid_size
-    g2v = evaluate_on_grid(g2).values[:, 0, 0].real
+    g2v = g2.values[:, 0, 0].real
     floor_power = (1.0 - eps) * float(g2v.mean())
     if noise_power < floor_power - 1e-12:
         raise InfeasibleClassError("noise power below the contamination floor")
@@ -860,15 +836,15 @@ def sample_d0eps_class(
         f_taps *= np.sqrt(signal_power / np.sum(np.abs(f_taps) ** 2))
         f = SpectralDensity.from_moving_average(list(f_taps), grid_size=G)
         if eps == 0.0:
-            g = SpectralDensity.from_grid(g2v.astype(complex), grid_size=G)
+            g = SpectralDensity.from_grid(g2v, grid_size=G)
         else:
             g_taps = _random_taps(rng, order, 1)
             g_taps *= np.sqrt(
                 (noise_power - floor_power) / np.sum(np.abs(g_taps) ** 2)
             )
             g1 = SpectralDensity.from_moving_average(list(g_taps), grid_size=G)
-            gv = (1.0 - eps) * g2v + evaluate_on_grid(g1).values[:, 0, 0].real
-            g = SpectralDensity.from_grid(gv.astype(complex), grid_size=G)
+            gv = (1.0 - eps) * g2v + g1.values[:, 0, 0].real
+            g = SpectralDensity.from_grid(gv, grid_size=G)
         out.append((f, g))
     return out
 
@@ -881,9 +857,7 @@ def d0eps_class_residual(
     eps: float,
     g2: SpectralDensity,
 ) -> float:
-    fv = evaluate_on_grid(f).values
-    gv = evaluate_on_grid(g).values
-    g2v = evaluate_on_grid(g2).values
+    fv, gv, g2v = f.values, g.values, g2.values
     res = abs(_trace_power(fv) - signal_power)
     res = max(res, abs(_trace_power(gv) - noise_power))
     gap = gv - (1.0 - eps) * g2v

@@ -17,10 +17,12 @@ import numpy as np
 
 from .errors import AliasingError, IllPosedError
 from .lifting import FunctionalWeights
-from .spectral import SpectralDensity, evaluate_on_grid, fourier_coefficients
+from .spectral import SpectralDensity
 
 if TYPE_CHECKING:  # the factorization module imports the spectral solvers
     from .factorization import Factorization
+
+MAX_WINDOW = 512
 
 __all__ = [
     "CovarianceTable",
@@ -66,14 +68,17 @@ def covariances_from_density(f: SpectralDensity, max_lag: int) -> CovarianceTabl
     """Covariances of the sequence with density f, up to ``max_lag``.
 
     C(j) is the Fourier coefficient of f at lag -j (the e^{+i j lambda}
-    moment), evaluated by grid quadrature; exact for the stored band.
+    moment), read from the density's coefficient array; lags beyond the
+    stored band are zero.
     """
     if max_lag >= f.grid_size // 2:
         raise AliasingError(
             f"max_lag {max_lag} is not resolvable on a grid of size {f.grid_size}"
         )
-    lags = -np.arange(-max_lag, max_lag + 1)
-    vals = fourier_coefficients(evaluate_on_grid(f), lags)
+    L, n = f.max_lag, min(max_lag, f.max_lag)
+    vals = np.zeros((2 * max_lag + 1, f.dim, f.dim), dtype=complex)
+    # C(j) = F(-j): the reversed coefficient array holds it at index j + L
+    vals[max_lag - n : max_lag + n + 1] = f.coeffs[::-1][L - n : L + n + 1]
     return CovarianceTable(values=vals)
 
 
@@ -199,7 +204,7 @@ def time_domain_projection_converged(
     weights: FunctionalWeights,
     initial_window: int = 8,
     rel_tol: float = 1e-7,
-    max_window: int = 512,
+    max_window: int = MAX_WINDOW,
 ) -> tuple[OracleProjection, list[OracleProjection]]:
     """Double the window until the projection error stabilises.
 

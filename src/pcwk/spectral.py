@@ -4,13 +4,17 @@ A density is a K x K Hermitian-matrix-valued trigonometric polynomial
 
     f(lambda) = sum_m F(m) exp(i m lambda),      lambda in [-pi, pi),
 
-stored by its coefficient map ``{m: F(m)}`` with the Hermitian pairing
-``F(-m) = F(m)^H``. All integrals are trapezoid sums over the uniform grid
-``lambda_g = -pi + 2 pi g / G``, which integrate the retained trigonometric
-band exactly. Densities that are not polynomials (inverses of polynomials,
-iterates of fixed-point solvers) are represented by sampling them on the
-grid and keeping every resolvable coefficient; for smooth positive inputs
-the dropped tail is below round-off.
+with the Hermitian pairing ``F(-m) = F(m)^H``. :class:`SpectralDensity`
+stores it once, as a dense ``(2 L + 1, K, K)`` coefficient array with lag m
+at index ``m + L`` (the layout of ``oracle.CovarianceTable``); lags beyond L
+are zero. Its grid values ``f.values`` are computed by one inverse FFT on
+first use and then cached on the object, read-only. All integrals are
+trapezoid sums over the uniform grid ``lambda_g = -pi + 2 pi g / G``, which
+integrate the retained trigonometric band exactly. Densities that are not
+polynomials (inverses of polynomials, iterates of fixed-point solvers) are
+built from their grid samples with :meth:`SpectralDensity.from_grid`, which
+keeps the samples as the cached values and every resolvable coefficient
+above round-off as the array.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -33,9 +38,7 @@ __all__ = [
     "PSD_TOLERANCE",
     "DEFAULT_COND_THRESHOLD",
     "SpectralDensity",
-    "GridMatrixFunction",
     "frequency_grid",
-    "evaluate_on_grid",
     "fourier_coefficients",
     "check_minimality",
     "validate_density",
@@ -55,17 +58,31 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
-def _as_coeff_matrix(value, dim: int | None) -> np.ndarray:
-    arr = np.asarray(value, dtype=complex)
-    if arr.ndim == 0:
-        arr = arr.reshape(1, 1)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"coefficient must be a square matrix, got shape {arr.shape}")
-    if dim is not None and arr.shape[0] != dim:
-        raise ValueError(f"coefficient dimension {arr.shape[0]} != {dim}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("coefficient contains non-finite entries")
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
     return arr
+
+
+def _stack_lags(coeffs: Mapping, dim: int, grid_size: int) -> np.ndarray:
+    """The (2 L + 1, K, K) array of a lag -> matrix mapping, L its largest |lag|."""
+    lags = [int(m) for m in coeffs]
+    far = next((m for m in lags if abs(m) >= grid_size // 2), None)
+    if far is not None:
+        raise AliasingError(
+            f"lag {far} is not resolvable on a grid of size {grid_size}"
+        )
+    mats = [np.asarray(value, dtype=complex) for value in coeffs.values()]
+    mats = [arr.reshape(1, 1) if arr.ndim == 0 else arr for arr in mats]
+    bad = next((arr.shape for arr in mats if arr.shape != (dim, dim)), None)
+    if bad is not None:
+        if len(bad) != 2 or bad[0] != bad[1]:
+            raise ValueError(f"coefficient must be a square matrix, got shape {bad}")
+        raise ValueError(f"coefficient dimension {bad[0]} != {dim}")
+    L = max((abs(m) for m in lags), default=0)
+    out = np.zeros((2 * L + 1, dim, dim), dtype=complex)
+    if mats:
+        out[np.array(lags) + L] = np.stack(mats)
+    return out
 
 
 @dataclass(frozen=True)
@@ -76,16 +93,18 @@ class SpectralDensity:
     ----------
     dim : int
         Matrix dimension K.
-    coeffs : mapping lag -> (K, K) complex array
-        Fourier coefficients F(m); scalars are accepted for K = 1.
-        A valid density stores F(-m) = F(m)^H for every lag, but the
-        constructor does not enforce it (``validate_density`` reports it).
+    coeffs : (2 L + 1, K, K) array, or mapping lag -> (K, K) array
+        Fourier coefficients F(m), lag m at index ``m + L``; a mapping is
+        stacked into that array (scalars are accepted for K = 1, and absent
+        lags are zero). A valid density has F(-m) = F(m)^H for every lag,
+        but the constructor does not enforce it (``validate_density``
+        reports it). Stored read-only.
     grid_size : int
         Number of quadrature nodes G, a power of two.
     """
 
     dim: int
-    coeffs: Mapping[int, np.ndarray] = field(repr=False)
+    coeffs: np.ndarray = field(repr=False)
     grid_size: int = DEFAULT_GRID_SIZE
 
     def __post_init__(self):
@@ -93,15 +112,25 @@ class SpectralDensity:
             raise ValueError("dim must be >= 1")
         if not _is_power_of_two(self.grid_size):
             raise ValueError("grid_size must be a power of two")
-        cleaned = {}
-        for m, value in self.coeffs.items():
-            m = int(m)
-            if abs(m) >= self.grid_size // 2:
-                raise AliasingError(
-                    f"lag {m} is not resolvable on a grid of size {self.grid_size}"
+        if isinstance(self.coeffs, Mapping):
+            arr = _stack_lags(self.coeffs, self.dim, self.grid_size)
+        else:
+            arr = np.array(self.coeffs, dtype=complex)
+            if arr.ndim != 3 or arr.shape[0] % 2 != 1 or arr.shape[1:] != (
+                self.dim, self.dim
+            ):
+                raise ValueError(
+                    f"coefficients must have shape (2 L + 1, {self.dim}, {self.dim}), "
+                    f"got {arr.shape}"
                 )
-            cleaned[m] = _as_coeff_matrix(value, self.dim)
-        object.__setattr__(self, "coeffs", cleaned)
+            if arr.shape[0] // 2 >= self.grid_size // 2:
+                raise AliasingError(
+                    f"lag {arr.shape[0] // 2} is not resolvable on a grid of size "
+                    f"{self.grid_size}"
+                )
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("coefficient contains non-finite entries")
+        object.__setattr__(self, "coeffs", _read_only(arr))
 
     # -- constructors -------------------------------------------------
 
@@ -117,8 +146,7 @@ class SpectralDensity:
     @classmethod
     def constant(cls, matrix, grid_size=DEFAULT_GRID_SIZE):
         """Frequency-flat density f(lambda) = F(0)."""
-        mat = _as_coeff_matrix(matrix, None)
-        return cls(dim=mat.shape[0], coeffs={0: mat}, grid_size=grid_size)
+        return cls.from_coeffs({0: matrix}, grid_size=grid_size)
 
     @classmethod
     def white(cls, dim, scale=1.0, grid_size=DEFAULT_GRID_SIZE):
@@ -137,91 +165,74 @@ class SpectralDensity:
         if not d:
             raise ValueError("need at least one moving-average coefficient")
         dim = d[0].shape[0]
-        coeffs: dict[int, np.ndarray] = {}
         order = len(d) - 1
+        coeffs = np.zeros((2 * order + 1, dim, dim), dtype=complex)
         for m in range(order + 1):
-            acc = np.zeros((dim, dim), dtype=complex)
             for u in range(0, order - m + 1):
-                acc += d[u + m] @ d[u].conj().T
-            coeffs[m] = acc
+                coeffs[order + m] += d[u + m] @ d[u].conj().T
             if m > 0:
-                coeffs[-m] = acc.conj().T
+                coeffs[order - m] = coeffs[order + m].conj().T
         return cls(dim=dim, coeffs=coeffs, grid_size=grid_size)
 
     @classmethod
-    def from_grid(cls, values, grid_size=None, max_lag=None, prune_tol=1e-15):
+    def from_grid(cls, values, grid_size=None):
         """Recover a density from samples on the standard grid.
 
-        Keeps every coefficient up to ``max_lag`` (default: all resolvable
-        lags), pruning Hermitian pairs whose norms fall below
-        ``prune_tol`` relative to the largest coefficient.
+        The samples, copied and read-only, become the density's grid values.
+        Its coefficients are every resolvable lag of their FFT, with the
+        Hermitian pairs whose norms both fall below 1e-15 of the largest
+        coefficient set to zero and the array cut after the last kept lag.
         """
-        vals = as_grid_values(values)
-        G = vals.shape[0]
+        samples = np.array(_as_grid_values(values))
+        G = samples.shape[0]
         if grid_size is None:
             grid_size = G
         elif grid_size != G:
             raise ValueError("grid_size does not match the sampled values")
-        coeff_all = _all_fourier_coefficients(vals)
-        if max_lag is None:
-            max_lag = G // 2 - 1
+        coeff_all = _all_fourier_coefficients(samples)
         norms = np.linalg.norm(coeff_all, axis=(1, 2))
-        floor = prune_tol * max(norms.max(), 1e-300)
-        coeffs = {}
-        for m in range(0, max_lag + 1):
-            keep = norms[m] > floor or (m > 0 and norms[-m % G] > floor)
-            if m == 0 or keep:
-                coeffs[m] = coeff_all[m]
-                if m > 0:
-                    coeffs[-m] = coeff_all[-m % G]
-        return cls(dim=vals.shape[1], coeffs=coeffs, grid_size=grid_size)
+        half = G // 2 - 1
+        lags = np.arange(-half, half + 1)
+        above = norms[lags % G] > 1e-15 * max(norms.max(), 1e-300)
+        keep = above | above[::-1]
+        keep[half] = True  # lag 0
+        L = int(np.abs(lags[keep]).max())
+        coeffs = np.where(keep[:, None, None], coeff_all[lags % G], 0.0)
+        density = cls(dim=samples.shape[1], coeffs=coeffs[half - L : half + L + 1],
+                      grid_size=grid_size)
+        vars(density)["values"] = _read_only(samples)  # the cache of ``values``
+        return density
 
     # -- accessors -----------------------------------------------------
 
     @property
     def max_lag(self) -> int:
-        return max((abs(m) for m in self.coeffs), default=0)
+        return self.coeffs.shape[0] // 2
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """f(lambda_g) on the grid, (G, K, K): one inverse FFT, cached, read-only."""
+        G, L = self.grid_size, self.max_lag
+        rows = np.arange(-L, L + 1) % G
+        buf = np.zeros((G, self.dim, self.dim), dtype=complex)
+        buf[rows] = _alternating_signs(G)[rows, None, None] * self.coeffs
+        return _read_only(np.fft.ifft(buf, axis=0) * G)
 
     def coeff(self, m: int) -> np.ndarray:
-        """F(m), a zero matrix for unstored lags."""
-        got = self.coeffs.get(int(m))
-        if got is None:
+        """F(m), a zero matrix beyond the stored lags."""
+        m, L = int(m), self.max_lag
+        if abs(m) > L:
             return np.zeros((self.dim, self.dim), dtype=complex)
-        return got
+        return self.coeffs[m + L]
 
     def scaled(self, factor: float) -> "SpectralDensity":
         return SpectralDensity(
-            dim=self.dim,
-            coeffs={m: factor * c for m, c in self.coeffs.items()},
-            grid_size=self.grid_size,
+            dim=self.dim, coeffs=factor * self.coeffs, grid_size=self.grid_size
         )
 
 
-@dataclass(frozen=True)
-class GridMatrixFunction:
-    """A K x K matrix function tabulated on the standard frequency grid."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = as_grid_values(self.values)
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("grid values contain non-finite entries")
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def grid_size(self) -> int:
-        return self.values.shape[0]
-
-
-def as_grid_values(values) -> np.ndarray:
+def _as_grid_values(values) -> np.ndarray:
     """Coerce grid samples to a (G, K, K) complex array."""
-    if isinstance(values, GridMatrixFunction):
-        return values.values
     vals = np.asarray(values, dtype=complex)
     if vals.ndim == 1:
         vals = vals.reshape(-1, 1, 1)
@@ -232,28 +243,6 @@ def as_grid_values(values) -> np.ndarray:
 
 def _alternating_signs(grid_size: int) -> np.ndarray:
     return (-1.0) ** np.arange(grid_size)
-
-
-def density_values(density) -> np.ndarray:
-    """Grid samples of a density given in either representation.
-
-    Accepts a :class:`SpectralDensity` (evaluated), a
-    :class:`GridMatrixFunction`, or raw (G, K, K) samples.
-    """
-    if isinstance(density, SpectralDensity):
-        return evaluate_on_grid(density).values
-    return as_grid_values(density)
-
-
-def evaluate_on_grid(f: SpectralDensity) -> GridMatrixFunction:
-    """Tabulate f(lambda_g) = sum_m F(m) exp(i m lambda_g) on the grid."""
-    G = f.grid_size
-    buf = np.zeros((G, f.dim, f.dim), dtype=complex)
-    signs = _alternating_signs(G)
-    for m, c in f.coeffs.items():
-        buf[m % G] += signs[m % G] * c
-    values = np.fft.ifft(buf, axis=0) * G
-    return GridMatrixFunction(values=values)
 
 
 def _all_fourier_coefficients(values: np.ndarray) -> np.ndarray:
@@ -270,7 +259,7 @@ def _all_fourier_coefficients(values: np.ndarray) -> np.ndarray:
 
 def fourier_coefficients(values, lags) -> np.ndarray:
     """Batched Fourier coefficients of grid samples at the given lags."""
-    vals = as_grid_values(values)
+    vals = _as_grid_values(values)
     G = vals.shape[0]
     lags = np.asarray(lags, dtype=int)
     if lags.size and np.abs(lags).max() >= G // 2:
@@ -303,8 +292,8 @@ class MinimalityReport:
 
 
 def check_minimality(
-    f,
-    g=None,
+    f: SpectralDensity,
+    g: SpectralDensity | None = None,
     cond_threshold: float = DEFAULT_COND_THRESHOLD,
 ) -> MinimalityReport:
     """Check that f+g (or f alone) is invertible on the whole grid.
@@ -314,11 +303,11 @@ def check_minimality(
     against the largest eigenvalue anywhere on the grid, so a node where
     the density collapses fails even if it is well scaled locally), and a
     pass flag. Nodes beyond ``cond_threshold`` fail the check rather than
-    being regularized. Accepts densities in coefficient or grid form.
+    being regularized.
     """
-    vals = density_values(f)
+    vals = f.values
     if g is not None:
-        gvals = density_values(g)
+        gvals = g.values
         if gvals.shape != vals.shape:
             raise ValueError(
                 f"dimension mismatch: f samples {vals.shape}, g samples {gvals.shape}"
@@ -376,31 +365,25 @@ def validate_density(f: SpectralDensity) -> DensityReport:
     Violations are reported, never thrown: the report carries the smallest
     grid eigenvalue and a list of human-readable issues.
     """
+    F, L = f.coeffs, f.max_lag
+    lags = np.arange(-L, L + 1)
+    stored = np.any(F != 0, axis=(1, 2))
+    orphan = stored & ~stored[::-1]  # F(m) nonzero, F(-m) all zero
+    # F(-m) - F(m)^H at index m + L; at lag 0 the Hermitian defect of F(0)
+    defect = np.linalg.norm(F[::-1] - np.conj(np.transpose(F, (0, 2, 1))), axis=(1, 2))
+    asymmetric = defect > 1e-12 * np.maximum(np.linalg.norm(F, axis=(1, 2)), 1.0)
     issues: list[str] = []
-    hermitian_ok = True
-    for m in sorted(f.coeffs):
-        if m < 0:
-            continue
-        cm = f.coeffs[m]
-        if m == 0:
-            if np.linalg.norm(cm - cm.conj().T) > 1e-12 * max(np.linalg.norm(cm), 1.0):
-                hermitian_ok = False
-                issues.append("lag-0 coefficient is not Hermitian")
-            continue
-        partner = f.coeffs.get(-m)
-        if partner is None:
-            hermitian_ok = False
+    if asymmetric[L]:
+        issues.append("lag-0 coefficient is not Hermitian")
+    for m in lags[(lags > 0) & stored & asymmetric]:
+        if orphan[m + L]:
             issues.append(f"lag {m} stored without its lag {-m} partner")
-        elif np.linalg.norm(partner - cm.conj().T) > 1e-12 * max(
-            np.linalg.norm(cm), 1.0
-        ):
-            hermitian_ok = False
+        else:
             issues.append(f"coefficient pair ({m}, {-m}) violates Hermitian symmetry")
-    for m in sorted(f.coeffs):
-        if m < 0 and -m not in f.coeffs:
-            hermitian_ok = False
-            issues.append(f"lag {m} stored without its lag {-m} partner")
-    vals = evaluate_on_grid(f).values
+    for m in lags[(lags < 0) & orphan]:
+        issues.append(f"lag {m} stored without its lag {-m} partner")
+    hermitian_ok = not issues
+    vals = f.values
     herm = 0.5 * (vals + np.conj(np.transpose(vals, (0, 2, 1))))
     node_mins = np.linalg.eigvalsh(herm).min(axis=1)
     worst = int(np.argmin(node_mins))
@@ -426,12 +409,18 @@ _DENSITY_HEADER = ["m", "row", "col", "re", "im"]
 
 
 def write_density_csv(f: SpectralDensity, path) -> None:
-    """Write the coefficient map as rows ``m,row,col,re,im`` (0-based)."""
+    """Write the coefficients as rows ``m,row,col,re,im`` (0-based).
+
+    Lag 0 and every nonzero lag are written, in increasing order.
+    """
+    L = f.max_lag
+    written = np.any(f.coeffs != 0, axis=(1, 2))
+    written[L] = True
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_DENSITY_HEADER)
-        for m in sorted(f.coeffs):
-            c = f.coeffs[m]
+        for m in np.flatnonzero(written) - L:
+            c = f.coeffs[m + L]
             for row in range(f.dim):
                 for col in range(f.dim):
                     writer.writerow(

@@ -14,7 +14,6 @@ import pytest
 from pcwk import (
     FunctionalWeights,
     SpectralDensity,
-    evaluate_on_grid,
     extrapolate,
     extrapolate_factorized,
     filtering,
@@ -130,13 +129,13 @@ def test_criterion_3_factorization():
             for u in range(order + 1)
         ]
         base = SpectralDensity.from_moving_average(taps, grid_size=GRID)
-        coeffs = dict(base.coeffs)
-        coeffs[0] = coeffs[0] + 0.1 * np.eye(dim)
-        f = SpectralDensity.from_coeffs(coeffs, grid_size=GRID)
+        coeffs = base.coeffs.copy()
+        coeffs[base.max_lag] += 0.1 * np.eye(dim)  # lag 0
+        f = SpectralDensity(dim, coeffs, grid_size=GRID)
         fact = spectral_factorize(f, tol=1e-10)
         P = fact.symbol()
         recon = P @ np.conj(np.transpose(P, (0, 2, 1)))
-        residual = float(np.abs(recon - evaluate_on_grid(f).values).max())
+        residual = float(np.abs(recon - f.values).max())
         worst_residual = max(worst_residual, residual)
         w = suite_weights(dim, 3, "extrapolation", seed=trial)
         toeplitz = extrapolate(f, None, w).mse
@@ -231,7 +230,7 @@ def test_criterion_7_power_matrix_class():
         w, (total / 2.0) * np.eye(2), grid_size=GRID
     )
     eigen_ok = d01.certificate["eigen_residual"] <= 1e-8
-    realized = evaluate_on_grid(d01.f0).values.mean(axis=0)
+    realized = d01.f0.values.mean(axis=0)
     trace_ok = abs(np.trace(realized).real - total) <= 1e-8
     via_y = least_favorable_class_y(w, total, grid_size=GRID)
     agree_ok = abs(d01.minimax_mse - via_y.minimax_mse) <= 1e-8

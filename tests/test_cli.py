@@ -10,7 +10,7 @@ import pytest
 
 import pcwk
 from pcwk import SpectralDensity, TruncationError, oracle, write_density_csv
-from pcwk.cli import SpecValidationError, main, parse_spec, run
+from pcwk.cli import MAX_GRID, MAX_SAMPLES, SpecValidationError, main, parse_spec, run
 
 GRID = 256
 
@@ -384,6 +384,54 @@ class TestWronglyTypedValues:
         )
         assert main(["--spec", str(spec), "--out", str(tmp_path / "out")]) == 1
         assert "class_params.moments must be a non-empty list" in capsys.readouterr().err
+
+
+class TestOversizedAndMalformedValues:
+    """Values beyond the documented bounds are validation errors, never run."""
+
+    @pytest.mark.parametrize("matrix", [[[[1]]], {}, [[1.0, 0.0]], [["1"]]])
+    def test_power_matrix_must_be_k_by_k_numbers(self, tmp_path, capsys, matrix):
+        spec = filter_spec(
+            tmp_path, task="minimax-extrap-d01", class_params={"power_matrix": matrix}
+        )
+        assert main(["--spec", str(spec), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "class_params.power_matrix must be a 1 x 1 nested list of numbers" in err
+
+    def test_initial_window_bounded_by_the_oracle_window(self, tmp_path, capsys):
+        spec = filter_spec(
+            tmp_path, task="oracle-check",
+            class_params={"task": "filter", "initial_window": 2**70},
+        )
+        assert main(["--spec", str(spec), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert (
+            f"class_params.initial_window must be a nonnegative integer no larger "
+            f"than {oracle.MAX_WINDOW}" in err
+        )
+
+    def test_grid_bounded(self, tmp_path, capsys):
+        spec = filter_spec(tmp_path, numerics={"grid": 2**40})
+        assert main(["--spec", str(spec), "--dry-run"]) == 1
+        assert f"numerics.grid must be a power of two in [8, {MAX_GRID}]" in (
+            capsys.readouterr().err
+        )
+        spec = filter_spec(tmp_path)
+        assert main(["--spec", str(spec), "--dry-run", "--grid", str(2**40)]) == 1
+        assert "--grid must be a power of two" in capsys.readouterr().err
+        assert main(["--spec", str(spec), "--dry-run", "--grid", str(MAX_GRID)]) == 0
+
+    def test_samples_bounded(self, tmp_path, capsys):
+        spec = filter_spec(
+            tmp_path, task="minimax-y",
+            class_params={"total_power": 1.0, "samples": 2**70},
+        )
+        assert main(["--spec", str(spec), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert (
+            f"class_params.samples must be a nonnegative integer no larger than "
+            f"{MAX_SAMPLES}" in err
+        )
 
 
 def test_import_leaves_scipy_unloaded():

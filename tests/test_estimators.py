@@ -336,6 +336,24 @@ class TestOnePath:
             filtering(f, g, FunctionalWeights.filtering(blocks))
         assert calls == {"check_minimality": 1, "inv": 1}
 
+    def test_grid_values_computed_once_per_density(self, monkeypatch):
+        grids = []
+        ifft = np.fft.ifft
+
+        def counted(a, *args, **kwargs):
+            if np.ndim(a) == 3:  # a density's (G, K, K) grid; symbols are (G, K)
+                grids.append(np.shape(a))
+            return ifft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "ifft", counted)
+        f, g = coupled_ma2(), white(dim=2, scale=0.5)
+        blocks = np.array([[1.0, -0.5], [0.3, 0.2]])
+        first = extrapolate(f, g, FunctionalWeights.extrapolation(blocks))
+        again = extrapolate(f, g, FunctionalWeights.extrapolation(blocks))
+        interpolate(f, g, FunctionalWeights.interpolation(blocks))
+        assert len(grids) == 2  # f once and g once, over three solves
+        assert again.mse == first.mse
+
     @pytest.mark.parametrize(
         "solver, make",
         [

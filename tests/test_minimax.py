@@ -7,7 +7,6 @@ from pcwk import (
     FunctionalWeights,
     InfeasibleClassError,
     build_q_operator,
-    evaluate_on_grid,
     filtering_relation_residuals,
     interpolate,
     least_favorable_class_y,
@@ -68,7 +67,7 @@ class TestClassY:
     def test_single_block(self):
         result = least_favorable_class_y(finite_weights([[1.0]]), 1.0)
         assert result.minimax_mse == pytest.approx(1.0, abs=1e-12)
-        vals = evaluate_on_grid(result.f0).values
+        vals = result.f0.values
         np.testing.assert_allclose(vals[:, 0, 0], 1.0, atol=1e-12)
 
     def test_two_blocks_golden(self):
@@ -147,7 +146,7 @@ class TestD01:
         assert result.minimax_mse == pytest.approx(2.0, abs=1e-12)
         # one eigenvector family cannot match a full-rank power matrix
         assert result.certificate["power_constraint_residual"] > 0.1
-        realized = evaluate_on_grid(result.f0).values.mean(axis=0)
+        realized = result.f0.values.mean(axis=0)
         assert np.trace(realized).real == pytest.approx(2.0, abs=1e-10)
 
     def test_agreement_with_power_class(self):
@@ -186,7 +185,7 @@ class TestDmInterpolation:
         result = least_favorable_dm_interpolation([np.array([[1.0]])], w,
                                                   grid_size=GRID)
         assert result.minimax_mse == pytest.approx(1.0, abs=1e-10)
-        vals = evaluate_on_grid(result.f0).values
+        vals = result.f0.values
         np.testing.assert_allclose(vals[:, 0, 0], 1.0, atol=1e-10)
 
     def test_autoregressive_class(self):
@@ -197,7 +196,7 @@ class TestDmInterpolation:
         assert result.minimax_mse == pytest.approx(0.8, abs=1e-10)
         # the worst density is the inverse of the moment polynomial
         lam = -np.pi + 2 * np.pi * np.arange(GRID) / GRID
-        vals = evaluate_on_grid(result.f0).values[:, 0, 0]
+        vals = result.f0.values[:, 0, 0]
         np.testing.assert_allclose(vals, 1.0 / (1.25 + np.cos(lam)), atol=1e-10)
 
     def test_reported_error_matches_solver(self):
@@ -348,7 +347,7 @@ class TestD0EpsSolver:
             w, 1.0, 1.0, 0.0, white(), grid_size=GRID
         )
         assert result.certificate["converged"]
-        vals = evaluate_on_grid(result.g0).values[:, 0, 0]
+        vals = result.g0.values[:, 0, 0]
         np.testing.assert_allclose(vals, 1.0, atol=1e-8)
 
     def test_zero_weights_degenerate(self):

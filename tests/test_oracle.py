@@ -203,8 +203,9 @@ PROPERTY_GRID = 1024
 
 
 @st.composite
-def stable_ma_problems(draw):
-    """A stable MA(1) or MA(2) density, K <= 3, with grid condition <= 100."""
+def stable_problems(draw):
+    """A stable MA(1) or MA(2) density, or the AR(1) or AR(2) density that is
+    its grid inverse, built with ``from_grid``; K <= 3, grid condition <= 100."""
     dim = draw(st.integers(1, 3))
     order = draw(st.integers(1, 2))
     taps = draw(arrays(np.float64, (order, dim, dim, 2), elements=st.floats(-0.5, 0.5)))
@@ -213,6 +214,8 @@ def stable_ma_problems(draw):
         [np.eye(dim), *taps], grid_size=PROPERTY_GRID
     )
     assume(check_minimality(f).max_condition <= 100.0)
+    if draw(st.booleans()):
+        f = SpectralDensity.from_grid(np.linalg.inv(f.values), grid_size=PROPERTY_GRID)
     n_blocks = draw(st.integers(1, 3))
     raw = draw(arrays(np.float64, (n_blocks, dim, 2), elements=st.floats(-1.0, 1.0)))
     assume(np.abs(raw).max() > 0.1)
@@ -231,7 +234,7 @@ def stable_ma_problems(draw):
     ],
 )
 @settings(derandomize=True, deadline=None, max_examples=10)
-@given(problem=stable_ma_problems())
+@given(problem=stable_problems())
 def test_spectral_error_agrees_with_oracle(solver, horizon, noisy, problem):
     f, blocks = problem
     g = SpectralDensity.white(f.dim, scale=0.5, grid_size=PROPERTY_GRID) if noisy else None

@@ -5,7 +5,6 @@ from pcwk import (
     AliasingError,
     SpectralDensity,
     check_minimality,
-    evaluate_on_grid,
     fourier_coefficients,
     read_density_csv,
     validate_density,
@@ -16,33 +15,50 @@ from conftest import GRID, ar1, coupled_ma2, ma1, white
 
 class TestEvaluateOnGrid:
     def test_constant_scalar(self):
-        vals = evaluate_on_grid(white()).values
+        vals = white().values
         np.testing.assert_allclose(vals[:, 0, 0], 1.0, atol=1e-14)
 
     def test_ma1_is_shifted_cosine(self, grid):
-        vals = evaluate_on_grid(ma1()).values[:, 0, 0]
+        vals = ma1().values[:, 0, 0]
         np.testing.assert_allclose(vals, 1.25 + np.cos(grid), atol=1e-12)
 
     def test_identity_matrix(self):
-        vals = evaluate_on_grid(white(dim=2)).values
+        vals = white(dim=2).values
         np.testing.assert_allclose(vals, np.tile(np.eye(2), (GRID, 1, 1)), atol=1e-14)
 
     def test_hermitian_at_every_node(self):
-        vals = evaluate_on_grid(coupled_ma2()).values
+        vals = coupled_ma2().values
         np.testing.assert_allclose(
             vals, np.conj(np.transpose(vals, (0, 2, 1))), atol=1e-12
         )
 
+    def test_values_are_cached_and_read_only(self):
+        f = coupled_ma2()
+        assert f.values is f.values
+        with pytest.raises(ValueError, match="read-only"):
+            f.values[0, 0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            f.coeffs[f.max_lag] = 0.0
+
+    def test_from_grid_keeps_a_copy_of_its_samples(self, grid):
+        samples = (1.25 + np.cos(grid)).astype(complex)
+        f = SpectralDensity.from_grid(samples, grid_size=GRID)
+        samples[:] = 0.0
+        np.testing.assert_array_equal(f.values[:, 0, 0], 1.25 + np.cos(grid))
+        with pytest.raises(ValueError, match="read-only"):
+            f.values[0, 0, 0] = 1.0
+        assert f.max_lag == 1  # lags below round-off are pruned
+
 
 class TestFourierCoefficient:
     def test_identity_lag_zero(self):
-        vals = evaluate_on_grid(white(dim=2)).values
+        vals = white(dim=2).values
         np.testing.assert_allclose(
             fourier_coefficients(vals, [0])[0], np.eye(2), atol=1e-14
         )
 
     def test_identity_nonzero_lag(self):
-        vals = evaluate_on_grid(white(dim=2)).values
+        vals = white(dim=2).values
         np.testing.assert_allclose(
             fourier_coefficients(vals, [3])[0], np.zeros((2, 2)), atol=1e-14
         )
@@ -53,14 +69,14 @@ class TestFourierCoefficient:
 
     def test_roundtrip_is_exact(self):
         f = coupled_ma2()
-        vals = evaluate_on_grid(f)
+        vals = f.values
         for m in (-1, 0, 1):
             np.testing.assert_allclose(
                 fourier_coefficients(vals, [m])[0], f.coeff(m), atol=1e-12
             )
 
     def test_aliasing_guard(self):
-        vals = evaluate_on_grid(white()).values
+        vals = white().values
         with pytest.raises(AliasingError):
             fourier_coefficients(vals, [GRID // 2])[0]
 
@@ -139,7 +155,7 @@ class TestMovingAverageConstruction:
     def test_from_grid_recovers_polynomial(self):
         f = coupled_ma2()
         sampled = SpectralDensity.from_grid(
-            evaluate_on_grid(f).values, grid_size=GRID
+            f.values, grid_size=GRID
         )
         for m in (-1, 0, 1):
             np.testing.assert_allclose(sampled.coeff(m), f.coeff(m), atol=1e-12)
@@ -179,6 +195,6 @@ class TestDensityCsv:
         path = tmp_path / "ar.csv"
         write_density_csv(f, path)
         back = read_density_csv(path, grid_size=GRID)
-        orig = evaluate_on_grid(f).values
-        again = evaluate_on_grid(back).values
+        orig = f.values
+        again = back.values
         np.testing.assert_allclose(again, orig, atol=1e-10)
