@@ -34,6 +34,8 @@ from .factorization import spectral_factorize
 from .lifting import FunctionalWeights, LiftConfig, compute_weights
 from .spectral import (
     DEFAULT_GRID_SIZE,
+    _write_table,
+    frequency_grid,
     read_density_csv,
     validate_density,
     write_density_csv,
@@ -73,9 +75,15 @@ _TASK_HORIZON = {
 
 
 # upper bounds of the sizes a problem file may ask for; the largest benchmark
-# inputs are G = 8192 and 50 samples
+# inputs are G = 8192, 50 samples, a simulation of 100 000 blocks, 3 weight
+# blocks and 2 harmonics
 MAX_GRID = 2**16
 MAX_SAMPLES = 1000
+MAX_SIMULATED_BLOCKS = 10**6
+# no admissible grid resolves a weight block beyond MAX_GRID / 2
+MAX_WEIGHT_BLOCKS = MAX_GRID // 2
+MAX_HARMONICS = 64
+MAX_QUADRATURE_POINTS = 2**16
 
 
 class SpecValidationError(ValueError):
@@ -195,9 +203,19 @@ def parse_spec(path) -> ProblemSpec:
                 errors.append("lift.period must be a positive number")
             if not _is_int(harmonics) or harmonics < 1:
                 errors.append("lift.harmonics must be a positive integer (>= 1)")
+            elif harmonics > MAX_HARMONICS:
+                errors.append(
+                    f"lift.harmonics must be a positive integer no larger than "
+                    f"{MAX_HARMONICS}"
+                )
             qp = lift_raw.get("quadrature_points")
             if qp is not None and (not _is_int(qp) or qp < 1):
                 errors.append("lift.quadrature_points must be a positive integer")
+            elif qp is not None and qp > MAX_QUADRATURE_POINTS:
+                errors.append(
+                    f"lift.quadrature_points must be a positive integer no larger "
+                    f"than {MAX_QUADRATURE_POINTS}"
+                )
             if not errors or (period and _is_int(harmonics) and harmonics >= 1):
                 try:
                     lift = LiftConfig(
@@ -238,6 +256,11 @@ def parse_spec(path) -> ProblemSpec:
                 not _is_int(weights_blocks) or weights_blocks < 1
             ):
                 errors.append("weights.blocks must be a positive integer")
+            elif weights_blocks is not None and weights_blocks > MAX_WEIGHT_BLOCKS:
+                errors.append(
+                    f"weights.blocks must be a positive integer no larger than "
+                    f"{MAX_WEIGHT_BLOCKS}"
+                )
             if weights_inline is not None and weights_csv is not None:
                 errors.append("weights doubly specified: give inline blocks or a csv")
             if weights_inline is None and weights_csv is None:
@@ -359,17 +382,10 @@ def _write_rows(path, header, rows):
         writer.writerows(rows)
 
 
-def _write_characteristic(path, solution, grid_size):
-    lam = -np.pi + 2.0 * np.pi * np.arange(grid_size) / grid_size
-    rows = []
-    for g_idx in range(grid_size):
-        for k in range(solution.dim):
-            value = solution.h_grid[g_idx, k]
-            rows.append(
-                [repr(float(lam[g_idx])), k,
-                 repr(float(value.real)), repr(float(value.imag))]
-            )
-    _write_rows(path, ["lambda", "component", "re_h", "im_h"], rows)
+def _write_characteristic(path, solution):
+    _write_table(path, ["lambda", "component", "re_h", "im_h"],
+                 [frequency_grid(solution.grid_size), np.arange(solution.dim)],
+                 solution.h_grid)
 
 
 def _write_summary(path, entries):
@@ -377,15 +393,8 @@ def _write_summary(path, entries):
 
 
 def _write_factor(path, fact):
-    rows = []
-    for u in range(fact.order + 1):
-        for row in range(fact.dim):
-            for col in range(fact.multiplicity):
-                value = fact.coeffs[u, row, col]
-                rows.append(
-                    [u, row, col, repr(float(value.real)), repr(float(value.imag))]
-                )
-    _write_rows(path, ["u", "row", "col", "re", "im"], rows)
+    _write_table(path, ["u", "row", "col", "re", "im"],
+                 [np.arange(n) for n in fact.coeffs.shape], fact.coeffs)
 
 
 def _summary_block(entries):
@@ -438,7 +447,7 @@ def _solve_task(spec: ProblemSpec, task: str):
 def _run_estimation(spec: ProblemSpec, out: Path):
     task = spec.task
     _, _, _, solution = _solve_task(spec, task)
-    _write_characteristic(out / f"{task}_h.csv", solution, spec.numerics.grid)
+    _write_characteristic(out / f"{task}_h.csv", solution)
     entries = _solution_summary(task, solution, spec.numerics.seed)
     _write_summary(out / "summary.csv", entries)
     return entries
@@ -595,7 +604,7 @@ def _run_minimax(spec: ProblemSpec, out: Path):
     result.margins = report.margins
     write_density_csv(result.f0, out / "least_favorable_f.csv")
     if result.h0 is not None:
-        _write_characteristic(out / f"{task}_h.csv", result.h0, spec.numerics.grid)
+        _write_characteristic(out / f"{task}_h.csv", result.h0)
     entries += [
         ("minimax_mse", repr(result.minimax_mse)),
         ("min_saddle_margin", repr(report.min_margin)),
@@ -653,15 +662,11 @@ def _run_oracle_check(spec: ProblemSpec, out: Path):
 
 def _run_simulate(spec: ProblemSpec, out: Path):
     f = _load_density(spec, "f", required=True)
-    n_blocks = _int_param(spec, "n_blocks", required=True)
+    n_blocks = _int_param(spec, "n_blocks", required=True, upper=MAX_SIMULATED_BLOCKS)
     fact = spectral_factorize(f, tol=spec.numerics.tolerance)
     path_blocks = oracle.simulate_sequence(fact, n_blocks, spec.numerics.seed)
-    rows = []
-    for j in range(path_blocks.shape[0]):
-        for k in range(path_blocks.shape[1]):
-            value = path_blocks[j, k]
-            rows.append([j, k, repr(float(value.real)), repr(float(value.imag))])
-    _write_rows(out / "path.csv", ["j", "component", "re", "im"], rows)
+    _write_table(out / "path.csv", ["j", "component", "re", "im"],
+                 [np.arange(n) for n in path_blocks.shape], path_blocks)
     entries = [
         ("task", "simulate"),
         ("version", __version__),

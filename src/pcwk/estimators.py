@@ -65,7 +65,7 @@ MSE_CAUCHY_TOL = 1e-8
 # -- kernel tables and block matrices -----------------------------------
 
 
-def _kernel_tables(f, g, cond_threshold, check=True, which=(0, 1, 2)):
+def _kernel_tables(f, g, cond_threshold, which=(0, 1, 2)):
     """Check minimality, invert f+g on the grid once and tabulate the kernels.
 
     Returns the grid values of (f+g)^{-1} and of g, and the coefficient
@@ -76,15 +76,14 @@ def _kernel_tables(f, g, cond_threshold, check=True, which=(0, 1, 2)):
     """
     fv = f.values
     gv = None if g is None else g.values
-    if check:
-        report = check_minimality(f, g, cond_threshold=cond_threshold)
-        if not report.passed:
-            observed = "signal" if g is None else "observed"
-            raise MinimalityError(
-                f"minimality condition violated: {observed} density is singular near "
-                f"lambda = {report.worst_node:.6f} "
-                f"(grid condition {report.max_condition:.3e})"
-            )
+    report = check_minimality(f, g, cond_threshold=cond_threshold)
+    if not report.passed:
+        observed = "signal" if g is None else "observed"
+        raise MinimalityError(
+            f"minimality condition violated: {observed} density is singular near "
+            f"lambda = {report.worst_node:.6f} "
+            f"(grid condition {report.max_condition:.3e})"
+        )
     inv = np.linalg.inv(fv if gv is None else fv + gv)
 
     def table(i):
@@ -121,7 +120,6 @@ def build_block_matrix(
     rows: Iterable[int],
     cols: Iterable[int],
     cond_threshold: float = DEFAULT_COND_THRESHOLD,
-    check: bool = True,
 ) -> np.ndarray:
     """Assemble one of the estimation block matrices as a dense matrix.
 
@@ -144,7 +142,7 @@ def build_block_matrix(
     if not rows.size or not cols.size:
         raise ValueError("row and column ranges must be non-empty")
     which = BLOCK_KINDS.index(kind) % 3  # B and U, D and V, R and W share a kernel
-    table = _kernel_tables(f, g, cond_threshold, check, which=(which,))[2][which]
+    table = _kernel_tables(f, g, cond_threshold, which=(which,))[2][which]
     if table is None:
         table = np.zeros((f.grid_size, f.dim, f.dim), dtype=complex)
         if which == 1:
@@ -303,15 +301,13 @@ class EstimateSolution:
         return self.h_grid.shape[1]
 
 
-def functional_symbol(
-    weights: FunctionalWeights, grid_size: int, task: str | None = None
-) -> np.ndarray:
+def functional_symbol(weights: FunctionalWeights, grid_size: int) -> np.ndarray:
     """The weight polynomial A on the grid, as a (G, K) array.
 
     Interpolation and extrapolation weights enter at nonnegative powers of
     e^{i lambda}; filtering weights at nonpositive powers.
     """
-    if (task or weights.horizon) == "filtering":
+    if weights.horizon == "filtering":
         return _blocks_symbol(weights.blocks[::-1], 1 - weights.n_blocks, grid_size)
     return _blocks_symbol(weights.blocks, 0, grid_size)
 
@@ -613,15 +609,13 @@ def evaluate_mse(
     f: SpectralDensity,
     g: SpectralDensity | None,
     weights: FunctionalWeights,
-    task: str | None = None,
 ) -> float:
     """Mean square error of the estimate with characteristic h under (f, g).
 
     Quadrature of the error functional: the signal term integrates
     (A - h)^T f conj(A - h) and the noise term h^T g conj(h), where A is
-    the weight polynomial of the task. ``h`` may be an
-    :class:`EstimateSolution` or a (G, K) grid array; ``task`` defaults to
-    the weights' horizon.
+    the weight polynomial of the weights' horizon. ``h`` may be an
+    :class:`EstimateSolution` or a (G, K) grid array.
     """
     if isinstance(h, EstimateSolution):
         h = h.h_grid
@@ -631,9 +625,7 @@ def evaluate_mse(
     G = f.grid_size
     if h.shape != (G, f.dim):
         raise ValueError(f"h has shape {h.shape}, expected {(G, f.dim)}")
-    if task is None:
-        task = weights.horizon
-    A = functional_symbol(weights, G, task)
+    A = functional_symbol(weights, G)
     diff = A - h
     total = np.einsum("gk,gkn,gn->", diff, f.values, diff.conj()) / G
     if g is not None:

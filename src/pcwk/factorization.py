@@ -44,6 +44,12 @@ __all__ = [
 ]
 
 RANK_TOLERANCE = 1e-12
+# iteration budget of the fixed point, which normally converges in well
+# under twenty steps
+MAX_ITERATIONS = 100
+# largest singular-value ratio of the factor's symbol that still has a
+# bounded left inverse
+FACTOR_COND_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
@@ -79,9 +85,9 @@ class Factorization:
     def order(self) -> int:
         return self.coeffs.shape[0] - 1
 
-    def symbol(self, grid_size: int | None = None) -> np.ndarray:
+    def symbol(self) -> np.ndarray:
         """P(lambda) on the grid, shape (G, K, M)."""
-        G = grid_size or self.grid_size
+        G = self.grid_size
         n, K, M = self.coeffs.shape
         if n > G:
             raise ValueError("factor order exceeds the grid size")
@@ -90,10 +96,10 @@ class Factorization:
         buf[:n] = self.coeffs * signs[:n, None, None]
         return np.fft.fft(buf, axis=0)
 
-    def density(self, grid_size: int | None = None) -> SpectralDensity:
+    def density(self) -> SpectralDensity:
         """The moving-average density P P^*."""
         return SpectralDensity.from_moving_average(
-            list(self.coeffs), grid_size=grid_size or self.grid_size
+            list(self.coeffs), grid_size=self.grid_size
         )
 
 
@@ -118,9 +124,7 @@ def _causal_part(values: np.ndarray) -> np.ndarray:
     return np.fft.fft(taps * signs, axis=0)
 
 
-def spectral_factorize(
-    f: SpectralDensity, tol: float = 1e-10, max_iter: int = 100
-) -> Factorization:
+def spectral_factorize(f: SpectralDensity, tol: float = 1e-10) -> Factorization:
     """Compute the causal factor of a full-rank density.
 
     Parameters
@@ -130,9 +134,6 @@ def spectral_factorize(
     tol : float
         Grid sup-norm target for ``P P^* - f`` (scaled by the magnitude of
         f when that exceeds one).
-    max_iter : int
-        Iteration budget; the fixed point normally converges in well under
-        twenty steps.
 
     Raises
     ------
@@ -140,9 +141,9 @@ def spectral_factorize(
         If f is rank deficient somewhere on the grid (only the full-rank
         square case is supported).
     FactorizationError
-        If the residual target is not met within ``max_iter``; the residual
-        is attached to the exception. Densities with spectral zeros on the
-        unit circle (non-regular inputs) end up here.
+        If the residual target is not met within ``MAX_ITERATIONS``; the
+        residual is attached to the exception. Densities with spectral zeros
+        on the unit circle (non-regular inputs) end up here.
     """
     fv = 0.5 * (f.values + np.conj(np.transpose(f.values, (0, 2, 1))))
     G, K = fv.shape[0], fv.shape[1]
@@ -160,7 +161,7 @@ def spectral_factorize(
     identity = np.eye(K)
     residual = np.inf
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, MAX_ITERATIONS + 1):
         psi_inv = np.linalg.inv(psi)
         ratio = psi_inv @ fv @ np.conj(np.transpose(psi_inv, (0, 2, 1))) + identity
         plus = _causal_part(ratio)
@@ -208,13 +209,13 @@ def spectral_factorize(
     return fact
 
 
-def _left_inverse_values(p_values: np.ndarray, cond_threshold: float = 1e12):
+def _left_inverse_values(p_values: np.ndarray):
     """Pointwise left inverse Q with Q P = I, for full column rank P."""
     G, K, M = p_values.shape
     sv = np.linalg.svd(p_values, compute_uv=False)
     smax = float(sv.max())
     smin = float(sv.min())
-    if smin <= 0.0 or smax / smin > cond_threshold:
+    if smin <= 0.0 or smax / smin > FACTOR_COND_LIMIT:
         raise SingularFactorError(
             "causal factor is singular (or nearly singular) at a grid node; "
             "no bounded left inverse"
@@ -225,14 +226,14 @@ def _left_inverse_values(p_values: np.ndarray, cond_threshold: float = 1e12):
     return np.linalg.solve(gram, np.conj(np.transpose(p_values, (0, 2, 1))))
 
 
-def left_inverse(fact: Factorization, cond_threshold: float = 1e12) -> np.ndarray:
+def left_inverse(fact: Factorization) -> np.ndarray:
     """Q(lambda) with Q P = I at every grid node, as a (G, K, K) array.
 
     The factor must be square and of full rank.
     """
     if fact.dim != fact.multiplicity:
         raise ValueError("left_inverse expects a square factor; got K != M")
-    return _left_inverse_values(fact.symbol(), cond_threshold)
+    return _left_inverse_values(fact.symbol())
 
 
 def _weighted_tap_sums(weights: FunctionalWeights, fact: Factorization) -> np.ndarray:
@@ -247,9 +248,7 @@ def _weighted_tap_sums(weights: FunctionalWeights, fact: Factorization) -> np.nd
     return out
 
 
-def extrapolate_factorized(
-    f, weights: FunctionalWeights, tol: float = 1e-10, max_iter: int = 100
-) -> EstimateSolution:
+def extrapolate_factorized(f, weights: FunctionalWeights) -> EstimateSolution:
     """Forward estimation from exact past observations, factorization route.
 
     Accepts either a density (factorized internally) or a ready
@@ -260,7 +259,7 @@ def extrapolate_factorized(
     if weights.horizon not in ("extrapolation", "extrapolation_finite"):
         raise ValueError("weights must carry an extrapolation horizon")
     _summability_warning(weights)
-    fact = f if isinstance(f, Factorization) else spectral_factorize(f, tol, max_iter)
+    fact = f if isinstance(f, Factorization) else spectral_factorize(f)
     if weights.dim != fact.dim:
         raise ValueError("weights and factor must share one dimension")
     sums = _weighted_tap_sums(weights, fact)

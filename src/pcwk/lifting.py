@@ -148,18 +148,6 @@ class FunctionalWeights:
         nz = np.nonzero(norms > 0.0)[0]
         return int(nz[-1]) if nz.size else 0
 
-    def stacked(self) -> np.ndarray:
-        """Blocks concatenated into one ((n+1) K,) vector."""
-        return self.blocks.reshape(-1)
-
-    def padded(self, n_blocks: int) -> "FunctionalWeights":
-        """Same functional with zero blocks appended up to ``n_blocks``."""
-        if n_blocks < self.n_blocks:
-            raise ValueError("padding cannot drop stored blocks")
-        out = np.zeros((n_blocks, self.dim), dtype=complex)
-        out[: self.n_blocks] = self.blocks
-        return FunctionalWeights(blocks=out, horizon=self.horizon)
-
 
 def compute_weights(
     a: Callable[[np.ndarray], np.ndarray],

@@ -44,7 +44,12 @@ from .estimators import (
 )
 from .factorization import Factorization, extrapolate_factorized, spectral_factorize
 from .lifting import FunctionalWeights
-from .spectral import DEFAULT_COND_THRESHOLD, DEFAULT_GRID_SIZE, SpectralDensity
+from .spectral import (
+    DEFAULT_COND_THRESHOLD,
+    DEFAULT_GRID_SIZE,
+    SpectralDensity,
+    frequency_grid,
+)
 
 __all__ = [
     "QOperator",
@@ -151,16 +156,35 @@ class LeastFavorableResult:
     margins: np.ndarray | None = None
 
 
-def _eigen_moving_average(
-    weights: FunctionalWeights, n_range: int | None
-) -> tuple[float, np.ndarray, float, QOperator]:
-    """Solve the gram eigenproblem; unit-power tap columns (R, K, 1)."""
+def _eigen_worst_case(weights, power, n_range, grid_size) -> LeastFavorableResult:
+    """The worst moving average of a power class: taps scaled to ``power``.
+
+    The taps are the top eigenvector of the gram eigenproblem; the minimax
+    error is the power times the top eigenvalue, and the characteristic's
+    own error is checked against it. Zero weights give the zero error and
+    characteristic, and are marked degenerate.
+    """
+    if weights.horizon not in ("extrapolation", "extrapolation_finite"):
+        raise ValueError("weights must carry an extrapolation horizon")
     q_op = build_q_operator(weights, n_range)
-    flat = q_op.dense
     # the error quadratic form acts through the conjugated operator
-    value, vec, residual = _top_eigenpair(np.conj(flat))
-    taps = vec.reshape(q_op.range_len, q_op.dim, 1)
-    return value, taps, residual, q_op
+    nu2, vec, residual = _top_eigenpair(np.conj(q_op.dense))
+    taps = vec.reshape(q_op.range_len, q_op.dim, 1) * np.sqrt(power)
+    fact = Factorization(coeffs=taps, residual=0.0, iterations=0, grid_size=grid_size)
+    h0 = None
+    certificate = {"kind": "eigenpair", "nu_squared": nu2, "eigen_residual": residual}
+    try:
+        h0 = extrapolate_factorized(fact, weights)
+    except SingularFactorError as exc:
+        certificate["characteristic_note"] = str(exc)
+    mse = power * nu2
+    if h0 is not None and abs(h0.mse - mse) > 1e-8 * max(1.0, mse):
+        certificate["mse_mismatch"] = h0.mse - mse
+    if float(np.linalg.norm(weights.blocks)) == 0.0:
+        certificate["degenerate"] = True
+    return LeastFavorableResult(
+        f0=fact.density(), g0=None, minimax_mse=mse, h0=h0, certificate=certificate
+    )
 
 
 def least_favorable_class_y(
@@ -177,53 +201,14 @@ def least_favorable_class_y(
     """
     if not (total_power > 0):
         raise ValueError("total_power must be positive")
-    if weights.horizon not in ("extrapolation", "extrapolation_finite"):
-        raise ValueError("weights must carry an extrapolation horizon")
-    if float(np.linalg.norm(weights.blocks)) == 0.0:
-        taps = np.zeros((1, weights.dim, 1), dtype=complex)
-        taps[0, 0, 0] = np.sqrt(total_power)
-        fact = Factorization(
-            coeffs=taps, residual=0.0, iterations=0, grid_size=grid_size
-        )
-        return LeastFavorableResult(
-            f0=fact.density(),
-            g0=None,
-            minimax_mse=0.0,
-            h0=None,
-            certificate={"kind": "eigenpair", "nu_squared": 0.0,
-                         "eigen_residual": 0.0, "total_power": total_power,
-                         "degenerate": True},
-        )
-    nu2, taps, residual, _ = _eigen_moving_average(weights, n_range)
-    taps = taps * np.sqrt(total_power)
-    fact = Factorization(coeffs=taps, residual=0.0, iterations=0, grid_size=grid_size)
-    f0 = fact.density()
-    h0 = None
-    note = None
-    try:
-        h0 = extrapolate_factorized(fact, weights)
-    except SingularFactorError as exc:
-        note = str(exc)
-    mse = total_power * nu2
-    certificate = {
-        "kind": "eigenpair",
-        "nu_squared": nu2,
-        "eigen_residual": residual,
-        "total_power": total_power,
-    }
-    if note:
-        certificate["characteristic_note"] = note
-    if h0 is not None and abs(h0.mse - mse) > 1e-8 * max(1.0, mse):
-        certificate["mse_mismatch"] = h0.mse - mse
-    return LeastFavorableResult(
-        f0=f0, g0=None, minimax_mse=mse, h0=h0, certificate=certificate
-    )
+    result = _eigen_worst_case(weights, total_power, n_range, grid_size)
+    result.certificate["total_power"] = total_power
+    return result
 
 
 def least_favorable_d01_extrapolation(
     weights: FunctionalWeights,
     power_matrix,
-    n_range: int | None = None,
     grid_size: int = DEFAULT_GRID_SIZE,
 ) -> LeastFavorableResult:
     """Worst density with a fixed zero-lag power matrix, forward estimation.
@@ -244,33 +229,13 @@ def least_favorable_d01_extrapolation(
         raise ValueError("power matrix must have positive trace")
     if float(np.linalg.eigvalsh(0.5 * (P + P.conj().T)).min()) < -1e-10 * trace:
         raise ValueError("power matrix must be positive semidefinite")
-    if weights.horizon not in ("extrapolation", "extrapolation_finite"):
-        raise ValueError("weights must carry an extrapolation horizon")
-    nu2, taps, residual, _ = _eigen_moving_average(weights, n_range)
-    taps = taps * np.sqrt(trace)
-    realized = np.sum(taps @ np.conj(np.transpose(taps, (0, 2, 1))), axis=0)
-    power_residual = float(np.linalg.norm(realized - P))
-    fact = Factorization(coeffs=taps, residual=0.0, iterations=0, grid_size=grid_size)
-    f0 = fact.density()
-    h0 = None
-    note = None
-    try:
-        h0 = extrapolate_factorized(fact, weights)
-    except SingularFactorError as exc:
-        note = str(exc)
-    mse = trace * nu2
-    certificate = {
-        "kind": "eigenpair",
-        "nu_squared": nu2,
-        "eigen_residual": residual,
-        "trace_power": trace,
-        "power_constraint_residual": power_residual,
-    }
-    if note:
-        certificate["characteristic_note"] = note
-    return LeastFavorableResult(
-        f0=f0, g0=None, minimax_mse=mse, h0=h0, certificate=certificate
+    result = _eigen_worst_case(weights, trace, None, grid_size)
+    result.certificate["trace_power"] = trace
+    # the lag-0 coefficient of the moving average is the realized power sum d d^H
+    result.certificate["power_constraint_residual"] = float(
+        np.linalg.norm(result.f0.coeff(0) - P)
     )
+    return result
 
 
 # -- prescribed inverse moments (interpolation) ---------------------------
@@ -297,7 +262,6 @@ def least_favorable_dm_interpolation(
     p_constraints: Sequence,
     weights: FunctionalWeights,
     grid_size: int = DEFAULT_GRID_SIZE,
-    cond_threshold: float = DEFAULT_COND_THRESHOLD,
 ) -> LeastFavorableResult:
     """Worst density whose inverse has the given cosine moments.
 
@@ -321,7 +285,7 @@ def least_favorable_dm_interpolation(
     if M < 0:
         raise ValueError("need at least the zero-lag constraint")
     poly = _moment_polynomial(p_constraints, K, grid_size)
-    a = weights.stacked()
+    a = weights.blocks.reshape(-1)
 
     # block (l, j) of the moment system is P(l - j)^T, at index l - j + M
     lag_index = np.subtract.outer(np.arange(n + 1), np.arange(n + 1)) + M
@@ -329,7 +293,8 @@ def least_favorable_dm_interpolation(
         blocks = np.swapaxes(poly.coeffs[lag_index], -1, -2)
         dense = blocks.transpose(0, 2, 1, 3).reshape((n + 1) * K, (n + 1) * K)
         alpha, cond = _solve_hermitian(
-            dense, a, cond_threshold, "moment system", indefinite=InfeasibleClassError
+            dense, a, DEFAULT_COND_THRESHOLD, "moment system",
+            indefinite=InfeasibleClassError,
         )
         alpha_blocks = alpha.reshape(n + 1, K)
         extended = poly
@@ -342,7 +307,7 @@ def least_favorable_dm_interpolation(
         p_vals = poly.coeffs[M:, 0, 0]
         toep = poly.coeffs[lag_index[: M + 1, : M + 1], 0, 0]
         alpha_head, cond = _solve_hermitian(
-            toep, a[: M + 1], cond_threshold, "moment system",
+            toep, a[: M + 1], DEFAULT_COND_THRESHOLD, "moment system",
             indefinite=InfeasibleClassError,
         )
         if abs(alpha_head[0]) < 1e-14 * max(np.abs(alpha_head).max(), 1.0):
@@ -518,6 +483,12 @@ def _nonnegative_root(aq, bq, cq, fallback):
     return out
 
 
+# step size of the d0eps fixed-point iteration, and its convergence gate on the
+# relation residuals
+_DAMPING = 0.5
+_RELATION_TOL = 1e-6
+
+
 def least_favorable_d0eps_filtering_scalar(
     weights: FunctionalWeights,
     signal_power: float,
@@ -527,8 +498,6 @@ def least_favorable_d0eps_filtering_scalar(
     grid_size: int | None = None,
     truncation: int | None = None,
     max_iter: int = 200,
-    damping: float = 0.5,
-    tol: float = 1e-6,
 ) -> LeastFavorableResult:
     """Scalar least-favorable pair for filtering under power constraints.
 
@@ -537,9 +506,10 @@ def least_favorable_d0eps_filtering_scalar(
     fixed-point iteration alternates the filtering solve with pointwise
     reconstruction of (f, g) from the optimality relations, projecting onto
     the class constraints; multipliers are recovered from the power
-    normalizations. On convergence (relation residuals below ``tol``) the
+    normalizations. On convergence (relation residuals below 1e-6) the
     certificate is marked converged; otherwise the best iterate is returned
-    flagged, never silently accepted.
+    flagged, never silently accepted. ``grid_size``, when given, must be the
+    grid of ``g2``.
     """
     if weights.horizon != "filtering":
         raise ValueError("weights must carry the filtering horizon")
@@ -550,6 +520,10 @@ def least_favorable_d0eps_filtering_scalar(
     if signal_power <= 0 or noise_power <= 0:
         raise ValueError("powers must be positive")
     G = grid_size or g2.grid_size
+    if G != g2.grid_size:
+        raise ValueError(
+            f"grid_size {G} does not match the grid size {g2.grid_size} of g2"
+        )
     g2v = g2.values[:, 0, 0].real
     if g2v.min() < -1e-12:
         raise ValueError("contamination baseline must be nonnegative")
@@ -600,8 +574,6 @@ def least_favorable_d0eps_filtering_scalar(
             break
         first = sol.diagnostics.get("first_index", 1)
         D = _blocks_symbol(sol.solved_blocks, first, G)[:, 0]
-        u = np.abs(A * g_vals + D)
-        v = np.abs(A * f_vals - D)
         cross = (A * D.conj()).real
         dd = np.abs(D) ** 2
         # signal relation |f A - D| = beta (f + g): pointwise quadratic in f
@@ -626,8 +598,8 @@ def least_favorable_d0eps_filtering_scalar(
         # damped step, then re-project the powers; a small positive floor on
         # the signal keeps the candidate inside the solvable region (clamped
         # iterates carry out-of-band dust that must not flip the sign)
-        f_vals = (1 - damping) * f_vals + damping * f_new
-        g_vals = (1 - damping) * g_vals + damping * g_new
+        f_vals = (1 - _DAMPING) * f_vals + _DAMPING * f_new
+        g_vals = (1 - _DAMPING) * g_vals + _DAMPING * g_new
         f_vals = np.maximum(f_vals, 1e-5 * signal_power)
         f_vals *= signal_power / f_vals.mean()
         excess = np.maximum(g_vals - floor, 0.0)
@@ -652,7 +624,7 @@ def least_favorable_d0eps_filtering_scalar(
             best = (sol.mse, f_vals.copy(), g_vals.copy(), alpha, beta, phi.copy(),
                     res_noise, res_signal)
         gate = res_signal if eps == 0.0 else max(res_noise, res_signal)
-        if gate < tol:
+        if gate < _RELATION_TOL:
             converged = True
             break
     if not converged and best is not None:
@@ -686,17 +658,13 @@ def least_favorable_d0eps_filtering_scalar(
 # -- class samplers and membership residuals ------------------------------
 
 
-def _random_taps(rng, order, dim, cols=None, decay=0.6):
-    cols = dim if cols is None else cols
+def _random_taps(rng, order, dim):
     taps = []
     for u in range(order + 1):
-        scale = decay**u
+        scale = 0.6**u
         taps.append(
             scale
-            * (
-                rng.standard_normal((dim, cols))
-                + 1j * rng.standard_normal((dim, cols))
-            )
+            * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
         )
     return np.array(taps)
 
@@ -760,12 +728,12 @@ def sample_dm_class(
     extra_degree: int,
     count: int,
     grid_size: int = DEFAULT_GRID_SIZE,
-    max_tries: int = 200,
 ) -> list[SpectralDensity]:
     """Random densities whose inverses keep the prescribed cosine moments.
 
     Perturbs the moment polynomial at lags beyond the constrained band and
-    rejects draws that lose positive definiteness.
+    rejects draws that lose positive definiteness, with a budget of 200
+    draws per requested sample.
     """
     first = np.atleast_2d(np.asarray(p_constraints[0], dtype=complex))
     dim = first.shape[0]
@@ -778,7 +746,7 @@ def sample_dm_class(
         raise InfeasibleClassError("moment polynomial is not positive definite")
     out: list[SpectralDensity] = []
     tries = 0
-    while len(out) < count and tries < max_tries * count:
+    while len(out) < count and tries < 200 * count:
         tries += 1
         L = M + extra_degree
         coeffs = np.zeros((2 * L + 1, dim, dim), dtype=complex)
@@ -804,8 +772,7 @@ def sample_dm_class(
 def dm_class_residual(f: SpectralDensity, p_constraints: Sequence) -> float:
     vals = np.linalg.inv(f.values)
     worst = 0.0
-    G = vals.shape[0]
-    lam = -np.pi + 2.0 * np.pi * np.arange(G) / G
+    lam = frequency_grid(vals.shape[0])
     for m, target in enumerate(p_constraints):
         target = np.atleast_2d(np.asarray(target, dtype=complex))
         moment = (vals * np.cos(m * lam)[:, None, None]).mean(axis=0)
@@ -868,6 +835,10 @@ def d0eps_class_residual(
 # -- saddle-point certification -------------------------------------------
 
 
+# largest class residual of a sample that the saddle check accepts
+_VALIDATION_TOL = 1e-8
+
+
 @dataclass(frozen=True)
 class SaddleReport:
     """Margins of the robust characteristic over sampled class members."""
@@ -886,7 +857,6 @@ def saddle_point_check(
     samples: Sequence,
     weights: FunctionalWeights,
     validator: Callable | None = None,
-    validation_tol: float = 1e-8,
     optimal_error: Callable | None = None,
 ) -> SaddleReport:
     """Check that no sampled class member beats the nominal pair.
@@ -895,7 +865,7 @@ def saddle_point_check(
     characteristic at the nominal pair minus its error at the sample;
     nonnegative margins over the class certify the saddle point. Samples
     are first validated against the class (``validator`` returns a residual
-    and anything above ``validation_tol`` is rejected with a diagnostic).
+    and anything above ``_VALIDATION_TOL`` is rejected with a diagnostic).
     Passing ``optimal_error`` replaces the fixed-characteristic error with
     a per-sample optimal error, which certifies least-favorability directly
     for degenerate classes.
@@ -910,10 +880,10 @@ def saddle_point_check(
             f_s, g_s = sample
         if validator is not None:
             residual = float(validator(f_s, g_s) if g_s is not None else validator(f_s))
-            if residual > validation_tol:
+            if residual > _VALIDATION_TOL:
                 rejected.append(
                     f"sample {idx}: class residual {residual:.3e} exceeds "
-                    f"{validation_tol:.1e}"
+                    f"{_VALIDATION_TOL:.1e}"
                 )
                 continue
         if optimal_error is not None:

@@ -268,19 +268,19 @@ def empirical_mse(
     noise_factor: Factorization | None = None,
     n_blocks: int = 100_000,
     seed: int = 0,
-    coeff_floor: float = 1e-12,
 ) -> EmpiricalMse:
     """Monte-Carlo check of a solution's error on simulated paths.
 
     Applies the solution's time-domain coefficients to a simulated path
     (signal plus optional noise), forms the realized functional errors, and
     returns their mean square with a 99% batch-means half width.
+    Coefficients below 1e-12 of the largest one are dropped.
     """
     task = weights.horizon
     lags = np.asarray(solution.h_lags)
     coeffs = np.asarray(solution.h_coeffs)
     norms = np.linalg.norm(coeffs, axis=1)
-    keep = norms > coeff_floor * max(norms.max(initial=0.0), 1e-300)
+    keep = norms > 1e-12 * max(norms.max(initial=0.0), 1e-300)
     lags, coeffs = lags[keep], coeffs[keep]
     zeta = simulate_sequence(signal_factor, n_blocks, seed)
     x = zeta.copy()

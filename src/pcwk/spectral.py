@@ -135,12 +135,10 @@ class SpectralDensity:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def from_coeffs(cls, coeffs, dim=None, grid_size=DEFAULT_GRID_SIZE):
+    def from_coeffs(cls, coeffs, grid_size=DEFAULT_GRID_SIZE):
         """Build from a lag -> matrix map, inferring the dimension."""
-        if dim is None:
-            first = next(iter(coeffs.values()))
-            first = np.atleast_2d(np.asarray(first, dtype=complex))
-            dim = first.shape[0]
+        first = next(iter(coeffs.values()))
+        dim = np.atleast_2d(np.asarray(first, dtype=complex)).shape[0]
         return cls(dim=dim, coeffs=dict(coeffs), grid_size=grid_size)
 
     @classmethod
@@ -408,6 +406,26 @@ def validate_density(f: SpectralDensity) -> DensityReport:
 _DENSITY_HEADER = ["m", "row", "col", "re", "im"]
 
 
+def _write_table(path, header, labels, values) -> None:
+    """Write a complex array as CSV rows ``label_0, ..., label_d, re, im``.
+
+    ``labels[i]`` holds the label of each index along axis i of ``values``;
+    rows run over the array in C order. Every number is written by
+    ``repr``, one column at a time, and the lines end in CRLF as those of
+    ``csv.writer`` do. The lines are streamed to the file: joining them into
+    one string first doubles the peak memory of a large table.
+    """
+    values = np.asarray(values, dtype=complex)
+    index = np.indices(values.shape).reshape(values.ndim, -1)
+    flat = values.reshape(-1)
+    columns = [np.asarray(label)[i].tolist() for label, i in zip(labels, index)]
+    columns += [flat.real.tolist(), flat.imag.tolist()]
+    rows = zip(*(map(repr, column) for column in columns))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join(row) + "\r\n" for row in rows)
+
+
 def write_density_csv(f: SpectralDensity, path) -> None:
     """Write the coefficients as rows ``m,row,col,re,im`` (0-based).
 
@@ -416,17 +434,9 @@ def write_density_csv(f: SpectralDensity, path) -> None:
     L = f.max_lag
     written = np.any(f.coeffs != 0, axis=(1, 2))
     written[L] = True
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_DENSITY_HEADER)
-        for m in np.flatnonzero(written) - L:
-            c = f.coeffs[m + L]
-            for row in range(f.dim):
-                for col in range(f.dim):
-                    writer.writerow(
-                        [m, row, col,
-                         repr(float(c[row, col].real)), repr(float(c[row, col].imag))]
-                    )
+    dims = np.arange(f.dim)
+    _write_table(path, _DENSITY_HEADER, [np.flatnonzero(written) - L, dims, dims],
+                 f.coeffs[written])
 
 
 def read_density_csv(path, grid_size=DEFAULT_GRID_SIZE) -> SpectralDensity:

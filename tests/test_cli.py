@@ -10,7 +10,18 @@ import pytest
 
 import pcwk
 from pcwk import SpectralDensity, TruncationError, oracle, write_density_csv
-from pcwk.cli import MAX_GRID, MAX_SAMPLES, SpecValidationError, main, parse_spec, run
+from pcwk.cli import (
+    MAX_GRID,
+    MAX_HARMONICS,
+    MAX_QUADRATURE_POINTS,
+    MAX_SAMPLES,
+    MAX_SIMULATED_BLOCKS,
+    MAX_WEIGHT_BLOCKS,
+    SpecValidationError,
+    main,
+    parse_spec,
+    run,
+)
 
 GRID = 256
 
@@ -432,6 +443,31 @@ class TestOversizedAndMalformedValues:
             f"class_params.samples must be a nonnegative integer no larger than "
             f"{MAX_SAMPLES}" in err
         )
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(task="simulate", class_params={"n_blocks": 2**70}),
+             f"class_params.n_blocks must be a nonnegative integer no larger than "
+             f"{MAX_SIMULATED_BLOCKS}"),
+            (dict(lift={"period": 1.0, "harmonics": 1},
+                  weights={"csv": "a.csv", "blocks": 2**70}),
+             f"weights.blocks must be a positive integer no larger than "
+             f"{MAX_WEIGHT_BLOCKS}"),
+            (dict(lift={"period": 1.0, "harmonics": 2**70}),
+             f"lift.harmonics must be a positive integer no larger than "
+             f"{MAX_HARMONICS}"),
+            (dict(lift={"period": 1.0, "harmonics": 1, "quadrature_points": 2**70}),
+             f"lift.quadrature_points must be a positive integer no larger than "
+             f"{MAX_QUADRATURE_POINTS}"),
+        ],
+        ids=["n_blocks", "weights.blocks", "harmonics", "quadrature_points"],
+    )
+    def test_integer_inputs_bounded(self, tmp_path, capsys, overrides, message):
+        spec = filter_spec(tmp_path, **overrides)
+        assert main(["--spec", str(spec), "--out", str(tmp_path / "out")]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "summary.csv").exists()
 
 
 def test_import_leaves_scipy_unloaded():

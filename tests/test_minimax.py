@@ -97,10 +97,21 @@ class TestClassY:
         ]
         assert nu[0] <= nu[1] + 1e-12 <= nu[2] + 2e-12
 
-    def test_zero_weights_degenerate(self):
-        result = least_favorable_class_y(finite_weights(np.zeros((2, 1))), 3.0)
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda w: least_favorable_class_y(w, 3.0),
+            lambda w: least_favorable_d01_extrapolation(w, np.array([[3.0]])),
+        ],
+        ids=["class_y", "d01"],
+    )
+    def test_zero_weights_degenerate(self, build):
+        result = build(finite_weights(np.zeros((2, 1))))
         assert result.minimax_mse == 0.0
         assert result.certificate.get("degenerate")
+        assert result.h0.mse == 0.0
+        assert not np.any(result.h0.h_grid)
+        assert power_class_residual(result.f0, 3.0) < 1e-12
 
     def test_saddle_margins_nonnegative(self):
         w = finite_weights([[1.0], [1.0]])
@@ -139,6 +150,8 @@ class TestD01:
         )
         assert result.minimax_mse == pytest.approx(GOLDEN_TOP, abs=1e-12)
         assert result.certificate["eigen_residual"] < 1e-8
+        assert "mse_mismatch" not in result.certificate
+        assert result.h0.mse == pytest.approx(result.minimax_mse, abs=1e-10)
 
     def test_matrix_power_reduction(self):
         w = finite_weights([[1.0, 0.0]])
@@ -378,6 +391,13 @@ class TestD0EpsSolver:
             assert cert["residual_signal_relation"] <= 1e-6
         else:
             assert any("not certified" in str(w.message) for w in caught)
+
+    def test_grid_size_must_match_the_baseline(self):
+        w = FunctionalWeights.filtering([[1.0]])
+        with pytest.raises(ValueError, match=f"grid_size {GRID // 2} .* {GRID} of g2"):
+            least_favorable_d0eps_filtering_scalar(
+                w, 1.0, 1.0, 0.5, white(), grid_size=GRID // 2
+            )
 
     def test_scalar_only(self):
         w = FunctionalWeights.filtering(np.ones((1, 2)))
