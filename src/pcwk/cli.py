@@ -661,8 +661,10 @@ def _run_oracle_check(spec: ProblemSpec, out: Path):
 
 
 def _run_simulate(spec: ProblemSpec, out: Path):
-    f = _load_density(spec, "f", required=True)
     n_blocks = _int_param(spec, "n_blocks", required=True, upper=MAX_SIMULATED_BLOCKS)
+    if n_blocks == 0:
+        raise SpecValidationError(["class_params.n_blocks must be at least 1; got 0"])
+    f = _load_density(spec, "f", required=True)
     fact = spectral_factorize(f, tol=spec.numerics.tolerance)
     path_blocks = oracle.simulate_sequence(fact, n_blocks, spec.numerics.seed)
     _write_table(out / "path.csv", ["j", "component", "re", "im"],

@@ -18,8 +18,11 @@ f (f+g)^{-1} g (transposed inside the integral, as the component pairing of
 the lifted basis requires), block matrices gathered from them, one
 Hermitian solve for the unknown coefficient blocks, and the characteristic
 h = A - (C + A g)(f+g)^{-1} on the grid with the mean square error. Infinite
-systems are truncated and the truncation is doubled until the error value
-stabilises.
+systems are truncated: the automatic schedule starts at
+max(16, 2 j_last) blocks, j_last being the last nonzero weight block, and
+doubles the truncation until the error value changes by at most 1e-8 of
+itself. Each level borders the previous level's Cholesky factor with its
+new block rows, so the schedule factors each row of its last system once.
 
 Exact observations are ``g=None`` (kernels f^{-1}, I and 0):
 ``interpolate(f, None, w)`` and ``extrapolate(f, None, w)`` replace the
@@ -59,6 +62,9 @@ __all__ = [
 
 BLOCK_KINDS = ("B", "D", "R", "U", "V", "W")
 
+# least first level and relative Cauchy tolerance of the automatic
+# truncation schedule (see _solve_truncated)
+FIRST_TRUNCATION = 16
 MSE_CAUCHY_TOL = 1e-8
 
 
@@ -164,35 +170,70 @@ def _cholesky(matrix, context, indefinite=IllPosedError):
         raise indefinite(f"{context}: system is not positive definite ({exc})") from exc
 
 
+def _panels(chol):
+    """The diagonal panels of a lower triangular factor: (inverse, i, j) each.
+
+    Panel rows i..j-1 are _PANEL wide, the last one possibly narrower; all
+    diagonal blocks are inverted in one batched solve.
+    """
+    n = chol.shape[0]
+    spans = [(i, min(_PANEL, n - i)) for i in range(0, n, _PANEL)]
+    eye = np.eye(_PANEL, dtype=chol.dtype)
+    stack = np.broadcast_to(eye, (len(spans), _PANEL, _PANEL)).copy()
+    for k, (i, m) in enumerate(spans):
+        stack[k, :m, :m] = chol[i : i + m, i : i + m]
+    inv_diag = np.linalg.solve(stack, np.broadcast_to(eye, stack.shape))
+    return [(inv_diag[k, :m, :m], i, i + m) for k, (i, m) in enumerate(spans)]
+
+
+def _forward(chol, panels, b):
+    """L^{-1} b by blocked forward substitution, for b of shape (n,) or (n, m).
+
+    Each step is two products, one with a panel of L and one with the
+    panel's inverted diagonal block.
+    """
+    y = np.empty(b.shape, dtype=np.result_type(chol, b))
+    for inv, i, j in panels:
+        y[i:j] = inv @ (b[i:j] - chol[i:j, :i] @ y[:i])
+    return y
+
+
 def _cholesky_solver(chol):
     """The map b -> (L L^H)^{-1} b for a lower triangular factor L.
 
-    Both triangular solves are blocked substitutions: the diagonal blocks
-    are inverted once, in one batched solve, and each step is then two
-    matrix-vector products, one with a panel of L and one with an inverted
-    diagonal block.
+    Both triangular solves are blocked substitutions over the panels of
+    :func:`_panels`.
     """
-    n = chol.shape[0]
-    starts = range(0, n, _PANEL)
-    eye = np.eye(_PANEL, dtype=chol.dtype)
-    stack = np.broadcast_to(eye, (len(starts), _PANEL, _PANEL)).copy()
-    for k, i in enumerate(starts):
-        m = min(_PANEL, n - i)
-        stack[k, :m, :m] = chol[i : i + m, i : i + m]
-    inv_diag = np.linalg.solve(stack, np.broadcast_to(eye, stack.shape))
-    steps = [(k, i, min(i + _PANEL, n)) for k, i in enumerate(starts)]
+    panels = _panels(chol)
 
     def solve(b):
-        y = np.empty(n, dtype=np.result_type(chol, b))
-        for k, i, j in steps:
-            y[i:j] = inv_diag[k, : j - i, : j - i] @ (b[i:j] - chol[i:j, :i] @ y[:i])
+        y = _forward(chol, panels, b)
         x = np.empty_like(y)
-        for k, i, j in reversed(steps):
+        for inv, i, j in reversed(panels):
             r = y[i:j] - (x[j:].conj() @ chol[j:, i:j]).conj()
-            x[i:j] = (r.conj() @ inv_diag[k, : j - i, : j - i]).conj()
+            x[i:j] = (r.conj() @ inv).conj()
         return x
 
     return solve
+
+
+def _border(chol, matrix, context):
+    """Lower Cholesky factor of ``matrix`` given ``chol``, that of its leading block.
+
+    Block Cholesky bordering (Golub & Van Loan, *Matrix Computations*,
+    section 4.2): with A = [[A11, A12], [A12^H, A22]] and A11 = L L^H, the
+    factor is [[L, 0], [X^H, L22]], where X = L^{-1} A12 by blocked forward
+    substitution and L22 is the Cholesky factor of the Schur complement
+    A22 - X^H X. Only the new rows are factored. Raises ``IllPosedError``
+    when the Schur complement, hence ``matrix``, is not positive definite.
+    """
+    n0 = chol.shape[0]
+    x = _forward(chol, _panels(chol), matrix[:n0, n0:])
+    out = np.zeros_like(matrix)
+    out[:n0, :n0] = chol
+    out[n0:, :n0] = x.conj().T
+    out[n0:, n0:] = _cholesky(matrix[n0:, n0:] - x.conj().T @ x, context)
+    return out
 
 
 def _unit_phases(x):
@@ -243,8 +284,8 @@ def _solve_hermitian(
     not finite or exceeds ``cond_threshold``, and raises ``indefinite``
     when the Cholesky factorization fails, since an indefinite system has
     no estimate to return. ``factor``, when given, is the lower Cholesky
-    factor of a matrix whose leading principal block is ``matrix``; its
-    leading block is then the factor of ``matrix``.
+    factor of ``matrix``, such as :func:`_border` grows along the
+    truncation schedule.
 
     The 1-norm gate is no looser than the former 2-norm one (largest over
     smallest |eigenvalue|): for Hermitian A, kappa_2(A) <= kappa_1(A). For
@@ -259,7 +300,7 @@ def _solve_hermitian(
     n = matrix.shape[0]
     if n == 0:
         return np.zeros_like(rhs), 1.0
-    chol = _cholesky(matrix, context, indefinite) if factor is None else factor[:n, :n]
+    chol = _cholesky(matrix, context, indefinite) if factor is None else factor
     solve = _cholesky_solver(chol)
     cond = float(np.linalg.norm(matrix, 1)) * _inverse_one_norm(solve, n)
     if not np.isfinite(cond) or cond > cond_threshold:
@@ -409,7 +450,7 @@ def _truncation_schedule(weights, truncation, cap, context):
             f"{context}: the last nonzero weight block {j_last} lies beyond the "
             f"largest truncation {cap} the grid resolves"
         )
-    start = min(max(64, 4 * max(j_last, 1)), cap)
+    start = min(max(FIRST_TRUNCATION, 2 * j_last), cap)
     if start == cap and j_last < cap:
         # one level alone can never pass the Cauchy test
         return [max(cap // 2, j_last), cap]
@@ -424,31 +465,28 @@ def _solve_truncated(system_at, mse_of, weights, truncation, cap, cond_threshold
 
     ``system_at(J)`` returns the matrix and right-hand side at truncation J,
     one block row per unknown block up to J; ``mse_of(c, rhs)`` the error
-    value of its solution. Each level's system is the leading block of the
-    next level's, so the first level's matrix, right-hand side and Cholesky
-    factor are the leading blocks of the second level's, which is gathered
-    and factored once: one gather and one factorization per step of the
-    schedule. Each level keeps its own condition estimate and gate.
+    value of its solution. The automatic schedule starts at
+    max(FIRST_TRUNCATION, 2 j_last) blocks, j_last being the last nonzero
+    weight block, and stops at the first level whose error value m_J is
+    within MSE_CAUCHY_TOL * |m_J| of the previous level's, a test relative
+    to the error itself, so small errors are not held to an absolute one.
+
+    Each level's system is the leading block of the next level's, so one
+    lower Cholesky factor is kept and bordered by each level's new block
+    rows (:func:`_border`): the whole schedule factors each row once. Each
+    level keeps its own condition estimate and gate; a refused level
+    restarts the factor, and the next level factors its system afresh.
     """
     schedule = _truncation_schedule(weights, truncation, cap, context)
-    ahead = None  # the second level's system and factor, shared with the first
-    if len(schedule) > 1:
-        matrix, rhs = system_at(schedule[1])
-        try:
-            factor = _cholesky(matrix, context)
-        except IllPosedError:
-            factor = None  # each level factors its own block; the second fails in turn
-        ahead = matrix, rhs, factor
     history: list[tuple[int, float]] = []
-    prev = None
-    for k, J in enumerate(schedule):
-        if k < 2 and ahead is not None:
-            n = ahead[0].shape[0] - (schedule[1] - J) * weights.dim
-            matrix, rhs, factor = ahead[0][:n, :n], ahead[1][:n], ahead[2]
-        else:
-            matrix, rhs = system_at(J)
-            factor = None
+    prev = factor = None
+    for J in schedule:
+        matrix, rhs = system_at(J)
         try:
+            if factor is None:
+                factor = _cholesky(matrix, context)
+            else:
+                factor = _border(factor, matrix, context)
             c, cond = _solve_hermitian(matrix, rhs, cond_threshold, context, factor=factor)
         except IllPosedError as exc:
             if J == schedule[-1]:
@@ -456,16 +494,15 @@ def _solve_truncated(system_at, mse_of, weights, truncation, cap, cond_threshold
                     f"{context}: truncated system still ill-posed at J = {J}; "
                     f"increase the truncation or the grid ({exc})"
                 ) from exc
-            prev = None
+            prev = factor = None
             continue
-        result = mse_of(c, rhs), c, cond, J
-        history.append((J, result[0]))
+        mse = mse_of(c, rhs)
+        history.append((J, mse))
         if truncation is not None or (
-            prev is not None
-            and abs(result[0] - prev[0]) <= MSE_CAUCHY_TOL * max(1.0, abs(result[0]))
+            prev is not None and abs(mse - prev) <= MSE_CAUCHY_TOL * abs(mse)
         ):
-            return result, history
-        prev = result
+            return (mse, c, cond, J), history
+        prev = mse
     raise TruncationError(
         f"{context}: error value did not stabilise within the truncation cap; "
         f"history = {history}"

@@ -697,13 +697,18 @@ def sample_d01_class(
     count: int,
     grid_size: int = DEFAULT_GRID_SIZE,
 ) -> list[SpectralDensity]:
-    """Random moving-average densities with an exact zero-lag power matrix."""
+    """Random moving-average densities with an exact zero-lag power matrix.
+
+    The power matrix may be singular: P is refused only when its smallest
+    eigenvalue lies below -1e-12 times its largest, and its square root is
+    taken of the eigenvalues clipped at 0.
+    """
     P = np.atleast_2d(np.asarray(power_matrix, dtype=complex))
     dim = P.shape[0]
     w, v = np.linalg.eigh(0.5 * (P + P.conj().T))
-    if w.min() <= 0:
-        raise ValueError("power matrix must be positive definite to sample from")
-    p_half = (v * np.sqrt(w)) @ v.conj().T
+    if w.min() < -1e-12 * w.max():
+        raise ValueError("power matrix must be positive semidefinite to sample from")
+    p_half = (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
     out = []
     for _ in range(count):
         taps = _random_taps(rng, order, dim)

@@ -217,6 +217,25 @@ class TestMainMinimax:
         assert float(summary["min_saddle_margin"]) >= -1e-8
         assert (out / "least_favorable_f.csv").exists()
 
+    def test_d01_singular_power_matrix_solved_and_sampled(self, tmp_path):
+        # a semidefinite P is in the class; its saddle samples used to
+        # require a definite one, so the solved problem exited 1
+        spec = write_spec(
+            tmp_path,
+            {
+                "task": "minimax-extrap-d01",
+                "weights": {"inline": [[1.0, 0.0], [0.5, 0.5]]},
+                "numerics": {"grid": 64, "seed": 3},
+                "class_params": {"power_matrix": [[1, 0], [0, 0]], "samples": 20},
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["--spec", str(spec), "--out", str(out)]) == 0
+        summary = read_summary(out)
+        assert summary["samples"] == "20"
+        assert summary["samples_rejected"] == "0"
+        assert float(summary["min_saddle_margin"]) >= -1e-8
+
     def test_deterministic_outputs(self, tmp_path):
         spec = self.minimax_spec(tmp_path)
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -450,6 +469,8 @@ class TestOversizedAndMalformedValues:
             (dict(task="simulate", class_params={"n_blocks": 2**70}),
              f"class_params.n_blocks must be a nonnegative integer no larger than "
              f"{MAX_SIMULATED_BLOCKS}"),
+            (dict(task="simulate", class_params={"n_blocks": 0}),
+             "class_params.n_blocks must be at least 1; got 0"),
             (dict(lift={"period": 1.0, "harmonics": 1},
                   weights={"csv": "a.csv", "blocks": 2**70}),
              f"weights.blocks must be a positive integer no larger than "
@@ -461,7 +482,8 @@ class TestOversizedAndMalformedValues:
              f"lift.quadrature_points must be a positive integer no larger than "
              f"{MAX_QUADRATURE_POINTS}"),
         ],
-        ids=["n_blocks", "weights.blocks", "harmonics", "quadrature_points"],
+        ids=["n_blocks", "n_blocks_zero", "weights.blocks", "harmonics",
+             "quadrature_points"],
     )
     def test_integer_inputs_bounded(self, tmp_path, capsys, overrides, message):
         spec = filter_spec(tmp_path, **overrides)

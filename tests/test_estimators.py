@@ -13,6 +13,7 @@ from pcwk import (
     extrapolate,
     filtering,
     forbidden_lags,
+    frequency_grid,
     interpolate,
 )
 from pcwk import estimators
@@ -171,12 +172,12 @@ class TestExtrapolation:
             extrapolate(ma1(), None, w, truncation=1)
 
     def test_automatic_truncation_on_small_grid(self):
-        # on G = 128 the doubling schedule starts at its cap; it used to hold
-        # that single level and could never pass its Cauchy test
+        # on G = 128 the doubling schedule used to start at its cap, hold that
+        # single level and never pass its Cauchy test; it now starts at 16
         w = FunctionalWeights.extrapolation([[1.0]])
         sol = extrapolate(SpectralDensity.white(1, grid_size=128), None, w)
         assert sol.mse == pytest.approx(1.0, abs=1e-12)
-        assert [J for J, _ in sol.diagnostics["history"]] == [31, 63]
+        assert [J for J, _ in sol.diagnostics["history"]] == [16, 32]
 
     def test_weights_beyond_grid_resolution_refused(self):
         w = FunctionalWeights.extrapolation(0.5 ** np.arange(40).reshape(40, 1))
@@ -190,6 +191,56 @@ class TestExtrapolation:
         for early, late in zip(values, values[1:]):
             assert late <= early + 1e-10
         assert abs(values[-1] - values[-2]) < 1e-8
+
+
+def slow_ar1(a, grid_size):
+    """The AR(1) density 1/|1 - a e^{-il}|^2, built from its grid values."""
+    lam = frequency_grid(grid_size)
+    vals = 1.0 / np.abs(1.0 - a * np.exp(-1j * lam)) ** 2
+    vals = vals.reshape(-1, 1, 1).astype(complex)
+    return SpectralDensity.from_grid(vals, grid_size=grid_size)
+
+
+class TestTruncationSchedule:
+    def test_start_is_twice_the_last_weight_block(self):
+        w = FunctionalWeights.extrapolation(0.5 ** np.arange(21).reshape(21, 1))
+        assert w.last_nonzero == 20
+        sol = extrapolate(white(), None, w)
+        assert [J for J, _ in sol.diagnostics["history"]] == [40, 80]
+
+    def test_grid_below_the_first_level(self):
+        # on G = 32 the cap 15 lies below 16: two levels, half the cap and the cap
+        w = FunctionalWeights.extrapolation([[1.0]])
+        sol = extrapolate(SpectralDensity.white(1, grid_size=32), None, w)
+        assert sol.mse == pytest.approx(1.0, abs=1e-12)
+        assert [J for J, _ in sol.diagnostics["history"]] == [7, 15]
+
+    @pytest.mark.parametrize(
+        "a, grid_size, reference",
+        # the reference truncation is G/2 - 4 at G = 2048; at G = 8192 that
+        # system of 4092 unknowns takes about 0.8 GB, and J = 2048 already
+        # gives the same error value to the last digit
+        [(0.9, 2048, 1020), (0.99, 8192, 2048)],
+    )
+    def test_slow_decay_small_error_runs_to_convergence(self, a, grid_size, reference):
+        # (f + g)^{-1} decays slowly and the error is about 1.25e-3; a Cauchy
+        # test absolute below |mse| = 1 used to stop up to 1.3e-6 short of it
+        f = slow_ar1(a, grid_size)
+        g = SpectralDensity.white(1, scale=1e-3, grid_size=grid_size)
+        w = FunctionalWeights.filtering([[1.0], [0.5]])
+        sol = filtering(f, g, w)
+        explicit = filtering(f, g, w, truncation=reference)
+        assert sol.mse == pytest.approx(explicit.mse, rel=1e-12, abs=0)
+
+    def test_last_relative_step_above_tolerance_refused(self):
+        # |mse| = 0.12: the step 512 -> 1022 changes it by 5e-8 of itself,
+        # which the relative test refuses at the cap, where the former
+        # absolute test accepted it
+        f = slow_ar1(0.99, 2048)
+        g = SpectralDensity.white(1, scale=0.1, grid_size=2048)
+        w = FunctionalWeights.filtering([[1.0], [0.5]])
+        with pytest.raises(TruncationError, match="did not stabilise"):
+            filtering(f, g, w)
 
 
 class TestFiltering:
@@ -424,8 +475,9 @@ class TestSolveGate:
 
     @pytest.mark.parametrize("task", ["extrap", "extrap_noiseless", "filter"])
     def test_history_levels_equal_explicit_truncation(self, monkeypatch, task):
-        # the first level is solved from the leading block of the second
-        # level's factor: one factorization per step of the schedule
+        # each level borders the previous level's factor with its new block
+        # rows, so the orders factored sum to the last level's: each row of
+        # the last system is factored once
         f = coupled_ma2()
         g = None if task == "extrap_noiseless" else white(dim=2, scale=0.5)
         blocks = np.array([[1.0, -0.5], [0.3, 0.2j]])
@@ -433,14 +485,17 @@ class TestSolveGate:
             solver, w = filtering, FunctionalWeights.filtering(blocks)
         else:
             solver, w = extrapolate, FunctionalWeights.extrapolation(blocks)
-        calls = []
+        orders = []
         cholesky = estimators.np.linalg.cholesky
         monkeypatch.setattr(
-            estimators.np.linalg, "cholesky", lambda m: calls.append(1) or cholesky(m)
+            estimators.np.linalg,
+            "cholesky",
+            lambda m: orders.append(m.shape[0]) or cholesky(m),
         )
-        history = solver(f, g, w).diagnostics["history"]
+        sol = solver(f, g, w)
+        history = sol.diagnostics["history"]
         assert len(history) >= 2
-        assert len(calls) == len(history) - 1
+        assert sum(orders) == sol.solved_blocks.size
         for J, mse in history:
             explicit = solver(f, g, w, truncation=J)
             assert explicit.diagnostics["history"] == [(J, explicit.mse)]
