@@ -550,6 +550,7 @@ def _run_minimax(spec: ProblemSpec, out: Path):
             ("eigen_residual", repr(result.certificate["eigen_residual"])),
             ("power_constraint_residual",
              repr(result.certificate["power_constraint_residual"])),
+            ("in_class", result.certificate["in_class"]),
         ]
     elif task == "minimax-interp-dm":
         constraints = _class_param(spec, "moments", required=True)

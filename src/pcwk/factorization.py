@@ -6,11 +6,22 @@ A full-rank density f admits exactly one factorization f = P P^* with
 
 causal, invertible inside the unit disk and normalized so that d(0) is
 lower triangular with a positive diagonal. The factor is found by a
-Newton-type fixed point on the frequency grid: start from the constant
-Cholesky factor of the zero-lag coefficient and repeatedly multiply by the
-causal part of psi^{-1} f psi^{-*} + I. Convergence is quadratic for
-densities that are smooth and positive definite on the grid; rank-deficient
-inputs are rejected.
+Newton-type fixed point (Wilson 1972): start from the constant Cholesky
+factor of the zero-lag coefficient and repeatedly multiply by the causal
+part of psi^{-1} f psi^{-*} + I. Convergence is quadratic for densities
+that are smooth and positive definite on the grid; rank-deficient inputs
+are rejected.
+
+The fixed point runs on iteration grids of its own before the output
+grid of f. The factor of a band of L lags is a polynomial of order L, so
+the first iteration grid has about 8 (L + 1) nodes, at least
+``MIN_ITERATION_GRID``: fewer than a large output grid has, and more than
+a small one, whose nodes alias the iterates' taps and stall the residual.
+The taps found there are put on the output grid, where every check runs
+and output-grid steps follow only while the residual misses its target. A
+wide band (8 L >= G) on a grid of at least ``MIN_ITERATION_GRID`` nodes,
+or a band that fails on its iteration grids, is iterated on the output
+grid from the constant start.
 
 The moving-average taps d(u) also answer the forward-estimation problem
 from exact past observations: the unavoidable error is carried by the
@@ -34,7 +45,7 @@ from .estimators import (
     functional_symbol,
 )
 from .lifting import FunctionalWeights
-from .spectral import SpectralDensity, _alternating_signs
+from .spectral import DEFAULT_GRID_SIZE, SpectralDensity, _alternating_signs
 
 __all__ = [
     "Factorization",
@@ -47,6 +58,8 @@ RANK_TOLERANCE = 1e-12
 # iteration budget of the fixed point, which normally converges in well
 # under twenty steps
 MAX_ITERATIONS = 100
+# fewest nodes of the grid a narrow-band density is iterated on
+MIN_ITERATION_GRID = 128
 # largest singular-value ratio of the factor's symbol that still has a
 # bounded left inverse
 FACTOR_COND_LIMIT = 1e12
@@ -124,8 +137,100 @@ def _causal_part(values: np.ndarray) -> np.ndarray:
     return np.fft.fft(taps * signs, axis=0)
 
 
+def _iteration_grids(f: SpectralDensity) -> list[int]:
+    """Grids the fixed point runs on before the output grid, coarsest first.
+
+    A band of L lags has a factor of order L, which a grid of
+    M = max(``MIN_ITERATION_GRID``, 8 (L + 1)) nodes, rounded up to a power
+    of two, resolves with room for the aliasing of the non-polynomial
+    iterates. The grids are M and its doublings up to the larger of G / 2
+    and the default grid size, G excepted. A wide band (8 L >= G) on an
+    output grid of at least ``MIN_ITERATION_GRID`` nodes gets none: it is
+    iterated on the output grid alone.
+    """
+    G, L = f.grid_size, f.max_lag
+    if 8 * L >= G >= MIN_ITERATION_GRID:
+        return []
+    M = 1 << (max(MIN_ITERATION_GRID, 8 * (L + 1)) - 1).bit_length()
+    top = max(G // 2, DEFAULT_GRID_SIZE)
+    return [M << k for k in range((top // M).bit_length()) if M << k != G]
+
+
+def _hermitian_values(f: SpectralDensity, grid_size: int) -> np.ndarray:
+    """Hermitian part of f on a grid of the given size."""
+    if grid_size != f.grid_size:
+        f = SpectralDensity(f.dim, f.coeffs, grid_size=grid_size)
+    return 0.5 * (f.values + np.conj(np.transpose(f.values, (0, 2, 1))))
+
+
+def _residual(psi: np.ndarray, fv: np.ndarray) -> float:
+    """Grid sup-norm of psi psi^* - f."""
+    return float(np.abs(psi @ np.conj(np.transpose(psi, (0, 2, 1))) - fv).max())
+
+
+def _start(fv: np.ndarray, taps: np.ndarray | None):
+    """First iterate on the grid of fv and its residual.
+
+    The symbol of the given causal taps, or without taps the constant
+    Cholesky factor of the zero-lag coefficient (residual unknown, inf).
+    """
+    G = fv.shape[0]
+    if taps is None:
+        gamma0 = fv.mean(axis=0)
+        gamma0 = 0.5 * (gamma0 + gamma0.conj().T)
+        return np.tile(np.linalg.cholesky(gamma0), (G, 1, 1)).astype(complex), np.inf
+    buf = np.zeros((G,) + taps.shape[1:], dtype=complex)
+    buf[: len(taps)] = taps * _alternating_signs(len(taps))[:, None, None]
+    psi = np.fft.fft(buf, axis=0)
+    return psi, _residual(psi, fv)
+
+
+def _fixed_point(fv, psi, residual, target, stall=False):
+    """Newton-Wilson steps from psi while the residual misses the target.
+
+    At most ``MAX_ITERATIONS`` steps. With ``stall`` the steps also end at
+    the first one that does not halve the residual, the sign of a grid that
+    aliases the iterates' taps, and the better of the last two iterates is
+    kept. Returns the iterate, its residual and the number of steps.
+    """
+    identity = np.eye(fv.shape[1])
+    steps = 0
+    while not residual <= target and steps < MAX_ITERATIONS:
+        psi_inv = np.linalg.inv(psi)
+        ratio = psi_inv @ fv @ np.conj(np.transpose(psi_inv, (0, 2, 1))) + identity
+        plus = _causal_part(ratio)
+        zero_lag = 0.5 * ratio.mean(axis=0)  # the zero-lag tap
+        skew = np.triu(zero_lag)
+        skew = skew - skew.conj().T
+        step = psi @ (plus + skew)
+        step_residual = _residual(step, fv)
+        steps += 1
+        if stall and not step_residual <= 0.5 * residual:
+            if step_residual < residual:
+                psi, residual = step, step_residual
+            break
+        psi, residual = step, step_residual
+    return psi, residual, steps
+
+
 def spectral_factorize(f: SpectralDensity, tol: float = 1e-10) -> Factorization:
     """Compute the causal factor of a full-rank density.
+
+    The fixed point runs on iteration grids picked from the lag band L of f
+    (``_iteration_grids``). The first has max(``MIN_ITERATION_GRID``,
+    8 (L + 1)) nodes, rounded up to a power of two: coarser than a large
+    output grid, which saves time, and finer than a small one, whose nodes
+    alias the iterates' taps and stall the residual. Each grid runs its
+    steps down to round-off; one that stalls above the target hands its
+    taps d(0..L) to the next grid, twice as fine. The taps are then put on
+    the output grid of f, where the residual is checked against the target.
+    Output-grid steps, warm-started from them, follow only while it is
+    missed, or down to round-off when the last iteration grid stalled. The
+    iteration grids end at the first one on which f is not positive
+    definite. If none gave taps, or the output-grid steps stall above the
+    target, the fixed point restarts on the output grid from the constant
+    Cholesky factor, as for a wide band. Every check (rank, residual,
+    gauge, truncated taps) runs on the output grid.
 
     Parameters
     ----------
@@ -135,18 +240,24 @@ def spectral_factorize(f: SpectralDensity, tol: float = 1e-10) -> Factorization:
         Grid sup-norm target for ``P P^* - f`` (scaled by the magnitude of
         f when that exceeds one).
 
+    Returns
+    -------
+    Factorization
+        Its ``iterations`` counts the fixed-point steps on every grid.
+
     Raises
     ------
     MultiplicityError
         If f is rank deficient somewhere on the grid (only the full-rank
         square case is supported).
     FactorizationError
-        If the residual target is not met within ``MAX_ITERATIONS``; the
-        residual is attached to the exception. Densities with spectral zeros
-        on the unit circle (non-regular inputs) end up here.
+        If the residual target is not met within ``MAX_ITERATIONS`` steps of
+        the restart on the output grid; the residual is attached to the
+        exception. Densities with spectral zeros on the unit circle
+        (non-regular inputs) end up here.
     """
-    fv = 0.5 * (f.values + np.conj(np.transpose(f.values, (0, 2, 1))))
-    G, K = fv.shape[0], fv.shape[1]
+    G = f.grid_size
+    fv = _hermitian_values(f, G)
     eigs = np.linalg.eigvalsh(fv)
     scale = float(eigs.max(initial=0.0))
     if scale <= 0.0 or eigs.min() <= RANK_TOLERANCE * scale:
@@ -155,31 +266,40 @@ def spectral_factorize(f: SpectralDensity, tol: float = 1e-10) -> Factorization:
             "only full-rank factorization is supported"
         )
     target = tol * max(1.0, float(np.abs(fv).max()))
-    gamma0 = fv.mean(axis=0)
-    gamma0 = 0.5 * (gamma0 + gamma0.conj().T)
-    psi = np.tile(np.linalg.cholesky(gamma0), (G, 1, 1)).astype(complex)
-    identity = np.eye(K)
-    residual = np.inf
     iterations = 0
-    for iterations in range(1, MAX_ITERATIONS + 1):
-        psi_inv = np.linalg.inv(psi)
-        ratio = psi_inv @ fv @ np.conj(np.transpose(psi_inv, (0, 2, 1))) + identity
-        plus = _causal_part(ratio)
-        zero_lag = 0.5 * ratio.mean(axis=0)  # the zero-lag tap
-        skew = np.triu(zero_lag)
-        skew = skew - skew.conj().T
-        psi = psi @ (plus + skew)
-        residual = float(
-            np.abs(psi @ np.conj(np.transpose(psi, (0, 2, 1))) - fv).max()
-        )
-        if residual <= target:
+    taps = None  # the factor's taps d(0..L) from the iteration grids
+    converged = False
+    for M in _iteration_grids(f):
+        cv = _hermitian_values(f, M)
+        eigs = np.linalg.eigvalsh(cv)
+        if not eigs.min() > RANK_TOLERANCE * eigs.max():
             break
-    if residual > target:
-        raise FactorizationError(
-            f"factorization did not converge (residual {residual:.3e} after "
-            f"{iterations} iterations); input may be non-regular",
-            residual=residual,
-        )
+        # steps on an iteration grid are cheap: run them down to round-off,
+        # so that the output grid starts as close to the factor as they get
+        psi, residual, steps = _fixed_point(cv, *_start(cv, taps), 0.0, stall=True)
+        iterations += steps
+        # the factor of a band of L lags is a polynomial of order L: taps
+        # beyond L are round-off or aliasing
+        taps = _taps_from_grid(psi)[: f.max_lag + 1]
+        converged = residual <= target
+        if converged:
+            break
+    residual = np.inf
+    if taps is not None:
+        # taps of a grid that stalled carry its aliasing error, which the
+        # output grid's residual may hide: their steps also go to round-off
+        goal = target if converged else 0.0
+        psi, residual, steps = _fixed_point(fv, *_start(fv, taps), goal, stall=True)
+        iterations += steps
+    if not residual <= target:
+        psi, residual, steps = _fixed_point(fv, *_start(fv, None), target)
+        iterations += steps
+        if not residual <= target:
+            raise FactorizationError(
+                f"factorization did not converge (residual {residual:.3e} after "
+                f"{iterations} iterations); input may be non-regular",
+                residual=residual,
+            )
     taps = _taps_from_grid(psi)
     # gauge: rotate so d(0) is lower triangular with positive diagonal
     q_h, r = np.linalg.qr(taps[0].conj().T)  # d(0) = r^H q_h^H
@@ -193,18 +313,14 @@ def spectral_factorize(f: SpectralDensity, tol: float = 1e-10) -> Factorization:
         coeffs=taps[: last + 1],
         residual=residual,
         iterations=iterations,
-        grid_size=f.grid_size,
+        grid_size=G,
     )
-    check = fact.symbol()
-    residual_trunc = float(
-        np.abs(check @ np.conj(np.transpose(check, (0, 2, 1))) - fv).max()
-    )
-    if residual_trunc > max(target, residual):
+    if _residual(fact.symbol(), fv) > max(target, residual):
         fact = Factorization(
             coeffs=taps[: G // 2],
             residual=residual,
             iterations=iterations,
-            grid_size=f.grid_size,
+            grid_size=G,
         )
     return fact
 

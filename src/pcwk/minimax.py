@@ -217,7 +217,10 @@ def least_favorable_d01_extrapolation(
     the taps to match the trace of the power matrix (the one scaling
     freedom the eigenvector has), and reports the residual of the full
     matrix constraint, which is generally not attainable by a single
-    eigenvector family.
+    eigenvector family. A residual above the class tolerance of the saddle
+    check means the returned density lies outside the class: the
+    certificate's ``in_class`` is then False and a "not certified" warning
+    is issued.
     """
     P = np.atleast_2d(np.asarray(power_matrix, dtype=complex))
     if P.shape[0] != P.shape[1] or P.shape[0] != weights.dim:
@@ -232,9 +235,15 @@ def least_favorable_d01_extrapolation(
     result = _eigen_worst_case(weights, trace, None, grid_size)
     result.certificate["trace_power"] = trace
     # the lag-0 coefficient of the moving average is the realized power sum d d^H
-    result.certificate["power_constraint_residual"] = float(
-        np.linalg.norm(result.f0.coeff(0) - P)
-    )
+    residual = float(np.linalg.norm(result.f0.coeff(0) - P))
+    result.certificate["power_constraint_residual"] = residual
+    in_class = residual <= _VALIDATION_TOL
+    result.certificate["in_class"] = in_class
+    if not in_class:
+        warnings.warn(
+            f"power-matrix worst case not certified: the density lies outside "
+            f"its class (power constraint residual {residual:.2e})"
+        )
     return result
 
 

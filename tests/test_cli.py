@@ -1,16 +1,22 @@
+import contextlib
+import copy
 import functools
+import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pcwk
 from pcwk import SpectralDensity, TruncationError, oracle, write_density_csv
 from pcwk.cli import (
+    TASKS,
     MAX_GRID,
     MAX_HARMONICS,
     MAX_QUADRATURE_POINTS,
@@ -235,6 +241,9 @@ class TestMainMinimax:
         assert summary["samples"] == "20"
         assert summary["samples_rejected"] == "0"
         assert float(summary["min_saddle_margin"]) >= -1e-8
+        # one eigenvector family cannot realize the rank-one power matrix
+        assert float(summary["power_constraint_residual"]) > 0.1
+        assert summary["in_class"] == "False"
 
     def test_deterministic_outputs(self, tmp_path):
         spec = self.minimax_spec(tmp_path)
@@ -490,6 +499,120 @@ class TestOversizedAndMalformedValues:
         assert main(["--spec", str(spec), "--out", str(tmp_path / "out")]) == 1
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out" / "summary.csv").exists()
+
+
+FUZZ_GRID = 32
+FUZZ_WEIGHTS = {"inline": [[1.0], [0.5]]}
+# one valid problem per task on a small grid; the fuzzers replace one key
+FUZZ_SPECS = {
+    "interpolate": {"densities": {"f": "f.csv", "g": "g.csv"}, "weights": FUZZ_WEIGHTS},
+    "extrapolate": {"densities": {"f": "f.csv"}, "weights": FUZZ_WEIGHTS},
+    "extrapolate-finite": {"densities": {"f": "f.csv"}, "weights": FUZZ_WEIGHTS},
+    "filter": {"densities": {"f": "f.csv", "g": "g.csv"}, "weights": FUZZ_WEIGHTS},
+    "factorize": {"densities": {"f": "f.csv"}},
+    "minimax-y": {
+        "weights": FUZZ_WEIGHTS,
+        "class_params": {"total_power": 1.0, "samples": 3},
+    },
+    "minimax-interp-dm": {
+        "weights": FUZZ_WEIGHTS,
+        "class_params": {"moments": [[[2.0]], [[0.5]]], "samples": 3},
+    },
+    "minimax-extrap-d01": {
+        "weights": FUZZ_WEIGHTS,
+        "class_params": {"power_matrix": [[1.0]], "samples": 3},
+    },
+    "minimax-filter-d0eps": {
+        "densities": {"g2": "g.csv"},
+        "weights": {"inline": [[1.0]]},  # one block: converges in one step
+        "class_params": {"signal_power": 1.0, "noise_power": 1.0, "eps": 0.5,
+                         "samples": 3},
+    },
+    "oracle-check": {
+        "densities": {"f": "f.csv", "g": "g.csv"},
+        "weights": FUZZ_WEIGHTS,
+        "class_params": {"task": "filter"},
+    },
+    "simulate": {"densities": {"f": "f.csv"}, "class_params": {"n_blocks": 16}},
+}
+# null, booleans, negative and zero numbers, an integer beyond 64 bits, a
+# string, lists and objects
+FUZZ_VALUES = [None, True, False, -1, -2.5, 0, 2**70, "x", [], [1], [[1.0]], {},
+               {"a": 1}]
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**80), 2**80)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=2),
+    max_leaves=6,
+)
+
+
+def fuzz_spec(task):
+    return {"task": task, **copy.deepcopy(FUZZ_SPECS[task]),
+            "numerics": {"grid": FUZZ_GRID, "seed": 1}}
+
+
+def key_paths(obj, prefix=()):
+    """Every key of a nested spec, as a path from the top level."""
+    for key, value in obj.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from key_paths(value, prefix + (key,))
+
+
+def run_with_value(root, task, path, value):
+    """Exit code and stderr of the task's spec with one key set to value."""
+    payload = fuzz_spec(task)
+    node = payload
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    spec = write_spec(root, payload)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = main(["--spec", str(spec), "--out", str(root / "out")])
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    write_density_csv(
+        SpectralDensity.from_moving_average([[[1.0]], [[0.5]]], grid_size=FUZZ_GRID),
+        root / "f.csv",
+    )
+    write_density_csv(SpectralDensity.white(1, 0.5, grid_size=FUZZ_GRID), root / "g.csv")
+    return root
+
+
+class TestFuzzedSpecs:
+    """Each key of a valid spec set to another JSON value: exit 0, 1 or 2,
+    never a traceback. Runs ``main`` in-process on a 32-node grid."""
+
+    def test_base_specs_solve(self, fuzz_dir):
+        assert sorted(FUZZ_SPECS) == sorted(TASKS)
+        for task in TASKS:
+            code, err = run_with_value(fuzz_dir, task, ("numerics", "seed"), 1)
+            assert code == 0, (task, err)
+
+    @pytest.mark.parametrize("task", TASKS)
+    def test_every_key_with_every_listed_value(self, fuzz_dir, task):
+        for path in key_paths(fuzz_spec(task)):
+            for value in FUZZ_VALUES:
+                code, err = run_with_value(fuzz_dir, task, path, value)
+                assert code in (0, 1, 2), (path, value)
+                assert "Traceback" not in err, (path, value)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(task=st.sampled_from(TASKS), data=st.data())
+    def test_any_key_with_any_json_value(self, fuzz_dir, task, data):
+        path = data.draw(st.sampled_from(list(key_paths(fuzz_spec(task)))), label="key")
+        value = data.draw(json_values, label="value")
+        code, err = run_with_value(fuzz_dir, task, path, value)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
 
 
 def test_import_leaves_scipy_unloaded():

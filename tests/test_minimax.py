@@ -155,10 +155,12 @@ class TestD01:
 
     def test_matrix_power_reduction(self):
         w = finite_weights([[1.0, 0.0]])
-        result = least_favorable_d01_extrapolation(w, np.eye(2))
+        with pytest.warns(UserWarning, match="not certified"):
+            result = least_favorable_d01_extrapolation(w, np.eye(2))
         assert result.minimax_mse == pytest.approx(2.0, abs=1e-12)
         # one eigenvector family cannot match a full-rank power matrix
         assert result.certificate["power_constraint_residual"] > 0.1
+        assert result.certificate["in_class"] is False
         realized = result.f0.values.mean(axis=0)
         assert np.trace(realized).real == pytest.approx(2.0, abs=1e-10)
 
