@@ -38,6 +38,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .cholesky import border, cholesky, cholesky_solver
 from .errors import IllPosedError, MinimalityError, TruncationError
 from .lifting import FunctionalWeights, check_weight_summability
 from .spectral import (
@@ -156,84 +157,7 @@ def build_block_matrix(
     return _gather(table, kind, rows, cols)
 
 
-# block size of the substitutions: larger blocks take fewer Python steps per
-# solve but cost more to invert on the diagonal; 32 was fastest for n = 65..1032
-_PANEL = 32
 _SAFMIN = np.finfo(float).tiny
-
-
-def _cholesky(matrix, context, indefinite=IllPosedError):
-    """Lower Cholesky factor of a Hermitian matrix; ``indefinite`` when none exists."""
-    try:
-        return np.linalg.cholesky(matrix)
-    except np.linalg.LinAlgError as exc:
-        raise indefinite(f"{context}: system is not positive definite ({exc})") from exc
-
-
-def _panels(chol):
-    """The diagonal panels of a lower triangular factor: (inverse, i, j) each.
-
-    Panel rows i..j-1 are _PANEL wide, the last one possibly narrower; all
-    diagonal blocks are inverted in one batched solve.
-    """
-    n = chol.shape[0]
-    spans = [(i, min(_PANEL, n - i)) for i in range(0, n, _PANEL)]
-    eye = np.eye(_PANEL, dtype=chol.dtype)
-    stack = np.broadcast_to(eye, (len(spans), _PANEL, _PANEL)).copy()
-    for k, (i, m) in enumerate(spans):
-        stack[k, :m, :m] = chol[i : i + m, i : i + m]
-    inv_diag = np.linalg.solve(stack, np.broadcast_to(eye, stack.shape))
-    return [(inv_diag[k, :m, :m], i, i + m) for k, (i, m) in enumerate(spans)]
-
-
-def _forward(chol, panels, b):
-    """L^{-1} b by blocked forward substitution, for b of shape (n,) or (n, m).
-
-    Each step is two products, one with a panel of L and one with the
-    panel's inverted diagonal block.
-    """
-    y = np.empty(b.shape, dtype=np.result_type(chol, b))
-    for inv, i, j in panels:
-        y[i:j] = inv @ (b[i:j] - chol[i:j, :i] @ y[:i])
-    return y
-
-
-def _cholesky_solver(chol):
-    """The map b -> (L L^H)^{-1} b for a lower triangular factor L.
-
-    Both triangular solves are blocked substitutions over the panels of
-    :func:`_panels`.
-    """
-    panels = _panels(chol)
-
-    def solve(b):
-        y = _forward(chol, panels, b)
-        x = np.empty_like(y)
-        for inv, i, j in reversed(panels):
-            r = y[i:j] - (x[j:].conj() @ chol[j:, i:j]).conj()
-            x[i:j] = (r.conj() @ inv).conj()
-        return x
-
-    return solve
-
-
-def _border(chol, matrix, context):
-    """Lower Cholesky factor of ``matrix`` given ``chol``, that of its leading block.
-
-    Block Cholesky bordering (Golub & Van Loan, *Matrix Computations*,
-    section 4.2): with A = [[A11, A12], [A12^H, A22]] and A11 = L L^H, the
-    factor is [[L, 0], [X^H, L22]], where X = L^{-1} A12 by blocked forward
-    substitution and L22 is the Cholesky factor of the Schur complement
-    A22 - X^H X. Only the new rows are factored. Raises ``IllPosedError``
-    when the Schur complement, hence ``matrix``, is not positive definite.
-    """
-    n0 = chol.shape[0]
-    x = _forward(chol, _panels(chol), matrix[:n0, n0:])
-    out = np.zeros_like(matrix)
-    out[:n0, :n0] = chol
-    out[n0:, :n0] = x.conj().T
-    out[n0:, n0:] = _cholesky(matrix[n0:, n0:] - x.conj().T @ x, context)
-    return out
 
 
 def _unit_phases(x):
@@ -284,7 +208,7 @@ def _solve_hermitian(
     not finite or exceeds ``cond_threshold``, and raises ``indefinite``
     when the Cholesky factorization fails, since an indefinite system has
     no estimate to return. ``factor``, when given, is the lower Cholesky
-    factor of ``matrix``, such as :func:`_border` grows along the
+    factor of ``matrix``, such as :func:`cholesky.border` grows along the
     truncation schedule.
 
     The 1-norm gate is no looser than the former 2-norm one (largest over
@@ -300,8 +224,8 @@ def _solve_hermitian(
     n = matrix.shape[0]
     if n == 0:
         return np.zeros_like(rhs), 1.0
-    chol = _cholesky(matrix, context, indefinite) if factor is None else factor
-    solve = _cholesky_solver(chol)
+    chol = cholesky(matrix, context, indefinite) if factor is None else factor
+    solve = cholesky_solver(chol)
     cond = float(np.linalg.norm(matrix, 1)) * _inverse_one_norm(solve, n)
     if not np.isfinite(cond) or cond > cond_threshold:
         raise IllPosedError(
@@ -473,9 +397,9 @@ def _solve_truncated(system_at, mse_of, weights, truncation, cap, cond_threshold
 
     Each level's system is the leading block of the next level's, so one
     lower Cholesky factor is kept and bordered by each level's new block
-    rows (:func:`_border`): the whole schedule factors each row once. Each
-    level keeps its own condition estimate and gate; a refused level
-    restarts the factor, and the next level factors its system afresh.
+    rows (:func:`cholesky.border`): the whole schedule factors each row
+    once. Each level keeps its own condition estimate and gate; a refused
+    level restarts the factor, and the next level factors its system afresh.
     """
     schedule = _truncation_schedule(weights, truncation, cap, context)
     history: list[tuple[int, float]] = []
@@ -484,9 +408,10 @@ def _solve_truncated(system_at, mse_of, weights, truncation, cap, cond_threshold
         matrix, rhs = system_at(J)
         try:
             if factor is None:
-                factor = _cholesky(matrix, context)
+                factor = cholesky(matrix, context)
             else:
-                factor = _border(factor, matrix, context)
+                n0 = factor.shape[0]
+                factor = border(factor, matrix[:n0, n0:], matrix[n0:, n0:], context)
             c, cond = _solve_hermitian(matrix, rhs, cond_threshold, context, factor=factor)
         except IllPosedError as exc:
             if J == schedule[-1]:

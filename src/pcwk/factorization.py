@@ -143,16 +143,18 @@ def _iteration_grids(f: SpectralDensity) -> list[int]:
     A band of L lags has a factor of order L, which a grid of
     M = max(``MIN_ITERATION_GRID``, 8 (L + 1)) nodes, rounded up to a power
     of two, resolves with room for the aliasing of the non-polynomial
-    iterates. The grids are M and its doublings up to the larger of G / 2
-    and the default grid size, G excepted. A wide band (8 L >= G) on an
-    output grid of at least ``MIN_ITERATION_GRID`` nodes gets none: it is
-    iterated on the output grid alone.
+    iterates. The grids are M and its doublings up to the default grid
+    size, G excepted; when M < G they go on up to 2 G, so that a grid
+    finer than G is reached only after the coarser ones stalled, as the
+    aliasing of a slowly decaying inverse factor makes them. A wide band
+    (8 L >= G) on an output grid of at least ``MIN_ITERATION_GRID`` nodes
+    gets none: it is iterated on the output grid alone.
     """
     G, L = f.grid_size, f.max_lag
     if 8 * L >= G >= MIN_ITERATION_GRID:
         return []
     M = 1 << (max(MIN_ITERATION_GRID, 8 * (L + 1)) - 1).bit_length()
-    top = max(G // 2, DEFAULT_GRID_SIZE)
+    top = max(2 * G if M < G else 0, DEFAULT_GRID_SIZE)
     return [M << k for k in range((top // M).bit_length()) if M << k != G]
 
 

@@ -1,11 +1,12 @@
 """Independent time-domain verification of the spectral-domain solvers.
 
 Everything here works from lag covariances and finite linear algebra, with
-no shared machinery beyond the Fourier coefficients of the input densities:
-the projection oracle assembles the covariance of a finite observation
-window and solves the normal equations directly, and the simulator drives a
-moving average with seeded Gaussian innovations. Agreement between these
-values and the spectral formulas is the package's main correctness check.
+no shared machinery beyond the Fourier coefficients of the input densities
+and the bordered Cholesky factor of :mod:`pcwk.cholesky`: the projection
+oracle assembles the covariance of finite observation windows and solves
+their normal equations directly, and the simulator drives a moving average
+with seeded Gaussian innovations. Agreement between these values and the
+spectral formulas is the package's main correctness check.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .cholesky import border, cholesky, forward, panels
 from .errors import AliasingError, IllPosedError
 from .lifting import FunctionalWeights
 from .spectral import SpectralDensity
@@ -132,6 +134,13 @@ def _largest_window(weights: FunctionalWeights, grid_size: int) -> int:
 class OracleProjection:
     """Residual variance of the projection onto one observation window.
 
+    ``condition`` bounds the 2-norm condition number of the window's
+    observation covariance. From :func:`time_domain_projection` it is that
+    number exactly, the ratio of the covariance's extreme eigenvalues. In
+    the history of :func:`time_domain_projection_converged` it is the ratio
+    of the extreme eigenvalues of the symbol of f + g on the grid, the same
+    for every window and never below the window's own ratio.
+
     ``converged`` is False when :func:`time_domain_projection_converged`
     stopped at its largest window without passing its Cauchy test.
     """
@@ -141,6 +150,51 @@ class OracleProjection:
     n_observations: int
     condition: float
     converged: bool = True
+
+
+def _check_dims(f, g, weights) -> int:
+    K = weights.dim
+    if f.dim != K or (g is not None and g.dim != K):
+        raise ValueError("weights and densities must share one dimension")
+    return K
+
+
+def _tables(f, g, weights, window):
+    """Lag covariances of the signal and of the observations for ``window``."""
+    span = _table_span(weights, window)
+    cz = covariances_from_density(f, span).values
+    cx = cz if g is None else cz + covariances_from_density(g, span).values
+    return cz, cx
+
+
+def _covariance_block(cx, rows, cols):
+    """Covariance of the observed blocks ``rows`` with ``cols``, as a matrix."""
+    K = cx.shape[1]
+    block = _at_lags(cx, np.subtract.outer(rows, cols))
+    return block.transpose(0, 2, 1, 3).reshape(rows.size * K, cols.size * K)
+
+
+def _cross(cz, obs, weights):
+    """Covariance of the observed blocks ``obs`` with the target functional."""
+    sign = -1 if weights.horizon == "filtering" else 1
+    j = np.arange(weights.n_blocks)
+    return np.einsum(
+        "ljkm,jm->lk",
+        _at_lags(cz, np.subtract.outer(obs, sign * j)),
+        weights.blocks.conj(),
+    ).reshape(-1)
+
+
+def _variance(cz, weights):
+    """Variance of the target functional."""
+    sign = -1 if weights.horizon == "filtering" else 1
+    j = np.arange(weights.n_blocks)
+    return np.einsum(
+        "jk,jikm,im->",
+        weights.blocks,
+        _at_lags(cz, sign * np.subtract.outer(j, j)),
+        weights.blocks.conj(),
+    )
 
 
 def time_domain_projection(
@@ -155,31 +209,12 @@ def time_domain_projection(
     functional from lag covariances, solves the normal equations, and
     returns the residual variance. Independent of the spectral solvers.
     """
-    task = weights.horizon
-    K = weights.dim
-    if f.dim != K or (g is not None and g.dim != K):
-        raise ValueError("weights and densities must share one dimension")
-    obs = np.array(observation_indices(task, weights.n, window))
-    n_a = weights.n_blocks
-    span = _table_span(weights, window)
-    cz = covariances_from_density(f, span).values
-    cx = cz if g is None else cz + covariances_from_density(g, span).values
-
-    nobs = obs.size
-    sigma = _at_lags(cx, np.subtract.outer(obs, obs))
-    sigma = sigma.transpose(0, 2, 1, 3).reshape(nobs * K, nobs * K)
-    blocks = weights.blocks
-    sign = -1 if task == "filtering" else 1
-    j = np.arange(n_a)
-    cross = np.einsum(
-        "ljkm,jm->lk", _at_lags(cz, np.subtract.outer(obs, sign * j)), blocks.conj()
-    ).reshape(-1)
-    variance = np.einsum(
-        "jk,jikm,im->",
-        blocks,
-        _at_lags(cz, sign * np.subtract.outer(j, j)),
-        blocks.conj(),
-    )
+    K = _check_dims(f, g, weights)
+    obs = np.array(observation_indices(weights.horizon, weights.n, window))
+    cz, cx = _tables(f, g, weights, window)
+    sigma = _covariance_block(cx, obs, obs)
+    cross = _cross(cz, obs, weights)
+    variance = _variance(cz, weights)
 
     eigs = np.linalg.eigvalsh(0.5 * (sigma + sigma.conj().T))
     emax = float(eigs.max())
@@ -193,9 +228,45 @@ def time_domain_projection(
     return OracleProjection(
         mse=max(mse, 0.0),
         window=window,
-        n_observations=nobs * K,
+        n_observations=obs.size * K,
         condition=emax / emin,
     )
+
+
+def _symbol_bounds(
+    f: SpectralDensity, g: SpectralDensity | None
+) -> tuple[float, float]:
+    """Least and largest eigenvalue of the symbol of f + g on the grid of f.
+
+    The symbol is the coefficient table evaluated by one inverse FFT, not
+    the cached ``f.values``: a ``from_grid`` density's samples may carry a
+    Nyquist term that its coefficients, and so its covariances, lack. An
+    observation window whose lag span is below G/2 has a covariance that is
+    a principal submatrix of the block circulant of the table, whose
+    eigenvalues are those of the symbol at the G nodes; by Cauchy
+    interlacing, every window's eigenvalues lie between these bounds.
+    """
+    coeffs = f.coeffs
+    if g is not None:
+        L = max(f.max_lag, g.max_lag)
+        coeffs = np.zeros((2 * L + 1, f.dim, f.dim), dtype=complex)
+        for density in (f, g):
+            coeffs[L - density.max_lag : L + density.max_lag + 1] += density.coeffs
+    values = SpectralDensity(f.dim, coeffs, grid_size=f.grid_size).values
+    eigs = np.linalg.eigvalsh(0.5 * (values + values.conj().transpose(0, 2, 1)))
+    return float(eigs.min()), float(eigs.max())
+
+
+def _nearest_first(task: str, n: int, window: int) -> np.ndarray:
+    """The observed block indices of a window, nearest the target first.
+
+    The order is -1, n+1, -2, n+2, ... for interpolation, -1, -2, ... for
+    extrapolation and 0, -1, ... for filtering, so the observations of each
+    window are a prefix of those of any larger one.
+    """
+    obs = np.array(observation_indices(task, n, window))
+    distance = np.where(obs <= 0, -obs, obs - n)
+    return obs[np.lexsort((obs > 0, distance))]
 
 
 def time_domain_projection_converged(
@@ -210,26 +281,76 @@ def time_domain_projection_converged(
 
     Returns the last projection and every projection tried. The window
     grows up to ``max_window`` or the largest window whose lag covariances
-    the grid resolves, whichever is smaller; when it gets there before two
-    successive values agree to ``rel_tol``, the last projection is returned
-    with ``converged=False``.
+    the grid resolves, whichever is smaller; the first window whose value
+    is within ``rel_tol * max(1, |mse|)`` of the previous window's is
+    returned. When the largest window gets there first, it is returned with
+    ``converged=False``.
+
+    Each window's value is that of :func:`time_domain_projection`, computed
+    by the innovations algorithm (Brockwell & Davis 1991, *Time Series:
+    Theory and Methods*, sections 5.2 and 11.4). The observations are
+    ordered nearest the target first, so each window's covariance is the
+    leading block of the next window's: one lower Cholesky factor L is
+    bordered by each window's new block rows, and the error of a window is
+    the target's variance minus ||L^{-1} cross||^2 over its prefix.
+
+    The gate is the symbol bound of :func:`_symbol_bounds`, computed once:
+    the call raises ``IllPosedError`` when the least eigenvalue of f + g on
+    the grid is at most 1e-12 of the largest, which by interlacing refuses
+    every window :func:`time_domain_projection` refuses. Each projection's
+    ``condition`` is the symbol's ratio.
     """
-    history: list[OracleProjection] = []
+    K = _check_dims(f, g, weights)
+    task, n = weights.horizon, weights.n
     largest = min(max_window, _largest_window(weights, f.grid_size))
-    window = initial_window
-    prev = None
-    while True:
-        current = time_domain_projection(f, g, weights, window)
+    windows = [initial_window]
+    while windows[-1] < largest:
+        windows.append(min(2 * windows[-1], largest))
+    obs = _nearest_first(task, n, windows[-1])
+    cz, cx = _tables(f, g, weights, windows[-1])
+    lo, hi = _symbol_bounds(f, g)
+    if hi <= 0.0 or lo <= 1e-12 * hi:
+        raise IllPosedError(
+            "observation covariance symbol is singular on the grid; "
+            "regularization refused"
+        )
+    variance = _variance(cz, weights)
+    if not cx.imag.any():  # a real factor costs a quarter of a complex one
+        cx = cx.real
+
+    history: list[OracleProjection] = []
+    factor = y = None
+    done = 0  # observed blocks already in the factor
+    for window in windows:
+        count = len(observation_indices(task, n, window))
+        new = obs[done:count]
+        a22 = _covariance_block(cx, new, new)
+        cross = _cross(cz, new, weights)
+        if factor is None:
+            factor = cholesky(a22, "time-domain oracle")
+            y = forward(factor, panels(factor), cross)
+        else:
+            n0 = factor.shape[0]
+            a12 = _covariance_block(cx, obs[:done], new)
+            factor = border(factor, a12, a22, "time-domain oracle")
+            lower = factor[n0:, n0:]
+            step = forward(lower, panels(lower), cross - factor[n0:, :n0] @ y)
+            y = np.concatenate([y, step])
+        done = count
+        mse = float((variance - np.vdot(y, y)).real)
+        current = OracleProjection(
+            mse=max(mse, 0.0),
+            window=window,
+            n_observations=count * K,
+            condition=hi / lo,
+        )
         history.append(current)
-        if prev is not None and abs(current.mse - prev.mse) <= rel_tol * max(
+        if len(history) > 1 and abs(current.mse - history[-2].mse) <= rel_tol * max(
             1.0, abs(current.mse)
         ):
             return current, history
-        if window >= largest:
-            history[-1] = replace(current, converged=False)
-            return history[-1], history
-        prev = current
-        window = min(2 * window, largest)
+    history[-1] = replace(current, converged=False)
+    return history[-1], history
 
 
 def simulate_sequence(fact: Factorization, n_blocks: int, seed: int) -> np.ndarray:

@@ -615,16 +615,29 @@ class TestFuzzedSpecs:
         assert "Traceback" not in err
 
 
-def test_import_leaves_scipy_unloaded():
+def scipy_modules_after(code):
+    """The scipy modules loaded once ``code`` has run in a fresh interpreter."""
     src = str(Path(pcwk.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
-    code = (
-        "import sys, pcwk.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
+    code += "; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
         timeout=60, check=True,
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_leaves_scipy_unloaded():
+    assert scipy_modules_after("import sys, pcwk.cli") == "[]"
+
+
+def test_oracle_leaves_scipy_unloaded():
+    code = (
+        "import sys, pcwk; "
+        "f = pcwk.SpectralDensity.from_moving_average([[[1.0]], [[0.5]]], grid_size=512); "
+        "w = pcwk.FunctionalWeights.interpolation([[1.0]]); "
+        "proj, _ = pcwk.time_domain_projection_converged(f, None, w); "
+        "assert proj.converged"
+    )
+    assert scipy_modules_after(code) == "[]"

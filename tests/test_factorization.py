@@ -248,8 +248,9 @@ class TestIterationGrid:
     def test_narrow_band_grids(self):
         # G = 512: coarser grids first, then finer ones up to the default grid
         assert _iteration_grids(coupled_ma2()) == [128, 256, 1024, 2048]
+        # G = 4096: up to 2 G, for a band whose coarser grids all stall
         f = SpectralDensity(1, np.ones((41, 1, 1)), grid_size=4096)
-        assert _iteration_grids(f) == [256, 512, 1024, 2048]  # 8 (L + 1) = 168
+        assert _iteration_grids(f) == [256, 512, 1024, 2048, 8192]  # 8 (L + 1) = 168
         f = SpectralDensity(1, np.ones((1201, 1, 1)), grid_size=8192)
         assert _iteration_grids(f) == []  # 8 (L + 1) = 4808 rounds up to G
 
@@ -322,11 +323,11 @@ class TestSmallOutputGrids:
             padded_taps(fact, order), padded_taps(reference, order), rtol=0, atol=1e-10
         )
 
-    @pytest.mark.parametrize("b, grid", [(0.8, 128), (0.95, 256)])
+    @pytest.mark.parametrize("b, grid", [(0.8, 128), (0.95, 256), (0.99, 2048)])
     def test_root_near_the_circle_on_a_moderate_grid(self, b, grid):
         # the inverse factor's taps b^u alias on the output grid itself, where
         # the residual stalls above the target; finer iteration grids resolve
-        # them
+        # them, for G = 2048 one of 2 G = 4096 nodes
         f = SpectralDensity.from_moving_average(
             [np.eye(1), b * np.eye(1)], grid_size=grid
         )

@@ -11,6 +11,7 @@ from pcwk import (
     AliasingError,
     FunctionalWeights,
     IllPosedError,
+    MinimalityError,
     SpectralDensity,
     check_minimality,
     compare_report,
@@ -18,6 +19,7 @@ from pcwk import (
     empirical_mse,
     extrapolate,
     filtering,
+    frequency_grid,
     interpolate,
     simulate_sequence,
     spectral_factorize,
@@ -25,7 +27,7 @@ from pcwk import (
     time_domain_projection_converged,
 )
 from pcwk.factorization import Factorization
-from pcwk.oracle import observation_indices
+from pcwk.oracle import _symbol_bounds, observation_indices
 from conftest import GRID, ar1, coupled_ma2, ma1, white
 
 
@@ -117,6 +119,19 @@ class TestProjection:
             time_domain_projection(f, None, w, window=255)
 
 
+def loop_covariance(f, g, weights, window):
+    """Reference: the observation covariance of a window, block by block."""
+    obs = observation_indices(weights.horizon, weights.n, window)
+    span = max(obs) - min(obs) + weights.n_blocks + 1
+    cz = covariances_from_density(f, span)
+    ct = None if g is None else covariances_from_density(g, span)
+
+    def cov_x(m):
+        return cz.cov(m) if ct is None else cz.cov(m) + ct.cov(m)
+
+    return np.block([[cov_x(l - m) for m in obs] for l in obs])
+
+
 def loop_projection(f, g, weights, window):
     """Reference: the normal equations assembled block by block from ``cov``."""
     task = weights.horizon
@@ -124,12 +139,7 @@ def loop_projection(f, g, weights, window):
     blocks, n_a = weights.blocks, weights.n_blocks
     span = max(obs) - min(obs) + n_a + 1
     cz = covariances_from_density(f, span)
-    ct = None if g is None else covariances_from_density(g, span)
-
-    def cov_x(m):
-        return cz.cov(m) if ct is None else cz.cov(m) + ct.cov(m)
-
-    sigma = np.block([[cov_x(l - m) for m in obs] for l in obs])
+    sigma = loop_covariance(f, g, weights, window)
     sign = -1 if task == "filtering" else 1
     cross = np.concatenate(
         [sum(cz.cov(l - sign * j) @ blocks[j].conj() for j in range(n_a)) for l in obs]
@@ -164,6 +174,86 @@ class TestAgainstBlockLoop:
         proj = time_domain_projection(f, g, w, window=3)
         assert proj.mse == pytest.approx(mse, rel=1e-12)
         assert proj.condition == pytest.approx(condition, rel=1e-12)
+
+
+HISTORY_BLOCKS = np.array([[1.0, -0.5j], [0.3 + 0.2j, 0.4], [0.2, -0.1 + 0.3j]])
+
+
+class TestConvergedHistory:
+    """The bordered factor gives every window the value of its own solve."""
+
+    @pytest.mark.parametrize("noisy", [True, False])
+    @pytest.mark.parametrize(
+        "horizon, n_blocks",
+        [
+            ("interpolation", 1),
+            ("interpolation", 3),
+            ("extrapolation", 3),
+            ("extrapolation_finite", 3),
+            ("filtering", 2),
+        ],
+    )
+    def test_every_window_matches_its_projection(self, horizon, n_blocks, noisy):
+        f = SpectralDensity(2, coupled_ma2().coeffs + 0.6 * ma1(dim=2, b=0.9).coeffs,
+                            grid_size=GRID)
+        g = white(dim=2, scale=0.5) if noisy else None
+        w = FunctionalWeights(blocks=HISTORY_BLOCKS[:n_blocks], horizon=horizon)
+        proj, history = time_domain_projection_converged(f, g, w, initial_window=2)
+        assert proj.converged and history[-1] is proj
+        assert len(history) >= (2 if proj.mse == 0.0 else 3)
+        lo, hi = _symbol_bounds(f, g)
+        for entry in history:
+            single = time_domain_projection(f, g, w, entry.window)
+            assert entry.window == single.window
+            assert entry.n_observations == single.n_observations
+            assert entry.condition == hi / lo >= single.condition
+            if horizon == "filtering" and not noisy:
+                # every block of the functional is observed exactly
+                assert entry.mse == single.mse == 0.0
+            else:
+                assert entry.mse == pytest.approx(single.mse, rel=1e-12)
+
+    def test_windows_follow_the_doubling_schedule(self):
+        w = FunctionalWeights.extrapolation([[1.0]])
+        _, history = time_domain_projection_converged(
+            ma1(b=0.95), None, w, initial_window=3, max_window=40
+        )
+        assert [h.window for h in history] == [3, 6, 12, 24, 40]
+
+    def test_symbol_zero_refused(self):
+        # |1 + e^{-i lambda}|^2 vanishes at lambda = -pi, a grid node; each
+        # finite window's covariance is still positive definite, and the
+        # spectral solvers refuse the density as not minimal
+        f, w = ma1(b=1.0), FunctionalWeights.extrapolation([[1.0]])
+        assert time_domain_projection(f, None, w, window=8).condition < 1e3
+        with pytest.raises(IllPosedError):
+            time_domain_projection_converged(f, None, w)
+        with pytest.raises(MinimalityError):
+            extrapolate(f, None, w)
+
+
+def test_symbol_bound_reads_the_coefficients_not_the_samples():
+    # samples of 1 + 0.9 cos(lambda) plus a Nyquist term 0.2 (-1)^k, which
+    # the coefficients, and so the covariances, cannot hold: the cached
+    # samples go negative at odd nodes near lambda = -pi, the coefficient
+    # symbol stays within [0.1, 1.9]
+    grid = 64
+    base = 1.0 + 0.9 * np.cos(frequency_grid(grid))
+    f = SpectralDensity.from_grid(base + 0.2 * (-1.0) ** np.arange(grid))
+    np.testing.assert_allclose(f.coeffs[:, 0, 0], [0.45, 1.0, 0.45], atol=1e-15)
+    assert f.values.real.min() < 0.0
+    lo, hi = _symbol_bounds(f, None)
+    assert lo == pytest.approx(0.1, rel=1e-12)
+    assert hi == pytest.approx(1.9, rel=1e-12)
+    w = FunctionalWeights.extrapolation([[1.0]])
+    proj, history = time_domain_projection_converged(f, None, w)
+    assert proj.converged
+    assert proj.condition == pytest.approx(19.0, rel=1e-12)
+    for entry in history:
+        eigs = np.linalg.eigvalsh(loop_covariance(f, None, w, entry.window))
+        assert lo <= eigs.min() and eigs.max() <= hi
+        single = time_domain_projection(f, None, w, entry.window)
+        assert entry.mse == pytest.approx(single.mse, rel=1e-12)
 
 
 def _runtime_imports(module):
@@ -243,6 +333,34 @@ def test_spectral_error_agrees_with_oracle(solver, horizon, noisy, problem):
     proj, _ = time_domain_projection_converged(f, g, w, initial_window=16, rel_tol=1e-8)
     assert proj.converged
     assert abs(sol.mse - proj.mse) <= 1e-5 * max(abs(proj.mse), 1e-300)
+
+
+HORIZONS = ("interpolation", "extrapolation", "extrapolation_finite", "filtering")
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    problem=stable_problems(),
+    horizon=st.sampled_from(HORIZONS),
+    noisy=st.booleans(),
+    window=st.sampled_from([3, 8, 40]),
+)
+def test_symbol_bounds_bracket_the_window_covariance(problem, horizon, noisy, window):
+    f, blocks = problem
+    g = SpectralDensity.white(f.dim, scale=0.5, grid_size=PROPERTY_GRID)
+    g = g if noisy else None
+    w = FunctionalWeights(blocks=blocks, horizon=horizon)
+    lo, hi = _symbol_bounds(f, g)
+    sigma = loop_covariance(f, g, w, window)
+    eigs = np.linalg.eigvalsh(0.5 * (sigma + sigma.conj().T))
+    slack = 1e-12 * hi  # round-off of the two eigenvalue computations
+    assert lo - slack <= eigs.min()
+    assert eigs.max() <= hi + slack
+    _, history = time_domain_projection_converged(
+        f, g, w, initial_window=window, max_window=window
+    )
+    assert [h.window for h in history] == [window]
+    assert history[0].condition == hi / lo
 
 
 class TestSimulation:
