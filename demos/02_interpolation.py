@@ -36,8 +36,7 @@ print(f"moving average (1, 0.5), one gap:     mse = {sol.mse:.6f} (closed form 0
 
 # autoregressive signal, built by sampling the inverse polynomial on the grid
 lam = frequency_grid(G)
-ar = SpectralDensity.from_grid(1.0 / np.abs(1 - 0.5 * np.exp(-1j * lam)) ** 2,
-                               grid_size=G)
+ar = SpectralDensity.from_grid(1.0 / np.abs(1 - 0.5 * np.exp(-1j * lam)) ** 2)
 sol = interpolate(ar, None, one_gap)
 print(f"autoregressive (phi = 0.5), one gap:  mse = {sol.mse:.6f} (closed form 0.8)")
 

@@ -72,7 +72,7 @@ MSE_CAUCHY_TOL = 1e-8
 # -- kernel tables and block matrices -----------------------------------
 
 
-def _kernel_tables(f, g, cond_threshold, which=(0, 1, 2)):
+def _kernel_tables(f, g, which=(0, 1, 2)):
     """Check minimality, invert f+g on the grid once and tabulate the kernels.
 
     Returns the grid values of (f+g)^{-1} and of g, and the coefficient
@@ -83,7 +83,7 @@ def _kernel_tables(f, g, cond_threshold, which=(0, 1, 2)):
     """
     fv = f.values
     gv = None if g is None else g.values
-    report = check_minimality(f, g, cond_threshold=cond_threshold)
+    report = check_minimality(f, g)
     if not report.passed:
         observed = "signal" if g is None else "observed"
         raise MinimalityError(
@@ -126,7 +126,6 @@ def build_block_matrix(
     g: SpectralDensity | None,
     rows: Iterable[int],
     cols: Iterable[int],
-    cond_threshold: float = DEFAULT_COND_THRESHOLD,
 ) -> np.ndarray:
     """Assemble one of the estimation block matrices as a dense matrix.
 
@@ -149,7 +148,7 @@ def build_block_matrix(
     if not rows.size or not cols.size:
         raise ValueError("row and column ranges must be non-empty")
     which = BLOCK_KINDS.index(kind) % 3  # B and U, D and V, R and W share a kernel
-    table = _kernel_tables(f, g, cond_threshold, which=(which,))[2][which]
+    table = _kernel_tables(f, g, which=(which,))[2][which]
     if table is None:
         table = np.zeros((f.grid_size, f.dim, f.dim), dtype=complex)
         if which == 1:
@@ -196,20 +195,18 @@ def _inverse_one_norm(solve, n):
     return float(max(est, 2.0 * np.abs(x).sum() / (3 * n)))
 
 
-def _solve_hermitian(
-    matrix, rhs, cond_threshold, context, indefinite=IllPosedError, factor=None
-):
+def _solve_hermitian(matrix, rhs, context, indefinite=IllPosedError, factor=None):
     """Solve a Hermitian positive definite system through one Cholesky factor.
 
     The factor gives the solution, one refinement step and the condition
     estimate ``cond = ||A||_1 * est(||A^{-1}||_1)``, the Hager-Higham
     1-norm estimate of LAPACK ``?pocon`` (see :func:`_inverse_one_norm`).
     The gate refuses the system (``IllPosedError``) when that estimate is
-    not finite or exceeds ``cond_threshold``, and raises ``indefinite``
-    when the Cholesky factorization fails, since an indefinite system has
-    no estimate to return. ``factor``, when given, is the lower Cholesky
-    factor of ``matrix``, such as :func:`cholesky.border` grows along the
-    truncation schedule.
+    not finite or exceeds ``DEFAULT_COND_THRESHOLD``, and raises
+    ``indefinite`` when the Cholesky factorization fails, since an
+    indefinite system has no estimate to return. ``factor``, when given,
+    is the lower Cholesky factor of ``matrix``, such as
+    :func:`cholesky.border` grows along the truncation schedule.
 
     The 1-norm gate is no looser than the former 2-norm one (largest over
     smallest |eigenvalue|): for Hermitian A, kappa_2(A) <= kappa_1(A). For
@@ -219,7 +216,7 @@ def _solve_hermitian(
     whose eigenvalues are the kernel's eigenvalues on the grid. By
     interlacing, kappa_2 of the system is at most
     ``check_minimality(...).max_condition``, which every solver checks
-    against ``cond_threshold`` before it solves.
+    against the same threshold before it solves.
     """
     n = matrix.shape[0]
     if n == 0:
@@ -227,10 +224,10 @@ def _solve_hermitian(
     chol = cholesky(matrix, context, indefinite) if factor is None else factor
     solve = cholesky_solver(chol)
     cond = float(np.linalg.norm(matrix, 1)) * _inverse_one_norm(solve, n)
-    if not np.isfinite(cond) or cond > cond_threshold:
+    if not np.isfinite(cond) or cond > DEFAULT_COND_THRESHOLD:
         raise IllPosedError(
             f"{context}: system condition number {cond:.3e} exceeds "
-            f"threshold {cond_threshold:.1e}"
+            f"threshold {DEFAULT_COND_THRESHOLD:.1e}"
         )
     x = solve(rhs)
     x = x + solve(rhs - matrix @ x)
@@ -384,7 +381,7 @@ def _truncation_schedule(weights, truncation, cap, context):
     return schedule
 
 
-def _solve_truncated(system_at, mse_of, weights, truncation, cap, cond_threshold, context):
+def _solve_truncated(system_at, mse_of, weights, truncation, cap, context):
     """Solve ``system_at(J)`` over a doubling schedule until the mse is Cauchy.
 
     ``system_at(J)`` returns the matrix and right-hand side at truncation J,
@@ -412,7 +409,7 @@ def _solve_truncated(system_at, mse_of, weights, truncation, cap, cond_threshold
             else:
                 n0 = factor.shape[0]
                 factor = border(factor, matrix[:n0, n0:], matrix[n0:, n0:], context)
-            c, cond = _solve_hermitian(matrix, rhs, cond_threshold, context, factor=factor)
+            c, cond = _solve_hermitian(matrix, rhs, context, factor=factor)
         except IllPosedError as exc:
             if J == schedule[-1]:
                 raise TruncationError(
@@ -444,7 +441,7 @@ def _summability_warning(weights):
 # -- the estimation path -------------------------------------------------
 
 
-def _estimate(f, g, weights, truncation, cond_threshold):
+def _estimate(f, g, weights, truncation):
     """Solve the task named by the weights' horizon; ``g=None`` is exact data.
 
     Interpolation solves for the blocks c_0..c_n at once. Extrapolation
@@ -459,7 +456,7 @@ def _estimate(f, g, weights, truncation, cond_threshold):
     if task != "interpolation":
         _summability_warning(weights)
     K, G = f.dim, f.grid_size
-    inv, gv, (B, D, R) = _kernel_tables(f, g, cond_threshold)
+    inv, gv, (B, D, R) = _kernel_tables(f, g)
     first = 1 if task == "filtering" else 0
     kind_b, kind_d, kind_r = "UVW" if first else "BDR"
     # the weights vanish beyond block n_w - 1, so D and R are only read in
@@ -481,13 +478,13 @@ def _estimate(f, g, weights, truncation, cond_threshold):
 
     if task == "interpolation":
         Bd, rhs = system_at(weights.n)
-        c, cond = _solve_hermitian(Bd, rhs, cond_threshold, context)
+        c, cond = _solve_hermitian(Bd, rhs, context)
         mse, truncated = mse_of(c, rhs), {}
     else:
         # the largest lag read is J (Toeplitz) or J + n_blocks - 1 (Hankel V)
         cap = G // 2 - weights.n_blocks if first else G // 2 - 1
         (mse, c, cond, J), history = _solve_truncated(
-            system_at, mse_of, weights, truncation, cap, cond_threshold, context
+            system_at, mse_of, weights, truncation, cap, context
         )
         truncated = {"truncation": J, "history": history}
     diagnostics = {"n": weights.n, "condition": cond, **truncated}
@@ -508,7 +505,6 @@ def interpolate(
     f: SpectralDensity,
     g: SpectralDensity | None,
     weights: FunctionalWeights,
-    cond_threshold: float = DEFAULT_COND_THRESHOLD,
 ) -> EstimateSolution:
     """Best estimate of an interpolation functional from noisy observations.
 
@@ -519,7 +515,7 @@ def interpolate(
     """
     if weights.horizon != "interpolation":
         raise ValueError("weights must carry the interpolation horizon")
-    return _estimate(f, g, weights, None, cond_threshold)
+    return _estimate(f, g, weights, None)
 
 
 def extrapolate(
@@ -527,7 +523,6 @@ def extrapolate(
     g: SpectralDensity | None,
     weights: FunctionalWeights,
     truncation: int | None = None,
-    cond_threshold: float = DEFAULT_COND_THRESHOLD,
 ) -> EstimateSolution:
     """Best estimate of a forward functional from noisy past observations.
 
@@ -539,7 +534,7 @@ def extrapolate(
     """
     if weights.horizon not in ("extrapolation", "extrapolation_finite"):
         raise ValueError("weights must carry an extrapolation horizon")
-    return _estimate(f, g, weights, truncation, cond_threshold)
+    return _estimate(f, g, weights, truncation)
 
 
 def filtering(
@@ -547,7 +542,6 @@ def filtering(
     g: SpectralDensity,
     weights: FunctionalWeights,
     truncation: int | None = None,
-    cond_threshold: float = DEFAULT_COND_THRESHOLD,
 ) -> EstimateSolution:
     """Best estimate of a backward functional from noisy observations.
 
@@ -560,7 +554,7 @@ def filtering(
         raise ValueError("weights must carry the filtering horizon")
     if g is None:
         raise ValueError("filtering requires a noise density")
-    return _estimate(f, g, weights, truncation, cond_threshold)
+    return _estimate(f, g, weights, truncation)
 
 
 # -- generic error functional --------------------------------------------

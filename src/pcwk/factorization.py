@@ -45,7 +45,12 @@ from .estimators import (
     functional_symbol,
 )
 from .lifting import FunctionalWeights
-from .spectral import DEFAULT_GRID_SIZE, SpectralDensity, _alternating_signs
+from .spectral import (
+    DEFAULT_GRID_SIZE,
+    SpectralDensity,
+    _alternating_signs,
+    check_minimality,
+)
 
 __all__ = [
     "Factorization",
@@ -54,7 +59,6 @@ __all__ = [
     "extrapolate_factorized",
 ]
 
-RANK_TOLERANCE = 1e-12
 # iteration budget of the fixed point, which normally converges in well
 # under twenty steps
 MAX_ITERATIONS = 100
@@ -158,10 +162,8 @@ def _iteration_grids(f: SpectralDensity) -> list[int]:
     return [M << k for k in range((top // M).bit_length()) if M << k != G]
 
 
-def _hermitian_values(f: SpectralDensity, grid_size: int) -> np.ndarray:
-    """Hermitian part of f on a grid of the given size."""
-    if grid_size != f.grid_size:
-        f = SpectralDensity(f.dim, f.coeffs, grid_size=grid_size)
+def _hermitian_values(f: SpectralDensity) -> np.ndarray:
+    """Hermitian part of f on its grid."""
     return 0.5 * (f.values + np.conj(np.transpose(f.values, (0, 2, 1))))
 
 
@@ -228,11 +230,11 @@ def spectral_factorize(f: SpectralDensity, tol: float = 1e-10) -> Factorization:
     the output grid of f, where the residual is checked against the target.
     Output-grid steps, warm-started from them, follow only while it is
     missed, or down to round-off when the last iteration grid stalled. The
-    iteration grids end at the first one on which f is not positive
-    definite. If none gave taps, or the output-grid steps stall above the
-    target, the fixed point restarts on the output grid from the constant
-    Cholesky factor, as for a wide band. Every check (rank, residual,
-    gauge, truncated taps) runs on the output grid.
+    iteration grids end at the first one on which f fails
+    ``check_minimality``. If none gave taps, or the output-grid steps stall
+    above the target, the fixed point restarts on the output grid from the
+    constant Cholesky factor, as for a wide band. Every check (rank,
+    residual, gauge, truncated taps) runs on the output grid.
 
     Parameters
     ----------
@@ -250,8 +252,9 @@ def spectral_factorize(f: SpectralDensity, tol: float = 1e-10) -> Factorization:
     Raises
     ------
     MultiplicityError
-        If f is rank deficient somewhere on the grid (only the full-rank
-        square case is supported).
+        If f fails ``check_minimality``: rank deficient or nearly so
+        somewhere on the grid (only the full-rank square case is
+        supported).
     FactorizationError
         If the residual target is not met within ``MAX_ITERATIONS`` steps of
         the restart on the output grid; the residual is attached to the
@@ -259,23 +262,21 @@ def spectral_factorize(f: SpectralDensity, tol: float = 1e-10) -> Factorization:
         (non-regular inputs) end up here.
     """
     G = f.grid_size
-    fv = _hermitian_values(f, G)
-    eigs = np.linalg.eigvalsh(fv)
-    scale = float(eigs.max(initial=0.0))
-    if scale <= 0.0 or eigs.min() <= RANK_TOLERANCE * scale:
+    if not check_minimality(f).passed:
         raise MultiplicityError(
             "density is rank deficient (or has a spectral zero) on the grid; "
             "only full-rank factorization is supported"
         )
+    fv = _hermitian_values(f)
     target = tol * max(1.0, float(np.abs(fv).max()))
     iterations = 0
     taps = None  # the factor's taps d(0..L) from the iteration grids
     converged = False
     for M in _iteration_grids(f):
-        cv = _hermitian_values(f, M)
-        eigs = np.linalg.eigvalsh(cv)
-        if not eigs.min() > RANK_TOLERANCE * eigs.max():
+        coarse = SpectralDensity(f.dim, f.coeffs, grid_size=M)
+        if not check_minimality(coarse).passed:
             break
+        cv = _hermitian_values(coarse)
         # steps on an iteration grid are cheap: run them down to round-off,
         # so that the output grid starts as close to the factor as they get
         psi, residual, steps = _fixed_point(cv, *_start(cv, taps), 0.0, stall=True)

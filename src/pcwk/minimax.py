@@ -45,9 +45,10 @@ from .estimators import (
 from .factorization import Factorization, extrapolate_factorized, spectral_factorize
 from .lifting import FunctionalWeights
 from .spectral import (
-    DEFAULT_COND_THRESHOLD,
     DEFAULT_GRID_SIZE,
     SpectralDensity,
+    _node_eigenvalues,
+    check_minimality,
     frequency_grid,
 )
 
@@ -302,8 +303,7 @@ def least_favorable_dm_interpolation(
         blocks = np.swapaxes(poly.coeffs[lag_index], -1, -2)
         dense = blocks.transpose(0, 2, 1, 3).reshape((n + 1) * K, (n + 1) * K)
         alpha, cond = _solve_hermitian(
-            dense, a, DEFAULT_COND_THRESHOLD, "moment system",
-            indefinite=InfeasibleClassError,
+            dense, a, "moment system", indefinite=InfeasibleClassError
         )
         alpha_blocks = alpha.reshape(n + 1, K)
         extended = poly
@@ -316,8 +316,7 @@ def least_favorable_dm_interpolation(
         p_vals = poly.coeffs[M:, 0, 0]
         toep = poly.coeffs[lag_index[: M + 1, : M + 1], 0, 0]
         alpha_head, cond = _solve_hermitian(
-            toep, a[: M + 1], DEFAULT_COND_THRESHOLD, "moment system",
-            indefinite=InfeasibleClassError,
+            toep, a[: M + 1], "moment system", indefinite=InfeasibleClassError
         )
         if abs(alpha_head[0]) < 1e-14 * max(np.abs(alpha_head).max(), 1.0):
             raise InfeasibleClassError(
@@ -339,15 +338,13 @@ def least_favorable_dm_interpolation(
         alpha_blocks[: M + 1, 0] = alpha_head
         alpha = alpha_blocks.reshape(-1)
 
-    vals = extended.values
-    herm = 0.5 * (vals + np.conj(np.transpose(vals, (0, 2, 1))))
-    eigs = np.linalg.eigvalsh(herm)
-    if eigs.min() <= 1e-12 * max(eigs.max(), 1.0):
+    if not check_minimality(extended).passed:
         raise InfeasibleClassError(
             "moment polynomial is not positive definite on the grid; "
             "the class has no usable worst density"
         )
-    f0 = SpectralDensity.from_grid(np.linalg.inv(vals), grid_size=grid_size)
+    vals = extended.values
+    f0 = SpectralDensity.from_grid(np.linalg.inv(vals))
     ar_factor = spectral_factorize(extended)
     mse = float(np.vdot(a, alpha).real)
     A = functional_symbol(weights, grid_size)
@@ -454,10 +451,7 @@ def filtering_relation_residuals(
     tr_floor = (1.0 - eps) * np.trace(g2v, axis1=1, axis2=2).real
     active = tr_g >= tr_floor - 1e-10
     slackness = float(np.abs(phi[active]).max(initial=0.0))
-    floor_gap = gv - (1.0 - eps) * g2v
-    floor_eigs = np.linalg.eigvalsh(
-        0.5 * (floor_gap + np.conj(np.transpose(floor_gap, (0, 2, 1))))
-    )
+    floor_eigs = _node_eigenvalues(gv - (1.0 - eps) * g2v)
     return FilteringRelationReport(
         residual_signal_relation=res_signal,
         residual_noise_relation=res_noise,
@@ -553,8 +547,8 @@ def least_favorable_d0eps_filtering_scalar(
     total_power = signal_power + noise_power
     if float(np.linalg.norm(weights.blocks)) == 0.0:
         # zero functional: every feasible pair is worst, with zero error
-        f0 = SpectralDensity.from_grid(f_vals, grid_size=G)
-        g0 = SpectralDensity.from_grid(g_vals, grid_size=G)
+        f0 = SpectralDensity.from_grid(f_vals)
+        g0 = SpectralDensity.from_grid(g_vals)
         h0 = filtering(f0, g0, weights, truncation=truncation or G // 4)
         return LeastFavorableResult(
             f0=f0, g0=g0, minimax_mse=0.0, h0=h0,
@@ -574,8 +568,8 @@ def least_favorable_d0eps_filtering_scalar(
     work_trunc = truncation if truncation is not None else G // 4
     best = None  # (mse, f, g, alpha, beta, phi, res_noise, res_signal)
     for iterations in range(1, max_iter + 1):
-        fd = SpectralDensity.from_grid(f_vals, grid_size=G)
-        gd = SpectralDensity.from_grid(g_vals, grid_size=G)
+        fd = SpectralDensity.from_grid(f_vals)
+        gd = SpectralDensity.from_grid(g_vals)
         try:
             sol = filtering(fd, gd, weights, truncation=work_trunc)
         except PcwkError as exc:
@@ -639,8 +633,8 @@ def least_favorable_d0eps_filtering_scalar(
     if not converged and best is not None:
         # fall back to the best (largest-error) iterate seen
         _, f_vals, g_vals, alpha, beta, phi, res_noise, res_signal = best
-    f0 = SpectralDensity.from_grid(f_vals, grid_size=G)
-    g0 = SpectralDensity.from_grid(g_vals, grid_size=G)
+    f0 = SpectralDensity.from_grid(f_vals)
+    g0 = SpectralDensity.from_grid(g_vals)
     h0 = filtering(f0, g0, weights, truncation=work_trunc)
     if not converged:
         warnings.warn(
@@ -753,9 +747,7 @@ def sample_dm_class(
     dim = first.shape[0]
     base = _moment_polynomial(p_constraints, dim, grid_size)
     M = len(p_constraints) - 1
-    base_vals = base.values
-    base_herm = 0.5 * (base_vals + np.conj(np.transpose(base_vals, (0, 2, 1))))
-    margin = float(np.linalg.eigvalsh(base_herm).min())
+    margin = float(base.eigenvalues.min())
     if margin <= 0:
         raise InfeasibleClassError("moment polynomial is not positive definite")
     out: list[SpectralDensity] = []
@@ -771,11 +763,10 @@ def sample_dm_class(
             ) * (0.25 * margin * 0.5**i / dim)
             coeffs[L + M + i] = bump
             coeffs[L - M - i] = bump.conj().T
-        vals = SpectralDensity(dim=dim, coeffs=coeffs, grid_size=grid_size).values
-        herm = 0.5 * (vals + np.conj(np.transpose(vals, (0, 2, 1))))
-        if np.linalg.eigvalsh(herm).min() <= 1e-10:
+        draw = SpectralDensity(dim=dim, coeffs=coeffs, grid_size=grid_size)
+        if draw.eigenvalues.min() <= 1e-10:
             continue
-        out.append(SpectralDensity.from_grid(np.linalg.inv(vals), grid_size=grid_size))
+        out.append(SpectralDensity.from_grid(np.linalg.inv(draw.values)))
     if len(out) < count:
         raise InfeasibleClassError(
             "could not sample enough positive definite class members"
@@ -817,7 +808,7 @@ def sample_d0eps_class(
         f_taps *= np.sqrt(signal_power / np.sum(np.abs(f_taps) ** 2))
         f = SpectralDensity.from_moving_average(list(f_taps), grid_size=G)
         if eps == 0.0:
-            g = SpectralDensity.from_grid(g2v, grid_size=G)
+            g = SpectralDensity.from_grid(g2v)
         else:
             g_taps = _random_taps(rng, order, 1)
             g_taps *= np.sqrt(
@@ -825,7 +816,7 @@ def sample_d0eps_class(
             )
             g1 = SpectralDensity.from_moving_average(list(g_taps), grid_size=G)
             gv = (1.0 - eps) * g2v + g1.values[:, 0, 0].real
-            g = SpectralDensity.from_grid(gv, grid_size=G)
+            g = SpectralDensity.from_grid(gv)
         out.append((f, g))
     return out
 
@@ -841,8 +832,7 @@ def d0eps_class_residual(
     fv, gv, g2v = f.values, g.values, g2.values
     res = abs(_trace_power(fv) - signal_power)
     res = max(res, abs(_trace_power(gv) - noise_power))
-    gap = gv - (1.0 - eps) * g2v
-    eigs = np.linalg.eigvalsh(0.5 * (gap + np.conj(np.transpose(gap, (0, 2, 1)))))
+    eigs = _node_eigenvalues(gv - (1.0 - eps) * g2v)
     return max(res, float(-min(eigs.min(), 0.0)))
 
 

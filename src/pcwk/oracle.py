@@ -19,7 +19,7 @@ import numpy as np
 from .cholesky import border, cholesky, forward, panels
 from .errors import AliasingError, IllPosedError
 from .lifting import FunctionalWeights
-from .spectral import SpectralDensity
+from .spectral import SpectralDensity, check_minimality
 
 if TYPE_CHECKING:  # the factorization module imports the spectral solvers
     from .factorization import Factorization
@@ -233,18 +233,17 @@ def time_domain_projection(
     )
 
 
-def _symbol_bounds(
-    f: SpectralDensity, g: SpectralDensity | None
-) -> tuple[float, float]:
-    """Least and largest eigenvalue of the symbol of f + g on the grid of f.
+def _symbol(f: SpectralDensity, g: SpectralDensity | None) -> SpectralDensity:
+    """The coefficient symbol of f + g, as a density on the grid of f.
 
-    The symbol is the coefficient table evaluated by one inverse FFT, not
+    Its values are the coefficient table evaluated by one inverse FFT, not
     the cached ``f.values``: a ``from_grid`` density's samples may carry a
     Nyquist term that its coefficients, and so its covariances, lack. An
     observation window whose lag span is below G/2 has a covariance that is
     a principal submatrix of the block circulant of the table, whose
     eigenvalues are those of the symbol at the G nodes; by Cauchy
-    interlacing, every window's eigenvalues lie between these bounds.
+    interlacing, every window's eigenvalues lie between the least and the
+    largest of its ``eigenvalues``.
     """
     coeffs = f.coeffs
     if g is not None:
@@ -252,9 +251,7 @@ def _symbol_bounds(
         coeffs = np.zeros((2 * L + 1, f.dim, f.dim), dtype=complex)
         for density in (f, g):
             coeffs[L - density.max_lag : L + density.max_lag + 1] += density.coeffs
-    values = SpectralDensity(f.dim, coeffs, grid_size=f.grid_size).values
-    eigs = np.linalg.eigvalsh(0.5 * (values + values.conj().transpose(0, 2, 1)))
-    return float(eigs.min()), float(eigs.max())
+    return SpectralDensity(f.dim, coeffs, grid_size=f.grid_size)
 
 
 def _nearest_first(task: str, n: int, window: int) -> np.ndarray:
@@ -294,11 +291,11 @@ def time_domain_projection_converged(
     bordered by each window's new block rows, and the error of a window is
     the target's variance minus ||L^{-1} cross||^2 over its prefix.
 
-    The gate is the symbol bound of :func:`_symbol_bounds`, computed once:
-    the call raises ``IllPosedError`` when the least eigenvalue of f + g on
-    the grid is at most 1e-12 of the largest, which by interlacing refuses
-    every window :func:`time_domain_projection` refuses. Each projection's
-    ``condition`` is the symbol's ratio.
+    The gate is ``check_minimality`` of the coefficient symbol of f + g
+    (:func:`_symbol`), computed once: the call raises ``IllPosedError``
+    when the symbol fails it, which by interlacing refuses every window
+    :func:`time_domain_projection` refuses. Each projection's ``condition``
+    is the symbol's ``max_condition``, its largest over least eigenvalue.
     """
     K = _check_dims(f, g, weights)
     task, n = weights.horizon, weights.n
@@ -308,8 +305,8 @@ def time_domain_projection_converged(
         windows.append(min(2 * windows[-1], largest))
     obs = _nearest_first(task, n, windows[-1])
     cz, cx = _tables(f, g, weights, windows[-1])
-    lo, hi = _symbol_bounds(f, g)
-    if hi <= 0.0 or lo <= 1e-12 * hi:
+    report = check_minimality(_symbol(f, g))
+    if not report.passed:
         raise IllPosedError(
             "observation covariance symbol is singular on the grid; "
             "regularization refused"
@@ -342,7 +339,7 @@ def time_domain_projection_converged(
             mse=max(mse, 0.0),
             window=window,
             n_observations=count * K,
-            condition=hi / lo,
+            condition=report.max_condition,
         )
         history.append(current)
         if len(history) > 1 and abs(current.mse - history[-2].mse) <= rel_tol * max(

@@ -8,7 +8,9 @@ with the Hermitian pairing ``F(-m) = F(m)^H``. :class:`SpectralDensity`
 stores it once, as a dense ``(2 L + 1, K, K)`` coefficient array with lag m
 at index ``m + L`` (the layout of ``oracle.CovarianceTable``); lags beyond L
 are zero. Its grid values ``f.values`` are computed by one inverse FFT on
-first use and then cached on the object, read-only. All integrals are
+first use and then cached on the object, read-only, and so are the node
+eigenvalues ``f.eigenvalues`` of its Hermitian part, which every
+positive-definiteness decision reads. All integrals are
 trapezoid sums over the uniform grid ``lambda_g = -pi + 2 pi g / G``, which
 integrate the retained trigonometric band exactly. Densities that are not
 polynomials (inverses of polynomials, iterates of fixed-point solvers) are
@@ -173,20 +175,17 @@ class SpectralDensity:
         return cls(dim=dim, coeffs=coeffs, grid_size=grid_size)
 
     @classmethod
-    def from_grid(cls, values, grid_size=None):
+    def from_grid(cls, values):
         """Recover a density from samples on the standard grid.
 
-        The samples, copied and read-only, become the density's grid values.
-        Its coefficients are every resolvable lag of their FFT, with the
-        Hermitian pairs whose norms both fall below 1e-15 of the largest
-        coefficient set to zero and the array cut after the last kept lag.
+        The samples, copied and read-only, become the density's grid values,
+        and their number its grid size. Its coefficients are every resolvable
+        lag of their FFT, with the Hermitian pairs whose norms both fall below
+        1e-15 of the largest coefficient set to zero and the array cut after
+        the last kept lag.
         """
         samples = np.array(_as_grid_values(values))
         G = samples.shape[0]
-        if grid_size is None:
-            grid_size = G
-        elif grid_size != G:
-            raise ValueError("grid_size does not match the sampled values")
         coeff_all = _all_fourier_coefficients(samples)
         norms = np.linalg.norm(coeff_all, axis=(1, 2))
         half = G // 2 - 1
@@ -197,7 +196,7 @@ class SpectralDensity:
         L = int(np.abs(lags[keep]).max())
         coeffs = np.where(keep[:, None, None], coeff_all[lags % G], 0.0)
         density = cls(dim=samples.shape[1], coeffs=coeffs[half - L : half + L + 1],
-                      grid_size=grid_size)
+                      grid_size=G)
         vars(density)["values"] = _read_only(samples)  # the cache of ``values``
         return density
 
@@ -215,6 +214,14 @@ class SpectralDensity:
         buf = np.zeros((G, self.dim, self.dim), dtype=complex)
         buf[rows] = _alternating_signs(G)[rows, None, None] * self.coeffs
         return _read_only(np.fft.ifft(buf, axis=0) * G)
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Ascending eigenvalues of the Hermitian part of f at each node, (G, K).
+
+        Computed once from ``values`` and cached, read-only.
+        """
+        return _read_only(_node_eigenvalues(self.values))
 
     def coeff(self, m: int) -> np.ndarray:
         """F(m), a zero matrix beyond the stored lags."""
@@ -237,6 +244,11 @@ def _as_grid_values(values) -> np.ndarray:
     if vals.ndim != 3 or vals.shape[1] != vals.shape[2]:
         raise ValueError(f"expected (G, K, K) samples, got shape {vals.shape}")
     return vals
+
+
+def _node_eigenvalues(values: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian part of (G, K, K) grid samples."""
+    return np.linalg.eigvalsh(0.5 * (values + np.conj(np.transpose(values, (0, 2, 1)))))
 
 
 def _alternating_signs(grid_size: int) -> np.ndarray:
@@ -290,9 +302,7 @@ class MinimalityReport:
 
 
 def check_minimality(
-    f: SpectralDensity,
-    g: SpectralDensity | None = None,
-    cond_threshold: float = DEFAULT_COND_THRESHOLD,
+    f: SpectralDensity, g: SpectralDensity | None = None
 ) -> MinimalityReport:
     """Check that f+g (or f alone) is invertible on the whole grid.
 
@@ -300,23 +310,23 @@ def check_minimality(
     largest grid condition number (smallest node eigenvalue measured
     against the largest eigenvalue anywhere on the grid, so a node where
     the density collapses fails even if it is well scaled locally), and a
-    pass flag. Nodes beyond ``cond_threshold`` fail the check rather than
-    being regularized.
+    pass flag. This is the one place the rule is written: a node whose
+    condition exceeds ``DEFAULT_COND_THRESHOLD`` fails the check rather
+    than being regularized. Alone, f is read through its cached
+    ``eigenvalues``.
     """
-    vals = f.values
-    if g is not None:
-        gvals = g.values
-        if gvals.shape != vals.shape:
-            raise ValueError(
-                f"dimension mismatch: f samples {vals.shape}, g samples {gvals.shape}"
-            )
-        vals = vals + gvals
-    herm = 0.5 * (vals + np.conj(np.transpose(vals, (0, 2, 1))))
-    eigs = np.linalg.eigvalsh(herm)
-    grid_size = vals.shape[0]
+    if g is None:
+        eigs = f.eigenvalues
+    elif g.values.shape != f.values.shape:
+        raise ValueError(
+            f"dimension mismatch: f samples {f.values.shape}, g samples {g.values.shape}"
+        )
+    else:
+        eigs = _node_eigenvalues(f.values + g.values)
+    grid_size = eigs.shape[0]
     lam = frequency_grid(grid_size)
     scale = float(eigs.max(initial=0.0))
-    min_per_node = eigs.min(axis=1)
+    min_per_node = eigs[:, 0]
     if scale <= 0.0:
         return MinimalityReport(
             integral=np.inf,
@@ -328,7 +338,7 @@ def check_minimality(
     with np.errstate(divide="ignore"):
         cond_per_node = np.where(min_per_node > 0.0, scale / min_per_node, np.inf)
     worst = int(np.argmax(cond_per_node))
-    bad = cond_per_node > cond_threshold
+    bad = cond_per_node > DEFAULT_COND_THRESHOLD
     passed = not bad.any()
     if np.all(eigs > 0.0):
         integral = float((2.0 * np.pi) * np.mean(np.sum(1.0 / eigs, axis=1)))
@@ -381,9 +391,7 @@ def validate_density(f: SpectralDensity) -> DensityReport:
     for m in lags[(lags < 0) & orphan]:
         issues.append(f"lag {m} stored without its lag {-m} partner")
     hermitian_ok = not issues
-    vals = f.values
-    herm = 0.5 * (vals + np.conj(np.transpose(vals, (0, 2, 1))))
-    node_mins = np.linalg.eigvalsh(herm).min(axis=1)
+    node_mins = f.eigenvalues[:, 0]
     worst = int(np.argmin(node_mins))
     min_eig = float(node_mins[worst])
     psd_ok = min_eig >= -PSD_TOLERANCE

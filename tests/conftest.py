@@ -26,7 +26,7 @@ def ar1(dim=1, phi=0.5):
     lam = frequency_grid(GRID)
     base = np.abs(1.0 - phi * np.exp(-1j * lam)) ** 2
     vals = np.einsum("g,kn->gkn", 1.0 / base, np.eye(dim)).astype(complex)
-    return SpectralDensity.from_grid(vals, grid_size=GRID)
+    return SpectralDensity.from_grid(vals)
 
 
 def coupled_ma2():

@@ -270,11 +270,11 @@ class TestIterationGrid:
         phi = 0.9
         lam = frequency_grid(GRID)
         vals = 1.0 / np.abs(1.0 - phi * np.exp(-1j * lam)) ** 2
-        f = SpectralDensity.from_grid(vals, grid_size=GRID)
+        f = SpectralDensity.from_grid(vals)
         assert 8 * f.max_lag >= GRID
         assert _iteration_grids(f) == []
         fact = spectral_factorize(f)
-        fv = _hermitian_values(f, GRID)
+        fv = _hermitian_values(f)
         psi, residual, steps = _fixed_point(fv, *_start(fv, None), residual_target(f))
         assert fact.iterations == steps
         assert fact.residual == residual
@@ -293,9 +293,10 @@ class TestIterationGrid:
         c = 0.5 * 1.003 * np.exp(1j * np.pi / 32)
         f = SpectralDensity.from_coeffs({0: 1.0, 3: c, -3: np.conj(c)}, grid_size=32)
         assert f.values.real.min() > 0
-        assert _hermitian_values(f, MIN_ITERATION_GRID).real.min() < 0
+        fine = SpectralDensity(1, f.coeffs, grid_size=MIN_ITERATION_GRID)
+        assert _hermitian_values(fine).real.min() < 0
         fact = spectral_factorize(f)
-        fv = _hermitian_values(f, 32)
+        fv = _hermitian_values(f)
         psi, residual, steps = _fixed_point(fv, *_start(fv, None), residual_target(f))
         assert fact.iterations == steps
         assert fact.residual == residual <= residual_target(f)

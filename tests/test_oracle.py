@@ -27,7 +27,7 @@ from pcwk import (
     time_domain_projection_converged,
 )
 from pcwk.factorization import Factorization
-from pcwk.oracle import _symbol_bounds, observation_indices
+from pcwk.oracle import _symbol, observation_indices
 from conftest import GRID, ar1, coupled_ma2, ma1, white
 
 
@@ -201,7 +201,8 @@ class TestConvergedHistory:
         proj, history = time_domain_projection_converged(f, g, w, initial_window=2)
         assert proj.converged and history[-1] is proj
         assert len(history) >= (2 if proj.mse == 0.0 else 3)
-        lo, hi = _symbol_bounds(f, g)
+        eigs = _symbol(f, g).eigenvalues
+        lo, hi = eigs.min(), eigs.max()
         for entry in history:
             single = time_domain_projection(f, g, w, entry.window)
             assert entry.window == single.window
@@ -242,7 +243,8 @@ def test_symbol_bound_reads_the_coefficients_not_the_samples():
     f = SpectralDensity.from_grid(base + 0.2 * (-1.0) ** np.arange(grid))
     np.testing.assert_allclose(f.coeffs[:, 0, 0], [0.45, 1.0, 0.45], atol=1e-15)
     assert f.values.real.min() < 0.0
-    lo, hi = _symbol_bounds(f, None)
+    eigs = _symbol(f, None).eigenvalues
+    lo, hi = eigs.min(), eigs.max()
     assert lo == pytest.approx(0.1, rel=1e-12)
     assert hi == pytest.approx(1.9, rel=1e-12)
     w = FunctionalWeights.extrapolation([[1.0]])
@@ -305,7 +307,7 @@ def stable_problems(draw):
     )
     assume(check_minimality(f).max_condition <= 100.0)
     if draw(st.booleans()):
-        f = SpectralDensity.from_grid(np.linalg.inv(f.values), grid_size=PROPERTY_GRID)
+        f = SpectralDensity.from_grid(np.linalg.inv(f.values))
     n_blocks = draw(st.integers(1, 3))
     raw = draw(arrays(np.float64, (n_blocks, dim, 2), elements=st.floats(-1.0, 1.0)))
     assume(np.abs(raw).max() > 0.1)
@@ -350,7 +352,8 @@ def test_symbol_bounds_bracket_the_window_covariance(problem, horizon, noisy, wi
     g = SpectralDensity.white(f.dim, scale=0.5, grid_size=PROPERTY_GRID)
     g = g if noisy else None
     w = FunctionalWeights(blocks=blocks, horizon=horizon)
-    lo, hi = _symbol_bounds(f, g)
+    symbol = _symbol(f, g).eigenvalues
+    lo, hi = symbol.min(), symbol.max()
     sigma = loop_covariance(f, g, w, window)
     eigs = np.linalg.eigvalsh(0.5 * (sigma + sigma.conj().T))
     slack = 1e-12 * hi  # round-off of the two eigenvalue computations

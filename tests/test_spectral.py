@@ -3,10 +3,19 @@ import pytest
 
 from pcwk import (
     AliasingError,
+    FunctionalWeights,
+    IllPosedError,
+    MinimalityError,
+    MultiplicityError,
+    PcwkError,
     SpectralDensity,
     check_minimality,
+    extrapolate,
     fourier_coefficients,
+    interpolate,
     read_density_csv,
+    spectral_factorize,
+    time_domain_projection_converged,
     validate_density,
     write_density_csv,
 )
@@ -42,7 +51,7 @@ class TestEvaluateOnGrid:
 
     def test_from_grid_keeps_a_copy_of_its_samples(self, grid):
         samples = (1.25 + np.cos(grid)).astype(complex)
-        f = SpectralDensity.from_grid(samples, grid_size=GRID)
+        f = SpectralDensity.from_grid(samples)
         samples[:] = 0.0
         np.testing.assert_array_equal(f.values[:, 0, 0], 1.25 + np.cos(grid))
         with pytest.raises(ValueError, match="read-only"):
@@ -114,6 +123,61 @@ class TestCheckMinimality:
             check_minimality(white(dim=1), white(dim=2))
 
 
+class TestOneGate:
+    """Every positive-definiteness decision reads the same node eigenvalues."""
+
+    def test_one_decomposition_per_density(self, monkeypatch):
+        G = 2048
+        f = SpectralDensity.from_moving_average(
+            [np.eye(2), [[0.4, 0.2], [-0.1, 0.3]]], grid_size=G
+        )
+        blocks = [[1.0, 0.5], [0.25, 0.0]]
+        eigvalsh, shapes = np.linalg.eigvalsh, []
+
+        def counting(a, *args, **kwargs):
+            if np.ndim(a) == 3 and np.shape(a)[0] == G:
+                shapes.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        assert validate_density(f).ok
+        assert check_minimality(f).passed
+        interpolate(f, None, FunctionalWeights.interpolation(blocks))
+        extrapolate(f, None, FunctionalWeights.extrapolation(blocks))
+        spectral_factorize(f)
+        assert shapes == [(G, 2, 2)]
+        herm = 0.5 * (f.values + np.conj(np.transpose(f.values, (0, 2, 1))))
+        np.testing.assert_array_equal(f.eigenvalues, eigvalsh(herm))
+        assert f.eigenvalues is f.eigenvalues
+        with pytest.raises(ValueError, match="read-only"):
+            f.eigenvalues[0, 0] = 1.0
+
+    @pytest.mark.parametrize("b", [0.9, 1 - 1e-5, 1 - 1e-7, 1.0])
+    @pytest.mark.parametrize(
+        "solve, error",
+        [
+            (lambda f, w: interpolate(f, None, w), MinimalityError),
+            (lambda f, w: spectral_factorize(f), MultiplicityError),
+            (lambda f, w: time_domain_projection_converged(f, None, w), IllPosedError),
+        ],
+        ids=["interpolate", "spectral_factorize", "oracle"],
+    )
+    def test_one_rule(self, b, solve, error):
+        # MA(1) with taps 1, b: grid condition ((1 + b) / (1 - b))^2, which
+        # is 4e10 at b = 1 - 1e-5 and 4e14 at b = 1 - 1e-7
+        f = SpectralDensity.from_moving_average([[[1.0]], [[b]]], grid_size=2048)
+        passed = check_minimality(f).passed
+        assert passed == (b <= 1 - 1e-5)
+        refused = False
+        try:
+            solve(f, FunctionalWeights.interpolation([[1.0]]))
+        except error:
+            refused = True
+        except PcwkError:  # a failure after the gate, such as no convergence
+            pass
+        assert refused == (not passed)
+
+
 class TestValidateDensity:
     def test_identity_ok(self):
         rep = validate_density(white(dim=2))
@@ -154,9 +218,7 @@ class TestMovingAverageConstruction:
 
     def test_from_grid_recovers_polynomial(self):
         f = coupled_ma2()
-        sampled = SpectralDensity.from_grid(
-            f.values, grid_size=GRID
-        )
+        sampled = SpectralDensity.from_grid(f.values)
         for m in (-1, 0, 1):
             np.testing.assert_allclose(sampled.coeff(m), f.coeff(m), atol=1e-12)
 
