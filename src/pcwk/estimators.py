@@ -12,7 +12,9 @@ by the task:
   observed with noise.
 
 All tasks run one path, which differs between them only in its index sets:
-one minimality check and one inversion of f+g on the grid, the Fourier
+one minimality check and one inversion of f+g on the grid (with noise the
+inverse comes first, and a bound on its norms settles the check unless
+the grid is near the threshold), the Fourier
 coefficient tables of the kernels (f+g)^{-1}, f (f+g)^{-1} and
 f (f+g)^{-1} g (transposed inside the integral, as the component pairing of
 the lifted basis requires), block matrices gathered from them, one
@@ -45,6 +47,7 @@ from .spectral import (
     DEFAULT_COND_THRESHOLD,
     SpectralDensity,
     _all_fourier_coefficients,
+    _inverse_if_minimal,
     check_minimality,
 )
 
@@ -75,6 +78,13 @@ MSE_CAUCHY_TOL = 1e-8
 def _kernel_tables(f, g, which=(0, 1, 2)):
     """Check minimality, invert f+g on the grid once and tabulate the kernels.
 
+    With noise, f+g is inverted first and the inverse is kept when
+    :func:`spectral._inverse_if_minimal` proves, from its norms and one
+    Cholesky factor of the Hermitian part, that ``check_minimality(f, g)``
+    passes; only when that bound cannot decide does the exact check run,
+    so every refusal keeps its error and message. Without noise the check
+    reads the cached ``f.eigenvalues``.
+
     Returns the grid values of (f+g)^{-1} and of g, and the coefficient
     tables, indexed by lag mod G, of the transposed kernels (f+g)^{-1},
     f (f+g)^{-1} and f (f+g)^{-1} g; only the kernels numbered in ``which``
@@ -83,23 +93,35 @@ def _kernel_tables(f, g, which=(0, 1, 2)):
     """
     fv = f.values
     gv = None if g is None else g.values
-    report = check_minimality(f, g)
-    if not report.passed:
-        observed = "signal" if g is None else "observed"
-        raise MinimalityError(
-            f"minimality condition violated: {observed} density is singular near "
-            f"lambda = {report.worst_node:.6f} "
-            f"(grid condition {report.max_condition:.3e})"
-        )
-    inv = np.linalg.inv(fv if gv is None else fv + gv)
+    inv = None
+    if gv is not None and gv.shape == fv.shape:
+        inv = _inverse_if_minimal(fv + gv)
+    if inv is None:
+        report = check_minimality(f, g)
+        if not report.passed:
+            observed = "signal" if g is None else "observed"
+            raise MinimalityError(
+                f"minimality condition violated: {observed} density is singular "
+                f"near lambda = {report.worst_node:.6f} "
+                f"(grid condition {report.max_condition:.3e})"
+            )
+        inv = np.linalg.inv(fv if gv is None else fv + gv)
+    tables = [None, None, None]
+    if 0 in which:
+        tables[0] = _transposed_coefficients(inv)
+    if gv is not None and (1 in which or 2 in which):
+        kernel = fv @ inv
+        if 1 in which:
+            tables[1] = _transposed_coefficients(kernel)
+        if 2 in which:
+            kernel = kernel @ gv  # f (f+g)^{-1} g; f (f+g)^{-1} is freed here
+            tables[2] = _transposed_coefficients(kernel)
+    return inv, gv, tuple(tables)
 
-    def table(i):
-        if i not in which or (i > 0 and gv is None):
-            return None
-        kernel = inv if i == 0 else fv @ inv if i == 1 else fv @ inv @ gv
-        return _all_fourier_coefficients(np.transpose(kernel, (0, 2, 1)))
 
-    return inv, gv, tuple(table(i) for i in range(3))
+def _transposed_coefficients(kernel):
+    """Coefficient table, by lag mod G, of a (G, K, K) kernel transposed pointwise."""
+    return _all_fourier_coefficients(np.transpose(kernel, (0, 2, 1)))
 
 
 def _gather(table, kind, rows, cols):

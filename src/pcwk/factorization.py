@@ -49,6 +49,7 @@ from .spectral import (
     DEFAULT_GRID_SIZE,
     SpectralDensity,
     _alternating_signs,
+    _node_norms,
     check_minimality,
 )
 
@@ -329,8 +330,28 @@ def spectral_factorize(f: SpectralDensity, tol: float = 1e-10) -> Factorization:
 
 
 def _left_inverse_values(p_values: np.ndarray):
-    """Pointwise left inverse Q with Q P = I, for full column rank P."""
+    """Pointwise left inverse Q with Q P = I, for full column rank P.
+
+    The factor is refused (``SingularFactorError``) when its singular
+    values on the grid, largest over smallest, exceed ``FACTOR_COND_LIMIT``.
+    A square P is inverted first: sigma_max <= max_g ||P_g||_F and
+    1 / sigma_min = max_g ||P_g^{-1}||_2 <= max_g ||Q_g||_F, so when the
+    product of those maxima is at most half the limit the rule passes and
+    Q is returned without the ``svd``. The factor two covers the rounding
+    of the ``svd`` and of Q. Otherwise the singular values decide, as for
+    a non-square P.
+    """
     G, K, M = p_values.shape
+    q = None
+    if K == M:
+        try:
+            q = np.linalg.inv(p_values)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            bound = float(_node_norms(p_values).max()) * float(_node_norms(q).max())
+            if bound <= FACTOR_COND_LIMIT / 2:
+                return q
     sv = np.linalg.svd(p_values, compute_uv=False)
     smax = float(sv.max())
     smin = float(sv.min())
@@ -340,7 +361,7 @@ def _left_inverse_values(p_values: np.ndarray):
             "no bounded left inverse"
         )
     if K == M:
-        return np.linalg.inv(p_values)
+        return np.linalg.inv(p_values) if q is None else q
     gram = np.conj(np.transpose(p_values, (0, 2, 1))) @ p_values
     return np.linalg.solve(gram, np.conj(np.transpose(p_values, (0, 2, 1))))
 

@@ -251,6 +251,12 @@ def _node_eigenvalues(values: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(0.5 * (values + np.conj(np.transpose(values, (0, 2, 1)))))
 
 
+def _node_norms(values: np.ndarray) -> np.ndarray:
+    """Frobenius norm of the matrix at each node of (G, K, K) samples, (G,)."""
+    flat = np.ascontiguousarray(values).view(float).reshape(values.shape[0], -1)
+    return np.sqrt(np.einsum("gi,gi->g", flat, flat))
+
+
 def _alternating_signs(grid_size: int) -> np.ndarray:
     return (-1.0) ** np.arange(grid_size)
 
@@ -313,7 +319,9 @@ def check_minimality(
     pass flag. This is the one place the rule is written: a node whose
     condition exceeds ``DEFAULT_COND_THRESHOLD`` fails the check rather
     than being regularized. Alone, f is read through its cached
-    ``eigenvalues``.
+    ``eigenvalues``. The estimators reach this check for f + g only when
+    :func:`_inverse_if_minimal` cannot prove that it passes, near the
+    threshold or on a refusal.
     """
     if g is None:
         eigs = f.eigenvalues
@@ -351,6 +359,55 @@ def check_minimality(
         worst_node=float(lam[worst]),
         n_bad_nodes=int(bad.sum()),
     )
+
+
+def _inverse_if_minimal(values: np.ndarray) -> np.ndarray | None:
+    """``np.linalg.inv(values)`` when a bound proves that the minimality rule passes.
+
+    ``values`` are (G, K, K) grid samples A with Hermitian part H and skew
+    part S = A - H. Returns None, and the caller runs
+    :func:`check_minimality`, whenever the bound cannot decide: A is
+    singular, H has no Cholesky factor, or the bound exceeds half of
+    ``DEFAULT_COND_THRESHOLD``. Otherwise the rule's condition
+    lambda_max / lambda_min of H is at most that half:
+
+    * the Cholesky factor proves H positive definite at every node
+      (Higham, *Accuracy and Stability of Numerical Algorithms*, 10.1);
+    * lambda_max(H_g) <= ||H_g||_2 <= ||A_g||_F at each node;
+    * 1 / lambda_min(H_g) = ||H_g^{-1}||_2 <= r_g / (1 - r_g s_g) with
+      r_g = ||A_g^{-1}||_F and s_g = ||S_g||_F, since H = A - S (the
+      perturbed-inverse bound; Golub & Van Loan, *Matrix Computations*,
+      2.3). For a Hermitian density S is round-off and the bound is r_g.
+
+    The factor two covers the rounding of the rule's own ``eigvalsh``,
+    which by Weyl's inequality moves each eigenvalue by about
+    K eps lambda_max at most (Golub & Van Loan, 8.1), below 1e-3 of
+    lambda_min at half the threshold, and the error of the computed
+    inverse, about cond * eps relative. An accepted grid therefore passes
+    ``check_minimality`` too: the bound changes the cost of a decision,
+    never the decision.
+    """
+    try:
+        inverse = np.linalg.inv(values)
+    except np.linalg.LinAlgError:
+        return None
+    # one work array, no other temporary: A^H - A = -2 S, then A^H + A = 2 H
+    work = np.conjugate(np.transpose(values, (0, 2, 1)), order="C")
+    work -= values
+    skew = _node_norms(work) / 2.0
+    work += values
+    work += values
+    try:
+        np.linalg.cholesky(work)  # 2 H is definite exactly when H is
+    except np.linalg.LinAlgError:
+        return None
+    del work
+    r = _node_norms(inverse)
+    rs = r * skew
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inverse_norm = np.where(rs < 1.0, r / (1.0 - rs), np.inf)
+    bound = float(_node_norms(values).max()) * float(inverse_norm.max())
+    return inverse if bound <= DEFAULT_COND_THRESHOLD / 2 else None
 
 
 @dataclass(frozen=True)

@@ -360,12 +360,16 @@ class TestOnePath:
         "task", ["interp", "interp_noiseless", "extrap", "extrap_noiseless", "filter"]
     )
     def test_one_minimality_check_and_one_inversion(self, monkeypatch, task):
-        calls = {"check_minimality": 0, "inv": 0}
+        # one inversion of f+g (of f without noise). The well-conditioned
+        # noisy pair passes the gate by its bound, so no grid eigenvalues
+        # are computed; without noise the one check_minimality call reads
+        # f.eigenvalues, computed once for the fresh density
+        calls = {"check_minimality": 0, "inv": 0, "grid eigvalsh": 0}
 
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
+        def counted(name, fn, grid_only=False):
+            def wrapper(a, *args, **kwargs):
+                calls[name] += not grid_only or np.ndim(a) == 3
+                return fn(a, *args, **kwargs)
 
             return wrapper
 
@@ -376,6 +380,10 @@ class TestOnePath:
         monkeypatch.setattr(
             estimators.np.linalg, "inv", counted("inv", estimators.np.linalg.inv)
         )
+        monkeypatch.setattr(
+            estimators.np.linalg, "eigvalsh",
+            counted("grid eigvalsh", estimators.np.linalg.eigvalsh, grid_only=True),
+        )
         f = coupled_ma2()
         g = None if task.endswith("noiseless") else white(dim=2, scale=0.5)
         blocks = np.array([[1.0, -0.5], [0.3, 0.2]])
@@ -385,7 +393,8 @@ class TestOnePath:
             extrapolate(f, g, FunctionalWeights.extrapolation(blocks))
         else:
             filtering(f, g, FunctionalWeights.filtering(blocks))
-        assert calls == {"check_minimality": 1, "inv": 1}
+        exact = int(g is None)
+        assert calls == {"check_minimality": exact, "inv": 1, "grid eigvalsh": exact}
 
     def test_grid_values_computed_once_per_density(self, monkeypatch):
         grids = []
@@ -420,6 +429,72 @@ class TestOnePath:
         noisy = solver(f, white(dim=2, scale=1e-10), w)
         assert noisy.mse == pytest.approx(exact.mse, abs=1e-8)
         np.testing.assert_allclose(noisy.h_grid, exact.h_grid, atol=1e-8)
+
+
+def constant_pair(spectrum, seed=None, skew=0.0):
+    """Constant f = g with f + g = U diag(spectrum) U^H + skew [[0, 1], [-1, 0]].
+
+    U is a seeded random unitary, or the identity when ``seed`` is None.
+    """
+    u = np.eye(2)
+    if seed is not None:
+        z = np.random.default_rng(seed).standard_normal((2, 2, 2))
+        u = np.linalg.qr(z[0] + 1j * z[1])[0]
+    total = u @ np.diag(spectrum) @ u.conj().T
+    total = total + skew * np.array([[0.0, 1.0], [-1.0, 0.0]])
+    f = SpectralDensity.constant(0.5 * total, grid_size=64)
+    return f, f
+
+
+# f + g at grid conditions on both sides of the threshold 1e12 and of the
+# bound's acceptance limit 5e11, plus sums the bound must never accept: an
+# indefinite one (its inverse has small norms), a singular one (inv fails)
+# and a non-Hermitian one whose Hermitian part has condition 1e13
+GATE_CASES = [
+    pytest.param(([1.0, 1.0 / cond], seed), id=f"cond{cond:.0e}-{name}")
+    for cond in (1e9, 1e11, 4e11, 6e11, 1e12, 2e12, 1e13)
+    for seed, name in ((None, "diagonal"), (1, "rotated"))
+] + [
+    pytest.param(([1.0, -0.5], 1), id="indefinite"),
+    pytest.param(([1.0, 0.0], None), id="singular"),
+    pytest.param(([1.0, 1e-13], None, 1.0), id="skew"),
+] + [
+    # within the rounding of eigvalsh and inv of the threshold: without the
+    # bound's factor-two margin, some of these would be accepted by the bound
+    # and refused by check_minimality
+    pytest.param(([1.0, 1.0 / (1e12 * (1.0 - 1e-5))], seed), id=f"edge-{seed}")
+    for seed in range(20)
+]
+
+
+class TestMinimalityBound:
+    @pytest.mark.filterwarnings("ignore:discarding imaginary part")
+    @pytest.mark.parametrize("case", GATE_CASES)
+    def test_bound_never_changes_the_decision(self, case):
+        f, g = constant_pair(*case)
+        report = check_minimality(f, g)
+        blocks = np.array([[1.0, 0.5]])
+        entries = [
+            lambda: interpolate(f, g, FunctionalWeights.interpolation(blocks)),
+            lambda: extrapolate(f, g, FunctionalWeights.extrapolation(blocks)),
+            lambda: filtering(f, g, FunctionalWeights.filtering(blocks)),
+            lambda: build_block_matrix("B", f, g, [0, 1], [0, 1]),
+        ]
+        message = (
+            "minimality condition violated: observed density is singular near "
+            f"lambda = {report.worst_node:.6f} "
+            f"(grid condition {report.max_condition:.3e})"
+        )
+        for entry in entries:
+            if report.passed:
+                try:
+                    entry()
+                except (IllPosedError, TruncationError):
+                    pass  # the solve's own gate, after minimality passed
+            else:
+                with pytest.raises(MinimalityError) as refused:
+                    entry()
+                assert str(refused.value) == message
 
 
 class TestBlocksSymbol:
@@ -491,7 +566,9 @@ class TestSolveGate:
         monkeypatch.setattr(
             estimators.np.linalg,
             "cholesky",
-            lambda m: orders.append(m.shape[0]) or cholesky(m),
+            # system factors only: the noisy minimality gate factors the
+            # (G, K, K) grid of f+g
+            lambda m: (np.ndim(m) == 2 and orders.append(m.shape[0])) or cholesky(m),
         )
         sol = solver(f, g, w)
         history = sol.diagnostics["history"]

@@ -20,6 +20,7 @@ from pcwk import (
 )
 from pcwk.cli import main
 from pcwk.factorization import (
+    FACTOR_COND_LIMIT,
     MIN_ITERATION_GRID,
     Factorization,
     _fixed_point,
@@ -134,6 +135,31 @@ class TestLeftInverse:
         fact = Factorization(coeffs=taps, residual=0.0, iterations=0, grid_size=GRID)
         with pytest.raises(SingularFactorError):
             left_inverse(fact)
+
+
+    @pytest.mark.parametrize(
+        "cond, seed",
+        [(cond, seed) for cond in (1e9, 4e11, 6e11, 1e12, 2e12, 1e13, np.inf)
+         for seed in (None, 1)]
+        + [(1e12 * (1.0 - 1e-5), seed) for seed in range(20)],
+    )
+    def test_bound_keeps_the_svd_decision(self, cond, seed):
+        # d(0) = U diag(1, 1/cond) V: refused exactly when the singular
+        # values of P, largest over smallest, exceed FACTOR_COND_LIMIT, and
+        # otherwise Q is the plain inverse of P
+        d0 = np.diag([1.0, 1.0 / cond]).astype(complex)
+        if seed is not None:
+            z = np.random.default_rng(seed).standard_normal((4, 2, 2))
+            u, v = (np.linalg.qr(z[i] + 1j * z[i + 2])[0] for i in range(2))
+            d0 = u @ d0 @ v
+        fact = Factorization(coeffs=d0[None], residual=0.0, iterations=0, grid_size=GRID)
+        p = fact.symbol()
+        sv = np.linalg.svd(p, compute_uv=False)
+        if sv.min() <= 0.0 or sv.max() / sv.min() > FACTOR_COND_LIMIT:
+            with pytest.raises(SingularFactorError):
+                left_inverse(fact)
+        else:
+            np.testing.assert_array_equal(left_inverse(fact), np.linalg.inv(p))
 
 
 class TestFactorizedExtrapolation:
