@@ -75,7 +75,7 @@ MSE_CAUCHY_TOL = 1e-8
 # -- kernel tables and block matrices -----------------------------------
 
 
-def _kernel_tables(f, g, which=(0, 1, 2)):
+def _kernel_tables(f, g):
     """Check minimality, invert f+g on the grid once and tabulate the kernels.
 
     With noise, f+g is inverted first and the inverse is kept when
@@ -87,8 +87,7 @@ def _kernel_tables(f, g, which=(0, 1, 2)):
 
     Returns the grid values of (f+g)^{-1} and of g, and the coefficient
     tables, indexed by lag mod G, of the transposed kernels (f+g)^{-1},
-    f (f+g)^{-1} and f (f+g)^{-1} g; only the kernels numbered in ``which``
-    are tabulated, the others are None. Without noise the last two kernels
+    f (f+g)^{-1} and f (f+g)^{-1} g. Without noise the last two kernels
     are the identity and zero, and their tables are None.
     """
     fv = f.values
@@ -106,17 +105,13 @@ def _kernel_tables(f, g, which=(0, 1, 2)):
                 f"(grid condition {report.max_condition:.3e})"
             )
         inv = np.linalg.inv(fv if gv is None else fv + gv)
-    tables = [None, None, None]
-    if 0 in which:
-        tables[0] = _transposed_coefficients(inv)
-    if gv is not None and (1 in which or 2 in which):
-        kernel = fv @ inv
-        if 1 in which:
-            tables[1] = _transposed_coefficients(kernel)
-        if 2 in which:
-            kernel = kernel @ gv  # f (f+g)^{-1} g; f (f+g)^{-1} is freed here
-            tables[2] = _transposed_coefficients(kernel)
-    return inv, gv, tuple(tables)
+    inv_table = _transposed_coefficients(inv)
+    if gv is None:
+        return inv, gv, (inv_table, None, None)
+    kernel = fv @ inv
+    f_inv_table = _transposed_coefficients(kernel)
+    kernel = kernel @ gv  # f (f+g)^{-1} g; f (f+g)^{-1} is freed here
+    return inv, gv, (inv_table, f_inv_table, _transposed_coefficients(kernel))
 
 
 def _transposed_coefficients(kernel):
@@ -170,7 +165,7 @@ def build_block_matrix(
     if not rows.size or not cols.size:
         raise ValueError("row and column ranges must be non-empty")
     which = BLOCK_KINDS.index(kind) % 3  # B and U, D and V, R and W share a kernel
-    table = _kernel_tables(f, g, which=(which,))[2][which]
+    table = _kernel_tables(f, g)[2][which]
     if table is None:
         table = np.zeros((f.grid_size, f.dim, f.dim), dtype=complex)
         if which == 1:
@@ -306,6 +301,21 @@ def _blocks_symbol(blocks: np.ndarray, first_index: int, grid_size: int) -> np.n
     buf = np.zeros((grid_size, blocks.shape[1]), dtype=complex)
     np.add.at(buf, m % grid_size, np.where(m % 2, -1.0, 1.0)[:, None] * blocks)
     return np.fft.ifft(buf, axis=0) * grid_size
+
+
+def _characteristic(weights, blocks, first_index, inv, gv=None):
+    """The characteristic h = A - (C + A g)(f+g)^{-1} on the grid, (G, K).
+
+    C is the symbol of the solved coefficient blocks, numbered from
+    ``first_index``, and ``inv`` the grid values of (f+g)^{-1}; exact data
+    (``gv`` None) drop the term A g, and ``inv`` is then f^{-1}.
+    """
+    G = inv.shape[0]
+    A = functional_symbol(weights, G)
+    C = _blocks_symbol(blocks, first_index, G)
+    if gv is not None:
+        C = C + np.einsum("gk,gkn->gn", A, gv)
+    return A - np.einsum("gk,gkn->gn", C, inv)
 
 
 def _vector_coefficients(h_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -515,11 +525,7 @@ def _estimate(f, g, weights, truncation):
     diagnostics["noisy"] = g is not None
 
     c = c.reshape(-1, K)
-    A = functional_symbol(weights, G)
-    C = _blocks_symbol(c, first, G)
-    if gv is not None:
-        C = C + np.einsum("gk,gkn->gn", A, gv)
-    h = A - np.einsum("gk,gkn->gn", C, inv)
+    h = _characteristic(weights, c, first, inv, gv)
     return _finish_solution(task, mse, h, c, diagnostics, weights)
 
 

@@ -22,6 +22,14 @@ admit a constructive solution:
 Saddle-point optimality is certified by sampling densities from the class
 and checking that none of them makes the fixed robust characteristic err
 more than the nominal pair does.
+
+Each class rule is written once, and the class's solver, sampler and
+validator read the same one: :func:`_power_matrix` admits a power matrix
+(Hermitian within 1e-10 of its norm, positive trace, no eigenvalue below
+-1e-10 of the trace), :func:`d01_class_residual` measures membership in
+the fixed-power-matrix class, ``check_minimality`` decides definiteness of
+a moment polynomial, and :func:`_relation_residuals` evaluates the
+filtering optimality relations.
 """
 
 from __future__ import annotations
@@ -36,6 +44,7 @@ from .errors import InfeasibleClassError, PcwkError, SingularFactorError
 from .estimators import (
     EstimateSolution,
     _blocks_symbol,
+    _characteristic,
     _finish_solution,
     _solve_hermitian,
     evaluate_mse,
@@ -116,14 +125,13 @@ def build_q_operator(
     R = stored if n_range is None else int(n_range) + 1
     if R < 1:
         raise ValueError("n_range must be >= 0")
-    K = blocks.shape[1]
-    out = np.zeros((R, R, K, K), dtype=complex)
-    for p in range(R):
-        for q in range(R):
-            s_max = stored - 1 - max(p, q)
-            for s in range(s_max + 1):
-                out[p, q] += np.outer(blocks[s + p], blocks[s + q].conj())
-    return QOperator(blocks=out)
+    # row p of ``shifted`` holds a_{s+p} for s < stored, zero past the weights
+    padded = np.concatenate([blocks, np.zeros((R, blocks.shape[1]), dtype=complex)])
+    shifted = padded[np.add.outer(np.arange(R), np.arange(stored))]
+    terms = shifted[:, None, :, :, None] * shifted[None, :, :, None, :].conj()
+    # a running sum adds the shifts s in order, so the operator does not
+    # depend on the order numpy picks for a reduction
+    return QOperator(blocks=np.cumsum(terms, axis=2)[:, :, -1])
 
 
 def _top_eigenpair(flat: np.ndarray) -> tuple[float, np.ndarray, float]:
@@ -207,6 +215,40 @@ def least_favorable_class_y(
     return result
 
 
+def _hermitian_matrix(mat, dim, name) -> np.ndarray:
+    """``mat`` as a complex ``dim`` x ``dim`` array, refused unless Hermitian.
+
+    Hermitian means within 1e-10 of the larger of its norm and 1; ``dim``
+    None accepts any square size. Power matrices and the cosine moments of
+    a Hermitian inverse density are Hermitian.
+    """
+    mat = np.atleast_2d(np.asarray(mat, dtype=complex))
+    k = mat.shape[0] if dim is None else dim
+    if mat.shape != (k, k):
+        raise ValueError(f"{name} must be {k} x {k}")
+    if np.linalg.norm(mat - mat.conj().T) > 1e-10 * max(np.linalg.norm(mat), 1.0):
+        raise ValueError(f"{name} must be Hermitian")
+    return mat
+
+
+def _power_matrix(power_matrix, dim=None):
+    """Admit a power matrix P of the fixed-power-matrix class.
+
+    P must be Hermitian, with positive trace and no eigenvalue below
+    -1e-10 tr P, so a semidefinite P with round-off below zero is admitted.
+    Returns P, its trace and the ascending eigenvalues and eigenvectors of
+    its Hermitian part; the sampler clips those eigenvalues at 0.
+    """
+    P = _hermitian_matrix(power_matrix, dim, "power matrix")
+    trace = float(np.trace(P).real)
+    if trace <= 0:
+        raise ValueError("power matrix must have positive trace")
+    w, v = np.linalg.eigh(0.5 * (P + P.conj().T))
+    if w[0] < -1e-10 * trace:
+        raise ValueError("power matrix must be positive semidefinite")
+    return P, trace, w, v
+
+
 def least_favorable_d01_extrapolation(
     weights: FunctionalWeights,
     power_matrix,
@@ -218,25 +260,17 @@ def least_favorable_d01_extrapolation(
     the taps to match the trace of the power matrix (the one scaling
     freedom the eigenvector has), and reports the residual of the full
     matrix constraint, which is generally not attainable by a single
-    eigenvector family. A residual above the class tolerance of the saddle
-    check means the returned density lies outside the class: the
-    certificate's ``in_class`` is then False and a "not certified" warning
-    is issued.
+    eigenvector family. P is admitted by the rule its sampler shares
+    (:func:`_power_matrix`), and the residual is :func:`d01_class_residual`,
+    the one the saddle check reads for samples. A residual above the class
+    tolerance of the saddle check means the returned density lies outside
+    the class: the certificate's ``in_class`` is then False and a "not
+    certified" warning is issued.
     """
-    P = np.atleast_2d(np.asarray(power_matrix, dtype=complex))
-    if P.shape[0] != P.shape[1] or P.shape[0] != weights.dim:
-        raise ValueError("power matrix must be K x K")
-    if np.linalg.norm(P - P.conj().T) > 1e-10 * max(np.linalg.norm(P), 1.0):
-        raise ValueError("power matrix must be Hermitian")
-    trace = float(np.trace(P).real)
-    if trace <= 0:
-        raise ValueError("power matrix must have positive trace")
-    if float(np.linalg.eigvalsh(0.5 * (P + P.conj().T)).min()) < -1e-10 * trace:
-        raise ValueError("power matrix must be positive semidefinite")
+    P, trace, _, _ = _power_matrix(power_matrix, weights.dim)
     result = _eigen_worst_case(weights, trace, None, grid_size)
     result.certificate["trace_power"] = trace
-    # the lag-0 coefficient of the moving average is the realized power sum d d^H
-    residual = float(np.linalg.norm(result.f0.coeff(0) - P))
+    residual = d01_class_residual(result.f0, P)
     result.certificate["power_constraint_residual"] = residual
     in_class = residual <= _VALIDATION_TOL
     result.certificate["in_class"] = in_class
@@ -252,19 +286,12 @@ def least_favorable_d01_extrapolation(
 
 
 def _moment_polynomial(p_constraints, dim, grid_size) -> SpectralDensity:
-    coeffs = {}
-    for m, mat in enumerate(p_constraints):
-        mat = np.atleast_2d(np.asarray(mat, dtype=complex))
-        if mat.shape != (dim, dim):
-            raise ValueError(f"constraint {m} must be {dim} x {dim}")
-        if np.linalg.norm(mat - mat.conj().T) > 1e-10 * max(np.linalg.norm(mat), 1.0):
-            raise ValueError(
-                f"constraint {m} must be Hermitian (cosine moments of a "
-                "Hermitian inverse density are Hermitian)"
-            )
-        coeffs[m] = mat
-        if m > 0:
-            coeffs[-m] = mat.conj().T
+    """The polynomial with coefficients P(m) at lag m and P(m)^H at lag -m."""
+    P = np.array([
+        _hermitian_matrix(mat, dim, f"constraint {m}")
+        for m, mat in enumerate(p_constraints)
+    ])
+    coeffs = np.concatenate([np.conj(np.swapaxes(P[:0:-1], 1, 2)), P])
     return SpectralDensity(dim=dim, coeffs=coeffs, grid_size=grid_size)
 
 
@@ -347,13 +374,10 @@ def least_favorable_dm_interpolation(
     f0 = SpectralDensity.from_grid(np.linalg.inv(vals))
     ar_factor = spectral_factorize(extended)
     mse = float(np.vdot(a, alpha).real)
-    A = functional_symbol(weights, grid_size)
-    C = _blocks_symbol(alpha_blocks, 0, grid_size)
-    h = A - np.einsum("gk,gkn->gn", C, vals)
     h0 = _finish_solution(
         "interpolation",
         mse,
-        h,
+        _characteristic(weights, alpha_blocks, 0, vals),
         alpha_blocks,
         {"n": n, "condition": cond, "noisy": False, "construction": "least-favorable"},
         weights,
@@ -361,15 +385,8 @@ def least_favorable_dm_interpolation(
     system_residual = 0.0
     if M < n:
         # all rows of the extended Toeplitz system, by construction ~ 0
-        resid = []
-        for l in range(n + 1):
-            acc = 0.0 + 0.0j
-            for j in range(M + 1):
-                m = l - j
-                pm = extended.coeff(m)[0, 0]
-                acc += pm * alpha_head[j]
-            resid.append(acc - a[l])
-        system_residual = float(np.abs(resid).max())
+        rows = extended.coeffs[lag_index[:, : M + 1] - M + n, 0, 0]
+        system_residual = float(np.abs(rows @ alpha_head - a).max())
     certificate = {
         "kind": "lagrange",
         "alpha": alpha_blocks,
@@ -400,6 +417,36 @@ class FilteringRelationReport:
     mixture_floor_violation: float
 
 
+def _relation_residuals(fv, gv, A, D, alpha2, beta2, phi):
+    """Grid residuals of the two filtering optimality relations.
+
+    The noise relation is (g A* + D*)(g A* + D*)^H = alpha2 (f+g)^2 and the
+    signal relation (f A* - D*)(f A* - D*)^H = (beta2 + phi) (f+g)^2, for
+    (G, K, K) densities, (G, K) symbols A and D (D of the filtering solve
+    at the candidate) and a (G,) multiplier phi. Returns the largest
+    absolute residual of the noise and of the signal relation, then each
+    relative to its multiplier alpha2 or beta2 times max |(f+g)^2|.
+    """
+    total = fv + gv
+    total_sq = total @ total
+    sides = (
+        (np.einsum("gkn,gn->gk", gv, A.conj()) + D.conj(), alpha2 * total_sq),
+        (np.einsum("gkn,gn->gk", fv, A.conj()) - D.conj(),
+         (beta2 + phi)[:, None, None] * total_sq),
+    )
+    res_noise, res_signal = (
+        float(np.abs(np.einsum("gk,gn->gkn", v, v.conj()) - rhs).max())
+        for v, rhs in sides
+    )
+    scale = float(np.abs(total_sq).max())
+    return (
+        res_noise,
+        res_signal,
+        res_noise / max(abs(alpha2) * scale, 1e-300),
+        res_signal / max(abs(beta2) * scale, 1e-300),
+    )
+
+
 def filtering_relation_residuals(
     f: SpectralDensity,
     g: SpectralDensity,
@@ -418,7 +465,8 @@ def filtering_relation_residuals(
     against the multiplier sides, the complementary-slackness defect of
     ``phi`` on the set where the noise is above its contamination floor,
     and the realized class quantities (powers and floor violation).
-    Residuals are reported, never asserted.
+    Residuals are reported, never asserted; the relative ones are those of
+    :func:`_relation_residuals`.
     """
     grid_size = f.grid_size
     phi = np.asarray(phi, dtype=float)
@@ -431,21 +479,9 @@ def filtering_relation_residuals(
     A = functional_symbol(weights, grid_size)
     first = sol.diagnostics.get("first_index", 1)
     D = _blocks_symbol(sol.solved_blocks, first, grid_size)
-    total = fv + gv
-    total_sq = total @ total
-
-    v_noise = np.einsum("gkn,gn->gk", gv, A.conj()) + D.conj()
-    lhs_noise = np.einsum("gk,gn->gkn", v_noise, v_noise.conj())
-    rhs_noise = alpha2 * total_sq
-    res_noise = float(np.abs(lhs_noise - rhs_noise).max())
-
-    v_signal = np.einsum("gkn,gn->gk", fv, A.conj()) - D.conj()
-    lhs_signal = np.einsum("gk,gn->gkn", v_signal, v_signal.conj())
-    rhs_signal = (beta2 + phi)[:, None, None] * total_sq
-    res_signal = float(np.abs(lhs_signal - rhs_signal).max())
-
-    scale_noise = max(float(np.abs(rhs_noise).max()), 1e-300)
-    scale_signal = max(float(np.abs(rhs_signal).max()), 1e-300)
+    res_noise, res_signal, rel_noise, rel_signal = _relation_residuals(
+        fv, gv, A, D, alpha2, beta2, phi
+    )
 
     tr_g = np.trace(gv, axis1=1, axis2=2).real
     tr_floor = (1.0 - eps) * np.trace(g2v, axis1=1, axis2=2).real
@@ -455,8 +491,8 @@ def filtering_relation_residuals(
     return FilteringRelationReport(
         residual_signal_relation=res_signal,
         residual_noise_relation=res_noise,
-        rel_residual_signal_relation=res_signal / scale_signal,
-        rel_residual_noise_relation=res_noise / scale_noise,
+        rel_residual_signal_relation=rel_signal,
+        rel_residual_noise_relation=rel_noise,
         slackness_residual=slackness,
         phi_positive=bool(phi.max(initial=0.0) > 1e-12),
         signal_power=_trace_power(fv),
@@ -541,33 +577,24 @@ def least_favorable_d0eps_filtering_scalar(
             "with eps = 0 the noise density is pinned to the baseline, whose "
             "power disagrees with the requested noise power"
         )
-    A = functional_symbol(weights, G)[:, 0]
+    A_col = functional_symbol(weights, G)
+    A = A_col[:, 0]
     f_vals = np.full(G, signal_power)
     g_vals = floor + (noise_power - floor.mean())
-    total_power = signal_power + noise_power
-    if float(np.linalg.norm(weights.blocks)) == 0.0:
-        # zero functional: every feasible pair is worst, with zero error
-        f0 = SpectralDensity.from_grid(f_vals)
-        g0 = SpectralDensity.from_grid(g_vals)
-        h0 = filtering(f0, g0, weights, truncation=truncation or G // 4)
-        return LeastFavorableResult(
-            f0=f0, g0=g0, minimax_mse=0.0, h0=h0,
-            certificate={"kind": "lagrange", "alpha_squared": 0.0,
-                         "beta_squared": 0.0, "phi": np.zeros(G),
-                         "converged": True, "iterations": 0,
-                         "residual_noise_relation": 0.0,
-                         "residual_signal_relation": 0.0, "degenerate": True},
-        )
-    alpha = beta = 0.5
+    # a zero functional makes every feasible pair worst, with zero error and
+    # zero multipliers: the starting pair is certified as it stands
+    degenerate = float(np.linalg.norm(weights.blocks)) == 0.0
+    alpha = beta = 0.0 if degenerate else 0.5
     phi = np.zeros(G)
-    res_noise = res_signal = np.inf
-    converged = False
+    res_noise = res_signal = 0.0 if degenerate else np.inf
+    converged = degenerate
     iterations = 0
     abs_A2 = np.abs(A) ** 2
     bailed = None
     work_trunc = truncation if truncation is not None else G // 4
     best = None  # (mse, f, g, alpha, beta, phi, res_noise, res_signal)
-    for iterations in range(1, max_iter + 1):
+    while not converged and iterations < max_iter:
+        iterations += 1
         fd = SpectralDensity.from_grid(f_vals)
         gd = SpectralDensity.from_grid(g_vals)
         try:
@@ -576,7 +603,8 @@ def least_favorable_d0eps_filtering_scalar(
             bailed = f"iteration left the solvable region: {exc}"
             break
         first = sol.diagnostics.get("first_index", 1)
-        D = _blocks_symbol(sol.solved_blocks, first, G)[:, 0]
+        D_col = _blocks_symbol(sol.solved_blocks, first, G)
+        D = D_col[:, 0]
         cross = (A * D.conj()).real
         dd = np.abs(D) ** 2
         # signal relation |f A - D| = beta (f + g): pointwise quadratic in f
@@ -610,6 +638,7 @@ def least_favorable_d0eps_filtering_scalar(
         if excess.mean() > 0 and target_excess >= 0:
             g_vals = floor + excess * (target_excess / excess.mean())
         # multipliers refit to the damped iterate, then relation residuals
+        # against the D of this iteration's solve
         total = f_vals + g_vals
         u = np.abs(A * g_vals + D)
         v = np.abs(A * f_vals - D)
@@ -619,17 +648,15 @@ def least_favorable_d0eps_filtering_scalar(
         if free.any():
             beta = float((v[free] * total[free]).sum() / (total[free] ** 2).sum())
         phi = np.where(on_floor, np.minimum((v / total) ** 2 - beta**2, 0.0), 0.0)
-        scale45 = max(float((alpha**2) * (total**2).max()), 1e-300)
-        scale46 = max(float((beta**2) * (total**2).max()), 1e-300)
-        res_noise = float(np.abs(u**2 - alpha**2 * total**2).max()) / scale45
-        res_signal = float(np.abs(v**2 - (beta**2 + phi) * total**2).max()) / scale46
+        _, _, res_noise, res_signal = _relation_residuals(
+            f_vals[:, None, None], g_vals[:, None, None], A_col, D_col,
+            alpha**2, beta**2, phi,
+        )
         if best is None or sol.mse >= best[0]:
             best = (sol.mse, f_vals.copy(), g_vals.copy(), alpha, beta, phi.copy(),
                     res_noise, res_signal)
         gate = res_signal if eps == 0.0 else max(res_noise, res_signal)
-        if gate < _RELATION_TOL:
-            converged = True
-            break
+        converged = gate < _RELATION_TOL
     if not converged and best is not None:
         # fall back to the best (largest-error) iterate seen
         _, f_vals, g_vals, alpha, beta, phi, res_noise, res_signal = best
@@ -653,6 +680,8 @@ def least_favorable_d0eps_filtering_scalar(
     }
     if bailed:
         certificate["abort_reason"] = bailed
+    if degenerate:
+        certificate["degenerate"] = True
     return LeastFavorableResult(
         f0=f0, g0=g0, minimax_mse=h0.mse, h0=h0, certificate=certificate
     )
@@ -702,15 +731,11 @@ def sample_d01_class(
 ) -> list[SpectralDensity]:
     """Random moving-average densities with an exact zero-lag power matrix.
 
-    The power matrix may be singular: P is refused only when its smallest
-    eigenvalue lies below -1e-12 times its largest, and its square root is
-    taken of the eigenvalues clipped at 0.
+    P is admitted by the solver's rule (:func:`_power_matrix`), so it may be
+    singular; its square root is taken of the eigenvalues clipped at 0.
     """
-    P = np.atleast_2d(np.asarray(power_matrix, dtype=complex))
+    P, _, w, v = _power_matrix(power_matrix)
     dim = P.shape[0]
-    w, v = np.linalg.eigh(0.5 * (P + P.conj().T))
-    if w.min() < -1e-12 * w.max():
-        raise ValueError("power matrix must be positive semidefinite to sample from")
     p_half = (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
     out = []
     for _ in range(count):
@@ -726,6 +751,7 @@ def sample_d01_class(
 
 
 def d01_class_residual(f: SpectralDensity, power_matrix) -> float:
+    """Frobenius distance from P of the power matrix of f, its grid mean."""
     P = np.atleast_2d(np.asarray(power_matrix, dtype=complex))
     return float(np.linalg.norm(f.values.mean(axis=0) - P))
 
@@ -740,16 +766,17 @@ def sample_dm_class(
     """Random densities whose inverses keep the prescribed cosine moments.
 
     Perturbs the moment polynomial at lags beyond the constrained band and
-    rejects draws that lose positive definiteness, with a budget of 200
-    draws per requested sample.
+    rejects draws that fail ``check_minimality``, the solver's definiteness
+    rule, with a budget of 200 draws per requested sample. The bumps are
+    sized by the smallest eigenvalue of the moment polynomial on the grid.
     """
     first = np.atleast_2d(np.asarray(p_constraints[0], dtype=complex))
     dim = first.shape[0]
     base = _moment_polynomial(p_constraints, dim, grid_size)
     M = len(p_constraints) - 1
-    margin = float(base.eigenvalues.min())
-    if margin <= 0:
+    if not check_minimality(base).passed:
         raise InfeasibleClassError("moment polynomial is not positive definite")
+    margin = float(base.eigenvalues.min())
     out: list[SpectralDensity] = []
     tries = 0
     while len(out) < count and tries < 200 * count:
@@ -764,9 +791,8 @@ def sample_dm_class(
             coeffs[L + M + i] = bump
             coeffs[L - M - i] = bump.conj().T
         draw = SpectralDensity(dim=dim, coeffs=coeffs, grid_size=grid_size)
-        if draw.eigenvalues.min() <= 1e-10:
-            continue
-        out.append(SpectralDensity.from_grid(np.linalg.inv(draw.values)))
+        if check_minimality(draw).passed:
+            out.append(SpectralDensity.from_grid(np.linalg.inv(draw.values)))
     if len(out) < count:
         raise InfeasibleClassError(
             "could not sample enough positive definite class members"

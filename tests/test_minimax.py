@@ -7,6 +7,7 @@ from pcwk import (
     FunctionalWeights,
     InfeasibleClassError,
     build_q_operator,
+    check_minimality,
     filtering_relation_residuals,
     interpolate,
     least_favorable_class_y,
@@ -61,6 +62,19 @@ class TestQOperator:
     def test_padding_extends_range(self):
         q = build_q_operator(finite_weights([[1.0]]), n_range=2)
         assert q.dense.shape == (3, 3)
+
+    @pytest.mark.parametrize("n_range", [None, 1, 6])
+    def test_matches_the_loop_reference(self, n_range):
+        rng = np.random.default_rng(4)
+        blocks = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+        R = 4 if n_range is None else n_range + 1
+        ref = np.zeros((R, R, 3, 3), dtype=complex)
+        for p in range(R):
+            for q in range(R):
+                for s in range(4 - max(p, q)):
+                    ref[p, q] += np.outer(blocks[s + p], blocks[s + q].conj())
+        got = build_q_operator(FunctionalWeights.extrapolation(blocks), n_range).blocks
+        np.testing.assert_array_equal(got, ref)  # the same sums in the same order
 
 
 class TestClassY:
@@ -180,6 +194,45 @@ class TestD01:
         with pytest.raises(ValueError):
             least_favorable_d01_extrapolation(w, np.array([[-1.0]]))
 
+    @pytest.mark.parametrize(
+        "P",
+        [np.eye(2), np.diag([1.0, -5e-11]), np.array([[2.0, 0.5j], [-0.5j, 1.0]])],
+        ids=["identity", "round_off", "coupled"],
+    )
+    def test_power_constraint_residual_is_the_class_residual(self, P):
+        w = finite_weights([[1.0, 0.0], [0.5, 0.5]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            result = least_favorable_d01_extrapolation(w, P, grid_size=GRID)
+        residual = result.certificate["power_constraint_residual"]
+        assert residual == d01_class_residual(result.f0, P)
+
+    @pytest.mark.parametrize(
+        "P, admitted",
+        [
+            (np.diag([1.0, -5e-11]), True),  # round-off below zero
+            (np.diag([1.0, 0.0]), True),
+            (np.diag([1.0, -2e-10]), False),
+            (np.zeros((2, 2)), False),
+            (np.array([[1.0, 1.0], [0.0, 1.0]]), False),
+        ],
+        ids=["round_off", "singular", "indefinite", "zero_trace", "non_hermitian"],
+    )
+    def test_solver_and_sampler_admit_the_same_matrices(self, P, admitted):
+        w = finite_weights([[1.0, 0.0]])
+        calls = [
+            lambda: least_favorable_d01_extrapolation(w, P, grid_size=GRID),
+            lambda: sample_d01_class(np.random.default_rng(0), P, 1, 2, grid_size=GRID),
+        ]
+        for call in calls:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                if admitted:
+                    call()
+                else:
+                    with pytest.raises(ValueError, match="power matrix must"):
+                        call()
+
     def test_saddle_margins(self):
         w = finite_weights([[1.0], [1.0]])
         P = np.array([[1.0]])
@@ -272,6 +325,25 @@ class TestDmInterpolation:
         bad = [np.array([[1.0]]), np.array([[2.0]])]
         with pytest.raises(InfeasibleClassError, match="moment system"):
             least_favorable_dm_interpolation(bad, w, grid_size=GRID)
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            [np.array([[1e-10]]), np.array([[0.3e-10]])],  # grid condition 4
+            [np.array([[1.25]]), np.array([[0.5]])],
+            [np.array([[1.5]]), np.array([[0.4]]), np.array([[0.1]])],
+            [2.0 * np.eye(2), np.array([[0.3, 0.2j], [-0.2j, 0.1]])],
+        ],
+        ids=["tiny", "ar1", "ar2", "coupled"],
+    )
+    def test_sampled_members_pass_the_minimality_rule(self, p):
+        w = FunctionalWeights.interpolation(np.ones((1, p[0].shape[0])))
+        least_favorable_dm_interpolation(p, w, grid_size=GRID)  # the class solves
+        rng = np.random.default_rng(6)
+        samples = sample_dm_class(rng, p, extra_degree=3, count=20, grid_size=GRID)
+        assert len(samples) == 20
+        assert all(check_minimality(s).passed for s in samples)
+        assert max(dm_class_residual(s, p) for s in samples) < 1e-8
 
     def test_optimal_error_margins(self):
         # within the constrained band every class member shares the solver
