@@ -14,17 +14,23 @@ by the task:
 All tasks run one path, which differs between them only in its index sets:
 one minimality check and one inversion of f+g on the grid (with noise the
 inverse comes first, and a bound on its norms settles the check unless
-the grid is near the threshold), the Fourier
-coefficient tables of the kernels (f+g)^{-1}, f (f+g)^{-1} and
-f (f+g)^{-1} g (transposed inside the integral, as the component pairing of
-the lifted basis requires), block matrices gathered from them, one
-Hermitian solve for the unknown coefficient blocks, and the characteristic
-h = A - (C + A g)(f+g)^{-1} on the grid with the mean square error. Infinite
-systems are truncated: the automatic schedule starts at
-max(16, 2 j_last) blocks, j_last being the last nonzero weight block, and
-doubles the truncation until the error value changes by at most 1e-8 of
-itself. Each level borders the previous level's Cholesky factor with its
-new block rows, so the schedule factors each row of its last system once.
+the grid is near the threshold), the Fourier coefficient table of the
+kernel (f+g)^{-1} (transposed inside the integral, as the component
+pairing of the lifted basis requires), its block matrix B, one Hermitian
+solve B c = D a for the unknown coefficient blocks, and the characteristic
+h = v - C (f+g)^{-1} on the grid with the mean square error. The kernels
+f (f+g)^{-1} and f (f+g)^{-1} g of D and R act only on the fixed weights a,
+so neither is tabulated: with A the weight polynomial on the grid,
+v = A f (f+g)^{-1} = A - (A g)(f+g)^{-1}, the Fourier coefficients of v are
+D a, and a* R a is the grid mean of v g conj(A) (the convolution theorem
+behind the trapezoid rule, exact on the grid). A kernel (f+g)^{-1} that
+the grid does not resolve is flagged by its tail (``kernel_tail`` in the
+diagnostics, see :func:`_kernel_tail`). Infinite systems are truncated:
+the automatic schedule starts at max(16, 2 j_last) blocks, j_last being
+the last nonzero weight block, and doubles the truncation until the error
+value changes by at most 1e-8 of itself. Each level borders the previous
+level's Cholesky factor with its new block rows, so the schedule factors
+each row of its last system once.
 
 Exact observations are ``g=None`` (kernels f^{-1}, I and 0):
 ``interpolate(f, None, w)`` and ``extrapolate(f, None, w)`` replace the
@@ -70,13 +76,16 @@ BLOCK_KINDS = ("B", "D", "R", "U", "V", "W")
 # truncation schedule (see _solve_truncated)
 FIRST_TRUNCATION = 16
 MSE_CAUCHY_TOL = 1e-8
+# largest kernel tail (see _kernel_tail) that passes without a warning: the
+# relative error of a solve tracks the tail's square, here 1e-8
+KERNEL_TAIL_TOL = 1e-4
 
 
 # -- kernel tables and block matrices -----------------------------------
 
 
-def _kernel_tables(f, g):
-    """Check minimality, invert f+g on the grid once and tabulate the kernels.
+def _kernel_table(f, g):
+    """Check minimality, invert f+g on the grid once and tabulate its inverse.
 
     With noise, f+g is inverted first and the inverse is kept when
     :func:`spectral._inverse_if_minimal` proves, from its norms and one
@@ -86,9 +95,8 @@ def _kernel_tables(f, g):
     reads the cached ``f.eigenvalues``.
 
     Returns the grid values of (f+g)^{-1} and of g, and the coefficient
-    tables, indexed by lag mod G, of the transposed kernels (f+g)^{-1},
-    f (f+g)^{-1} and f (f+g)^{-1} g. Without noise the last two kernels
-    are the identity and zero, and their tables are None.
+    table, indexed by lag mod G, of the transposed kernel (f+g)^{-1}
+    (f^{-1} without noise), the one kernel the solve tabulates.
     """
     fv = f.values
     gv = None if g is None else g.values
@@ -105,13 +113,7 @@ def _kernel_tables(f, g):
                 f"(grid condition {report.max_condition:.3e})"
             )
         inv = np.linalg.inv(fv if gv is None else fv + gv)
-    inv_table = _transposed_coefficients(inv)
-    if gv is None:
-        return inv, gv, (inv_table, None, None)
-    kernel = fv @ inv
-    f_inv_table = _transposed_coefficients(kernel)
-    kernel = kernel @ gv  # f (f+g)^{-1} g; f (f+g)^{-1} is freed here
-    return inv, gv, (inv_table, f_inv_table, _transposed_coefficients(kernel))
+    return inv, gv, _transposed_coefficients(inv)
 
 
 def _transposed_coefficients(kernel):
@@ -157,6 +159,10 @@ def build_block_matrix(
     f (f+g)^{-1} (D and V) and f (f+g)^{-1} g (R and W), each transposed
     pointwise before the Fourier coefficients are taken. With g absent the
     kernels are f^{-1}, the identity and zero.
+
+    The solvers tabulate only the first kernel and apply D and R to the
+    weights through their symbol, so the D, V, R and W kernels are
+    tabulated here, on demand, as the independent reference for that path.
     """
     if kind not in BLOCK_KINDS:
         raise ValueError(f"unknown block kind {kind!r}; expected one of {BLOCK_KINDS}")
@@ -165,11 +171,14 @@ def build_block_matrix(
     if not rows.size or not cols.size:
         raise ValueError("row and column ranges must be non-empty")
     which = BLOCK_KINDS.index(kind) % 3  # B and U, D and V, R and W share a kernel
-    table = _kernel_tables(f, g)[2][which]
-    if table is None:
-        table = np.zeros((f.grid_size, f.dim, f.dim), dtype=complex)
+    inv, gv, table = _kernel_table(f, g)
+    if which and gv is None:
+        table = np.zeros_like(table)
         if which == 1:
             table[0] = np.eye(f.dim)
+    elif which:
+        kernel = f.values @ inv  # f (f+g)^{-1}
+        table = _transposed_coefficients(kernel if which == 1 else kernel @ gv)
     return _gather(table, kind, rows, cols)
 
 
@@ -303,25 +312,37 @@ def _blocks_symbol(blocks: np.ndarray, first_index: int, grid_size: int) -> np.n
     return np.fft.ifft(buf, axis=0) * grid_size
 
 
-def _characteristic(weights, blocks, first_index, inv, gv=None):
-    """The characteristic h = A - (C + A g)(f+g)^{-1} on the grid, (G, K).
+def _weighted_kernel(A, inv, gv):
+    """The right-hand side and error floor of the system, from the symbol A.
+
+    Returns the grid vector v = A f (f+g)^{-1} = A - (A g)(f+g)^{-1}, (G, K),
+    its coefficient table, whose rows first..J are D a (kinds D and V), and
+    the error floor a* R a (kinds R and W), the grid mean of v g conj(A).
+    A is the weight polynomial of the weights' horizon; for filtering it
+    carries the powers 0, -1, -2, ..., which turns the Hankel lags of V and
+    W into the same products.
+    """
+    v = A - np.einsum("gk,gkn->gn", np.einsum("gk,gkn->gn", A, gv), inv)
+    floor = np.einsum("gk,gkn,gn->", v, gv, A.conj()) / A.shape[0]
+    return v, _all_fourier_coefficients(v), floor
+
+
+def _characteristic(v, blocks, first_index, inv):
+    """The characteristic h = v - C (f+g)^{-1} on the grid, (G, K).
 
     C is the symbol of the solved coefficient blocks, numbered from
-    ``first_index``, and ``inv`` the grid values of (f+g)^{-1}; exact data
-    (``gv`` None) drop the term A g, and ``inv`` is then f^{-1}.
+    ``first_index``, ``inv`` the grid values of (f+g)^{-1} and v the grid
+    vector A f (f+g)^{-1} of :func:`_weighted_kernel`; exact data pass
+    v = A, the weight polynomial, and ``inv`` is then f^{-1}.
     """
-    G = inv.shape[0]
-    A = functional_symbol(weights, G)
-    C = _blocks_symbol(blocks, first_index, G)
-    if gv is not None:
-        C = C + np.einsum("gk,gkn->gn", A, gv)
-    return A - np.einsum("gk,gkn->gn", C, inv)
+    C = _blocks_symbol(blocks, first_index, inv.shape[0])
+    return v - np.einsum("gk,gkn->gn", C, inv)
 
 
 def _vector_coefficients(h_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Fourier coefficients of a (G, K) grid vector for lags |m| <= G/4."""
     G = h_grid.shape[0]
-    table = _all_fourier_coefficients(h_grid.reshape(G, -1, 1))[..., 0]
+    table = _all_fourier_coefficients(h_grid)
     half = G // 4
     lags = np.arange(-half, half + 1)
     return lags, table[lags % G]
@@ -470,6 +491,27 @@ def _summability_warning(weights):
         )
 
 
+def _kernel_tail(table):
+    """||B(G/2)||_F / ||B(0)||_F of the kernel table, warned above KERNEL_TAIL_TOL.
+
+    On G nodes the coefficient at lag m is the sum of the kernel's true
+    coefficients at lags m + kG, so a kernel (f+g)^{-1} whose coefficients
+    have not decayed by lag G/2 is aliased, and the error values solved
+    from it are wrong with no other sign: for MA(1) with b = 0.999 on
+    2048 nodes the tail is 0.64 and the exact interpolation error is 1.54e-3
+    against 2.00e-3. The relative error tracks the tail's square.
+    """
+    G = table.shape[0]
+    tail = float(np.linalg.norm(table[G // 2]) / np.linalg.norm(table[0]))
+    if tail > KERNEL_TAIL_TOL:
+        warnings.warn(
+            f"kernel tail above {KERNEL_TAIL_TOL:.0e} at lag G/2 = {G // 2}: the "
+            "grid does not resolve the inverse density (diagnostics "
+            "'kernel_tail'); refine the grid"
+        )
+    return tail
+
+
 # -- the estimation path -------------------------------------------------
 
 
@@ -480,6 +522,8 @@ def _estimate(f, g, weights, truncation):
     solves for c_0..c_J and filtering for d_1..d_J, with J doubled until
     the error value is Cauchy. The system is B c = D a with error value
     a* R a + c* B c = a* R a + c* (D a); filtering uses the kinds U, V, W.
+    Only B is gathered: D a and a* R a come from the weight symbol
+    (:func:`_weighted_kernel`).
     """
     if weights.dim != f.dim or (g is not None and g.dim != f.dim):
         raise ValueError("weights and densities must share one dimension")
@@ -488,22 +532,23 @@ def _estimate(f, g, weights, truncation):
     if task != "interpolation":
         _summability_warning(weights)
     K, G = f.dim, f.grid_size
-    inv, gv, (B, D, R) = _kernel_tables(f, g)
+    inv, gv, B = _kernel_table(f, g)
+    tail = _kernel_tail(B)
     first = 1 if task == "filtering" else 0
-    kind_b, kind_d, kind_r = "UVW" if first else "BDR"
-    # the weights vanish beyond block n_w - 1, so D and R are only read in
-    # their first n_w block columns, and R's block does not depend on J
-    n_w = weights.last_nonzero + 1
-    a = weights.blocks[:n_w].reshape(-1)
-    cols = np.arange(n_w)
-    aRa = 0.0 if R is None else np.vdot(a, _gather(R, kind_r, cols, cols) @ a)
+    kind_b = "U" if first else "B"
+    A = functional_symbol(weights, G)
+    if gv is None:  # exact observations: D = I and R = 0
+        v, aRa = A, 0.0
+        a = weights.blocks[: weights.last_nonzero + 1].reshape(-1)
+    else:
+        v, Da, aRa = _weighted_kernel(A, inv, gv)
 
     def system_at(J):
         rows = np.arange(first, J + 1)
         Bd = _gather(B, kind_b, rows, rows)
-        if D is None:  # exact observations: D = I
+        if gv is None:
             return Bd, np.pad(a, (0, rows.size * K - a.size))
-        return Bd, _gather(D, kind_d, rows, cols) @ a
+        return Bd, Da[first : J + 1].reshape(-1)
 
     def mse_of(c, rhs):
         return _real_mse(aRa + np.vdot(c, rhs))
@@ -523,9 +568,10 @@ def _estimate(f, g, weights, truncation):
     if first:
         diagnostics["first_index"] = first
     diagnostics["noisy"] = g is not None
+    diagnostics["kernel_tail"] = tail
 
     c = c.reshape(-1, K)
-    h = _characteristic(weights, c, first, inv, gv)
+    h = _characteristic(v, c, first, inv)
     return _finish_solution(task, mse, h, c, diagnostics, weights)
 
 

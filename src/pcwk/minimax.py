@@ -29,7 +29,10 @@ validator read the same one: :func:`_power_matrix` admits a power matrix
 -1e-10 of the trace), :func:`d01_class_residual` measures membership in
 the fixed-power-matrix class, ``check_minimality`` decides definiteness of
 a moment polynomial, and :func:`_relation_residuals` evaluates the
-filtering optimality relations.
+filtering optimality relations. Each ``*_class_residual`` is relative to
+its class's scale (the total power, ||P||_F, the largest moment norm, the
+larger of the two powers), so one tolerance judges classes of any scale;
+the saddle margins are absolute.
 """
 
 from __future__ import annotations
@@ -259,13 +262,13 @@ def least_favorable_d01_extrapolation(
     Solves the same gram eigenproblem as the bounded-power class, scales
     the taps to match the trace of the power matrix (the one scaling
     freedom the eigenvector has), and reports the residual of the full
-    matrix constraint, which is generally not attainable by a single
-    eigenvector family. P is admitted by the rule its sampler shares
-    (:func:`_power_matrix`), and the residual is :func:`d01_class_residual`,
-    the one the saddle check reads for samples. A residual above the class
-    tolerance of the saddle check means the returned density lies outside
-    the class: the certificate's ``in_class`` is then False and a "not
-    certified" warning is issued.
+    matrix constraint relative to ||P||_F, which is generally not
+    attainable by a single eigenvector family. P is admitted by the rule
+    its sampler shares (:func:`_power_matrix`), and the residual is
+    :func:`d01_class_residual`, the one the saddle check reads for samples.
+    A residual above the class tolerance of the saddle check means the
+    returned density lies outside the class: the certificate's
+    ``in_class`` is then False and a "not certified" warning is issued.
     """
     P, trace, _, _ = _power_matrix(power_matrix, weights.dim)
     result = _eigen_worst_case(weights, trace, None, grid_size)
@@ -377,7 +380,7 @@ def least_favorable_dm_interpolation(
     h0 = _finish_solution(
         "interpolation",
         mse,
-        _characteristic(weights, alpha_blocks, 0, vals),
+        _characteristic(functional_symbol(weights, grid_size), alpha_blocks, 0, vals),
         alpha_blocks,
         {"n": n, "condition": cond, "noisy": False, "construction": "least-favorable"},
         weights,
@@ -718,8 +721,14 @@ def sample_power_class(
     return out
 
 
+def _relative(residual: float, scale: float) -> float:
+    """A class residual relative to the class's scale (absolute at scale 0)."""
+    return residual / scale if scale > 0 else residual
+
+
 def power_class_residual(f: SpectralDensity, total_power: float) -> float:
-    return abs(_trace_power(f.values) - total_power)
+    """Distance of the total power of f from the class's, relative to it."""
+    return _relative(abs(_trace_power(f.values) - total_power), total_power)
 
 
 def sample_d01_class(
@@ -751,9 +760,11 @@ def sample_d01_class(
 
 
 def d01_class_residual(f: SpectralDensity, power_matrix) -> float:
-    """Frobenius distance from P of the power matrix of f, its grid mean."""
+    """Frobenius distance from P of the power matrix of f, its grid mean,
+    relative to ||P||_F."""
     P = np.atleast_2d(np.asarray(power_matrix, dtype=complex))
-    return float(np.linalg.norm(f.values.mean(axis=0) - P))
+    residual = float(np.linalg.norm(f.values.mean(axis=0) - P))
+    return _relative(residual, float(np.linalg.norm(P)))
 
 
 def sample_dm_class(
@@ -801,14 +812,17 @@ def sample_dm_class(
 
 
 def dm_class_residual(f: SpectralDensity, p_constraints: Sequence) -> float:
+    """Largest distance of a cosine moment of f^{-1} from its constraint,
+    relative to the largest constraint norm."""
     vals = np.linalg.inv(f.values)
-    worst = 0.0
+    worst = scale = 0.0
     lam = frequency_grid(vals.shape[0])
     for m, target in enumerate(p_constraints):
         target = np.atleast_2d(np.asarray(target, dtype=complex))
         moment = (vals * np.cos(m * lam)[:, None, None]).mean(axis=0)
         worst = max(worst, float(np.linalg.norm(moment - target)))
-    return worst
+        scale = max(scale, float(np.linalg.norm(target)))
+    return _relative(worst, scale)
 
 
 def sample_d0eps_class(
@@ -855,17 +869,21 @@ def d0eps_class_residual(
     eps: float,
     g2: SpectralDensity,
 ) -> float:
+    """Largest violation of the signal power, the noise power and the
+    contamination floor, relative to the larger of the two powers."""
     fv, gv, g2v = f.values, g.values, g2.values
     res = abs(_trace_power(fv) - signal_power)
     res = max(res, abs(_trace_power(gv) - noise_power))
     eigs = _node_eigenvalues(gv - (1.0 - eps) * g2v)
-    return max(res, float(-min(eigs.min(), 0.0)))
+    res = max(res, float(-min(eigs.min(), 0.0)))
+    return _relative(res, max(signal_power, noise_power))
 
 
 # -- saddle-point certification -------------------------------------------
 
 
-# largest class residual of a sample that the saddle check accepts
+# largest class residual of a sample that the saddle check accepts; the
+# residuals are relative to the class's scale, the margins stay absolute
 _VALIDATION_TOL = 1e-8
 
 
@@ -894,8 +912,10 @@ def saddle_point_check(
     For each sample (f, g), the margin is the error of the fixed robust
     characteristic at the nominal pair minus its error at the sample;
     nonnegative margins over the class certify the saddle point. Samples
-    are first validated against the class (``validator`` returns a residual
+    are first validated against the class (``validator`` returns a residual,
+    relative to the class's scale like the ``*_class_residual`` functions,
     and anything above ``_VALIDATION_TOL`` is rejected with a diagnostic).
+    The margins are absolute.
     Passing ``optimal_error`` replaces the fixed-characteristic error with
     a per-sample optimal error, which certifies least-favorability directly
     for degenerate classes.

@@ -24,7 +24,7 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -257,8 +257,12 @@ def _node_norms(values: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("gi,gi->g", flat, flat))
 
 
+@lru_cache(maxsize=16)
 def _alternating_signs(grid_size: int) -> np.ndarray:
-    return (-1.0) ** np.arange(grid_size)
+    """(-1)^g for g = 0..G-1, cached per G, read-only."""
+    signs = np.ones(grid_size)
+    signs[1::2] = -1.0
+    return _read_only(signs)
 
 
 def _all_fourier_coefficients(values: np.ndarray) -> np.ndarray:
@@ -268,8 +272,8 @@ def _all_fourier_coefficients(values: np.ndarray) -> np.ndarray:
     the standard grid, exact for the resolvable band).
     """
     G = values.shape[0]
-    out = np.fft.fft(values, axis=0) / G
-    out *= _alternating_signs(G).reshape((G,) + (1,) * (values.ndim - 1))
+    out = np.fft.fft(values, axis=0)
+    out *= (_alternating_signs(G) / G).reshape((G,) + (1,) * (values.ndim - 1))
     return out
 
 

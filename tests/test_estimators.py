@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -62,7 +64,8 @@ class TestBlockMatrices:
     @pytest.mark.parametrize("kind", estimators.BLOCK_KINDS)
     def test_only_the_returned_kernel_is_tabulated(self, monkeypatch, kind):
         # build_block_matrix reads the estimators' one kernel path, which
-        # tabulates each of the three kernels of a noisy pair exactly once
+        # tabulates (f+g)^{-1} once; kinds D, V, R and W tabulate their own
+        # kernel on demand besides
         calls = []
         table = estimators._all_fourier_coefficients
 
@@ -72,7 +75,7 @@ class TestBlockMatrices:
 
         monkeypatch.setattr(estimators, "_all_fourier_coefficients", counted)
         build_block_matrix(kind, coupled_ma2(), white(dim=2, scale=0.5), [0, 1], [0, 1])
-        assert len(calls) == 3
+        assert len(calls) == (1 if kind in "BU" else 2)
 
 
 class TestInterpolation:
@@ -365,8 +368,11 @@ class TestOnePath:
         # one inversion of f+g (of f without noise). The well-conditioned
         # noisy pair passes the gate by its bound, so no grid eigenvalues
         # are computed; without noise the one check_minimality call reads
-        # f.eigenvalues, computed once for the fresh density
-        calls = {"check_minimality": 0, "inv": 0, "grid eigvalsh": 0}
+        # f.eigenvalues, computed once for the fresh density. One (G, K, K)
+        # FFT, that of the inverse: D a and a* R a come from the (G, K)
+        # weight symbol, and only B (U for filtering) is gathered
+        calls = {"check_minimality": 0, "inv": 0, "grid eigvalsh": 0, "grid fft": 0}
+        kinds = set()
 
         def counted(name, fn, grid_only=False):
             def wrapper(a, *args, **kwargs):
@@ -386,6 +392,12 @@ class TestOnePath:
             estimators.np.linalg, "eigvalsh",
             counted("grid eigvalsh", estimators.np.linalg.eigvalsh, grid_only=True),
         )
+        monkeypatch.setattr(np.fft, "fft", counted("grid fft", np.fft.fft, grid_only=True))
+        gather = estimators._gather
+        monkeypatch.setattr(
+            estimators, "_gather",
+            lambda table, kind, *args: kinds.add(kind) or gather(table, kind, *args),
+        )
         f = coupled_ma2()
         g = None if task.endswith("noiseless") else white(dim=2, scale=0.5)
         blocks = np.array([[1.0, -0.5], [0.3, 0.2]])
@@ -396,7 +408,10 @@ class TestOnePath:
         else:
             filtering(f, g, FunctionalWeights.filtering(blocks))
         exact = int(g is None)
-        assert calls == {"check_minimality": exact, "inv": 1, "grid eigvalsh": exact}
+        assert calls == {
+            "check_minimality": exact, "inv": 1, "grid eigvalsh": exact, "grid fft": 1
+        }
+        assert kinds == {"U" if task == "filter" else "B"}
 
     def test_grid_values_computed_once_per_density(self, monkeypatch):
         grids = []
@@ -431,6 +446,36 @@ class TestOnePath:
         noisy = solver(f, white(dim=2, scale=1e-10), w)
         assert noisy.mse == pytest.approx(exact.mse, abs=1e-8)
         np.testing.assert_allclose(noisy.h_grid, exact.h_grid, atol=1e-8)
+
+
+class TestKernelTail:
+    @pytest.mark.parametrize("b", [0.9, 0.99, 0.999])
+    def test_unresolved_inverse_is_flagged(self, b):
+        # the coefficients b^|m| of 1/f alias over 2048 nodes once b nears 1;
+        # the interpolation error 1 - b^2 is then off by about the tail squared
+        f = SpectralDensity.from_moving_average([[[1.0]], [[b]]], grid_size=2048)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sol = interpolate(f, None, unit_interp())
+        tail = sol.diagnostics["kernel_tail"]
+        unresolved = tail > estimators.KERNEL_TAIL_TOL
+        assert unresolved == (b == 0.999)
+        assert any("kernel tail" in str(w.message) for w in caught) == unresolved
+        error = abs(sol.mse - (1.0 - b**2)) / (1.0 - b**2)
+        assert error <= tail**2 + 1e-12
+        if unresolved:
+            assert error >= 0.25 * tail**2
+
+    def test_noisy_tail_reads_the_inverse_of_the_sum(self, grid):
+        f, g = ma1(dim=2, b=0.99), white(dim=2, scale=1e-4)
+        with pytest.warns(UserWarning, match="kernel tail"):
+            sol = interpolate(f, g, FunctionalWeights.interpolation([[1.0, 0.5]]))
+        inv = np.linalg.inv(f.values + g.values)
+        lag0, lag_half = (
+            np.linalg.norm(np.mean(inv * np.exp(-1j * m * grid)[:, None, None], axis=0))
+            for m in (0, GRID // 2)
+        )
+        assert sol.diagnostics["kernel_tail"] == pytest.approx(lag_half / lag0, rel=1e-6)
 
 
 def constant_pair(spectrum, seed=None, skew=0.0):

@@ -6,6 +6,7 @@ import pytest
 from pcwk import (
     FunctionalWeights,
     InfeasibleClassError,
+    SpectralDensity,
     build_q_operator,
     check_minimality,
     filtering_relation_residuals,
@@ -345,6 +346,27 @@ class TestDmInterpolation:
         assert all(check_minimality(s).passed for s in samples)
         assert max(dm_class_residual(s, p) for s in samples) < 1e-8
 
+    def test_outsider_of_a_small_class_rejected(self):
+        # a white density of variance 1.01e8 has zero-lag inverse moment
+        # 9.9e-9, about 100 times the class's 1e-10; its absolute distance
+        # from the class is below the tolerance 1e-8, its relative one is 98
+        p = [np.array([[1e-10]]), np.array([[0.3e-10]])]
+        w = FunctionalWeights.interpolation([[1.0]])
+        result = least_favorable_dm_interpolation(p, w, grid_size=GRID)
+        outsider = white(scale=1.01e8)
+        assert dm_class_residual(outsider, p) == pytest.approx(98.0099, rel=1e-6)
+        members = sample_dm_class(
+            np.random.default_rng(6), p, extra_degree=3, count=5, grid_size=GRID
+        )
+        report = saddle_point_check(
+            result.h0, result.f0, None, [outsider, *members], w,
+            validator=lambda fs: dm_class_residual(fs, p),
+            optimal_error=lambda fs, gs: interpolate(fs, None, w).mse,
+        )
+        assert report.n_rejected == 1
+        assert report.rejected[0].startswith("sample 0:")
+        assert report.margins.size == 5
+
     def test_optimal_error_margins(self):
         # within the constrained band every class member shares the solver
         # blocks, so the optimal errors coincide and margins are ~ 0
@@ -360,6 +382,29 @@ class TestDmInterpolation:
         )
         assert report.n_rejected == 0
         assert report.min_margin >= -1e-8
+
+
+@pytest.mark.parametrize(
+    "residual",
+    [
+        lambda f, c: power_class_residual(f.scaled(c), 2.0 * c),
+        lambda f, c: d01_class_residual(f.scaled(c), c * np.array([[2.0]])),
+        lambda f, c: dm_class_residual(
+            f.scaled(c), [np.array([[0.5 / c]]), np.array([[0.1 / c]])]
+        ),
+        lambda f, c: d0eps_class_residual(
+            f.scaled(c), f.scaled(0.5 * c), 2.0 * c, 1.0 * c, 0.5, white(scale=c)
+        ),
+    ],
+    ids=["power", "d01", "dm", "d0eps"],
+)
+def test_class_residuals_are_relative_to_the_class_scale(residual):
+    # scaling a density and its class together leaves every residual as it is
+    f = SpectralDensity.from_moving_average([[[1.2]], [[0.3]]], grid_size=GRID)
+    base = residual(f, 1.0)
+    assert base > 1e-3  # f is not a member of these classes
+    for c in (1e-10, 1e8):
+        assert residual(f, c) == pytest.approx(base, rel=1e-9)
 
 
 class TestFilteringRelations:

@@ -13,6 +13,7 @@ from pcwk import (
     IllPosedError,
     MinimalityError,
     SpectralDensity,
+    build_block_matrix,
     check_minimality,
     compare_report,
     covariances_from_density,
@@ -20,12 +21,14 @@ from pcwk import (
     extrapolate,
     filtering,
     frequency_grid,
+    functional_symbol,
     interpolate,
     simulate_sequence,
     spectral_factorize,
     time_domain_projection,
     time_domain_projection_converged,
 )
+from pcwk.estimators import _kernel_table, _weighted_kernel
 from pcwk.factorization import Factorization
 from pcwk.oracle import _symbol, observation_indices
 from pcwk.spectral import _inverse_if_minimal
@@ -381,6 +384,32 @@ def test_minimality_bound_accepts_only_what_the_rule_passes(problem, shift):
         np.testing.assert_array_equal(inverse, np.linalg.inv(total))
     if shift >= 0.0:  # grid condition <= 100: the bound decides alone
         assert inverse is not None
+
+
+@pytest.mark.parametrize("horizon", ["interpolation", "extrapolation", "filtering"])
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(problem=stable_problems())
+def test_weight_symbol_applies_the_block_matrices(horizon, problem):
+    # the solvers read D a and a* R a from the weight symbol; the block
+    # matrices tabulate the kernels f (f+g)^{-1} and f (f+g)^{-1} g
+    f, blocks = problem
+    g = SpectralDensity.white(f.dim, scale=0.5, grid_size=PROPERTY_GRID)
+    w = FunctionalWeights(blocks=blocks, horizon=horizon)
+    inv, gv, _ = _kernel_table(f, g)
+    _, table, floor = _weighted_kernel(functional_symbol(w, PROPERTY_GRID), inv, gv)
+    first = 1 if horizon == "filtering" else 0
+    kind_d, kind_r = "VW" if first else "DR"
+    rows, cols = np.arange(first, 24), np.arange(w.n_blocks)
+    a = blocks.reshape(-1)
+    rhs = build_block_matrix(kind_d, f, g, rows, cols) @ a
+    a_r_a = np.vdot(a, build_block_matrix(kind_r, f, g, cols, cols) @ a)
+    # V a vanishes for a constant kernel: the scale includes the lag-0 block
+    lag0 = np.linalg.norm(build_block_matrix("D", f, g, [0], [0])) * np.linalg.norm(a)
+    np.testing.assert_allclose(
+        table[rows].reshape(-1), rhs, rtol=0,
+        atol=1e-12 * max(np.linalg.norm(rhs), lag0),
+    )
+    assert abs(floor - a_r_a) <= 1e-12 * abs(a_r_a)
 
 
 class TestSimulation:
