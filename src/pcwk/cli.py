@@ -19,6 +19,7 @@ import logging
 import os
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -45,20 +46,6 @@ from . import __version__
 
 logger = logging.getLogger("pcwk")
 
-TASKS = (
-    "interpolate",
-    "extrapolate",
-    "extrapolate-finite",
-    "filter",
-    "factorize",
-    "minimax-y",
-    "minimax-interp-dm",
-    "minimax-extrap-d01",
-    "minimax-filter-d0eps",
-    "oracle-check",
-    "simulate",
-)
-
 _TASK_HORIZON = {
     "interpolate": "interpolation",
     "extrapolate": "extrapolation",
@@ -72,6 +59,7 @@ _TASK_HORIZON = {
     "oracle-check": None,
     "simulate": None,
 }
+TASKS = tuple(_TASK_HORIZON)
 
 
 # upper bounds of the sizes a problem file may ask for; the largest benchmark
@@ -510,48 +498,29 @@ def _matrix_param(spec, key, dim):
 
 def _run_minimax(spec: ProblemSpec, out: Path):
     task = spec.task
-    horizon = _TASK_HORIZON[task]
-    weights = _load_weights(spec, horizon)
+    weights = _load_weights(spec, _TASK_HORIZON[task])
+    grid = spec.numerics.grid
     rng = np.random.default_rng(spec.numerics.seed)
     samples_n = _int_param(spec, "samples", 50, upper=MAX_SAMPLES)
-    entries = [("task", task), ("version", __version__),
-               ("seed", spec.numerics.seed)]
+    optimal_error = None
 
     if task == "minimax-y":
         power = _float_param(spec, "total_power", required=True)
-        result = minimax.least_favorable_class_y(
-            weights, power, grid_size=spec.numerics.grid
-        )
+        result = minimax.least_favorable_class_y(weights, power, grid_size=grid)
         samples = minimax.sample_power_class(
-            rng, weights.dim, weights.n, power, samples_n, grid_size=spec.numerics.grid
+            rng, weights.dim, weights.n, power, samples_n, grid_size=grid
         )
-        report = minimax.saddle_point_check(
-            result.h0, result.f0, None, samples, weights,
-            validator=lambda fs: minimax.power_class_residual(fs, power),
-        )
-        entries += [
-            ("nu_squared", repr(result.certificate["nu_squared"])),
-            ("eigen_residual", repr(result.certificate["eigen_residual"])),
-        ]
+        validator = partial(minimax.power_class_residual, total_power=power)
+        keys = ("nu_squared", "eigen_residual")
     elif task == "minimax-extrap-d01":
         P = _matrix_param(spec, "power_matrix", weights.dim)
-        result = minimax.least_favorable_d01_extrapolation(
-            weights, P, grid_size=spec.numerics.grid
-        )
+        result = minimax.least_favorable_d01_extrapolation(weights, P, grid_size=grid)
         samples = minimax.sample_d01_class(
-            rng, P, weights.n, samples_n, grid_size=spec.numerics.grid
+            rng, P, weights.n, samples_n, grid_size=grid
         )
-        report = minimax.saddle_point_check(
-            result.h0, result.f0, None, samples, weights,
-            validator=lambda fs: minimax.d01_class_residual(fs, P),
-        )
-        entries += [
-            ("nu_squared", repr(result.certificate["nu_squared"])),
-            ("eigen_residual", repr(result.certificate["eigen_residual"])),
-            ("power_constraint_residual",
-             repr(result.certificate["power_constraint_residual"])),
-            ("in_class", result.certificate["in_class"]),
-        ]
+        validator = partial(minimax.d01_class_residual, power_matrix=P)
+        keys = ("nu_squared", "eigen_residual", "power_constraint_residual",
+                "in_class")
     elif task == "minimax-interp-dm":
         constraints = _class_param(spec, "moments", required=True)
         if not isinstance(constraints, list) or not constraints:
@@ -560,20 +529,17 @@ def _run_minimax(spec: ProblemSpec, out: Path):
             )
         p_list = [np.asarray(m, dtype=complex) for m in constraints]
         result = minimax.least_favorable_dm_interpolation(
-            p_list, weights, grid_size=spec.numerics.grid
+            p_list, weights, grid_size=grid
         )
         samples = minimax.sample_dm_class(
-            rng, p_list, extra_degree=3, count=samples_n,
-            grid_size=spec.numerics.grid,
+            rng, p_list, extra_degree=3, count=samples_n, grid_size=grid
         )
-        report = minimax.saddle_point_check(
-            result.h0, result.f0, None, samples, weights,
-            validator=lambda fs: minimax.dm_class_residual(fs, p_list),
-            optimal_error=lambda fs, gs: interpolate(fs, None, weights).mse,
-        )
-        entries += [
-            ("system_residual", repr(result.certificate["system_residual"])),
-        ]
+        validator = partial(minimax.dm_class_residual, p_constraints=p_list)
+
+        def optimal_error(fs, gs):
+            return interpolate(fs, None, weights).mse
+
+        keys = ("system_residual",)
     else:  # minimax-filter-d0eps
         signal_power = _float_param(spec, "signal_power", required=True)
         noise_power = _float_param(spec, "noise_power", required=True)
@@ -581,31 +547,30 @@ def _run_minimax(spec: ProblemSpec, out: Path):
         g2 = _load_density(spec, "g2", required=True)
         result = minimax.least_favorable_d0eps_filtering_scalar(
             weights, signal_power, noise_power, eps, g2,
-            grid_size=spec.numerics.grid, truncation=spec.numerics.truncation,
+            grid_size=grid, truncation=spec.numerics.truncation,
         )
         samples = minimax.sample_d0eps_class(
             rng, signal_power, noise_power, eps, g2, weights.n, samples_n
         )
-        report = minimax.saddle_point_check(
-            result.h0, result.f0, result.g0, samples, weights,
-            validator=lambda fs, gs: minimax.d0eps_class_residual(
-                fs, gs, signal_power, noise_power, eps, g2
-            ),
+        validator = partial(
+            minimax.d0eps_class_residual, signal_power=signal_power,
+            noise_power=noise_power, eps=eps, g2=g2,
         )
-        entries += [
-            ("converged", result.certificate["converged"]),
-            ("alpha_squared", repr(result.certificate["alpha_squared"])),
-            ("beta_squared", repr(result.certificate["beta_squared"])),
-            ("residual_noise_relation",
-             repr(result.certificate["residual_noise_relation"])),
-            ("residual_signal_relation",
-             repr(result.certificate["residual_signal_relation"])),
-        ]
-        write_density_csv(result.g0, out / "least_favorable_g.csv")
-    result.margins = report.margins
+        keys = ("converged", "alpha_squared", "beta_squared",
+                "residual_noise_relation", "residual_signal_relation")
+
+    report = minimax.saddle_point_check(
+        result.h0, result.f0, result.g0, samples, weights,
+        validator=validator, optimal_error=optimal_error,
+    )
     write_density_csv(result.f0, out / "least_favorable_f.csv")
+    if result.g0 is not None:
+        write_density_csv(result.g0, out / "least_favorable_g.csv")
     if result.h0 is not None:
         _write_characteristic(out / f"{task}_h.csv", result.h0)
+    entries = [("task", task), ("version", __version__), ("seed", spec.numerics.seed)]
+    # in_class and converged are Python bools, whose repr is True or False
+    entries += [(key, repr(result.certificate[key])) for key in keys]
     entries += [
         ("minimax_mse", repr(result.minimax_mse)),
         ("min_saddle_margin", repr(report.min_margin)),

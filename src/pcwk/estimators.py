@@ -333,7 +333,10 @@ def _characteristic(v, blocks, first_index, inv):
     C is the symbol of the solved coefficient blocks, numbered from
     ``first_index``, ``inv`` the grid values of (f+g)^{-1} and v the grid
     vector A f (f+g)^{-1} of :func:`_weighted_kernel`; exact data pass
-    v = A, the weight polynomial, and ``inv`` is then f^{-1}.
+    v = A, the weight polynomial, and ``inv`` is then f^{-1}. The
+    factorization route passes v = A, its weighted tap sums as the blocks
+    and the left inverse Q of the causal factor, (G, M, K), as ``inv``: it
+    is the one h synthesis of every task.
     """
     C = _blocks_symbol(blocks, first_index, inv.shape[0])
     return v - np.einsum("gk,gkn->gn", C, inv)
@@ -448,8 +451,10 @@ def _solve_truncated(system_at, mse_of, weights, truncation, cap, context):
     Each level's system is the leading block of the next level's, so one
     lower Cholesky factor is kept and bordered by each level's new block
     rows (:func:`cholesky.border`): the whole schedule factors each row
-    once. Each level keeps its own condition estimate and gate; a refused
-    level restarts the factor, and the next level factors its system afresh.
+    once. Each level keeps its own condition estimate and gate, and the
+    first refused level raises ``TruncationError``: its system is the
+    leading block of every later level's, so by interlacing no later level
+    is better conditioned.
     """
     schedule = _truncation_schedule(weights, truncation, cap, context)
     history: list[tuple[int, float]] = []
@@ -464,13 +469,9 @@ def _solve_truncated(system_at, mse_of, weights, truncation, cap, context):
                 factor = border(factor, matrix[:n0, n0:], matrix[n0:, n0:], context)
             c, cond = _solve_hermitian(matrix, rhs, context, factor=factor)
         except IllPosedError as exc:
-            if J == schedule[-1]:
-                raise TruncationError(
-                    f"{context}: truncated system still ill-posed at J = {J}; "
-                    f"increase the truncation or the grid ({exc})"
-                ) from exc
-            prev = factor = None
-            continue
+            raise TruncationError(
+                f"{context}: truncated system ill-posed at J = {J} ({exc})"
+            ) from exc
         mse = mse_of(c, rhs)
         history.append((J, mse))
         if truncation is not None or (

@@ -39,7 +39,7 @@ import numpy as np
 from .errors import FactorizationError, MultiplicityError, SingularFactorError
 from .estimators import (
     EstimateSolution,
-    _blocks_symbol,
+    _characteristic,
     _finish_solution,
     _summability_warning,
     functional_symbol,
@@ -404,11 +404,8 @@ def extrapolate_factorized(f, weights: FunctionalWeights) -> EstimateSolution:
         raise ValueError("weights and factor must share one dimension")
     sums = _weighted_tap_sums(weights, fact)
     mse = float(np.sum(np.abs(sums) ** 2))
-    G = fact.grid_size
-    S = _blocks_symbol(sums, 0, G)  # (G, M)
     Q = _left_inverse_values(fact.symbol())
-    A = functional_symbol(weights, G)
-    h = A - np.einsum("gm,gmk->gk", S, Q)
+    h = _characteristic(functional_symbol(weights, fact.grid_size), sums, 0, Q)
     return _finish_solution(
         weights.horizon,
         mse,

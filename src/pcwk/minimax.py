@@ -10,8 +10,8 @@ admit a constructive solution:
   gram operator, and the worst error is the power times its top eigenvalue;
 * prescribed cosine moments of the inverse density (interpolation): the
   worst density is autoregressive, obtained by inverting the moment
-  polynomial, and the solver coefficients come from one block-Toeplitz
-  solve against the moment matrices;
+  polynomial, and the robust characteristic is solved by exact
+  interpolation on the worst density;
 * fixed power matrix (forward estimation): the same eigenproblem with a
   matrix power constraint, matched in trace, with the residual of the full
   matrix constraint reported;
@@ -47,12 +47,11 @@ from .errors import InfeasibleClassError, PcwkError, SingularFactorError
 from .estimators import (
     EstimateSolution,
     _blocks_symbol,
-    _characteristic,
-    _finish_solution,
     _solve_hermitian,
     evaluate_mse,
     filtering,
     functional_symbol,
+    interpolate,
 )
 from .factorization import Factorization, extrapolate_factorized, spectral_factorize
 from .lifting import FunctionalWeights
@@ -156,8 +155,7 @@ class LeastFavorableResult:
 
     ``certificate`` carries the quantities that verify the construction
     (top eigenvalue and eigen residual, or multipliers and relation
-    residuals); ``margins`` is filled in by ``saddle_point_check`` when the
-    caller runs it.
+    residuals); :func:`saddle_point_check` reports the sampled margins.
     """
 
     f0: SpectralDensity
@@ -165,10 +163,9 @@ class LeastFavorableResult:
     minimax_mse: float
     h0: EstimateSolution | None
     certificate: dict
-    margins: np.ndarray | None = None
 
 
-def _eigen_worst_case(weights, power, n_range, grid_size) -> LeastFavorableResult:
+def _eigen_worst_case(weights, power, grid_size) -> LeastFavorableResult:
     """The worst moving average of a power class: taps scaled to ``power``.
 
     The taps are the top eigenvector of the gram eigenproblem; the minimax
@@ -178,7 +175,7 @@ def _eigen_worst_case(weights, power, n_range, grid_size) -> LeastFavorableResul
     """
     if weights.horizon not in ("extrapolation", "extrapolation_finite"):
         raise ValueError("weights must carry an extrapolation horizon")
-    q_op = build_q_operator(weights, n_range)
+    q_op = build_q_operator(weights)
     # the error quadratic form acts through the conjugated operator
     nu2, vec, residual = _top_eigenpair(np.conj(q_op.dense))
     taps = vec.reshape(q_op.range_len, q_op.dim, 1) * np.sqrt(power)
@@ -202,7 +199,6 @@ def _eigen_worst_case(weights, power, n_range, grid_size) -> LeastFavorableResul
 def least_favorable_class_y(
     weights: FunctionalWeights,
     total_power: float,
-    n_range: int | None = None,
     grid_size: int = DEFAULT_GRID_SIZE,
 ) -> LeastFavorableResult:
     """Worst density of bounded total power for forward estimation.
@@ -213,7 +209,7 @@ def least_favorable_class_y(
     """
     if not (total_power > 0):
         raise ValueError("total_power must be positive")
-    result = _eigen_worst_case(weights, total_power, n_range, grid_size)
+    result = _eigen_worst_case(weights, total_power, grid_size)
     result.certificate["total_power"] = total_power
     return result
 
@@ -271,7 +267,7 @@ def least_favorable_d01_extrapolation(
     ``in_class`` is then False and a "not certified" warning is issued.
     """
     P, trace, _, _ = _power_matrix(power_matrix, weights.dim)
-    result = _eigen_worst_case(weights, trace, None, grid_size)
+    result = _eigen_worst_case(weights, trace, grid_size)
     result.certificate["trace_power"] = trace
     residual = d01_class_residual(result.f0, P)
     result.certificate["power_constraint_residual"] = residual
@@ -306,16 +302,16 @@ def least_favorable_dm_interpolation(
     """Worst density whose inverse has the given cosine moments.
 
     ``p_constraints`` lists the moment matrices P(0..M). The worst density
-    is autoregressive: the inverse of the moment polynomial. For a horizon
-    within the constrained band (M >= n) the solver coefficients come from
-    one block-Toeplitz solve against the constraints. For M < n (scalar
-    case only) the missing moments are the ones that make the solved
-    coefficients vanish beyond M; they follow by forward substitution, and
-    the result is only admissible if the extended polynomial stays
-    positive, otherwise the class is reported infeasible. So is a
-    constraint set whose Toeplitz section is not positive definite (its
-    Cholesky factorization fails): the moment polynomial is then not
-    positive semi-definite on the circle.
+    is autoregressive, f0 = the inverse of the moment polynomial, and the
+    robust characteristic is solved by exact interpolation on the worst
+    density, ``interpolate(f0, None, weights)``: its block-Toeplitz system
+    is the one of the moment matrices. For M < n (scalar case only) the
+    missing moments are the ones that make the solved coefficients vanish
+    beyond M; they follow by forward substitution from one solve of the
+    constrained band, which reports the class infeasible when that section
+    is not positive definite. The (extended) moment polynomial must pass
+    ``check_minimality``, otherwise it is not positive definite on the
+    circle and the class is reported infeasible.
     """
     if weights.horizon != "interpolation":
         raise ValueError("weights must carry the interpolation horizon")
@@ -324,28 +320,19 @@ def least_favorable_dm_interpolation(
     M = len(p_constraints) - 1
     if M < 0:
         raise ValueError("need at least the zero-lag constraint")
-    poly = _moment_polynomial(p_constraints, K, grid_size)
-    a = weights.blocks.reshape(-1)
-
-    # block (l, j) of the moment system is P(l - j)^T, at index l - j + M
-    lag_index = np.subtract.outer(np.arange(n + 1), np.arange(n + 1)) + M
-    if M >= n:
-        blocks = np.swapaxes(poly.coeffs[lag_index], -1, -2)
-        dense = blocks.transpose(0, 2, 1, 3).reshape((n + 1) * K, (n + 1) * K)
-        alpha, cond = _solve_hermitian(
-            dense, a, "moment system", indefinite=InfeasibleClassError
-        )
-        alpha_blocks = alpha.reshape(n + 1, K)
-        extended = poly
-    else:
+    extended = _moment_polynomial(p_constraints, K, grid_size)
+    system_residual = 0.0
+    if M < n:
         if K != 1:
             raise ValueError(
                 "unconstrained moments beyond the horizon are only supported "
                 "in the scalar case"
             )
-        p_vals = poly.coeffs[M:, 0, 0]
-        toep = poly.coeffs[lag_index[: M + 1, : M + 1], 0, 0]
-        alpha_head, cond = _solve_hermitian(
+        a = weights.blocks.reshape(-1)
+        p_vals = extended.coeffs[M:, 0, 0]
+        band = np.arange(M + 1)
+        toep = extended.coeffs[np.subtract.outer(band, band) + M, 0, 0]
+        alpha_head, _ = _solve_hermitian(
             toep, a[: M + 1], "moment system", indefinite=InfeasibleClassError
         )
         if abs(alpha_head[0]) < 1e-14 * max(np.abs(alpha_head).max(), 1.0):
@@ -364,41 +351,26 @@ def least_favorable_dm_interpolation(
         ext = np.array([p_ext[m] for m in range(n + 1)])
         ext = np.concatenate([ext[:0:-1].conj(), ext]).reshape(-1, 1, 1)  # lags -n..n
         extended = SpectralDensity(dim=1, coeffs=ext, grid_size=grid_size)
-        alpha_blocks = np.zeros((n + 1, 1), dtype=complex)
-        alpha_blocks[: M + 1, 0] = alpha_head
-        alpha = alpha_blocks.reshape(-1)
+        # all rows of the extended Toeplitz system, by construction ~ 0
+        rows = extended.coeffs[np.subtract.outer(np.arange(n + 1), band) + n, 0, 0]
+        system_residual = float(np.abs(rows @ alpha_head - a).max())
 
     if not check_minimality(extended).passed:
         raise InfeasibleClassError(
             "moment polynomial is not positive definite on the grid; "
             "the class has no usable worst density"
         )
-    vals = extended.values
-    f0 = SpectralDensity.from_grid(np.linalg.inv(vals))
-    ar_factor = spectral_factorize(extended)
-    mse = float(np.vdot(a, alpha).real)
-    h0 = _finish_solution(
-        "interpolation",
-        mse,
-        _characteristic(functional_symbol(weights, grid_size), alpha_blocks, 0, vals),
-        alpha_blocks,
-        {"n": n, "condition": cond, "noisy": False, "construction": "least-favorable"},
-        weights,
-    )
-    system_residual = 0.0
-    if M < n:
-        # all rows of the extended Toeplitz system, by construction ~ 0
-        rows = extended.coeffs[lag_index[:, : M + 1] - M + n, 0, 0]
-        system_residual = float(np.abs(rows @ alpha_head - a).max())
+    f0 = SpectralDensity.from_grid(np.linalg.inv(extended.values))
+    h0 = interpolate(f0, None, weights)
     certificate = {
         "kind": "lagrange",
-        "alpha": alpha_blocks,
-        "ar_coeffs": ar_factor.coeffs,
+        "alpha": h0.solved_blocks,
+        "ar_coeffs": spectral_factorize(extended).coeffs,
         "n_constraints": M + 1,
         "system_residual": system_residual,
     }
     return LeastFavorableResult(
-        f0=f0, g0=None, minimax_mse=mse, h0=h0, certificate=certificate
+        f0=f0, g0=None, minimax_mse=h0.mse, h0=h0, certificate=certificate
     )
 
 

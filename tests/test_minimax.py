@@ -105,12 +105,16 @@ class TestClassY:
         assert five.minimax_mse == pytest.approx(5.0 * one.minimax_mse, rel=1e-12)
 
     def test_monotone_in_horizon(self):
+        # the top eigenvalue of the operator least_favorable_class_y solves,
+        # embedded in ever larger shift ranges
         w = finite_weights([[1.0], [0.5]])
         nu = [
-            least_favorable_class_y(w, 1.0, n_range=n).certificate["nu_squared"]
+            np.linalg.eigvalsh(np.conj(build_q_operator(w, n).dense))[-1]
             for n in (1, 2, 4)
         ]
         assert nu[0] <= nu[1] + 1e-12 <= nu[2] + 2e-12
+        solved = least_favorable_class_y(w, 1.0).certificate["nu_squared"]
+        assert nu[0] == pytest.approx(solved, rel=1e-14)
 
     @pytest.mark.parametrize(
         "build",
@@ -317,14 +321,19 @@ class TestDmInterpolation:
         with pytest.raises(InfeasibleClassError):
             least_favorable_dm_interpolation(bad, w, grid_size=GRID)
 
-    @pytest.mark.parametrize("n", [1, 3])
-    def test_indefinite_moment_system_infeasible(self, n):
-        # the Toeplitz section [[1, 2], [2, 1]] has eigenvalues 3 and -1: its
-        # Cholesky factorization fails in the moment solve itself, for the
-        # band case (n = 1) and the forward-substituted one (n = 3)
+    @pytest.mark.parametrize(
+        "n, message",
+        [(1, "moment polynomial is not positive definite"), (3, "moment system")],
+        ids=["1", "3"],
+    )
+    def test_indefinite_moment_system_infeasible(self, n, message):
+        # the Toeplitz section [[1, 2], [2, 1]] has eigenvalues 3 and -1. In
+        # the band case (n = 1) the polynomial gate refuses 1 + 4 cos before
+        # any solve; the forward-substituted case (n = 3) first solves the
+        # section, whose Cholesky factorization fails
         w = FunctionalWeights.interpolation(np.ones((n + 1, 1)))
         bad = [np.array([[1.0]]), np.array([[2.0]])]
-        with pytest.raises(InfeasibleClassError, match="moment system"):
+        with pytest.raises(InfeasibleClassError, match=message):
             least_favorable_dm_interpolation(bad, w, grid_size=GRID)
 
     @pytest.mark.parametrize(
