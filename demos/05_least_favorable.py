@@ -24,6 +24,7 @@ from pcwk import (
     saddle_point_check,
     sample_d0eps_class,
     sample_power_class,
+    spectral_factorize,
 )
 from pcwk.minimax import d0eps_class_residual, dm_class_residual, power_class_residual
 
@@ -57,8 +58,11 @@ print("\nmoment-constrained class, one missing block:")
 print(f"  worst-case mse       = {dm.minimax_mse:.10f}")
 print(f"  moment reproduction  = {dm_class_residual(dm.f0, moments):.2e}")
 print(f"  independent re-solve = {interpolate(dm.f0, None, wi).mse:.10f}")
+# the worst density is autoregressive: its inverse, the moment polynomial
+# 1.25 + cos(lambda), factors as |a(lambda)|^2 with the taps a below
+moment_polynomial = SpectralDensity(1, {-1: 0.5, 0: 1.25, 1: 0.5}, grid_size=G)
 print(f"  autoregressive taps  = "
-      f"{np.round(dm.certificate['ar_coeffs'][:, 0, 0].real, 6)}")
+      f"{np.round(spectral_factorize(moment_polynomial).coeffs[:, 0, 0].real, 6)}")
 
 # ---- power-constrained filtering with contaminated noise -----------------
 wf = FunctionalWeights.filtering([[1.0]])

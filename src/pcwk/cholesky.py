@@ -20,12 +20,12 @@ from .errors import IllPosedError
 PANEL = 32
 
 
-def cholesky(matrix, context, indefinite=IllPosedError):
-    """Lower Cholesky factor of a Hermitian matrix; ``indefinite`` when none exists."""
+def cholesky(matrix, context):
+    """Lower Cholesky factor of a Hermitian matrix; ``IllPosedError`` when none exists."""
     try:
         return np.linalg.cholesky(matrix)
     except np.linalg.LinAlgError as exc:
-        raise indefinite(f"{context}: system is not positive definite ({exc})") from exc
+        raise IllPosedError(f"{context}: system is not positive definite ({exc})") from exc
 
 
 def panels(chol):

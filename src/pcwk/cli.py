@@ -539,7 +539,7 @@ def _run_minimax(spec: ProblemSpec, out: Path):
         def optimal_error(fs, gs):
             return interpolate(fs, None, weights).mse
 
-        keys = ("system_residual",)
+        keys = ()
     else:  # minimax-filter-d0eps
         signal_power = _float_param(spec, "signal_power", required=True)
         noise_power = _float_param(spec, "noise_power", required=True)

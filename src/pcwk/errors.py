@@ -50,4 +50,5 @@ class SingularFactorError(PcwkError):
 
 
 class InfeasibleClassError(PcwkError):
-    """The requested density-class constraints admit no feasible member."""
+    """The requested density-class constraints admit no feasible member,
+    or no finite worst case."""

@@ -221,18 +221,18 @@ def _inverse_one_norm(solve, n):
     return float(max(est, 2.0 * np.abs(x).sum() / (3 * n)))
 
 
-def _solve_hermitian(matrix, rhs, context, indefinite=IllPosedError, factor=None):
+def _solve_hermitian(matrix, rhs, context, factor=None):
     """Solve a Hermitian positive definite system through one Cholesky factor.
 
     The factor gives the solution, one refinement step and the condition
     estimate ``cond = ||A||_1 * est(||A^{-1}||_1)``, the Hager-Higham
     1-norm estimate of LAPACK ``?pocon`` (see :func:`_inverse_one_norm`).
     The gate refuses the system (``IllPosedError``) when that estimate is
-    not finite or exceeds ``DEFAULT_COND_THRESHOLD``, and raises
-    ``indefinite`` when the Cholesky factorization fails, since an
-    indefinite system has no estimate to return. ``factor``, when given,
-    is the lower Cholesky factor of ``matrix``, such as
-    :func:`cholesky.border` grows along the truncation schedule.
+    not finite or exceeds ``DEFAULT_COND_THRESHOLD``, and also when the
+    Cholesky factorization fails, since an indefinite system has no
+    estimate to return. ``factor``, when given, is the lower Cholesky
+    factor of ``matrix``, such as :func:`cholesky.border` grows along the
+    truncation schedule.
 
     The 1-norm gate is no looser than the former 2-norm one (largest over
     smallest |eigenvalue|): for Hermitian A, kappa_2(A) <= kappa_1(A). For
@@ -247,7 +247,7 @@ def _solve_hermitian(matrix, rhs, context, indefinite=IllPosedError, factor=None
     n = matrix.shape[0]
     if n == 0:
         return np.zeros_like(rhs), 1.0
-    chol = cholesky(matrix, context, indefinite) if factor is None else factor
+    chol = cholesky(matrix, context) if factor is None else factor
     solve = cholesky_solver(chol)
     cond = float(np.linalg.norm(matrix, 1)) * _inverse_one_norm(solve, n)
     if not np.isfinite(cond) or cond > DEFAULT_COND_THRESHOLD:

@@ -8,10 +8,11 @@ admit a constructive solution:
 * bounded per-period power (forward estimation): the worst density is a
   one-sided moving average built from the top eigenvector of the weight
   gram operator, and the worst error is the power times its top eigenvalue;
-* prescribed cosine moments of the inverse density (interpolation): the
-  worst density is autoregressive, obtained by inverting the moment
-  polynomial, and the robust characteristic is solved by exact
-  interpolation on the worst density;
+* prescribed cosine moments P(0..M) of the inverse density
+  (interpolation): every member errs by the same a*T^{-1}a when M >= n,
+  so the autoregressive inverse of the moment polynomial is a worst
+  density, and the robust characteristic is solved by exact interpolation
+  on it; with M < n the class's errors are unbounded and it is refused;
 * fixed power matrix (forward estimation): the same eigenproblem with a
   matrix power constraint, matched in trace, with the residual of the full
   matrix constraint reported;
@@ -47,13 +48,12 @@ from .errors import InfeasibleClassError, PcwkError, SingularFactorError
 from .estimators import (
     EstimateSolution,
     _blocks_symbol,
-    _solve_hermitian,
     evaluate_mse,
     filtering,
     functional_symbol,
     interpolate,
 )
-from .factorization import Factorization, extrapolate_factorized, spectral_factorize
+from .factorization import Factorization, extrapolate_factorized
 from .lifting import FunctionalWeights
 from .spectral import (
     DEFAULT_GRID_SIZE,
@@ -301,76 +301,41 @@ def least_favorable_dm_interpolation(
 ) -> LeastFavorableResult:
     """Worst density whose inverse has the given cosine moments.
 
-    ``p_constraints`` lists the moment matrices P(0..M). The worst density
-    is autoregressive, f0 = the inverse of the moment polynomial, and the
-    robust characteristic is solved by exact interpolation on the worst
-    density, ``interpolate(f0, None, weights)``: its block-Toeplitz system
-    is the one of the moment matrices. For M < n (scalar case only) the
-    missing moments are the ones that make the solved coefficients vanish
-    beyond M; they follow by forward substitution from one solve of the
-    constrained band, which reports the class infeasible when that section
-    is not positive definite. The (extended) moment polynomial must pass
-    ``check_minimality``, otherwise it is not positive definite on the
-    circle and the class is reported infeasible.
+    ``p_constraints`` lists the moment matrices P(0..M). The interpolation
+    error of each class member is a*T^{-1}a, where T is the block-Toeplitz
+    section of the inverse moments P(0..n) (Kolmogorov 1941; Whittle 1963
+    for K > 1). For M >= n that section is fixed by the class, so every
+    member has the same error and the autoregressive f0 = the inverse of
+    the moment polynomial is a worst case; its characteristic is solved by
+    exact interpolation, ``interpolate(f0, None, weights)``, whose system is
+    the section. For M < n the free moments P(M+1..n) reach sections
+    arbitrarily close to singular, so the class's errors are unbounded and
+    it raises ``InfeasibleClassError``. So does a moment polynomial that
+    fails ``check_minimality``, which is not positive definite on the
+    circle.
     """
     if weights.horizon != "interpolation":
         raise ValueError("weights must carry the interpolation horizon")
-    K = weights.dim
-    n = weights.n
     M = len(p_constraints) - 1
     if M < 0:
         raise ValueError("need at least the zero-lag constraint")
-    extended = _moment_polynomial(p_constraints, K, grid_size)
-    system_residual = 0.0
-    if M < n:
-        if K != 1:
-            raise ValueError(
-                "unconstrained moments beyond the horizon are only supported "
-                "in the scalar case"
-            )
-        a = weights.blocks.reshape(-1)
-        p_vals = extended.coeffs[M:, 0, 0]
-        band = np.arange(M + 1)
-        toep = extended.coeffs[np.subtract.outer(band, band) + M, 0, 0]
-        alpha_head, _ = _solve_hermitian(
-            toep, a[: M + 1], "moment system", indefinite=InfeasibleClassError
+    P = _moment_polynomial(p_constraints, weights.dim, grid_size)
+    if M < weights.n:
+        raise InfeasibleClassError(
+            f"{M + 1} inverse moment(s) for horizon n = {weights.n} (the "
+            f"section needs {weights.n + 1}): the class's interpolation "
+            "errors are unbounded"
         )
-        if abs(alpha_head[0]) < 1e-14 * max(np.abs(alpha_head).max(), 1.0):
-            raise InfeasibleClassError(
-                "leading solver coefficient vanishes; the missing moments are "
-                "not determined"
-            )
-        p_ext = dict(enumerate(p_vals))
-        for l in range(M + 1, n + 1):
-            acc = a[l]
-            for j in range(1, M + 1):
-                m = l - j
-                pm = p_ext[m] if m >= 0 else np.conj(p_ext[-m])
-                acc = acc - alpha_head[j] * pm
-            p_ext[l] = acc / alpha_head[0]
-        ext = np.array([p_ext[m] for m in range(n + 1)])
-        ext = np.concatenate([ext[:0:-1].conj(), ext]).reshape(-1, 1, 1)  # lags -n..n
-        extended = SpectralDensity(dim=1, coeffs=ext, grid_size=grid_size)
-        # all rows of the extended Toeplitz system, by construction ~ 0
-        rows = extended.coeffs[np.subtract.outer(np.arange(n + 1), band) + n, 0, 0]
-        system_residual = float(np.abs(rows @ alpha_head - a).max())
-
-    if not check_minimality(extended).passed:
+    if not check_minimality(P).passed:
         raise InfeasibleClassError(
             "moment polynomial is not positive definite on the grid; "
             "the class has no usable worst density"
         )
-    f0 = SpectralDensity.from_grid(np.linalg.inv(extended.values))
+    f0 = SpectralDensity.from_grid(np.linalg.inv(P.values))
     h0 = interpolate(f0, None, weights)
-    certificate = {
-        "kind": "lagrange",
-        "alpha": h0.solved_blocks,
-        "ar_coeffs": spectral_factorize(extended).coeffs,
-        "n_constraints": M + 1,
-        "system_residual": system_residual,
-    }
     return LeastFavorableResult(
-        f0=f0, g0=None, minimax_mse=h0.mse, h0=h0, certificate=certificate
+        f0=f0, g0=None, minimax_mse=h0.mse, h0=h0,
+        certificate={"kind": "lagrange"},
     )
 
 

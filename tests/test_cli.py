@@ -281,6 +281,31 @@ class TestMainMinimax:
         assert summary["samples"] == "10"
         assert summary["samples_rejected"] == "0"
 
+    @pytest.mark.parametrize(
+        "weights, moments",
+        [([[1.0], [0.5], [0.25]], [[[1.5]], [[0.3]]]),
+         ([[1.0, 0.0], [0.5, 0.5]], [[[2.0, 0.0], [0.0, 2.0]]])],
+        ids=["K1", "K2"],
+    )
+    def test_dm_fewer_moments_than_horizon_refused(self, tmp_path, capsys,
+                                                   weights, moments):
+        # the free moments reach a singular Toeplitz section: unbounded errors
+        spec = write_spec(
+            tmp_path,
+            {
+                "task": "minimax-interp-dm",
+                "weights": {"inline": weights},
+                "numerics": {"grid": 64, "seed": 3},
+                "class_params": {"moments": moments, "samples": 5},
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["--spec", str(spec), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "unbounded" in err[0]
+        assert not (out / "summary.csv").exists()
+
     def test_deterministic_outputs(self, tmp_path):
         spec = self.minimax_spec(tmp_path)
         out1, out2 = tmp_path / "o1", tmp_path / "o2"

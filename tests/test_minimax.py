@@ -285,28 +285,40 @@ class TestDmInterpolation:
         result = least_favorable_dm_interpolation(p, w, grid_size=GRID)
         assert dm_class_residual(result.f0, p) < 1e-8
 
-    def test_scalar_underdetermined_moments(self):
-        # fewer constraints than the horizon: the solver extends the moments
-        # (weights chosen so the extended polynomial stays positive)
-        w = FunctionalWeights.interpolation([[1.0], [0.25]])
-        result = least_favorable_dm_interpolation([np.array([[1.0]])], w,
-                                                  grid_size=GRID)
-        assert result.certificate["system_residual"] < 1e-8
-        assert dm_class_residual(result.f0, [np.array([[1.0]])]) < 1e-8
-        check = interpolate(result.f0, None, w)
-        assert check.mse == pytest.approx(result.minimax_mse, abs=1e-9)
+    def test_underdetermined_class_is_unbounded(self):
+        # with moments P(0..1) and horizon n = 2 the free moment p2 ranges
+        # over every positive definite Toeplitz section, p2 > -1.38. The
+        # MA(2) member taps T^{-1} e0 / sqrt((T^{-1})_00) of each section
+        # lies in the class and errs by a^T T^{-1} a, which grows without
+        # bound as the section nears singularity
+        p = [np.array([[1.5]]), np.array([[0.3]])]
+        a = np.array([1.0, 0.5, 0.25])
+        w = FunctionalWeights.interpolation(a.reshape(-1, 1))
+        grid = 8192  # 512 nodes do not resolve the d = 1e-2 member
+        for d, expected in ((0.1, 5.780), (1e-2, 55.39)):
+            p2 = -1.38 + d
+            T = np.array([[1.5, 0.3, p2], [0.3, 1.5, 0.3], [p2, 0.3, 1.5]])
+            T_inv = np.linalg.inv(T)
+            taps = T_inv[:, 0] / np.sqrt(T_inv[0, 0])
+            member = SpectralDensity.from_moving_average(list(taps), grid_size=grid)
+            assert dm_class_residual(member, p) <= 1e-8
+            error = interpolate(member, None, w).mse
+            assert error == pytest.approx(a @ T_inv @ a, rel=1e-9)
+            assert error == pytest.approx(expected, rel=1e-3)
+        with pytest.raises(InfeasibleClassError, match="unbounded"):
+            least_favorable_dm_interpolation(p, w, grid_size=grid)
 
     def test_underdetermined_infeasible_extension_rejected(self):
-        # the forward-substituted moments can leave the positive cone; that
-        # must surface as class infeasibility, not a bogus density
+        # one moment for horizon n = 1 leaves the section's off-diagonal
+        # free, so the class is refused before any solve
         w = FunctionalWeights.interpolation([[1.0], [1.0]])
-        with pytest.raises(InfeasibleClassError):
+        with pytest.raises(InfeasibleClassError, match="unbounded"):
             least_favorable_dm_interpolation([np.array([[1.0]])], w,
                                              grid_size=GRID)
 
-    def test_underdetermined_needs_scalar(self):
+    def test_underdetermined_block_class_refused(self):
         w = FunctionalWeights.interpolation(np.ones((2, 2)))
-        with pytest.raises(ValueError, match="scalar"):
+        with pytest.raises(InfeasibleClassError, match="unbounded"):
             least_favorable_dm_interpolation([np.eye(2)], w, grid_size=GRID)
 
     def test_non_hermitian_constraint_rejected(self):
@@ -321,19 +333,14 @@ class TestDmInterpolation:
         with pytest.raises(InfeasibleClassError):
             least_favorable_dm_interpolation(bad, w, grid_size=GRID)
 
-    @pytest.mark.parametrize(
-        "n, message",
-        [(1, "moment polynomial is not positive definite"), (3, "moment system")],
-        ids=["1", "3"],
-    )
-    def test_indefinite_moment_system_infeasible(self, n, message):
-        # the Toeplitz section [[1, 2], [2, 1]] has eigenvalues 3 and -1. In
-        # the band case (n = 1) the polynomial gate refuses 1 + 4 cos before
-        # any solve; the forward-substituted case (n = 3) first solves the
-        # section, whose Cholesky factorization fails
+    @pytest.mark.parametrize("n", [1], ids=["1"])
+    def test_indefinite_moment_system_infeasible(self, n):
+        # the Toeplitz section [[1, 2], [2, 1]] has eigenvalues 3 and -1:
+        # the polynomial gate refuses 1 + 4 cos before any solve
         w = FunctionalWeights.interpolation(np.ones((n + 1, 1)))
         bad = [np.array([[1.0]]), np.array([[2.0]])]
-        with pytest.raises(InfeasibleClassError, match=message):
+        with pytest.raises(InfeasibleClassError,
+                           match="moment polynomial is not positive definite"):
             least_favorable_dm_interpolation(bad, w, grid_size=GRID)
 
     @pytest.mark.parametrize(
@@ -354,6 +361,29 @@ class TestDmInterpolation:
         assert len(samples) == 20
         assert all(check_minimality(s).passed for s in samples)
         assert max(dm_class_residual(s, p) for s in samples) < 1e-8
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            [np.array([[1e-10]]), np.array([[0.3e-10]])],
+            [np.array([[1.5]]), np.array([[0.4]]), np.array([[0.1]])],
+            [2.0 * np.eye(2), np.array([[0.3, 0.2j], [-0.2j, 0.1]])],
+        ],
+        ids=["tiny", "ar2", "coupled"],
+    )
+    def test_every_member_errs_by_the_minimax_error(self, p):
+        # for M >= n every member's error is a*T^{-1}a with the section T of
+        # the prescribed moments, so f0 is a worst case with no gap
+        K, M = p[0].shape[0], len(p) - 1
+        w = FunctionalWeights.interpolation(0.5 ** np.arange(M + 1)[:, None]
+                                            * np.ones((M + 1, K)))
+        result = least_favorable_dm_interpolation(p, w, grid_size=GRID)
+        rng = np.random.default_rng(6)
+        samples = sample_dm_class(rng, p, extra_degree=3, count=20, grid_size=GRID)
+        for s in samples:
+            assert interpolate(s, None, w).mse == pytest.approx(
+                result.minimax_mse, rel=1e-12
+            )
 
     def test_outsider_of_a_small_class_rejected(self):
         # a white density of variance 1.01e8 has zero-lag inverse moment
