@@ -281,6 +281,15 @@ def parse_spec(path) -> ProblemSpec:
     )
 
 
+def _complex_entry(entry):
+    """A number or an [re, im] pair of numbers as a complex; None otherwise."""
+    if _is_number(entry):
+        return complex(entry)
+    if isinstance(entry, list) and len(entry) == 2 and all(map(_is_number, entry)):
+        return complex(entry[0], entry[1])
+    return None
+
+
 def _parse_inline(inline, errors):
     """Inline weight blocks as lists of complex entries; bad entries are errors."""
     if not isinstance(inline, list) or not inline:
@@ -293,12 +302,9 @@ def _parse_inline(inline, errors):
             continue
         entries = []
         for entry in row:
-            if _is_number(entry):
-                entries.append(complex(entry))
-            elif isinstance(entry, list) and len(entry) == 2 and all(
-                _is_number(part) for part in entry
-            ):
-                entries.append(complex(entry[0], entry[1]))
+            value = _complex_entry(entry)
+            if value is not None:
+                entries.append(value)
             else:
                 errors.append(
                     f"weights.inline[{j}]: entries are numbers or [re, im] "
@@ -496,6 +502,37 @@ def _matrix_param(spec, key, dim):
     return np.asarray(value, dtype=complex)
 
 
+def _moments_param(spec, dim):
+    """``class_params.moments`` as K x K complex matrices.
+
+    Each entry is a number or an [re, im] pair, the rule of inline weights;
+    every malformed moment is a collected validation error naming its index.
+    """
+    value = _class_param(spec, "moments", required=True)
+    if not isinstance(value, list) or not value:
+        raise SpecValidationError(
+            ["class_params.moments must be a non-empty list of K x K matrices"]
+        )
+    moments, errors = [], []
+    for m, mat in enumerate(value):
+        rows = mat if isinstance(mat, list) and len(mat) == dim else [None]
+        entries = [
+            [_complex_entry(x) for x in row]
+            if isinstance(row, list) and len(row) == dim else [None]
+            for row in rows
+        ]
+        if any(x is None for row in entries for x in row):
+            errors.append(
+                f"class_params.moments[{m}] must be a {dim} x {dim} nested list "
+                f"of numbers or [re, im] pairs; got {mat!r}"
+            )
+        else:
+            moments.append(np.array(entries, dtype=complex))
+    if errors:
+        raise SpecValidationError(errors)
+    return moments
+
+
 def _run_minimax(spec: ProblemSpec, out: Path):
     task = spec.task
     weights = _load_weights(spec, _TASK_HORIZON[task])
@@ -522,12 +559,7 @@ def _run_minimax(spec: ProblemSpec, out: Path):
         keys = ("nu_squared", "eigen_residual", "power_constraint_residual",
                 "in_class")
     elif task == "minimax-interp-dm":
-        constraints = _class_param(spec, "moments", required=True)
-        if not isinstance(constraints, list) or not constraints:
-            raise SpecValidationError(
-                ["class_params.moments must be a non-empty list of K x K matrices"]
-            )
-        p_list = [np.asarray(m, dtype=complex) for m in constraints]
+        p_list = _moments_param(spec, weights.dim)
         result = minimax.least_favorable_dm_interpolation(
             p_list, weights, grid_size=grid
         )

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -635,6 +636,26 @@ def filtering(
 # -- generic error functional --------------------------------------------
 
 
+def _grid_characteristic(h) -> np.ndarray:
+    """h as a (G, K) complex grid array; ``h`` may be an EstimateSolution."""
+    if isinstance(h, EstimateSolution):
+        h = h.h_grid
+    h = np.asarray(h, dtype=complex)
+    return h.reshape(-1, 1) if h.ndim == 1 else h
+
+
+def _check_characteristic_shape(h, density):
+    if h.shape != (density.grid_size, density.dim):
+        raise ValueError(
+            f"h has shape {h.shape}, expected {(density.grid_size, density.dim)}"
+        )
+
+
+def _grid_term(vec, values):
+    """Grid mean of vec^T values conj(vec), for (G, K) vec and (G, K, K) values."""
+    return np.einsum("gk,gkn,gn->", vec, values, vec.conj()) / vec.shape[0]
+
+
 def evaluate_mse(
     h,
     f: SpectralDensity,
@@ -648,17 +669,69 @@ def evaluate_mse(
     the weight polynomial of the weights' horizon. ``h`` may be an
     :class:`EstimateSolution` or a (G, K) grid array.
     """
-    if isinstance(h, EstimateSolution):
-        h = h.h_grid
-    h = np.asarray(h, dtype=complex)
-    if h.ndim == 1:
-        h = h.reshape(-1, 1)
-    G = f.grid_size
-    if h.shape != (G, f.dim):
-        raise ValueError(f"h has shape {h.shape}, expected {(G, f.dim)}")
-    A = functional_symbol(weights, G)
-    diff = A - h
-    total = np.einsum("gk,gkn,gn->", diff, f.values, diff.conj()) / G
+    h = _grid_characteristic(h)
+    _check_characteristic_shape(h, f)
+    A = functional_symbol(weights, f.grid_size)
+    total = _grid_term(A - h, f.values)
     if g is not None:
-        total = total + np.einsum("gk,gkn,gn->", h, g.values, h.conj()) / G
+        total = total + _grid_term(h, g.values)
     return _real_mse(total)
+
+
+def _lag_table(vec):
+    """Coefficients of the outer product vec vec^H of a (G, K) grid vector.
+
+    Entry i of the (G - 1, K, K) result is its coefficient at lag
+    G/2 - 1 - i, so with H = G/2 - 1 the rows H - L .. H + L hold the lags
+    -m that pair with a density's coefficients F(m), m = -L .. L, in the
+    order of its coefficient array.
+    """
+    G = vec.shape[0]
+    table = _all_fourier_coefficients(vec[:, :, None] * vec.conj()[:, None, :])
+    return table[(G // 2 - 1 - np.arange(G - 1)) % G]
+
+
+class _ErrorFunctional:
+    """The error of one fixed characteristic h, as a function of (f, g).
+
+    For fixed h the error is linear in the densities (the structure of
+    robust filtering, Kassam & Poor 1985, Proc. IEEE 73):
+
+        evaluate_mse(h, f, g) = sum_m tr F(m) W_f(-m)^T + sum_m tr G(m) W_g(-m)^T,
+
+    W_f(m) and W_g(m) being the lag-m coefficients of (A - h)(A - h)^H and
+    h h^H, each tabulated by one FFT when first needed. A density is scored
+    from its 2L + 1 coefficients at O(L K^2), with no grid values. A
+    density whose grid values are already held, every ``from_grid`` one, is
+    scored on the grid as :func:`evaluate_mse` scores it: ``from_grid``
+    drops the Nyquist lag G/2 of its samples, so its coefficients and its
+    values can describe different densities, and the values are what the
+    solvers read. Both forms agree to round-off on a trigonometric
+    polynomial, whose retained band the grid integrates exactly.
+    """
+
+    def __init__(self, h, weights: FunctionalWeights):
+        self.h = _grid_characteristic(h)
+        self.diff = functional_symbol(weights, self.h.shape[0]) - self.h
+
+    @cached_property
+    def _signal_table(self):
+        return _lag_table(self.diff)
+
+    @cached_property
+    def _noise_table(self):
+        return _lag_table(self.h)
+
+    def _term(self, density, noise):
+        _check_characteristic_shape(self.h, density)
+        if "values" in vars(density):  # grid values held, see the class docstring
+            return _grid_term(self.h if noise else self.diff, density.values)
+        table = self._noise_table if noise else self._signal_table
+        mid, L = table.shape[0] // 2, density.max_lag
+        return density.coeffs.ravel() @ table[mid - L : mid + L + 1].ravel()
+
+    def __call__(self, f: SpectralDensity, g: SpectralDensity | None) -> float:
+        total = self._term(f, noise=False)
+        if g is not None:
+            total = total + self._term(g, noise=True)
+        return _real_mse(total)

@@ -48,7 +48,7 @@ from .errors import InfeasibleClassError, PcwkError, SingularFactorError
 from .estimators import (
     EstimateSolution,
     _blocks_symbol,
-    evaluate_mse,
+    _ErrorFunctional,
     filtering,
     functional_symbol,
     interpolate,
@@ -58,9 +58,9 @@ from .lifting import FunctionalWeights
 from .spectral import (
     DEFAULT_GRID_SIZE,
     SpectralDensity,
+    _all_fourier_coefficients,
     _node_eigenvalues,
     check_minimality,
-    frequency_grid,
 )
 
 __all__ = [
@@ -663,9 +663,15 @@ def _relative(residual: float, scale: float) -> float:
     return residual / scale if scale > 0 else residual
 
 
+def _zero_lag_power(f: SpectralDensity) -> float:
+    """The trace power of f, read from F(0), the grid mean of its values."""
+    return float(np.trace(f.coeff(0)).real)
+
+
 def power_class_residual(f: SpectralDensity, total_power: float) -> float:
-    """Distance of the total power of f from the class's, relative to it."""
-    return _relative(abs(_trace_power(f.values) - total_power), total_power)
+    """Distance of the total power of f, tr F(0), from the class's, relative
+    to it."""
+    return _relative(abs(_zero_lag_power(f) - total_power), total_power)
 
 
 def sample_d01_class(
@@ -697,10 +703,10 @@ def sample_d01_class(
 
 
 def d01_class_residual(f: SpectralDensity, power_matrix) -> float:
-    """Frobenius distance from P of the power matrix of f, its grid mean,
-    relative to ||P||_F."""
+    """Frobenius distance from P of the power matrix F(0) of f, relative to
+    ||P||_F."""
     P = np.atleast_2d(np.asarray(power_matrix, dtype=complex))
-    residual = float(np.linalg.norm(f.values.mean(axis=0) - P))
+    residual = float(np.linalg.norm(f.coeff(0) - P))
     return _relative(residual, float(np.linalg.norm(P)))
 
 
@@ -750,13 +756,17 @@ def sample_dm_class(
 
 def dm_class_residual(f: SpectralDensity, p_constraints: Sequence) -> float:
     """Largest distance of a cosine moment of f^{-1} from its constraint,
-    relative to the largest constraint norm."""
-    vals = np.linalg.inv(f.values)
+    relative to the largest constraint norm.
+
+    The moments are the grid means of f^{-1} cos(m lambda), read from one
+    FFT of the grid inverse as the mean of its coefficients at lags m and -m.
+    """
+    table = _all_fourier_coefficients(np.linalg.inv(f.values))
+    G = table.shape[0]
     worst = scale = 0.0
-    lam = frequency_grid(vals.shape[0])
     for m, target in enumerate(p_constraints):
         target = np.atleast_2d(np.asarray(target, dtype=complex))
-        moment = (vals * np.cos(m * lam)[:, None, None]).mean(axis=0)
+        moment = 0.5 * (table[m % G] + table[-m % G])
         worst = max(worst, float(np.linalg.norm(moment - target)))
         scale = max(scale, float(np.linalg.norm(target)))
     return _relative(worst, scale)
@@ -807,11 +817,13 @@ def d0eps_class_residual(
     g2: SpectralDensity,
 ) -> float:
     """Largest violation of the signal power, the noise power and the
-    contamination floor, relative to the larger of the two powers."""
-    fv, gv, g2v = f.values, g.values, g2.values
-    res = abs(_trace_power(fv) - signal_power)
-    res = max(res, abs(_trace_power(gv) - noise_power))
-    eigs = _node_eigenvalues(gv - (1.0 - eps) * g2v)
+    contamination floor, relative to the larger of the two powers.
+
+    The powers are read from F(0) and G(0); the floor is checked on the grid.
+    """
+    res = abs(_zero_lag_power(f) - signal_power)
+    res = max(res, abs(_zero_lag_power(g) - noise_power))
+    eigs = _node_eigenvalues(g.values - (1.0 - eps) * g2.values)
     res = max(res, float(-min(eigs.min(), 0.0)))
     return _relative(res, max(signal_power, noise_power))
 
@@ -853,11 +865,24 @@ def saddle_point_check(
     relative to the class's scale like the ``*_class_residual`` functions,
     and anything above ``_VALIDATION_TOL`` is rejected with a diagnostic).
     The margins are absolute.
+
+    The error of a fixed characteristic is linear in the densities, so its
+    coefficient table is built once per check
+    (``estimators._ErrorFunctional``), and each sampled moving average,
+    with no grid values, is scored from its few coefficients. A sample
+    whose grid values are already held, every ``from_grid`` one (the noise
+    draws of ``sample_d0eps_class``, the members of ``sample_dm_class``),
+    keeps the grid quadrature of ``evaluate_mse``: ``from_grid`` drops
+    the Nyquist lag of its samples, so its coefficients can differ from its
+    values. The validators read moving averages through F(0) only, so such
+    a sample never computes its grid values.
+
     Passing ``optimal_error`` replaces the fixed-characteristic error with
     a per-sample optimal error, which certifies least-favorability directly
     for degenerate classes.
     """
     base = float(solution.mse)
+    error = optimal_error or _ErrorFunctional(solution, weights)
     margins = []
     rejected = []
     for idx, sample in enumerate(samples):
@@ -873,11 +898,7 @@ def saddle_point_check(
                     f"{_VALIDATION_TOL:.1e}"
                 )
                 continue
-        if optimal_error is not None:
-            value = float(optimal_error(f_s, g_s))
-        else:
-            value = evaluate_mse(solution, f_s, g_s, weights)
-        margins.append(base - value)
+        margins.append(base - float(error(f_s, g_s)))
     margins_arr = np.asarray(margins, dtype=float)
     return SaddleReport(
         margins=margins_arr,

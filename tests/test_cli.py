@@ -281,6 +281,27 @@ class TestMainMinimax:
         assert summary["samples"] == "10"
         assert summary["samples_rejected"] == "0"
 
+    def test_dm_coupled_complex_moments_solved_and_sampled(self, tmp_path):
+        # complex entries are [re, im] pairs, as in inline weights
+        spec = write_spec(
+            tmp_path,
+            {
+                "task": "minimax-interp-dm",
+                "weights": {"inline": [[1.0, 0.0], [0.5, 0.5]]},
+                "numerics": {"grid": 64, "seed": 3},
+                "class_params": {
+                    "moments": [[[2, 0], [0, 2]], [[0.3, [0, 0.2]], [[0, -0.2], 0.1]]],
+                    "samples": 10,
+                },
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["--spec", str(spec), "--out", str(out)]) == 0
+        summary = read_summary(out)
+        assert summary["samples"] == "10"
+        assert summary["samples_rejected"] == "0"
+        assert float(summary["min_saddle_margin"]) >= -1e-8
+
     @pytest.mark.parametrize(
         "weights, moments",
         [([[1.0], [0.5], [0.25]], [[[1.5]], [[0.3]]]),
@@ -484,6 +505,24 @@ class TestWronglyTypedValues:
         )
         assert main(["--spec", str(spec), "--out", str(tmp_path / "out")]) == 1
         assert "class_params.moments must be a non-empty list" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "moments, bad",
+        [([[0.3, [0, 0.2]], [[0, -0.2], 0.1]], (0, 1)), ([["a"]], (0,))],
+        ids=["pairs_outside_a_matrix", "string_entry"],
+    )
+    def test_malformed_moments(self, tmp_path, capsys, moments, bad):
+        spec = filter_spec(
+            tmp_path, task="minimax-interp-dm", class_params={"moments": moments}
+        )
+        assert main(["--spec", str(spec), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            f"error: class_params.moments[{m}] must be a 1 x 1 nested list of "
+            f"numbers or [re, im] pairs; got {moments[m]!r}"
+            for m in bad
+        ]
 
 
 class TestOversizedAndMalformedValues:

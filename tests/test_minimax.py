@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pcwk import (
     FunctionalWeights,
@@ -10,6 +11,7 @@ from pcwk import (
     build_q_operator,
     check_minimality,
     filtering_relation_residuals,
+    frequency_grid,
     interpolate,
     least_favorable_class_y,
     least_favorable_d01_extrapolation,
@@ -21,13 +23,15 @@ from pcwk import (
     sample_dm_class,
     sample_power_class,
 )
+from pcwk.estimators import _ErrorFunctional, evaluate_mse
 from pcwk.minimax import (
     d01_class_residual,
     d0eps_class_residual,
     dm_class_residual,
     power_class_residual,
 )
-from conftest import GRID, white
+from pcwk.spectral import _node_eigenvalues
+from conftest import GRID, ar1, white
 
 GOLDEN_TOP = (3.0 + np.sqrt(5.0)) / 2.0  # top eigenvalue of [[2, 1], [1, 1]]
 
@@ -444,6 +448,126 @@ def test_class_residuals_are_relative_to_the_class_scale(residual):
     assert base > 1e-3  # f is not a member of these classes
     for c in (1e-10, 1e8):
         assert residual(f, c) == pytest.approx(base, rel=1e-9)
+
+
+# -- the error of a fixed characteristic, from coefficients -----------------
+
+HORIZONS = {
+    "interpolation": FunctionalWeights.interpolation,
+    "extrapolation": FunctionalWeights.extrapolation,
+    "filtering": FunctionalWeights.filtering,
+}
+
+
+def _random_case(seed, dim, horizon):
+    """Random weights (two blocks) and a random characteristic on GRID."""
+    rng = np.random.default_rng(seed)
+    cplx = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)  # noqa: E731
+    return rng, HORIZONS[horizon](cplx(2, dim)), cplx(GRID, dim)
+
+
+def _random_ma(rng, dim, order):
+    taps = rng.standard_normal((order + 1, dim, dim)) + 1j * rng.standard_normal(
+        (order + 1, dim, dim)
+    )
+    return SpectralDensity.from_moving_average(list(taps), grid_size=GRID)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.sampled_from([1, 2, 4]),
+    horizon=st.sampled_from(sorted(HORIZONS)),
+    orders=st.tuples(st.integers(0, 5), st.integers(0, 5)),
+    noisy=st.booleans(),
+)
+def test_error_from_coefficients_equals_the_grid_quadrature(
+    seed, dim, horizon, orders, noisy
+):
+    rng, weights, h = _random_case(seed, dim, horizon)
+    f = _random_ma(rng, dim, orders[0])
+    g = _random_ma(rng, dim, orders[1]) if noisy else None
+    value = _ErrorFunctional(h, weights)(f, g)
+    # scored from the coefficients alone
+    assert "values" not in vars(f) and (g is None or "values" not in vars(g))
+    reference = evaluate_mse(h, f, g, weights)
+    assert value == pytest.approx(reference, rel=1e-12)
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+@pytest.mark.parametrize("dim", [1, 2, 4])
+def test_error_of_a_from_grid_member_is_its_grid_quadrature(dim, noisy):
+    # from_grid drops the Nyquist lag, so held grid values are scored as they are
+    _, weights, h = _random_case(7, dim, "filtering" if noisy else "extrapolation")
+    f = ar1(dim, phi=0.6)
+    g = ar1(dim, phi=-0.3) if noisy else None
+    assert _ErrorFunctional(h, weights)(f, g) == evaluate_mse(h, f, g, weights)
+
+
+def _grid_power(f):
+    return float(np.trace(f.values, axis1=1, axis2=2).real.mean())
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 2, 4]),
+       order=st.integers(0, 4))
+def test_class_residuals_equal_their_grid_forms(seed, dim, order):
+    rng = np.random.default_rng(seed)
+    f, g = _random_ma(rng, dim, order), _random_ma(rng, dim, order)
+    P = rng.standard_normal((dim, dim))
+    P = P @ P.T + np.eye(dim)
+    power = float(np.trace(P))
+    new = (power_class_residual(f, power), d01_class_residual(f, P))
+    grid = (
+        abs(_grid_power(f) - power) / power,
+        float(np.linalg.norm(f.values.mean(axis=0) - P)) / float(np.linalg.norm(P)),
+    )
+    np.testing.assert_allclose(new, grid, rtol=1e-14, atol=1e-14)
+
+    moments = [P, 0.3 * P, -0.1 * P.T]
+    inverse = np.linalg.inv(f.values)
+    lam = frequency_grid(GRID)
+    worst = max(
+        float(np.linalg.norm((inverse * np.cos(m * lam)[:, None, None]).mean(axis=0)
+                             - target))
+        for m, target in enumerate(moments)
+    )
+    scale = max(float(np.linalg.norm(target)) for target in moments)
+    assert dm_class_residual(f, moments) == pytest.approx(worst / scale, rel=1e-14,
+                                                          abs=1e-14)
+
+    if dim == 1:  # the d0eps classes are scalar
+        g2 = white(scale=0.5)
+        eps, signal, noise = 0.4, 2.0, 1.5
+        eigs = _node_eigenvalues(g.values - (1.0 - eps) * g2.values)
+        res = max(abs(_grid_power(f) - signal), abs(_grid_power(g) - noise),
+                  float(-min(eigs.min(), 0.0)))
+        assert d0eps_class_residual(f, g, signal, noise, eps, g2) == pytest.approx(
+            res / max(signal, noise), rel=1e-14, abs=1e-14
+        )
+
+
+@pytest.mark.parametrize("kind", ["class_y", "d01"])
+def test_saddle_check_of_moving_averages_computes_no_grid_values(kind):
+    # the cost property: each member is validated and scored from coefficients
+    weights = finite_weights([[1.0, 0.5], [0.3, -0.2j]])
+    rng = np.random.default_rng(4)
+    if kind == "class_y":
+        result = least_favorable_class_y(weights, 1.5, grid_size=GRID)
+        members = sample_power_class(rng, 2, weights.n, 1.5, 20, grid_size=GRID)
+        validator = lambda fs: power_class_residual(fs, 1.5)  # noqa: E731
+    else:
+        P = np.array([[1.0, 0.2], [0.2, 0.5]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the d01 worst case is not in class
+            result = least_favorable_d01_extrapolation(weights, P, grid_size=GRID)
+        members = sample_d01_class(rng, P, weights.n, 20, grid_size=GRID)
+        validator = lambda fs: d01_class_residual(fs, P)  # noqa: E731
+    report = saddle_point_check(result.h0, result.f0, None, members, weights,
+                                validator=validator)
+    assert report.n_rejected == 0 and report.margins.size == 20
+    assert report.min_margin >= -1e-8
+    assert all("values" not in vars(member) for member in members)
 
 
 class TestFilteringRelations:
