@@ -54,6 +54,7 @@ from .spectral import (
     DEFAULT_COND_THRESHOLD,
     SpectralDensity,
     _all_fourier_coefficients,
+    _grid_inverse,
     _inverse_if_minimal,
     check_minimality,
 )
@@ -113,7 +114,7 @@ def _kernel_table(f, g):
                 f"near lambda = {report.worst_node:.6f} "
                 f"(grid condition {report.max_condition:.3e})"
             )
-        inv = np.linalg.inv(fv if gv is None else fv + gv)
+        inv = _grid_inverse(fv if gv is None else fv + gv)
     return inv, gv, _transposed_coefficients(inv)
 
 

@@ -49,6 +49,7 @@ from .spectral import (
     DEFAULT_GRID_SIZE,
     SpectralDensity,
     _alternating_signs,
+    _grid_inverse,
     _node_norms,
     check_minimality,
 )
@@ -201,7 +202,7 @@ def _fixed_point(fv, psi, residual, target, stall=False):
     identity = np.eye(fv.shape[1])
     steps = 0
     while not residual <= target and steps < MAX_ITERATIONS:
-        psi_inv = np.linalg.inv(psi)
+        psi_inv = _grid_inverse(psi)
         ratio = psi_inv @ fv @ np.conj(np.transpose(psi_inv, (0, 2, 1))) + identity
         plus = _causal_part(ratio)
         zero_lag = 0.5 * ratio.mean(axis=0)  # the zero-lag tap
@@ -345,14 +346,17 @@ def _left_inverse_values(p_values: np.ndarray):
     q = None
     if K == M:
         try:
-            q = np.linalg.inv(p_values)
+            q = _grid_inverse(p_values)
         except np.linalg.LinAlgError:
             pass
         else:
             bound = float(_node_norms(p_values).max()) * float(_node_norms(q).max())
             if bound <= FACTOR_COND_LIMIT / 2:
                 return q
-    sv = np.linalg.svd(p_values, compute_uv=False)
+    if K == M == 1:  # the singular value of a 1 x 1 matrix is its modulus
+        sv = np.abs(p_values)
+    else:
+        sv = np.linalg.svd(p_values, compute_uv=False)
     smax = float(sv.max())
     smin = float(sv.min())
     if smin <= 0.0 or smax / smin > FACTOR_COND_LIMIT:
@@ -361,7 +365,7 @@ def _left_inverse_values(p_values: np.ndarray):
             "no bounded left inverse"
         )
     if K == M:
-        return np.linalg.inv(p_values) if q is None else q
+        return _grid_inverse(p_values) if q is None else q
     gram = np.conj(np.transpose(p_values, (0, 2, 1))) @ p_values
     return np.linalg.solve(gram, np.conj(np.transpose(p_values, (0, 2, 1))))
 

@@ -49,6 +49,10 @@ from .estimators import (
     EstimateSolution,
     _blocks_symbol,
     _ErrorFunctional,
+    _gather,
+    _real_mse,
+    _solve_hermitian,
+    _transposed_coefficients,
     filtering,
     functional_symbol,
     interpolate,
@@ -59,6 +63,7 @@ from .spectral import (
     DEFAULT_GRID_SIZE,
     SpectralDensity,
     _all_fourier_coefficients,
+    _grid_inverse,
     _node_eigenvalues,
     check_minimality,
 )
@@ -331,7 +336,7 @@ def least_favorable_dm_interpolation(
             "moment polynomial is not positive definite on the grid; "
             "the class has no usable worst density"
         )
-    f0 = SpectralDensity.from_grid(np.linalg.inv(P.values))
+    f0 = SpectralDensity.from_grid(_grid_inverse(P.values))
     h0 = interpolate(f0, None, weights)
     return LeastFavorableResult(
         f0=f0, g0=None, minimax_mse=h0.mse, h0=h0,
@@ -746,7 +751,7 @@ def sample_dm_class(
             coeffs[L - M - i] = bump.conj().T
         draw = SpectralDensity(dim=dim, coeffs=coeffs, grid_size=grid_size)
         if check_minimality(draw).passed:
-            out.append(SpectralDensity.from_grid(np.linalg.inv(draw.values)))
+            out.append(SpectralDensity.from_grid(_grid_inverse(draw.values)))
     if len(out) < count:
         raise InfeasibleClassError(
             "could not sample enough positive definite class members"
@@ -761,7 +766,7 @@ def dm_class_residual(f: SpectralDensity, p_constraints: Sequence) -> float:
     The moments are the grid means of f^{-1} cos(m lambda), read from one
     FFT of the grid inverse as the mean of its coefficients at lags m and -m.
     """
-    table = _all_fourier_coefficients(np.linalg.inv(f.values))
+    table = _all_fourier_coefficients(_grid_inverse(f.values))
     G = table.shape[0]
     worst = scale = 0.0
     for m, target in enumerate(p_constraints):
@@ -770,6 +775,22 @@ def dm_class_residual(f: SpectralDensity, p_constraints: Sequence) -> float:
         worst = max(worst, float(np.linalg.norm(moment - target)))
         scale = max(scale, float(np.linalg.norm(target)))
     return _relative(worst, scale)
+
+
+def _dm_member_error(f: SpectralDensity, weights: FunctionalWeights) -> float:
+    """Optimal interpolation error a*B^{-1}a of f, from its grid inverse alone.
+
+    B is the block-Toeplitz section, over the weight blocks 0..n, of the
+    coefficients of f^{-1} (Kolmogorov 1941; Whittle 1963 for K > 1): the
+    system and error value of ``interpolate(f, None, weights)``, without
+    its minimality check and characteristic. For the members of
+    ``sample_dm_class``, whose draws passed ``check_minimality``.
+    """
+    table = _transposed_coefficients(_grid_inverse(f.values))
+    idx = np.arange(weights.n + 1)
+    a = weights.blocks.reshape(-1)
+    c, _ = _solve_hermitian(_gather(table, "B", idx, idx), a, "interpolation")
+    return _real_mse(np.vdot(c, a))
 
 
 def sample_d0eps_class(

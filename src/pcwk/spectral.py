@@ -246,8 +246,31 @@ def _as_grid_values(values) -> np.ndarray:
     return vals
 
 
+def _grid_inverse(values: np.ndarray) -> np.ndarray:
+    """Inverse of each matrix of (G, K, K) grid samples; the one grid-stack ``inv``.
+
+    At K = 1 the inverse is the elementwise reciprocal, the bits LAPACK
+    returns for real samples and within a few ulps of them for complex
+    ones, without the per-matrix overhead of the batched call; like LAPACK
+    it raises ``LinAlgError`` when a sample is exactly zero, maps +-inf to
+    zero and a NaN to NaN, without a floating-point warning.
+    """
+    if values.shape[1:] != (1, 1):
+        return np.linalg.inv(values)
+    if np.any(values == 0):
+        raise np.linalg.LinAlgError("Singular matrix")
+    with np.errstate(invalid="ignore"):
+        return 1.0 / values
+
+
 def _node_eigenvalues(values: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the Hermitian part of (G, K, K) grid samples."""
+    """Ascending eigenvalues of the Hermitian part of (G, K, K) grid samples.
+
+    At K = 1 the one eigenvalue is the real part of the sample, which is what
+    ``eigvalsh`` returns for the 1 x 1 Hermitian part.
+    """
+    if values.shape[1:] == (1, 1):
+        return values[:, :, 0].real.copy()
     return np.linalg.eigvalsh(0.5 * (values + np.conj(np.transpose(values, (0, 2, 1)))))
 
 
@@ -366,7 +389,7 @@ def check_minimality(
 
 
 def _inverse_if_minimal(values: np.ndarray) -> np.ndarray | None:
-    """``np.linalg.inv(values)`` when a bound proves that the minimality rule passes.
+    """``_grid_inverse(values)`` when a bound proves that the minimality rule passes.
 
     ``values`` are (G, K, K) grid samples A with Hermitian part H and skew
     part S = A - H. Returns None, and the caller runs
@@ -375,8 +398,9 @@ def _inverse_if_minimal(values: np.ndarray) -> np.ndarray | None:
     ``DEFAULT_COND_THRESHOLD``. Otherwise the rule's condition
     lambda_max / lambda_min of H is at most that half:
 
-    * the Cholesky factor proves H positive definite at every node
-      (Higham, *Accuracy and Stability of Numerical Algorithms*, 10.1);
+    * the Cholesky factor (at K = 1, a positive real part) proves H
+      positive definite at every node (Higham, *Accuracy and Stability of
+      Numerical Algorithms*, 10.1);
     * lambda_max(H_g) <= ||H_g||_2 <= ||A_g||_F at each node;
     * 1 / lambda_min(H_g) = ||H_g^{-1}||_2 <= r_g / (1 - r_g s_g) with
       r_g = ||A_g^{-1}||_F and s_g = ||S_g||_F, since H = A - S (the
@@ -392,7 +416,7 @@ def _inverse_if_minimal(values: np.ndarray) -> np.ndarray | None:
     never the decision.
     """
     try:
-        inverse = np.linalg.inv(values)
+        inverse = _grid_inverse(values)
     except np.linalg.LinAlgError:
         return None
     # one work array, no other temporary: A^H - A = -2 S, then A^H + A = 2 H
@@ -401,10 +425,15 @@ def _inverse_if_minimal(values: np.ndarray) -> np.ndarray | None:
     skew = _node_norms(work) / 2.0
     work += values
     work += values
-    try:
-        np.linalg.cholesky(work)  # 2 H is definite exactly when H is
-    except np.linalg.LinAlgError:
-        return None
+    if work.shape[1:] == (1, 1):
+        # the test of a 1 x 1 Cholesky factor; a NaN node fails it too
+        if not np.all(work.real > 0.0):
+            return None
+    else:
+        try:
+            np.linalg.cholesky(work)  # 2 H is definite exactly when H is
+        except np.linalg.LinAlgError:
+            return None
     del work
     r = _node_norms(inverse)
     rs = r * skew

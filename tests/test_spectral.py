@@ -1,6 +1,11 @@
+import ast
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import pcwk
 from pcwk import (
     AliasingError,
     FunctionalWeights,
@@ -11,6 +16,7 @@ from pcwk import (
     SpectralDensity,
     check_minimality,
     extrapolate,
+    filtering,
     fourier_coefficients,
     interpolate,
     read_density_csv,
@@ -19,6 +25,7 @@ from pcwk import (
     validate_density,
     write_density_csv,
 )
+from pcwk.spectral import _grid_inverse, _inverse_if_minimal, _node_eigenvalues
 from conftest import GRID, ar1, coupled_ma2, ma1, white
 
 
@@ -260,3 +267,125 @@ class TestDensityCsv:
         orig = f.values
         again = back.values
         np.testing.assert_allclose(again, orig, atol=1e-10)
+
+
+def _hermitian_part(values):
+    return 0.5 * (values + np.conj(np.transpose(values, (0, 2, 1))))
+
+
+class TestScalarKernels:
+    """At K = 1 the grid kernels are elementwise and decide as LAPACK does."""
+
+    EPS = np.finfo(float).eps
+
+    def test_real_samples_match_lapack_bitwise(self):
+        rng = np.random.default_rng(11)
+        values = (rng.standard_normal(GRID) * 10.0 ** rng.uniform(-8, 8, GRID)).astype(
+            complex
+        ).reshape(-1, 1, 1)
+        inverse = _grid_inverse(values)
+        np.testing.assert_array_equal(inverse, np.linalg.inv(values))
+        np.testing.assert_array_equal(
+            _node_eigenvalues(values), np.linalg.eigvalsh(_hermitian_part(values))
+        )
+
+    def test_complex_samples_match_lapack(self):
+        rng = np.random.default_rng(12)
+        values = (rng.standard_normal(GRID) + 1j * rng.standard_normal(GRID)).reshape(
+            -1, 1, 1
+        ) * 10.0 ** rng.uniform(-100, 100, (GRID, 1, 1))
+        reference = np.linalg.inv(values)
+        assert np.max(np.abs(_grid_inverse(values) - reference) / np.abs(reference)) <= (
+            4 * self.EPS
+        )
+        eigs = np.linalg.eigvalsh(_hermitian_part(values))
+        assert np.max(np.abs(_node_eigenvalues(values) - eigs) / np.abs(eigs)) <= (
+            4 * self.EPS
+        )
+
+    def test_zero_sample_is_singular(self):
+        values = np.ones((8, 1, 1), dtype=complex)
+        values[5] = 0.0
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            np.linalg.inv(values)
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            _grid_inverse(values)
+
+    def test_infinite_samples_invert_to_zero(self):
+        values = np.array(
+            [np.inf, -np.inf, complex(0.0, np.inf), complex(0.0, -np.inf), 2.0]
+        ).reshape(-1, 1, 1)
+        inverse = _grid_inverse(values)
+        np.testing.assert_array_equal(inverse, np.linalg.inv(values))
+        np.testing.assert_array_equal(inverse[:4], 0.0)
+
+    def test_blocks_are_inverted_by_lapack(self):
+        values = coupled_ma2().values
+        np.testing.assert_array_equal(_grid_inverse(values), np.linalg.inv(values))
+
+    @staticmethod
+    def _zero_node_density():
+        # |1 + e^{-il}|^2 / 2 with its zero at lambda = -pi set exactly
+        values = ma1(b=1.0).values.copy()
+        values[0] = 0.0
+        return SpectralDensity.from_grid(values)
+
+    @pytest.mark.parametrize(
+        "solve, observed",
+        [
+            (lambda f, w: interpolate(f, None, w), "signal"),
+            (lambda f, w: filtering(f, f.scaled(0.5), FunctionalWeights.filtering(
+                [[1.0], [0.5]])), "observed"),
+        ],
+        ids=["interpolate", "noisy-filtering"],
+    )
+    def test_zero_node_refused_with_the_gate_message(self, solve, observed):
+        f = self._zero_node_density()
+        report = check_minimality(f, None if observed == "signal" else f.scaled(0.5))
+        assert not report.passed
+        message = (
+            f"minimality condition violated: {observed} density is singular near "
+            f"lambda = {report.worst_node:.6f} (grid condition "
+            f"{report.max_condition:.3e})"
+        )
+        with pytest.raises(MinimalityError, match=re.escape(message)):
+            solve(f, FunctionalWeights.interpolation([[1.0]]))
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan], ids=["negative", "nan"])
+    def test_indefinite_stack_is_left_to_the_gate(self, bad):
+        values = np.ones((GRID, 1, 1), dtype=complex)
+        values[7] = bad
+        assert _inverse_if_minimal(values) is None
+        assert _inverse_if_minimal(np.ones((GRID, 1, 1), dtype=complex)) is not None
+
+
+def _linalg_inv_sites(tree):
+    """Names of the functions holding each reference to ``numpy.linalg.inv``."""
+    sites = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Attribute) and node.attr == "inv" and (
+            ast.unparse(node.value).endswith("linalg")
+        ):
+            sites.append(owner)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+            sites.extend(owner for alias in node.names if alias.name == "inv")
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, None)
+    return sites
+
+
+def test_grid_inverses_go_through_one_helper():
+    # every grid-stack inverse is written by _grid_inverse, which takes the
+    # elementwise path at K = 1; a direct np.linalg.inv would bypass it
+    sites = {
+        path.name: _linalg_inv_sites(ast.parse(path.read_text()))
+        for path in sorted(Path(pcwk.__file__).parent.glob("*.py"))
+    }
+    assert {name: owners for name, owners in sites.items() if owners} == {
+        "spectral.py": ["_grid_inverse"]
+    }
