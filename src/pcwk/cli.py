@@ -569,7 +569,7 @@ def _run_minimax(spec: ProblemSpec, out: Path):
         validator = partial(minimax.dm_class_residual, p_constraints=p_list)
 
         def optimal_error(fs, gs):
-            return minimax._dm_member_error(fs, weights)
+            return interpolate(fs, None, weights).mse
 
         keys = ()
     else:  # minimax-filter-d0eps

@@ -353,10 +353,7 @@ def _left_inverse_values(p_values: np.ndarray):
             bound = float(_node_norms(p_values).max()) * float(_node_norms(q).max())
             if bound <= FACTOR_COND_LIMIT / 2:
                 return q
-    if K == M == 1:  # the singular value of a 1 x 1 matrix is its modulus
-        sv = np.abs(p_values)
-    else:
-        sv = np.linalg.svd(p_values, compute_uv=False)
+    sv = np.linalg.svd(p_values, compute_uv=False)
     smax = float(sv.max())
     smin = float(sv.min())
     if smin <= 0.0 or smax / smin > FACTOR_COND_LIMIT:

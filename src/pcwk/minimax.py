@@ -49,10 +49,6 @@ from .estimators import (
     EstimateSolution,
     _blocks_symbol,
     _ErrorFunctional,
-    _gather,
-    _real_mse,
-    _solve_hermitian,
-    _transposed_coefficients,
     filtering,
     functional_symbol,
     interpolate,
@@ -775,22 +771,6 @@ def dm_class_residual(f: SpectralDensity, p_constraints: Sequence) -> float:
         worst = max(worst, float(np.linalg.norm(moment - target)))
         scale = max(scale, float(np.linalg.norm(target)))
     return _relative(worst, scale)
-
-
-def _dm_member_error(f: SpectralDensity, weights: FunctionalWeights) -> float:
-    """Optimal interpolation error a*B^{-1}a of f, from its grid inverse alone.
-
-    B is the block-Toeplitz section, over the weight blocks 0..n, of the
-    coefficients of f^{-1} (Kolmogorov 1941; Whittle 1963 for K > 1): the
-    system and error value of ``interpolate(f, None, weights)``, without
-    its minimality check and characteristic. For the members of
-    ``sample_dm_class``, whose draws passed ``check_minimality``.
-    """
-    table = _transposed_coefficients(_grid_inverse(f.values))
-    idx = np.arange(weights.n + 1)
-    a = weights.blocks.reshape(-1)
-    c, _ = _solve_hermitian(_gather(table, "B", idx, idx), a, "interpolation")
-    return _real_mse(np.vdot(c, a))
 
 
 def sample_d0eps_class(

@@ -304,42 +304,6 @@ class TestMainMinimax:
 
     @pytest.mark.parametrize(
         "weights, moments",
-        [([[1.0], [0.5]], [[[1.5]], [[0.4]], [[0.1]]]),
-         ([[1.0, 0.0], [0.5, 0.5]], [[[2, 0], [0, 2]], [[0.3, 0.2], [0.2, 0.1]]])],
-        ids=["K1", "K2"],
-    )
-    def test_dm_margin_equals_the_interpolation_check(self, tmp_path, weights, moments):
-        # the CLI scores each member by its section a*B^{-1}a; the check that
-        # runs a full interpolate per member gives the same margin
-        spec = write_spec(
-            tmp_path,
-            {
-                "task": "minimax-interp-dm",
-                "weights": {"inline": weights},
-                "numerics": {"grid": 256, "seed": 5},
-                "class_params": {"moments": moments, "samples": 10},
-            },
-        )
-        out = tmp_path / "out"
-        assert main(["--spec", str(spec), "--out", str(out)]) == 0
-        summary = read_summary(out)
-        assert summary["samples_rejected"] == "0"
-        mm = pcwk.minimax
-        w = pcwk.FunctionalWeights.interpolation(weights)
-        p = [np.array(m, dtype=complex) for m in moments]
-        result = mm.least_favorable_dm_interpolation(p, w, grid_size=256)
-        members = mm.sample_dm_class(np.random.default_rng(5), p, 3, 10, grid_size=256)
-        report = mm.saddle_point_check(
-            result.h0, result.f0, None, members, w,
-            optimal_error=lambda fs, gs: pcwk.interpolate(fs, None, w).mse,
-        )
-        assert float(summary["minimax_mse"]) == result.minimax_mse
-        assert abs(float(summary["min_saddle_margin"]) - report.min_margin) <= (
-            1e-12 * result.minimax_mse
-        )
-
-    @pytest.mark.parametrize(
-        "weights, moments",
         [([[1.0], [0.5], [0.25]], [[[1.5]], [[0.3]]]),
          ([[1.0, 0.0], [0.5, 0.5]], [[[2.0, 0.0], [0.0, 2.0]]])],
         ids=["K1", "K2"],

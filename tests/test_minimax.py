@@ -25,7 +25,6 @@ from pcwk import (
 )
 from pcwk.estimators import _ErrorFunctional, evaluate_mse
 from pcwk.minimax import (
-    _dm_member_error,
     d01_class_residual,
     d0eps_class_residual,
     dm_class_residual,
@@ -388,29 +387,6 @@ class TestDmInterpolation:
         for s in samples:
             assert interpolate(s, None, w).mse == pytest.approx(
                 result.minimax_mse, rel=1e-12
-            )
-
-    @pytest.mark.parametrize(
-        "p",
-        [
-            [np.array([[1e-10]]), np.array([[0.3e-10]])],
-            [np.array([[1.5]]), np.array([[0.4]]), np.array([[0.1]])],
-            [2.0 * np.eye(2), np.array([[0.3, 0.2j], [-0.2j, 0.1]])],
-        ],
-        ids=["tiny", "ar2", "coupled"],
-    )
-    def test_member_error_is_the_interpolation_error(self, p):
-        # complex weights and the coupled class's complex section pin the
-        # conjugation of a*B^{-1}a: the transposed orientation gives another
-        # value there
-        K, M = p[0].shape[0], len(p) - 1
-        phases = np.exp(1j * np.arange(1, (M + 1) * K + 1)).reshape(M + 1, K)
-        w = FunctionalWeights.interpolation(0.5 ** np.arange(M + 1)[:, None] * phases)
-        rng = np.random.default_rng(6)
-        samples = sample_dm_class(rng, p, extra_degree=3, count=20, grid_size=GRID)
-        for s in samples:
-            assert _dm_member_error(s, w) == pytest.approx(
-                interpolate(s, None, w).mse, rel=1e-12
             )
 
     def test_outsider_of_a_small_class_rejected(self):
