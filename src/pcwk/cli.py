@@ -490,44 +490,51 @@ def _float_param(spec, key, default=None, required=False):
     return float(value)
 
 
-def _matrix_param(spec, key, dim):
-    value = _class_param(spec, key, required=True)
+def _complex_matrix(value, dim, name, errors):
+    """A K x K nested list as a complex matrix; None, with an error, otherwise.
+
+    Each entry is a number or an [re, im] pair, the rule of inline weights.
+    """
     rows = value if isinstance(value, list) and len(value) == dim else [None]
-    if not all(isinstance(r, list) and len(r) == dim and all(map(_is_number, r))
-               for r in rows):
-        raise SpecValidationError(
-            [f"class_params.{key} must be a {dim} x {dim} nested list of numbers; "
-             f"got {value!r}"]
+    entries = [
+        [_complex_entry(x) for x in row]
+        if isinstance(row, list) and len(row) == dim else [None]
+        for row in rows
+    ]
+    if any(x is None for row in entries for x in row):
+        errors.append(
+            f"{name} must be a {dim} x {dim} nested list of numbers or [re, im] "
+            f"pairs; got {value!r}"
         )
-    return np.asarray(value, dtype=complex)
+        return None
+    return np.array(entries, dtype=complex)
+
+
+def _matrix_param(spec, key, dim):
+    errors = []
+    matrix = _complex_matrix(
+        _class_param(spec, key, required=True), dim, f"class_params.{key}", errors
+    )
+    if errors:
+        raise SpecValidationError(errors)
+    return matrix
 
 
 def _moments_param(spec, dim):
     """``class_params.moments`` as K x K complex matrices.
 
-    Each entry is a number or an [re, im] pair, the rule of inline weights;
-    every malformed moment is a collected validation error naming its index.
+    Every malformed moment is a collected validation error naming its index.
     """
     value = _class_param(spec, "moments", required=True)
     if not isinstance(value, list) or not value:
         raise SpecValidationError(
             ["class_params.moments must be a non-empty list of K x K matrices"]
         )
-    moments, errors = [], []
-    for m, mat in enumerate(value):
-        rows = mat if isinstance(mat, list) and len(mat) == dim else [None]
-        entries = [
-            [_complex_entry(x) for x in row]
-            if isinstance(row, list) and len(row) == dim else [None]
-            for row in rows
-        ]
-        if any(x is None for row in entries for x in row):
-            errors.append(
-                f"class_params.moments[{m}] must be a {dim} x {dim} nested list "
-                f"of numbers or [re, im] pairs; got {mat!r}"
-            )
-        else:
-            moments.append(np.array(entries, dtype=complex))
+    errors = []
+    moments = [
+        _complex_matrix(mat, dim, f"class_params.moments[{m}]", errors)
+        for m, mat in enumerate(value)
+    ]
     if errors:
         raise SpecValidationError(errors)
     return moments

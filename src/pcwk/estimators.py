@@ -55,6 +55,7 @@ from .spectral import (
     SpectralDensity,
     _all_fourier_coefficients,
     _grid_inverse,
+    _grid_symbol,
     _inverse_if_minimal,
     check_minimality,
 )
@@ -298,20 +299,8 @@ def functional_symbol(weights: FunctionalWeights, grid_size: int) -> np.ndarray:
     e^{i lambda}; filtering weights at nonpositive powers.
     """
     if weights.horizon == "filtering":
-        return _blocks_symbol(weights.blocks[::-1], 1 - weights.n_blocks, grid_size)
-    return _blocks_symbol(weights.blocks, 0, grid_size)
-
-
-def _blocks_symbol(blocks: np.ndarray, first_index: int, grid_size: int) -> np.ndarray:
-    """sum_j blocks[j] e^{i (first_index + j) lambda} on the grid, (G, K).
-
-    On lambda_g = -pi + 2 pi g / G the phase e^{i m lambda_g} is
-    (-1)^m e^{2 pi i m g / G}, so the sum is one inverse FFT.
-    """
-    m = first_index + np.arange(blocks.shape[0])
-    buf = np.zeros((grid_size, blocks.shape[1]), dtype=complex)
-    np.add.at(buf, m % grid_size, np.where(m % 2, -1.0, 1.0)[:, None] * blocks)
-    return np.fft.ifft(buf, axis=0) * grid_size
+        return _grid_symbol(weights.blocks[::-1], 1 - weights.n_blocks, grid_size)
+    return _grid_symbol(weights.blocks, 0, grid_size)
 
 
 def _weighted_kernel(A, inv, gv):
@@ -333,14 +322,15 @@ def _characteristic(v, blocks, first_index, inv):
     """The characteristic h = v - C (f+g)^{-1} on the grid, (G, K).
 
     C is the symbol of the solved coefficient blocks, numbered from
-    ``first_index``, ``inv`` the grid values of (f+g)^{-1} and v the grid
-    vector A f (f+g)^{-1} of :func:`_weighted_kernel`; exact data pass
-    v = A, the weight polynomial, and ``inv`` is then f^{-1}. The
+    ``first_index`` and written by ``spectral._grid_symbol``, the one
+    lag -> grid transform; ``inv`` holds the grid values of (f+g)^{-1} and
+    v is the grid vector A f (f+g)^{-1} of :func:`_weighted_kernel`; exact
+    data pass v = A, the weight polynomial, and ``inv`` is then f^{-1}. The
     factorization route passes v = A, its weighted tap sums as the blocks
     and the left inverse Q of the causal factor, (G, M, K), as ``inv``: it
     is the one h synthesis of every task.
     """
-    C = _blocks_symbol(blocks, first_index, inv.shape[0])
+    C = _grid_symbol(blocks, first_index, inv.shape[0])
     return v - np.einsum("gk,gkn->gn", C, inv)
 
 

@@ -23,6 +23,11 @@ wide band (8 L >= G) on a grid of at least ``MIN_ITERATION_GRID`` nodes,
 or a band that fails on its iteration grids, is iterated on the output
 grid from the constant start.
 
+The fixed point moves between taps and grid values through ``spectral``
+alone: the taps d(u) are the lags -u of the factor's grid values
+(``fourier_coefficients``), and taps go back to the grid, the causal part
+of each step included, through ``spectral._grid_symbol``.
+
 The moving-average taps d(u) also answer the forward-estimation problem
 from exact past observations: the unavoidable error is carried by the
 innovations inside the functional's span, so the mean square error is a
@@ -48,10 +53,11 @@ from .lifting import FunctionalWeights
 from .spectral import (
     DEFAULT_GRID_SIZE,
     SpectralDensity,
-    _alternating_signs,
     _grid_inverse,
+    _grid_symbol,
     _node_norms,
     check_minimality,
+    fourier_coefficients,
 )
 
 __all__ = [
@@ -106,14 +112,9 @@ class Factorization:
 
     def symbol(self) -> np.ndarray:
         """P(lambda) on the grid, shape (G, K, M)."""
-        G = self.grid_size
-        n, K, M = self.coeffs.shape
-        if n > G:
+        if self.order >= self.grid_size:
             raise ValueError("factor order exceeds the grid size")
-        buf = np.zeros((G, K, M), dtype=complex)
-        signs = _alternating_signs(G)
-        buf[:n] = self.coeffs * signs[:n, None, None]
-        return np.fft.fft(buf, axis=0)
+        return _grid_symbol(self.coeffs[::-1], -self.order, self.grid_size)
 
     def density(self) -> SpectralDensity:
         """The moving-average density P P^*."""
@@ -122,25 +123,13 @@ class Factorization:
         )
 
 
-def _taps_from_grid(values: np.ndarray) -> np.ndarray:
-    """Taps d(u) of M(lambda) = sum_u d(u) exp(-i u lambda) from grid samples.
-
-    Index u runs 0..G-1 with the upper half aliasing the anticausal side.
-    Inverse of building the grid from ``(-1)^u d(u)`` with an FFT.
-    """
-    G = values.shape[0]
-    signs = _alternating_signs(G).reshape((G,) + (1,) * (values.ndim - 1))
-    return np.fft.ifft(values, axis=0) * signs
-
-
 def _causal_part(values: np.ndarray) -> np.ndarray:
     """Half the zero lag plus all strictly causal taps of grid samples."""
     G = values.shape[0]
-    taps = _taps_from_grid(values)
+    # the taps d(u) of sum_u d(u) exp(-i u lambda) are its lags -u
+    taps = fourier_coefficients(values, -np.arange(G // 2))
     taps[0] *= 0.5
-    taps[G // 2 :] = 0.0
-    signs = _alternating_signs(G).reshape(G, 1, 1)
-    return np.fft.fft(taps * signs, axis=0)
+    return _grid_symbol(taps[::-1], 1 - G // 2, G)
 
 
 def _iteration_grids(f: SpectralDensity) -> list[int]:
@@ -185,9 +174,7 @@ def _start(fv: np.ndarray, taps: np.ndarray | None):
         gamma0 = fv.mean(axis=0)
         gamma0 = 0.5 * (gamma0 + gamma0.conj().T)
         return np.tile(np.linalg.cholesky(gamma0), (G, 1, 1)).astype(complex), np.inf
-    buf = np.zeros((G,) + taps.shape[1:], dtype=complex)
-    buf[: len(taps)] = taps * _alternating_signs(len(taps))[:, None, None]
-    psi = np.fft.fft(buf, axis=0)
+    psi = _grid_symbol(taps[::-1], 1 - len(taps), G)
     return psi, _residual(psi, fv)
 
 
@@ -285,7 +272,7 @@ def spectral_factorize(f: SpectralDensity, tol: float = 1e-10) -> Factorization:
         iterations += steps
         # the factor of a band of L lags is a polynomial of order L: taps
         # beyond L are round-off or aliasing
-        taps = _taps_from_grid(psi)[: f.max_lag + 1]
+        taps = fourier_coefficients(psi, -np.arange(f.max_lag + 1))
         converged = residual <= target
         if converged:
             break
@@ -305,13 +292,13 @@ def spectral_factorize(f: SpectralDensity, tol: float = 1e-10) -> Factorization:
                 f"{iterations} iterations); input may be non-regular",
                 residual=residual,
             )
-    taps = _taps_from_grid(psi)
+    taps = fourier_coefficients(psi, -np.arange(G // 2))
     # gauge: rotate so d(0) is lower triangular with positive diagonal
     q_h, r = np.linalg.qr(taps[0].conj().T)  # d(0) = r^H q_h^H
     phases = np.diag(r.conj().T).copy()
     phases = np.where(np.abs(phases) > 0, phases / np.abs(phases), 1.0)
     taps = taps @ (q_h @ np.diag(phases.conj()))
-    norms = np.linalg.norm(taps[: G // 2], axis=(1, 2))
+    norms = np.linalg.norm(taps, axis=(1, 2))
     floor = 1e-15 * max(norms.max(), 1e-300)
     last = int(np.nonzero(norms > floor)[0].max(initial=0))
     fact = Factorization(
@@ -322,7 +309,7 @@ def spectral_factorize(f: SpectralDensity, tol: float = 1e-10) -> Factorization:
     )
     if _residual(fact.symbol(), fv) > max(target, residual):
         fact = Factorization(
-            coeffs=taps[: G // 2],
+            coeffs=taps,
             residual=residual,
             iterations=iterations,
             grid_size=G,

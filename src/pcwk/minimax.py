@@ -47,7 +47,6 @@ import numpy as np
 from .errors import InfeasibleClassError, PcwkError, SingularFactorError
 from .estimators import (
     EstimateSolution,
-    _blocks_symbol,
     _ErrorFunctional,
     filtering,
     functional_symbol,
@@ -60,6 +59,7 @@ from .spectral import (
     SpectralDensity,
     _all_fourier_coefficients,
     _grid_inverse,
+    _grid_symbol,
     _node_eigenvalues,
     check_minimality,
 )
@@ -419,7 +419,7 @@ def filtering_relation_residuals(
     fv, gv, g2v = f.values, g.values, g2.values
     A = functional_symbol(weights, grid_size)
     first = sol.diagnostics.get("first_index", 1)
-    D = _blocks_symbol(sol.solved_blocks, first, grid_size)
+    D = _grid_symbol(sol.solved_blocks, first, grid_size)
     res_noise, res_signal, rel_noise, rel_signal = _relation_residuals(
         fv, gv, A, D, alpha2, beta2, phi
     )
@@ -544,7 +544,7 @@ def least_favorable_d0eps_filtering_scalar(
             bailed = f"iteration left the solvable region: {exc}"
             break
         first = sol.diagnostics.get("first_index", 1)
-        D_col = _blocks_symbol(sol.solved_blocks, first, G)
+        D_col = _grid_symbol(sol.solved_blocks, first, G)
         D = D_col[:, 0]
         cross = (A * D.conj()).real
         dd = np.abs(D) ** 2
@@ -632,14 +632,10 @@ def least_favorable_d0eps_filtering_scalar(
 
 
 def _random_taps(rng, order, dim):
-    taps = []
-    for u in range(order + 1):
-        scale = 0.6**u
-        taps.append(
-            scale
-            * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-        )
-    return np.array(taps)
+    draws = rng.standard_normal((order + 1, 2, dim, dim))
+    # Python's 0.6**u: numpy's power may differ in the last bit
+    scales = np.array([0.6**u for u in range(order + 1)])
+    return scales[:, None, None] * (draws[:, 0] + 1j * draws[:, 1])
 
 
 def sample_power_class(
@@ -698,7 +694,7 @@ def sample_d01_class(
         ws = np.maximum(ws, 1e-12 * ws.max())
         s_inv_half = (vs / np.sqrt(ws)) @ vs.conj().T
         transform = p_half @ s_inv_half
-        taps = np.array([transform @ t for t in taps])
+        taps = transform @ taps
         out.append(SpectralDensity.from_moving_average(list(taps), grid_size=grid_size))
     return out
 

@@ -17,6 +17,14 @@ polynomials (inverses of polynomials, iterates of fixed-point solvers) are
 built from their grid samples with :meth:`SpectralDensity.from_grid`, which
 keeps the samples as the cached values and every resolvable coefficient
 above round-off as the array.
+
+This module is the one home of the grid convention: on ``lambda_g`` lag m
+carries the phase (-1)^m e^{2 pi i m g / G}, and the package's only two
+FFTs apply it. :func:`_grid_symbol` writes any run of lags to the grid
+(density values, weight polynomials, solved blocks, causal factors) by one
+inverse FFT, and :func:`_all_fourier_coefficients`, behind the public
+:func:`fourier_coefficients`, reads lags back from grid samples by one
+forward FFT.
 """
 
 from __future__ import annotations
@@ -164,14 +172,13 @@ class SpectralDensity:
         d = [np.atleast_2d(np.asarray(x, dtype=complex)) for x in d_coeffs]
         if not d:
             raise ValueError("need at least one moving-average coefficient")
-        dim = d[0].shape[0]
-        order = len(d) - 1
+        d = np.array(d)
+        order, dim = d.shape[0] - 1, d.shape[1]
         coeffs = np.zeros((2 * order + 1, dim, dim), dtype=complex)
-        for m in range(order + 1):
-            for u in range(0, order - m + 1):
-                coeffs[order + m] += d[u + m] @ d[u].conj().T
-            if m > 0:
-                coeffs[order - m] = coeffs[order + m].conj().T
+        for u in range(order + 1):
+            # the terms d(u + m) d(u)^H of the lags m = 0..order-u, in u order
+            coeffs[order : 2 * order + 1 - u] += d[u:] @ d[u].conj().T
+        coeffs[:order] = np.conj(np.transpose(coeffs[: order : -1], (0, 2, 1)))
         return cls(dim=dim, coeffs=coeffs, grid_size=grid_size)
 
     @classmethod
@@ -209,11 +216,7 @@ class SpectralDensity:
     @cached_property
     def values(self) -> np.ndarray:
         """f(lambda_g) on the grid, (G, K, K): one inverse FFT, cached, read-only."""
-        G, L = self.grid_size, self.max_lag
-        rows = np.arange(-L, L + 1) % G
-        buf = np.zeros((G, self.dim, self.dim), dtype=complex)
-        buf[rows] = _alternating_signs(G)[rows, None, None] * self.coeffs
-        return _read_only(np.fft.ifft(buf, axis=0) * G)
+        return _read_only(_grid_symbol(self.coeffs, -self.max_lag, self.grid_size))
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
@@ -286,6 +289,30 @@ def _alternating_signs(grid_size: int) -> np.ndarray:
     signs = np.ones(grid_size)
     signs[1::2] = -1.0
     return _read_only(signs)
+
+
+def _grid_symbol(coeffs: np.ndarray, first_lag: int, grid_size: int) -> np.ndarray:
+    """sum_j coeffs[j] e^{i (first_lag + j) lambda} on the grid.
+
+    The result has shape (G,) + ``coeffs.shape[1:]``. On
+    lambda_g = -pi + 2 pi g / G the phase e^{i m lambda_g} is
+    (-1)^m e^{2 pi i m g / G}, so the sum is one inverse FFT. Lags equal
+    mod G share a node of the transform and their coefficients add up;
+    distinct lags, the case of every band shorter than the grid, are
+    written by assignment.
+    """
+    n = coeffs.shape[0]
+    lags = first_lag + np.arange(n)
+    signs = np.where(lags % 2, -1.0, 1.0).reshape((n,) + (1,) * (coeffs.ndim - 1))
+    terms = signs * coeffs
+    buf = np.zeros((grid_size,) + coeffs.shape[1:], dtype=complex)
+    if n <= grid_size:
+        buf[lags % grid_size] = terms
+    else:
+        np.add.at(buf, lags % grid_size, terms)
+    out = np.fft.ifft(buf, axis=0)
+    out *= grid_size
+    return out
 
 
 def _all_fourier_coefficients(values: np.ndarray) -> np.ndarray:

@@ -264,6 +264,27 @@ class TestMainMinimax:
         assert summary["samples_rejected"] == "0"
         assert float(summary["min_saddle_margin"]) >= -1e-8
 
+    def test_d01_complex_hermitian_power_matrix_solved_and_sampled(self, tmp_path):
+        # entries of a power matrix are numbers or [re, im] pairs, as those of
+        # a moment: P = [[2, 0.5i], [-0.5i, 1]]
+        spec = write_spec(
+            tmp_path,
+            {
+                "task": "minimax-extrap-d01",
+                "weights": {"inline": [[1.0, 0.0], [0.5, 0.5]]},
+                "numerics": {"grid": 64, "seed": 3},
+                "class_params": {
+                    "power_matrix": [[2, [0, 0.5]], [[0, -0.5], 1]], "samples": 20
+                },
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["--spec", str(spec), "--out", str(out)]) == 0
+        summary = read_summary(out)
+        assert summary["samples"] == "20"
+        assert summary["samples_rejected"] == "0"
+        assert float(summary["min_saddle_margin"]) >= -1e-8
+
     def test_dm_tiny_moments_solved_and_sampled(self, tmp_path):
         # grid condition 4: solved, so its class must also be sampled
         spec = write_spec(

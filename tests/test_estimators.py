@@ -19,7 +19,7 @@ from pcwk import (
     interpolate,
 )
 from pcwk import estimators
-from pcwk.estimators import _blocks_symbol, _solve_hermitian
+from pcwk.estimators import _solve_hermitian
 from pcwk.oracle import time_domain_projection_converged
 from conftest import GRID, ar1, coupled_ma2, ma1, white
 
@@ -544,16 +544,16 @@ class TestMinimalityBound:
                 assert str(refused.value) == message
 
 
-class TestBlocksSymbol:
-    @pytest.mark.parametrize("first_index", [-9, -1, 0, 1, 5])
-    def test_inverse_fft_equals_exponential_sum(self, grid, first_index):
-        rng = np.random.default_rng(first_index + 10)
-        blocks = rng.standard_normal((7, 3)) + 1j * rng.standard_normal((7, 3))
-        powers = first_index + np.arange(blocks.shape[0])
-        direct = np.exp(1j * np.outer(grid, powers)) @ blocks
-        np.testing.assert_allclose(
-            _blocks_symbol(blocks, first_index, GRID), direct, rtol=0, atol=1e-12
-        )
+class TestWeightsLongerThanTheGrid:
+    def test_blocks_equal_mod_grid_add_up(self):
+        # 9 blocks on G = 8: the zero block at lag 8 shares the node of lag 0,
+        # where it must add to the weight, not replace it
+        f = SpectralDensity.white(1, grid_size=8)
+        g = SpectralDensity.white(1, scale=0.5, grid_size=8)
+        short = extrapolate(f, g, FunctionalWeights.extrapolation([[1.0]]))
+        long = extrapolate(f, g, FunctionalWeights.extrapolation([[1.0]] + 8 * [[0.0]]))
+        assert long.mse == pytest.approx(short.mse, rel=1e-12)
+        np.testing.assert_allclose(long.h_grid, short.h_grid, rtol=0, atol=1e-12)
 
 
 class TestConditioning:

@@ -13,6 +13,7 @@ from pcwk import (
     check_minimality,
     extrapolate,
     extrapolate_factorized,
+    fourier_coefficients,
     frequency_grid,
     left_inverse,
     spectral_factorize,
@@ -27,7 +28,6 @@ from pcwk.factorization import (
     _hermitian_values,
     _iteration_grids,
     _start,
-    _taps_from_grid,
 )
 from conftest import GRID, ar1, coupled_ma2, ma1, white
 
@@ -102,8 +102,7 @@ class TestSpectralFactorize:
     def test_outer_property_negative_lags_of_inverse(self):
         # Q = P^{-1} of an outer factor is causal; its anticausal taps vanish
         fact = spectral_factorize(coupled_ma2())
-        q_taps = _taps_from_grid(left_inverse(fact))
-        anticausal = q_taps[GRID // 2 :]
+        anticausal = fourier_coefficients(left_inverse(fact), np.arange(1, GRID // 2))
         assert np.abs(anticausal).max() < 1e-6
 
 
@@ -304,10 +303,10 @@ class TestIterationGrid:
         psi, residual, steps = _fixed_point(fv, *_start(fv, None), residual_target(f))
         assert fact.iterations == steps
         assert fact.residual == residual
-        taps = _taps_from_grid(psi)[:, 0, 0]
+        taps = fourier_coefficients(psi, -np.arange(fact.order + 1))[:, 0, 0]
         # equal up to the gauge's rotation of round-off phases
         np.testing.assert_allclose(
-            fact.coeffs[:, 0, 0], taps[: fact.order + 1], rtol=0, atol=1e-15
+            fact.coeffs[:, 0, 0], taps, rtol=0, atol=1e-15
         )
         np.testing.assert_allclose(
             fact.coeffs[:20, 0, 0], phi ** np.arange(20), atol=1e-9

@@ -25,7 +25,13 @@ from pcwk import (
     validate_density,
     write_density_csv,
 )
-from pcwk.spectral import _grid_inverse, _inverse_if_minimal, _node_eigenvalues
+from pcwk.factorization import Factorization
+from pcwk.spectral import (
+    _grid_inverse,
+    _grid_symbol,
+    _inverse_if_minimal,
+    _node_eigenvalues,
+)
 from conftest import GRID, ar1, coupled_ma2, ma1, white
 
 
@@ -95,6 +101,62 @@ class TestFourierCoefficient:
         vals = white().values
         with pytest.raises(AliasingError):
             fourier_coefficients(vals, [GRID // 2])[0]
+
+
+def _exponential_sum(grid, coeffs, first_lag):
+    """sum_j coeffs[j] e^{i (first_lag + j) lambda} at each grid node, directly."""
+    powers = first_lag + np.arange(coeffs.shape[0])
+    return np.tensordot(np.exp(1j * np.outer(grid, powers)), coeffs, axes=1)
+
+
+class TestGridSymbol:
+    @staticmethod
+    def _random(seed, shape):
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    @pytest.mark.parametrize("first_index", [-9, -1, 0, 1, 5])
+    def test_inverse_fft_equals_exponential_sum(self, grid, first_index):
+        blocks = self._random(first_index + 10, (7, 3))
+        np.testing.assert_allclose(
+            _grid_symbol(blocks, first_index, GRID),
+            _exponential_sum(grid, blocks, first_index), rtol=0, atol=1e-12,
+        )
+
+    def test_matrix_coefficients(self, grid):
+        coeffs = self._random(1, (5, 2, 3))
+        np.testing.assert_allclose(
+            _grid_symbol(coeffs, -2, GRID), _exponential_sum(grid, coeffs, -2),
+            rtol=0, atol=1e-12,
+        )
+
+    def test_factor_symbol_is_the_causal_sum(self, grid):
+        # P(lambda) = sum_u d(u) e^{-i u lambda}
+        taps = self._random(2, (4, 2, 3))
+        fact = Factorization(coeffs=taps, residual=0.0, iterations=0, grid_size=GRID)
+        direct = np.tensordot(np.exp(-1j * np.outer(grid, np.arange(4))), taps, axes=1)
+        np.testing.assert_allclose(fact.symbol(), direct, rtol=0, atol=1e-12)
+
+    def test_round_trip_through_fourier_coefficients(self):
+        coeffs = self._random(3, (12, 2, 2))
+        values = _grid_symbol(coeffs, -5, GRID)
+        np.testing.assert_allclose(
+            fourier_coefficients(values, np.arange(-5, 7)), coeffs, rtol=0, atol=1e-13
+        )
+
+    def test_lags_equal_mod_grid_add_up(self):
+        # 11 blocks on G = 8: lags -2..8, of which -2, -1 and 0 each share a
+        # node with 6, 7 and 8
+        blocks = self._random(4, (11, 3))
+        folded = np.zeros((8, 3), dtype=complex)
+        for j, block in enumerate(blocks):
+            folded[(j - 2) % 8] += block
+        values = _grid_symbol(blocks, -2, 8)
+        np.testing.assert_allclose(values, _grid_symbol(folded, 0, 8), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(
+            values, _exponential_sum(pcwk.frequency_grid(8), blocks, -2),
+            rtol=0, atol=1e-13,
+        )
 
 
 class TestCheckMinimality:
@@ -388,4 +450,52 @@ def test_grid_inverses_go_through_one_helper():
     }
     assert {name: owners for name, owners in sites.items() if owners} == {
         "spectral.py": ["_grid_inverse"]
+    }
+
+
+def _fft_sites(tree):
+    """Names of the functions holding each reference to ``numpy.fft`` or to
+    ``_alternating_signs``, the grid's phase table."""
+    sites = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+            if node.name == "_alternating_signs":
+                sites.append(owner)
+        if isinstance(node, ast.Attribute) and (
+            ast.unparse(node) in ("np.fft", "numpy.fft")
+            or node.attr == "_alternating_signs"
+        ):
+            sites.append(owner)
+        if isinstance(node, ast.Name) and node.id == "_alternating_signs":
+            sites.append(owner)
+        if isinstance(node, ast.Import):
+            sites.extend(owner for alias in node.names
+                         if alias.name.startswith("numpy.fft"))
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            sites.extend(
+                owner for alias in node.names
+                if module.startswith("numpy.fft")
+                or (module == "numpy" and alias.name == "fft")
+                or alias.name == "_alternating_signs"
+            )
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, None)
+    return sites
+
+
+def test_grid_transforms_live_in_spectral():
+    # the grid convention lambda_g = -pi + 2 pi g / G is written once: every
+    # lag -> grid transform is _grid_symbol and every grid -> lag read is
+    # _all_fourier_coefficients, the two FFTs of the package
+    sites = {
+        path.name: _fft_sites(ast.parse(path.read_text()))
+        for path in sorted(Path(pcwk.__file__).parent.glob("*.py"))
+    }
+    assert {name: sorted(set(owners)) for name, owners in sites.items() if owners} == {
+        "spectral.py": ["_all_fourier_coefficients", "_alternating_signs", "_grid_symbol"]
     }
