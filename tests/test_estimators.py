@@ -20,6 +20,7 @@ from pcwk import (
 )
 from pcwk import estimators
 from pcwk.estimators import _solve_hermitian
+from pcwk.spectral import _grid_symbol
 from pcwk.oracle import time_domain_projection_converged
 from conftest import GRID, ar1, coupled_ma2, ma1, white
 
@@ -542,6 +543,19 @@ class TestMinimalityBound:
                 with pytest.raises(MinimalityError) as refused:
                     entry()
                 assert str(refused.value) == message
+
+
+class TestBlocksSymbol:
+    # the solved blocks' symbol C(lambda) = sum_j blocks[j] e^{i (first + j) lambda}
+    @pytest.mark.parametrize("first_index", [-9, -1, 0, 1, 5])
+    def test_inverse_fft_equals_exponential_sum(self, grid, first_index):
+        rng = np.random.default_rng(first_index + 10)
+        blocks = rng.standard_normal((7, 3)) + 1j * rng.standard_normal((7, 3))
+        powers = first_index + np.arange(blocks.shape[0])
+        direct = np.exp(1j * np.outer(grid, powers)) @ blocks
+        np.testing.assert_allclose(
+            _grid_symbol(blocks, first_index, GRID), direct, rtol=0, atol=1e-12
+        )
 
 
 class TestWeightsLongerThanTheGrid:

@@ -115,14 +115,6 @@ class TestGridSymbol:
         rng = np.random.default_rng(seed)
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-    @pytest.mark.parametrize("first_index", [-9, -1, 0, 1, 5])
-    def test_inverse_fft_equals_exponential_sum(self, grid, first_index):
-        blocks = self._random(first_index + 10, (7, 3))
-        np.testing.assert_allclose(
-            _grid_symbol(blocks, first_index, GRID),
-            _exponential_sum(grid, blocks, first_index), rtol=0, atol=1e-12,
-        )
-
     def test_matrix_coefficients(self, grid):
         coeffs = self._random(1, (5, 2, 3))
         np.testing.assert_allclose(
