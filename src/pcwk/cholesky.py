@@ -31,17 +31,24 @@ def cholesky(matrix, context):
 def panels(chol):
     """The diagonal panels of a lower triangular factor: (inverse, i, j) each.
 
-    Panel rows i..j-1 are ``PANEL`` wide, the last one possibly narrower;
-    all diagonal blocks are inverted in one batched solve.
+    Panel rows i..j-1 are ``PANEL`` wide, the last one possibly narrower.
+    The full diagonal blocks are inverted in one batched solve and a
+    narrower last one at its own width, so a small factor pays for a small
+    solve.
     """
     n = chol.shape[0]
-    spans = [(i, min(PANEL, n - i)) for i in range(0, n, PANEL)]
-    eye = np.eye(PANEL, dtype=chol.dtype)
-    stack = np.broadcast_to(eye, (len(spans), PANEL, PANEL)).copy()
-    for k, (i, m) in enumerate(spans):
-        stack[k, :m, :m] = chol[i : i + m, i : i + m]
-    inv_diag = np.linalg.solve(stack, np.broadcast_to(eye, stack.shape))
-    return [(inv_diag[k, :m, :m], i, i + m) for k, (i, m) in enumerate(spans)]
+    full = n - n % PANEL
+    out = []
+    if full:
+        starts = range(0, full, PANEL)
+        stack = np.stack([chol[i : i + PANEL, i : i + PANEL] for i in starts])
+        eye = np.broadcast_to(np.eye(PANEL, dtype=chol.dtype), stack.shape)
+        inv_diag = np.linalg.solve(stack, eye)
+        out = [(inv_diag[k], i, i + PANEL) for k, i in enumerate(starts)]
+    if full < n:
+        last = chol[full:, full:]
+        out.append((np.linalg.solve(last, np.eye(n - full, dtype=chol.dtype)), full, n))
+    return out
 
 
 def forward(chol, chol_panels, b):

@@ -16,9 +16,11 @@ one minimality check and one inversion of f+g on the grid (with noise the
 inverse comes first, and a bound on its norms settles the check unless
 the grid is near the threshold), the Fourier coefficient table of the
 kernel (f+g)^{-1} (transposed inside the integral, as the component
-pairing of the lifted basis requires), its block matrix B, one Hermitian
-solve B c = D a for the unknown coefficient blocks, and the characteristic
-h = v - C (f+g)^{-1} on the grid with the mean square error. The kernels
+pairing of the lifted basis requires; without noise f memoizes f^{-1}
+and its table, so only its first solve computes them), its block matrix
+B, one Hermitian solve B c = D a for the unknown coefficient blocks, and
+the characteristic h = v - C (f+g)^{-1} on the grid with the mean square
+error. The kernels
 f (f+g)^{-1} and f (f+g)^{-1} g of D and R act only on the fixed weights a,
 so neither is tabulated: with A the weight polynomial on the grid,
 v = A f (f+g)^{-1} = A - (A g)(f+g)^{-1}, the Fourier coefficients of v are
@@ -95,7 +97,11 @@ def _kernel_table(f, g):
     Cholesky factor of the Hermitian part, that ``check_minimality(f, g)``
     passes; only when that bound cannot decide does the exact check run,
     so every refusal keeps its error and message. Without noise the check
-    reads the cached ``f.eigenvalues``.
+    reads the cached ``f.eigenvalues`` on every call, and the kernel is the
+    one f memoizes, f^{-1} and its table (read-only, 2 G K^2 complex
+    numbers), computed by the first call the check passes: every later
+    exact-data solve of f, at any task or horizon, reads the same arrays.
+    The noisy kernel belongs to the pair (f, g) and is computed per call.
 
     Returns the grid values of (f+g)^{-1} and of g, and the coefficient
     table, indexed by lag mod G, of the transposed kernel (f+g)^{-1}
@@ -115,7 +121,9 @@ def _kernel_table(f, g):
                 f"near lambda = {report.worst_node:.6f} "
                 f"(grid condition {report.max_condition:.3e})"
             )
-        inv = _grid_inverse(fv if gv is None else fv + gv)
+        if gv is None:
+            return f._inverse, None, f._inverse_table
+        inv = _grid_inverse(fv + gv)
     return inv, gv, _transposed_coefficients(inv)
 
 

@@ -17,11 +17,12 @@ grid of f. The factor of a band of L lags is a polynomial of order L, so
 the first iteration grid has about 8 (L + 1) nodes, at least
 ``MIN_ITERATION_GRID``: fewer than a large output grid has, and more than
 a small one, whose nodes alias the iterates' taps and stall the residual.
-The taps found there are put on the output grid, where every check runs
-and output-grid steps follow only while the residual misses its target. A
-wide band (8 L >= G) on a grid of at least ``MIN_ITERATION_GRID`` nodes,
-or a band that fails on its iteration grids, is iterated on the output
-grid from the constant start.
+The taps found there are put on the output grid, where every check runs:
+taps that met the target are gauged and synthesized there once and are the
+factor when their residual meets it too, and output-grid steps follow
+only while the residual misses its target. A wide band (8 L >= G) on a
+grid of at least ``MIN_ITERATION_GRID`` nodes, or a band that fails on its
+iteration grids, is iterated on the output grid from the constant start.
 
 The fixed point moves between taps and grid values through ``spectral``
 alone: the taps d(u) are the lags -u of the factor's grid values
@@ -38,6 +39,7 @@ solved.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -56,6 +58,7 @@ from .spectral import (
     _grid_inverse,
     _grid_symbol,
     _node_norms,
+    _read_only,
     check_minimality,
     fourier_coefficients,
 )
@@ -83,8 +86,9 @@ class Factorization:
 
     ``coeffs`` has shape (U+1, K, M); the full-rank case produced by
     :func:`spectral_factorize` has M = K and d(0) lower triangular with a
-    positive diagonal. ``residual`` is the grid sup-norm of P P^* minus the
-    input density.
+    positive diagonal. Stored as a read-only copy, so the cached
+    :meth:`symbol` cannot go stale. ``residual`` is the grid sup-norm of
+    P P^* minus the input density.
     """
 
     coeffs: np.ndarray = field(repr=False)
@@ -93,10 +97,10 @@ class Factorization:
     grid_size: int
 
     def __post_init__(self):
-        arr = np.asarray(self.coeffs, dtype=complex)
+        arr = np.array(self.coeffs, dtype=complex)
         if arr.ndim != 3:
             raise ValueError("coeffs must have shape (U+1, K, M)")
-        object.__setattr__(self, "coeffs", arr)
+        object.__setattr__(self, "coeffs", _read_only(arr))
 
     @property
     def dim(self) -> int:
@@ -111,10 +115,18 @@ class Factorization:
         return self.coeffs.shape[0] - 1
 
     def symbol(self) -> np.ndarray:
-        """P(lambda) on the grid, shape (G, K, M)."""
+        """P(lambda) on the grid, shape (G, K, M): synthesized once, cached, read-only.
+
+        :func:`spectral_factorize` stores the symbol it checked the residual
+        on, so the predictor and :func:`left_inverse` synthesize none.
+        """
+        return self._symbol
+
+    @cached_property
+    def _symbol(self) -> np.ndarray:
         if self.order >= self.grid_size:
             raise ValueError("factor order exceeds the grid size")
-        return _grid_symbol(self.coeffs[::-1], -self.order, self.grid_size)
+        return _read_only(_grid_symbol(self.coeffs[::-1], -self.order, self.grid_size))
 
     def density(self) -> SpectralDensity:
         """The moving-average density P P^*."""
@@ -215,15 +227,16 @@ def spectral_factorize(f: SpectralDensity, tol: float = 1e-10) -> Factorization:
     output grid, which saves time, and finer than a small one, whose nodes
     alias the iterates' taps and stall the residual. Each grid runs its
     steps down to round-off; one that stalls above the target hands its
-    taps d(0..L) to the next grid, twice as fine. The taps are then put on
-    the output grid of f, where the residual is checked against the target.
-    Output-grid steps, warm-started from them, follow only while it is
-    missed, or down to round-off when the last iteration grid stalled. The
-    iteration grids end at the first one on which f fails
-    ``check_minimality``. If none gave taps, or the output-grid steps stall
-    above the target, the fixed point restarts on the output grid from the
-    constant Cholesky factor, as for a wide band. Every check (rank,
-    residual, gauge, truncated taps) runs on the output grid.
+    taps d(0..L) to the next grid, twice as fine. Taps that met the target
+    are gauged and synthesized on the output grid of f once, and returned
+    with that symbol when their residual there meets the target too.
+    Otherwise output-grid steps, warm-started from the taps, follow while
+    the residual misses it, or down to round-off when the last iteration
+    grid stalled. The iteration grids end at the first one on which f
+    fails ``check_minimality``. If none gave taps, or the output-grid steps
+    stall above the target, the fixed point restarts on the output grid
+    from the constant Cholesky factor, as for a wide band. Every check
+    (rank, residual, gauge, truncated taps) runs on the output grid.
 
     Parameters
     ----------
@@ -276,6 +289,19 @@ def spectral_factorize(f: SpectralDensity, tol: float = 1e-10) -> Factorization:
         converged = residual <= target
         if converged:
             break
+    if converged:
+        # the gauged taps are the factor if their output-grid symbol meets
+        # the target: synthesized and checked once, with no output-grid step
+        gauged, count = _gauge(taps)
+        psi = _grid_symbol(gauged[count - 1 :: -1], 1 - count, G)
+        residual = _residual(psi, fv)
+        if residual <= target:
+            fact = Factorization(
+                coeffs=gauged[:count], residual=residual, iterations=iterations,
+                grid_size=G,
+            )
+            vars(fact)["_symbol"] = _read_only(psi)  # the cache of ``symbol``
+            return fact
     residual = np.inf
     if taps is not None:
         # taps of a grid that stalled carry its aliasing error, which the
@@ -292,17 +318,9 @@ def spectral_factorize(f: SpectralDensity, tol: float = 1e-10) -> Factorization:
                 f"{iterations} iterations); input may be non-regular",
                 residual=residual,
             )
-    taps = fourier_coefficients(psi, -np.arange(G // 2))
-    # gauge: rotate so d(0) is lower triangular with positive diagonal
-    q_h, r = np.linalg.qr(taps[0].conj().T)  # d(0) = r^H q_h^H
-    phases = np.diag(r.conj().T).copy()
-    phases = np.where(np.abs(phases) > 0, phases / np.abs(phases), 1.0)
-    taps = taps @ (q_h @ np.diag(phases.conj()))
-    norms = np.linalg.norm(taps, axis=(1, 2))
-    floor = 1e-15 * max(norms.max(), 1e-300)
-    last = int(np.nonzero(norms > floor)[0].max(initial=0))
+    taps, count = _gauge(fourier_coefficients(psi, -np.arange(G // 2)))
     fact = Factorization(
-        coeffs=taps[: last + 1],
+        coeffs=taps[:count],
         residual=residual,
         iterations=iterations,
         grid_size=G,
@@ -315,6 +333,21 @@ def spectral_factorize(f: SpectralDensity, tol: float = 1e-10) -> Factorization:
             grid_size=G,
         )
     return fact
+
+
+def _gauge(taps: np.ndarray) -> tuple[np.ndarray, int]:
+    """Taps rotated so that d(0) is lower triangular with a positive diagonal.
+
+    Also returns the number of taps up to the last whose norm exceeds
+    1e-15 of the largest; the taps beyond it are round-off.
+    """
+    q_h, r = np.linalg.qr(taps[0].conj().T)  # d(0) = r^H q_h^H
+    phases = np.diag(r.conj().T).copy()
+    phases = np.where(np.abs(phases) > 0, phases / np.abs(phases), 1.0)
+    taps = taps @ (q_h @ np.diag(phases.conj()))
+    norms = np.linalg.norm(taps, axis=(1, 2))
+    floor = 1e-15 * max(norms.max(), 1e-300)
+    return taps, int(np.nonzero(norms > floor)[0].max(initial=0)) + 1
 
 
 def _left_inverse_values(p_values: np.ndarray):
@@ -379,10 +412,11 @@ def _weighted_tap_sums(weights: FunctionalWeights, fact: Factorization) -> np.nd
 def extrapolate_factorized(f, weights: FunctionalWeights) -> EstimateSolution:
     """Forward estimation from exact past observations, factorization route.
 
-    Accepts either a density (factorized internally) or a ready
-    :class:`Factorization`. The mean square error is the sum of squared
-    weighted tap sums; the spectral characteristic is the weight polynomial
-    minus their generating function times the factor's left inverse.
+    Accepts either a density, factorized on every call, or a ready
+    :class:`Factorization`, whose cached symbol every call reuses. The mean
+    square error is the sum of squared weighted tap sums; the spectral
+    characteristic is the weight polynomial minus their generating function
+    times the factor's left inverse.
     """
     if weights.horizon not in ("extrapolation", "extrapolation_finite"):
         raise ValueError("weights must carry an extrapolation horizon")

@@ -57,7 +57,6 @@ from .lifting import FunctionalWeights
 from .spectral import (
     DEFAULT_GRID_SIZE,
     SpectralDensity,
-    _all_fourier_coefficients,
     _grid_inverse,
     _grid_symbol,
     _node_eigenvalues,
@@ -755,15 +754,18 @@ def dm_class_residual(f: SpectralDensity, p_constraints: Sequence) -> float:
     """Largest distance of a cosine moment of f^{-1} from its constraint,
     relative to the largest constraint norm.
 
-    The moments are the grid means of f^{-1} cos(m lambda), read from one
-    FFT of the grid inverse as the mean of its coefficients at lags m and -m.
+    The moments are the grid means of f^{-1} cos(m lambda), the mean of
+    its coefficients at lags m and -m. They are read from the kernel table
+    the density memoizes for its exact-data solves (of f^{-1} transposed,
+    so each block is transposed back): a member that is then solved, as
+    the dm saddle check solves each one, inverts its grid values once.
     """
-    table = _all_fourier_coefficients(_grid_inverse(f.values))
+    table = f._inverse_table
     G = table.shape[0]
     worst = scale = 0.0
     for m, target in enumerate(p_constraints):
         target = np.atleast_2d(np.asarray(target, dtype=complex))
-        moment = 0.5 * (table[m % G] + table[-m % G])
+        moment = 0.5 * (table[m % G] + table[-m % G]).T
         worst = max(worst, float(np.linalg.norm(moment - target)))
         scale = max(scale, float(np.linalg.norm(target)))
     return _relative(worst, scale)

@@ -10,9 +10,12 @@ at index ``m + L`` (the layout of ``oracle.CovarianceTable``); lags beyond L
 are zero. Its grid values ``f.values`` are computed by one inverse FFT on
 first use and then cached on the object, read-only, and so are the node
 eigenvalues ``f.eigenvalues`` of its Hermitian part, which every
-positive-definiteness decision reads. All integrals are
-trapezoid sums over the uniform grid ``lambda_g = -pi + 2 pi g / G``, which
-integrate the retained trigonometric band exactly. Densities that are not
+positive-definiteness decision reads, and the exact-data kernel: the grid
+inverse f^{-1} and its coefficient table, which every solve of f from
+exact observations and the inverse-moment class residual read. All
+integrals are trapezoid sums over the uniform grid
+``lambda_g = -pi + 2 pi g / G``, which integrate the retained
+trigonometric band exactly. Densities that are not
 polynomials (inverses of polynomials, iterates of fixed-point solvers) are
 built from their grid samples with :meth:`SpectralDensity.from_grid`, which
 keeps the samples as the cached values and every resolvable coefficient
@@ -225,6 +228,26 @@ class SpectralDensity:
         Computed once from ``values`` and cached, read-only.
         """
         return _read_only(_node_eigenvalues(self.values))
+
+    @cached_property
+    def _inverse(self) -> np.ndarray:
+        """f^{-1} on the grid, (G, K, K): ``_grid_inverse(values)``, cached, read-only.
+
+        The exact-data solves read it, through ``estimators._kernel_table``,
+        only once ``check_minimality`` has passed, so a solve the gate
+        refuses stores none; ``minimax.dm_class_residual`` reads the moments
+        of f^{-1} from ``_inverse_table``.
+        """
+        return _read_only(_grid_inverse(self.values))
+
+    @cached_property
+    def _inverse_table(self) -> np.ndarray:
+        """Coefficient table, by lag mod G, of f^{-1} transposed pointwise.
+
+        Computed once from ``_inverse`` and cached, read-only.
+        """
+        transposed = np.transpose(self._inverse, (0, 2, 1))
+        return _read_only(_all_fourier_coefficients(transposed))
 
     def coeff(self, m: int) -> np.ndarray:
         """F(m), a zero matrix beyond the stored lags."""

@@ -18,7 +18,8 @@ from pcwk import (
     frequency_grid,
     interpolate,
 )
-from pcwk import estimators
+from pcwk import estimators, spectral
+from pcwk.cholesky import PANEL, panels
 from pcwk.estimators import _solve_hermitian
 from pcwk.spectral import _grid_symbol
 from pcwk.oracle import time_domain_projection_converged
@@ -439,6 +440,61 @@ class TestOnePath:
             (extrapolate, FunctionalWeights.extrapolation),
         ],
     )
+    def test_exact_kernel_is_memoized_on_the_density(self, monkeypatch, solver, make):
+        # the first exact-data solve of f stores f^{-1} and its table; a later
+        # one, of any task, runs the gate again, inverts nothing and returns
+        # the bits a fresh copy of f returns
+        inverses, checks = [], []
+        grid_inverse, check = spectral._grid_inverse, estimators.check_minimality
+        monkeypatch.setattr(
+            spectral, "_grid_inverse",
+            lambda v: inverses.append(v.shape) or grid_inverse(v),
+        )
+        monkeypatch.setattr(
+            estimators, "check_minimality", lambda *a: checks.append(a) or check(*a)
+        )
+        f = coupled_ma2()
+        blocks = np.array([[1.0, -0.5], [0.3, 0.2j]])
+        interpolate(f, None, FunctionalWeights.interpolation(blocks[:1]))
+        assert inverses == [(GRID, 2, 2)]
+        again = solver(f, None, make(blocks))
+        assert inverses == [(GRID, 2, 2)] and len(checks) == 2
+        copy = SpectralDensity(f.dim, f.coeffs, grid_size=GRID)
+        fresh = solver(copy, None, make(blocks))
+        assert len(inverses) == 2
+        assert again.mse == fresh.mse
+        np.testing.assert_array_equal(again.h_grid, fresh.h_grid)
+        np.testing.assert_array_equal(again.solved_blocks, fresh.solved_blocks)
+        assert again.diagnostics["condition"] == fresh.diagnostics["condition"]
+        assert again.diagnostics.get("history") == fresh.diagnostics.get("history")
+
+    def test_memoized_kernel_is_read_only(self):
+        f = coupled_ma2()
+        interpolate(f, None, unit_interp(dim=2))
+        for memo in (f._inverse, f._inverse_table):
+            with pytest.raises(ValueError):
+                memo[0, 0, 0] = 0.0
+
+    def test_noisy_kernel_is_not_memoized(self):
+        # (f+g)^{-1} belongs to the pair: neither density keeps it
+        f, g = coupled_ma2(), white(dim=2, scale=0.5)
+        interpolate(f, g, unit_interp(dim=2))
+        assert not {"_inverse", "_inverse_table"} & (set(vars(f)) | set(vars(g)))
+
+    def test_refused_density_stores_no_kernel(self):
+        f = SpectralDensity.constant(np.diag([1.0, 1e-13]), grid_size=GRID)
+        for _ in range(2):
+            with pytest.raises(MinimalityError):
+                interpolate(f, None, unit_interp(dim=2))
+        assert not {"_inverse", "_inverse_table"} & set(vars(f))
+
+    @pytest.mark.parametrize(
+        "solver, make",
+        [
+            (interpolate, FunctionalWeights.interpolation),
+            (extrapolate, FunctionalWeights.extrapolation),
+        ],
+    )
     def test_noiseless_case_is_the_vanishing_noise_limit(self, solver, make):
         rng = np.random.default_rng(3)
         w = make(rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2)))
@@ -609,6 +665,20 @@ class TestSolveGate:
         rcond, info = pocon(chol, np.linalg.norm(matrix, 1), uplo="L" if lower else "U")
         assert info == 0
         assert cond == pytest.approx(1.0 / rcond, rel=1e-10)
+
+    @pytest.mark.parametrize("n", [2, 32, 33, 70])
+    def test_panels_are_inverted_at_their_own_width(self, n):
+        # full panels in one batched solve, a narrower last one at its width
+        rng = np.random.default_rng(n)
+        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        chol = np.linalg.cholesky(z @ z.conj().T + np.eye(n))
+        spans = panels(chol)
+        assert [(i, j) for _, i, j in spans] == [
+            (i, min(i + PANEL, n)) for i in range(0, n, PANEL)
+        ]
+        for inv, i, j in spans:
+            assert inv.shape == (j - i, j - i)
+            np.testing.assert_allclose(inv @ chol[i:j, i:j], np.eye(j - i), atol=1e-12)
 
     @pytest.mark.parametrize("task", ["extrap", "extrap_noiseless", "filter"])
     def test_history_levels_equal_explicit_truncation(self, monkeypatch, task):

@@ -19,6 +19,7 @@ from pcwk import (
     spectral_factorize,
     write_density_csv,
 )
+from pcwk import factorization
 from pcwk.cli import main
 from pcwk.factorization import (
     FACTOR_COND_LIMIT,
@@ -409,3 +410,91 @@ def test_factor_reproduces_density_and_fine_grid_taps(f):
     np.testing.assert_allclose(
         padded_taps(fact, order), padded_taps(reference, order), rtol=0, atol=1e-10
     )
+
+
+class TestOutputGridVisitedOnce:
+    """The output grid of a factor whose iteration grid met the target.
+
+    Its gauged taps are synthesized there once and returned with that
+    symbol, which the predictor and the left inverse then read.
+    """
+
+    @staticmethod
+    def _counted(monkeypatch, G):
+        calls = {"output-grid steps": 0, "factor syntheses": 0}
+        fixed_point = factorization._fixed_point
+        grid_symbol = factorization._grid_symbol
+
+        def counted_fixed_point(fv, *args, **kwargs):
+            psi, residual, steps = fixed_point(fv, *args, **kwargs)
+            calls["output-grid steps"] += steps if fv.shape[0] == G else 0
+            return psi, residual, steps
+
+        def counted_symbol(coeffs, first_lag, grid_size):
+            calls["factor syntheses"] += coeffs.ndim == 3 and grid_size == G
+            return grid_symbol(coeffs, first_lag, grid_size)
+
+        monkeypatch.setattr(factorization, "_fixed_point", counted_fixed_point)
+        monkeypatch.setattr(factorization, "_grid_symbol", counted_symbol)
+        return calls
+
+    @pytest.mark.parametrize("dim, order", [(1, 2), (3, 3)])
+    def test_moving_average_factors_with_one_synthesis(self, monkeypatch, dim, order):
+        rng = np.random.default_rng(dim + order)
+        raw = rng.standard_normal((order, dim, dim)) + 1j * rng.standard_normal(
+            (order, dim, dim)
+        )
+        scale = 0.8 / order / np.linalg.norm(raw, ord=2, axis=(1, 2))
+        f = SpectralDensity.from_moving_average(
+            [np.eye(dim), *(raw * scale[:, None, None])], grid_size=2048
+        )
+        calls = self._counted(monkeypatch, 2048)
+        fact = spectral_factorize(f)
+        w = FunctionalWeights.extrapolation(np.ones((3, dim)))
+        extrapolate_factorized(fact, w)
+        left_inverse(fact)
+        assert calls == {"output-grid steps": 0, "factor syntheses": 1}
+        assert fact.order == order
+        d0 = fact.coeffs[0]
+        np.testing.assert_allclose(d0, np.tril(d0), rtol=0, atol=1e-14)
+        assert np.all(np.diag(d0).real > 0)
+        np.testing.assert_allclose(np.diag(d0).imag, 0.0, atol=1e-14)
+        assert fact.residual <= residual_target(f)
+        assert reconstruction_error(fact, f) <= residual_target(f)
+        # the kept symbol is the synthesis of the returned taps
+        fresh = Factorization(fact.coeffs, fact.residual, fact.iterations, 2048)
+        np.testing.assert_array_equal(fact.symbol(), fresh.symbol())
+
+    def test_stalled_iteration_grids_still_step_on_the_output_grid(self, monkeypatch):
+        # the inverse factor's taps 0.99^u alias on every iteration grid, so
+        # each stalls above the target; the output grid then takes its own
+        # Newton step, warm-started from the last grid's taps
+        f = SpectralDensity.from_moving_average([np.eye(1), 0.99 * np.eye(1)],
+                                                grid_size=GRID)
+        calls = self._counted(monkeypatch, GRID)
+        fact = spectral_factorize(f)
+        assert calls["output-grid steps"] == 1
+        assert fact.residual <= residual_target(f)
+        assert reconstruction_error(fact, f) <= residual_target(f)
+        np.testing.assert_allclose(fact.coeffs[:, 0, 0], [1.0, 0.99], atol=1e-8)
+
+    def test_density_argument_factors_it(self):
+        f = coupled_ma2()
+        w = FunctionalWeights.extrapolation(np.array([[1.0, -0.5], [0.3, 0.2j]]))
+        direct = extrapolate_factorized(f, w)
+        ready = extrapolate_factorized(spectral_factorize(f), w)
+        assert direct.mse == ready.mse
+        np.testing.assert_array_equal(direct.h_grid, ready.h_grid)
+        np.testing.assert_array_equal(direct.solved_blocks, ready.solved_blocks)
+
+    def test_coefficients_and_symbol_are_read_only(self):
+        taps = np.array([[[1.0]], [[0.5]]])
+        fact = Factorization(coeffs=taps, residual=0.0, iterations=0, grid_size=GRID)
+        taps[1] = 0.9  # the factor holds a copy
+        assert fact.coeffs[1, 0, 0] == 0.5
+        with pytest.raises(ValueError):
+            fact.coeffs[0, 0, 0] = 2.0
+        assert fact.symbol() is fact.symbol()
+        for fact in (fact, spectral_factorize(coupled_ma2())):
+            with pytest.raises(ValueError):
+                fact.symbol()[0, 0, 0] = 0.0

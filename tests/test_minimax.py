@@ -30,7 +30,8 @@ from pcwk.minimax import (
     dm_class_residual,
     power_class_residual,
 )
-from pcwk.spectral import _node_eigenvalues
+from pcwk import estimators, minimax, spectral
+from pcwk.spectral import _all_fourier_coefficients, _node_eigenvalues
 from conftest import GRID, ar1, white
 
 GOLDEN_TOP = (3.0 + np.sqrt(5.0)) / 2.0  # top eigenvalue of [[2, 1], [1, 1]]
@@ -365,6 +366,55 @@ class TestDmInterpolation:
         assert len(samples) == 20
         assert all(check_minimality(s).passed for s in samples)
         assert max(dm_class_residual(s, p) for s in samples) < 1e-8
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            [np.array([[1.5]]), np.array([[0.4]]), np.array([[0.1]])],
+            [2.0 * np.eye(2), np.array([[0.3, 0.2j], [-0.2j, 0.1]])],
+        ],
+        ids=["ar2", "coupled"],
+    )
+    def test_saddle_check_inverts_each_member_twice(self, monkeypatch, p):
+        # the sampler inverts each draw into a member, and the validator
+        # inverts the member for the kernel table that interpolate then
+        # reads: two grid inversions and two (G, K, K) FFTs a member
+        K = p[0].shape[0]
+        w = FunctionalWeights.interpolation(np.ones((2, K)))
+        result = least_favorable_dm_interpolation(p, w, grid_size=GRID)
+        calls = {"inverse": 0, "grid fft": 0}
+        grid_inverse, fft = spectral._grid_inverse, np.fft.fft
+
+        def inverse(values):
+            calls["inverse"] += 1
+            return grid_inverse(values)
+
+        def counted_fft(a, *args, **kwargs):
+            calls["grid fft"] += np.ndim(a) == 3
+            return fft(a, *args, **kwargs)
+
+        for module in (spectral, estimators, minimax):
+            monkeypatch.setattr(module, "_grid_inverse", inverse)
+        monkeypatch.setattr(np.fft, "fft", counted_fft)
+        members = sample_dm_class(
+            np.random.default_rng(10), p, extra_degree=3, count=5, grid_size=GRID
+        )
+        report = saddle_point_check(
+            result.h0, result.f0, None, members, w,
+            validator=lambda fs: dm_class_residual(fs, p),
+            optimal_error=lambda fs, gs: interpolate(fs, None, w).mse,
+        )
+        assert report.n_rejected == 0 and report.margins.size == 5
+        assert calls == {"inverse": 10, "grid fft": 10}
+        # the moments of one FFT of the member's own grid inverse
+        scale = max(float(np.linalg.norm(target)) for target in p)
+        for member in members:
+            table = _all_fourier_coefficients(grid_inverse(member.values))
+            worst = max(
+                float(np.linalg.norm(0.5 * (table[m] + table[-m]) - target))
+                for m, target in enumerate(p)
+            )
+            assert dm_class_residual(member, p) == pytest.approx(worst / scale, abs=1e-15)
 
     @pytest.mark.parametrize(
         "p",
