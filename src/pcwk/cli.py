@@ -6,6 +6,11 @@ directory, with a human-readable summary on stderr. Machine output never
 mixes with logs, and identical problem files with identical seeds produce
 byte-identical CSV bodies.
 
+Every key of the problem file is a row of ``_KEYS``: its rule, default and
+the tasks that require or read it. ``parse_spec`` walks the table once and
+reports every error together; ``_load`` then reads the weights and the
+densities the task uses, for the run and for ``--dry-run`` alike.
+
 Exit status: 0 on success, 1 on usage or validation errors, 2 on numerical
 failures (minimality or conditioning).
 """
@@ -16,11 +21,13 @@ import argparse
 import csv
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -60,6 +67,13 @@ _TASK_HORIZON = {
     "simulate": None,
 }
 TASKS = tuple(_TASK_HORIZON)
+_ESTIMATION = ("interpolate", "extrapolate", "extrapolate-finite", "filter")
+_MINIMAX = tuple(task for task in TASKS if task.startswith("minimax-"))
+_D0EPS = ("minimax-filter-d0eps",)
+_WEIGHTED = _ESTIMATION + _MINIMAX  # the tasks that read weights
+# the sections of a problem file; lift and weights may be absent or null
+_SECTIONS = ("numerics", "lift", "densities", "weights", "class_params")
+_OPTIONAL = ("lift", "weights")
 
 
 # upper bounds of the sizes a problem file may ask for; the largest benchmark
@@ -84,24 +98,26 @@ class SpecValidationError(ValueError):
 
 @dataclass
 class Numerics:
-    grid: int = DEFAULT_GRID_SIZE
+    """The numerics section; its defaults are those of the rows in ``_KEYS``."""
+
+    grid: int
+    tolerance: float
+    seed: int
     truncation: int | None = None
-    tolerance: float = 1e-10
-    seed: int = 0
 
 
 @dataclass
 class ProblemSpec:
-    """Validated contents of a problem JSON file."""
+    """Validated contents of a problem JSON file.
+
+    ``values`` holds the typed value of each key the task reads, by its
+    path in ``_KEYS`` ("class_params.samples"), defaults filled in.
+    """
 
     task: str
     numerics: Numerics
     lift: LiftConfig | None = None
-    density_paths: dict = field(default_factory=dict)
-    weights_inline: list | None = None
-    weights_csv: str | None = None
-    weights_blocks: int | None = None
-    class_params: dict = field(default_factory=dict)
+    values: dict = field(default_factory=dict)
     base_dir: Path = Path(".")
 
 
@@ -114,191 +130,108 @@ def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_real(value):
+    """A number a float holds finitely: JSON's NaN, Infinity and 1e400 are not."""
+    return _is_number(value) and abs(value) <= sys.float_info.max
+
+
 def _is_grid(value):
     return _is_int(value) and 8 <= value <= MAX_GRID and not value & (value - 1)
 
 
-def _check_keys(obj, allowed, where, errors):
-    for key in obj:
-        if key not in allowed:
-            errors.append(f"{where}: unknown key {key!r}")
+# -- rules ------------------------------------------------------------------
+# A rule(value, name, errors, values) returns the typed value, or appends its
+# refusals, each starting with ``name``, to ``errors``. ``values`` holds the
+# typed values of the rows above it in _KEYS.
 
 
-def parse_spec(path) -> ProblemSpec:
-    """Parse and validate a problem JSON file.
+def _rule(test, text):
+    """The rule that ``test`` accepts; its refusal ends with ``text``, in
+    which ``{v!r}`` is the value."""
 
-    All validation errors are collected and reported together, not just
-    the first one.
-    """
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SpecValidationError([f"cannot read problem file: {exc}"]) from exc
-    errors: list[str] = []
-    if not isinstance(raw, dict):
-        raise SpecValidationError(["problem file must hold a JSON object"])
-    _check_keys(
-        raw,
-        {"task", "lift", "densities", "weights", "numerics", "class_params"},
-        "top level",
-        errors,
-    )
+    def rule(value, name, errors, values):
+        if test(value):
+            return value
+        errors.append(f"{name} " + text.format(v=value))
 
-    task = raw.get("task")
-    if task not in TASKS:
-        errors.append(f"task must be one of {', '.join(TASKS)}; got {task!r}")
+    return rule
 
-    numerics = Numerics()
-    num = raw.get("numerics", {})
-    if not isinstance(num, dict):
-        errors.append("numerics must be an object")
-    else:
-        _check_keys(num, {"grid", "truncation", "tolerance", "seed"}, "numerics", errors)
-        grid = num.get("grid", DEFAULT_GRID_SIZE)
-        if not _is_grid(grid):
-            errors.append(f"numerics.grid must be a power of two in [8, {MAX_GRID}]")
+
+def _or_null(rule):
+    """``rule``, with null accepted as the key's absence."""
+    return lambda value, *rest: None if value is None else rule(value, *rest)
+
+
+def _integer(lo, hi=None, note=""):
+    """An integer in [lo, hi]; a refusal below lo ends with ``note``."""
+    kind = f"must be a {'positive' if lo else 'nonnegative'} integer"
+
+    def rule(value, name, errors, values):
+        if not _is_int(value) or value < lo:
+            errors.append(f"{name} {kind}{note}")
+        elif hi is not None and value > hi:
+            errors.append(f"{name} {kind} no larger than {hi}")
         else:
-            numerics.grid = grid
-        trunc = num.get("truncation")
-        if trunc is not None and (not _is_int(trunc) or trunc < 0):
-            errors.append("numerics.truncation must be a nonnegative integer")
-        else:
-            numerics.truncation = trunc
-        tol = num.get("tolerance", 1e-10)
-        if not _is_number(tol) or not (0 < tol < 1):
-            errors.append("numerics.tolerance must lie in (0, 1)")
-        else:
-            numerics.tolerance = float(tol)
-        seed = num.get("seed", 0)
-        if not _is_int(seed) or seed < 0:
-            errors.append("numerics.seed must be a nonnegative integer")
-        else:
-            numerics.seed = seed
+            return value
 
-    lift = None
-    lift_raw = raw.get("lift")
-    if lift_raw is not None:
-        if not isinstance(lift_raw, dict):
-            errors.append("lift must be an object")
-        else:
-            _check_keys(
-                lift_raw, {"period", "harmonics", "quadrature_points"}, "lift", errors
+    return rule
+
+
+def _count(hi, least=0):
+    """A class_params integer in [least, hi]; the refusal shows the value."""
+
+    def rule(value, name, errors, values):
+        if not _is_int(value) or not 0 <= value <= hi:
+            errors.append(
+                f"{name} must be a nonnegative integer no larger than {hi}; got {value!r}"
             )
-            period = lift_raw.get("period")
-            harmonics = lift_raw.get("harmonics")
-            if not _is_number(period) or period <= 0:
-                errors.append("lift.period must be a positive number")
-            if not _is_int(harmonics) or harmonics < 1:
-                errors.append("lift.harmonics must be a positive integer (>= 1)")
-            elif harmonics > MAX_HARMONICS:
-                errors.append(
-                    f"lift.harmonics must be a positive integer no larger than "
-                    f"{MAX_HARMONICS}"
-                )
-            qp = lift_raw.get("quadrature_points")
-            if qp is not None and (not _is_int(qp) or qp < 1):
-                errors.append("lift.quadrature_points must be a positive integer")
-            elif qp is not None and qp > MAX_QUADRATURE_POINTS:
-                errors.append(
-                    f"lift.quadrature_points must be a positive integer no larger "
-                    f"than {MAX_QUADRATURE_POINTS}"
-                )
-            if not errors or (period and _is_int(harmonics) and harmonics >= 1):
-                try:
-                    lift = LiftConfig(
-                        period=float(period),
-                        n_harmonics=int(harmonics),
-                        quadrature_points=qp,
-                    )
-                except (TypeError, ValueError) as exc:
-                    errors.append(f"lift: {exc}")
-
-    density_paths = {}
-    dens = raw.get("densities", {})
-    if not isinstance(dens, dict):
-        errors.append("densities must be an object")
-    else:
-        _check_keys(dens, {"f", "g", "g2"}, "densities", errors)
-        for key, value in dens.items():
-            if not isinstance(value, str):
-                errors.append(f"densities.{key} must be a file path")
-            else:
-                density_paths[key] = value
-
-    weights_inline = None
-    weights_csv = None
-    weights_blocks = None
-    wraw = raw.get("weights")
-    if wraw is not None:
-        if not isinstance(wraw, dict):
-            errors.append("weights must be an object")
+        elif value < least:
+            errors.append(f"{name} must be at least {least}; got {value!r}")
         else:
-            _check_keys(wraw, {"inline", "csv", "blocks"}, "weights", errors)
-            weights_inline = wraw.get("inline")
-            weights_csv = wraw.get("csv")
-            weights_blocks = wraw.get("blocks")
-            if weights_inline is not None:
-                weights_inline = _parse_inline(weights_inline, errors)
-            if weights_blocks is not None and (
-                not _is_int(weights_blocks) or weights_blocks < 1
-            ):
-                errors.append("weights.blocks must be a positive integer")
-            elif weights_blocks is not None and weights_blocks > MAX_WEIGHT_BLOCKS:
-                errors.append(
-                    f"weights.blocks must be a positive integer no larger than "
-                    f"{MAX_WEIGHT_BLOCKS}"
-                )
-            if weights_inline is not None and weights_csv is not None:
-                errors.append("weights doubly specified: give inline blocks or a csv")
-            if weights_inline is None and weights_csv is None:
-                errors.append("weights: either inline blocks or a csv is required")
-            if weights_csv is not None and weights_blocks is None:
-                errors.append("weights.blocks (block count) is required with a csv")
-            if weights_csv is not None and lift is None:
-                errors.append("weights from csv require a lift configuration")
+            return value
 
-    class_params = raw.get("class_params", {})
-    if not isinstance(class_params, dict):
-        errors.append("class_params must be an object")
-        class_params = {}
+    return rule
 
-    if task in TASKS and task not in ("factorize", "simulate") and wraw is None:
-        errors.append(f"weights are required for task {task}")
 
-    if errors:
-        raise SpecValidationError(errors)
-    return ProblemSpec(
-        task=task,
-        numerics=numerics,
-        lift=lift,
-        density_paths=density_paths,
-        weights_inline=weights_inline,
-        weights_csv=weights_csv,
-        weights_blocks=weights_blocks,
-        class_params=class_params,
-        base_dir=path.parent,
-    )
+def _number(interval, text=None):
+    """A finite number in ``interval``, written "(0, 1)", "[0, 1]" or "(0, inf)".
+
+    ``text`` replaces the refusal, which by default shows the value.
+    """
+    lo, hi = (float(bound) for bound in interval[1:-1].split(","))
+    closed = [lo] * (interval[0] == "[") + [hi] * (interval[-1] == "]")
+
+    def rule(value, name, errors, values):
+        if _is_real(value) and (lo < value < hi or value in closed):
+            return float(value)
+        where = f" in {interval}" if _is_number(value) else ""
+        errors.append(f"{name} {text or f'must be a number{where}; got {value!r}'}")
+
+    return rule
+
+
+_FILE = _rule(lambda value: isinstance(value, str), "must be a file path")
 
 
 def _complex_entry(entry):
-    """A number or an [re, im] pair of numbers as a complex; None otherwise."""
-    if _is_number(entry):
+    """A finite number or an [re, im] pair of them as a complex; None otherwise."""
+    if _is_real(entry):
         return complex(entry)
-    if isinstance(entry, list) and len(entry) == 2 and all(map(_is_number, entry)):
+    if isinstance(entry, list) and len(entry) == 2 and all(map(_is_real, entry)):
         return complex(entry[0], entry[1])
     return None
 
 
-def _parse_inline(inline, errors):
-    """Inline weight blocks as lists of complex entries; bad entries are errors."""
+def _parse_inline(inline, name, errors, values):
+    """Inline weight blocks as lists of complex entries; None if any is refused."""
     if not isinstance(inline, list) or not inline:
-        errors.append("weights.inline must be a non-empty list of blocks")
-        return inline
+        errors.append(f"{name} must be a non-empty list of blocks")
+        return None
+    before = len(errors)
     blocks = []
     for j, row in enumerate(inline):
-        if not isinstance(row, list):
-            errors.append(f"weights.inline[{j}] must be a list of entries")
+        if not isinstance(row, list) or not row:
+            errors.append(f"{name}[{j}] must be a list of entries")
             continue
         entries = []
         for entry in row:
@@ -307,31 +240,230 @@ def _parse_inline(inline, errors):
                 entries.append(value)
             else:
                 errors.append(
-                    f"weights.inline[{j}]: entries are numbers or [re, im] "
+                    f"{name}[{j}]: entries are numbers or [re, im] "
                     f"pairs of numbers; got {entry!r}"
                 )
         blocks.append(entries)
     if len({len(row) for row in inline if isinstance(row, list)}) > 1:
-        errors.append("weights.inline blocks must all have the same length")
-    return blocks
+        errors.append(f"{name} blocks must all have the same length")
+    return blocks if len(errors) == before else None
 
 
-def _load_weights(spec: ProblemSpec, horizon: str) -> FunctionalWeights:
-    if spec.weights_inline is not None:
-        blocks = np.array(spec.weights_inline, dtype=complex)
-        return FunctionalWeights(blocks=blocks, horizon=horizon)
-    path = spec.base_dir / spec.weights_csv
-    times, values = _read_weight_csv(path)
+def _complex_matrix(value, name, errors, values):
+    """A K x K nested list as a complex matrix; None, with an error, otherwise.
 
-    def a(t):
-        return np.interp(t, times, values, left=0.0, right=0.0)
+    Each entry is a number or an [re, im] pair, the rule of inline weights.
+    K is the width of the inline weight blocks, or the lift's harmonics for
+    weights lifted from a CSV.
+    """
+    if "weights.inline" in values:
+        dim = len(values["weights.inline"][0])
+    elif "weights.csv" in values and "lift.harmonics" in values:
+        dim = values["lift.harmonics"]
+    else:
+        return None  # the weights are refused, so K is unknown
+    rows = value if isinstance(value, list) and len(value) == dim else [None]
+    entries = [
+        [_complex_entry(x) for x in row]
+        if isinstance(row, list) and len(row) == dim else [None]
+        for row in rows
+    ]
+    if any(x is None for row in entries for x in row):
+        errors.append(
+            f"{name} must be a {dim} x {dim} nested list of numbers or [re, im] "
+            f"pairs; got {value!r}"
+        )
+        return None
+    return np.array(entries, dtype=complex)
 
-    return compute_weights(a, spec.lift, spec.weights_blocks - 1, horizon=horizon)
+
+def _moments(value, name, errors, values):
+    """``class_params.moments`` as K x K complex matrices.
+
+    Every malformed moment is a collected validation error naming its index.
+    """
+    if not isinstance(value, list) or not value:
+        errors.append(f"{name} must be a non-empty list of K x K matrices")
+        return None
+    return [
+        _complex_matrix(mat, f"{name}[{m}]", errors, values)
+        for m, mat in enumerate(value)
+    ]
+
+
+# -- the table of keys --------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Key:
+    """One key of the problem file, by its dotted path.
+
+    ``requires`` are the tasks that fail without the key and ``accepts``
+    the tasks that read it; left empty, ``accepts`` is ``requires`` or, when
+    no task requires the key, every task. An oracle-check reads the
+    densities and weights of its target task. A class_params key that the
+    task does not read is refused; any other such key is checked and then
+    ignored. ``flag`` is the command-line flag that overrides the key.
+    """
+
+    path: str
+    rule: Callable
+    default: object = None
+    requires: tuple = ()
+    accepts: tuple = ()
+    flag: str | None = None
+
+    def reads(self, task):
+        return task in (self.accepts or self.requires or TASKS)
+
+
+_KEYS = (
+    _Key("numerics.grid", _rule(_is_grid, f"must be a power of two in [8, {MAX_GRID}]"),
+         DEFAULT_GRID_SIZE, flag="--grid"),
+    _Key("numerics.truncation", _or_null(_integer(0))),
+    _Key("numerics.tolerance", _number("(0, 1)", "must lie in (0, 1)"), 1e-10),
+    _Key("numerics.seed", _integer(0), 0, flag="--seed"),
+    _Key("lift.period", _number("(0, inf)", "must be a positive number"), requires=TASKS),
+    _Key("lift.harmonics", _integer(1, MAX_HARMONICS, " (>= 1)"), requires=TASKS),
+    _Key("lift.quadrature_points", _or_null(_integer(1, MAX_QUADRATURE_POINTS))),
+    _Key("densities.f", _FILE, requires=_ESTIMATION + ("factorize", "simulate")),
+    _Key("densities.g", _FILE, requires=("filter",), accepts=_ESTIMATION),
+    _Key("densities.g2", _FILE, requires=_D0EPS),
+    _Key("weights.inline", _or_null(_parse_inline), accepts=_WEIGHTED),
+    _Key("weights.csv", _or_null(_FILE), accepts=_WEIGHTED),
+    _Key("weights.blocks", _or_null(_integer(1, MAX_WEIGHT_BLOCKS)), accepts=_WEIGHTED),
+    _Key("class_params.total_power", _number("(0, inf)"), requires=("minimax-y",)),
+    _Key("class_params.power_matrix", _complex_matrix, requires=("minimax-extrap-d01",)),
+    _Key("class_params.moments", _moments, requires=("minimax-interp-dm",)),
+    _Key("class_params.signal_power", _number("(0, inf)"), requires=_D0EPS),
+    _Key("class_params.noise_power", _number("(0, inf)"), requires=_D0EPS),
+    _Key("class_params.eps", _number("[0, 1]"), requires=_D0EPS),
+    _Key("class_params.samples", _count(MAX_SAMPLES), 50, accepts=_MINIMAX),
+    _Key("class_params.task", _rule(lambda value: value in _ESTIMATION,
+                                    "must name an estimation task for oracle-check"),
+         requires=("oracle-check",)),
+    _Key("class_params.initial_window", _count(oracle.MAX_WINDOW, least=1), 8,
+         accepts=("oracle-check",)),
+    _Key("class_params.tolerance", _number("(0, inf)"), 1e-5, accepts=("oracle-check",)),
+    _Key("class_params.n_blocks", _count(MAX_SIMULATED_BLOCKS, least=1),
+         requires=("simulate",)),
+)
+
+
+def parse_spec(path, seed=None, grid=None) -> ProblemSpec:
+    """Parse and validate a problem JSON file by the rows of ``_KEYS``.
+
+    All validation errors are collected and reported together, not just
+    the first one. ``seed`` and ``grid``, the values of ``--seed`` and
+    ``--grid``, replace numerics.seed and numerics.grid by the same rules.
+    """
+    path = Path(path)
+    try:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError) as exc:
+        raise SpecValidationError([f"cannot read problem file: {exc}"]) from exc
+    if not isinstance(raw, dict):
+        raise SpecValidationError(["problem file must hold a JSON object"])
+    errors: list[str] = []
+    task = raw.get("task")
+    if task not in TASKS:
+        errors.append(f"task must be one of {', '.join(TASKS)}; got {task!r}")
+    sections = {"top level": raw}
+    for name in _SECTIONS:
+        section = raw.get(name, None if name in _OPTIONAL else {})
+        if isinstance(section, dict):
+            sections[name] = section
+        elif section is not None or name not in _OPTIONAL:
+            errors.append(f"{name} must be an object")
+    # a class_params key is known only to the tasks that read it
+    known = {"top level": {"task", *_SECTIONS}}
+    for key in _KEYS:
+        section, _, name = key.path.partition(".")
+        if section != "class_params" or task not in TASKS or key.reads(task):
+            known.setdefault(section, set()).add(name)
+    for where, section in sections.items():
+        errors += [f"{where}: unknown key {name!r}" for name in section
+                   if name not in known.get(where, ())]
+
+    cp = sections.get("class_params", {})
+    target = cp.get("task") if task == "oracle-check" else task
+    flags = {"--seed": seed, "--grid": grid}
+    values = {}
+    for key in _KEYS:
+        where, _, name = key.path.partition(".")
+        section = sections.get(where)
+        who = task if where == "class_params" else target
+        if section is None or where == "class_params" and not key.reads(task):
+            continue
+        value = key.default
+        if name in section or where == "lift" and who in key.requires:
+            value = key.rule(section.get(name), key.path, errors, values)
+        elif who in key.requires:
+            errors.append(f"{key.path} is required for "
+                          + ("this task" if where == "densities" else task))
+        if flags.get(key.flag) is not None:
+            value = key.rule(flags[key.flag], key.flag, errors, values)
+        if key.reads(who) and value is not None:
+            values[key.path] = value
+
+    lift = None
+    if values.get("lift.period") and values.get("lift.harmonics"):
+        try:
+            lift = LiftConfig(values["lift.period"], values["lift.harmonics"],
+                              values.get("lift.quadrature_points"))
+        except ValueError as exc:
+            errors.append(f"lift: {exc}")
+    if "weights" in sections:
+        given = {name for name, value in sections["weights"].items() if value is not None}
+        if {"inline", "csv"} <= given:
+            errors.append("weights doubly specified: give inline blocks or a csv")
+        if not {"inline", "csv"} & given:
+            errors.append("weights: either inline blocks or a csv is required")
+        if "csv" in given and "blocks" not in given:
+            errors.append("weights.blocks (block count) is required with a csv")
+        if "csv" in given and raw.get("lift") is None:
+            errors.append("weights from csv require a lift configuration")
+    elif raw.get("weights") is None and target in _WEIGHTED:
+        errors.append(f"weights are required for task {task}")
+    if errors:
+        raise SpecValidationError(errors)
+    numerics = {key.partition(".")[2]: value for key, value in values.items()
+                if key.startswith("numerics.")}
+    return ProblemSpec(task, Numerics(**numerics), lift, values, path.parent)
+
+
+def _load(spec: ProblemSpec) -> dict:
+    """Read the weights and the densities the task uses, by name.
+
+    The run and ``--dry-run`` share this step, so they refuse the same
+    inputs, each before any solve and before the output directory exists.
+    """
+    data, values = {}, spec.values
+    horizon = _TASK_HORIZON[values.get("class_params.task", spec.task)]
+    if "weights.inline" in values:
+        blocks = np.array(values["weights.inline"], dtype=complex)
+        data["weights"] = FunctionalWeights(blocks=blocks, horizon=horizon)
+    elif "weights.csv" in values:
+        times, samples = _read_weight_csv(spec.base_dir / values["weights.csv"])
+        a = partial(np.interp, xp=times, fp=samples, left=0.0, right=0.0)
+        data["weights"] = compute_weights(a, spec.lift, values["weights.blocks"] - 1,
+                                          horizon=horizon)
+    for name in ("f", "g", "g2"):
+        if f"densities.{name}" not in values:
+            continue
+        path = spec.base_dir / values[f"densities.{name}"]
+        density = read_density_csv(path, grid_size=spec.numerics.grid)
+        report = validate_density(density)
+        if not report.ok:
+            raise PcwkError(
+                f"density {name!r} failed validation: " + "; ".join(report.issues)
+            )
+        data[name] = density
+    return data
 
 
 def _read_weight_csv(path):
-    times = []
-    values = []
+    samples = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -341,29 +473,17 @@ def _read_weight_csv(path):
             if not row or all(not v.strip() for v in row):
                 continue
             try:
-                times.append(float(row[0]))
-                values.append(float(row[1]))
-            except (IndexError, ValueError) as exc:
-                raise SpecValidationError([f"{path}:{ln}: malformed row"]) from exc
-    if not times:
+                sample = float(row[0]), float(row[1])
+            except (IndexError, ValueError):
+                sample = (math.nan,)
+            if not all(map(math.isfinite, sample)):
+                raise SpecValidationError([f"{path}:{ln}: malformed row"])
+            samples.append(sample)
+    if not samples:
         raise SpecValidationError([f"{path}: no samples"])
+    times, values = np.array(samples).T
     order = np.argsort(times)
-    return np.asarray(times)[order], np.asarray(values)[order]
-
-
-def _load_density(spec: ProblemSpec, key: str, required: bool):
-    path = spec.density_paths.get(key)
-    if path is None:
-        if required:
-            raise SpecValidationError([f"densities.{key} is required for this task"])
-        return None
-    density = read_density_csv(spec.base_dir / path, grid_size=spec.numerics.grid)
-    report = validate_density(density)
-    if not report.ok:
-        raise PcwkError(
-            f"density {key!r} failed validation: " + "; ".join(report.issues)
-        )
-    return density
+    return times[order], values[order]
 
 
 # -- CSV writers -----------------------------------------------------------
@@ -424,32 +544,29 @@ def _solution_summary(task, solution, seed):
     return entries
 
 
-def _solve_task(spec: ProblemSpec, task: str):
-    """Load the weights and densities of an estimation task and solve it."""
-    weights = _load_weights(spec, _TASK_HORIZON[task])
-    f = _load_density(spec, "f", required=True)
-    g = _load_density(spec, "g", required=(task == "filter"))
+
+
+def _solve_task(spec: ProblemSpec, data: dict, task: str):
+    """Solve an estimation task on the loaded weights and densities."""
+    f, g, weights = data["f"], data.get("g"), data["weights"]
     if task == "interpolate":
-        solution = interpolate(f, g, weights)
-    elif task in ("extrapolate", "extrapolate-finite"):
-        solution = extrapolate(f, g, weights, truncation=spec.numerics.truncation)
-    else:
-        solution = filtering(f, g, weights, truncation=spec.numerics.truncation)
-    return weights, f, g, solution
+        return interpolate(f, g, weights)
+    if task in ("extrapolate", "extrapolate-finite"):
+        return extrapolate(f, g, weights, truncation=spec.numerics.truncation)
+    return filtering(f, g, weights, truncation=spec.numerics.truncation)
 
 
-def _run_estimation(spec: ProblemSpec, out: Path):
+def _run_estimation(spec: ProblemSpec, data: dict, out: Path):
     task = spec.task
-    _, _, _, solution = _solve_task(spec, task)
+    solution = _solve_task(spec, data, task)
     _write_characteristic(out / f"{task}_h.csv", solution)
     entries = _solution_summary(task, solution, spec.numerics.seed)
     _write_summary(out / "summary.csv", entries)
     return entries
 
 
-def _run_factorize(spec: ProblemSpec, out: Path):
-    f = _load_density(spec, "f", required=True)
-    fact = spectral_factorize(f, tol=spec.numerics.tolerance)
+def _run_factorize(spec: ProblemSpec, data: dict, out: Path):
+    fact = spectral_factorize(data["f"], tol=spec.numerics.tolerance)
     _write_factor(out / "factor.csv", fact)
     entries = [
         ("task", "factorize"),
@@ -463,93 +580,15 @@ def _run_factorize(spec: ProblemSpec, out: Path):
     return entries
 
 
-def _class_param(spec, key, default=None, required=False):
-    if key in spec.class_params:
-        return spec.class_params[key]
-    if required:
-        raise SpecValidationError([f"class_params.{key} is required for {spec.task}"])
-    return default
-
-
-def _int_param(spec, key, default=None, required=False, upper=None):
-    value = _class_param(spec, key, default, required)
-    if not _is_int(value) or value < 0 or (upper is not None and value > upper):
-        bound = "" if upper is None else f" no larger than {upper}"
-        raise SpecValidationError(
-            [f"class_params.{key} must be a nonnegative integer{bound}; got {value!r}"]
-        )
-    return value
-
-
-def _float_param(spec, key, default=None, required=False):
-    value = _class_param(spec, key, default, required)
-    if not _is_number(value):
-        raise SpecValidationError(
-            [f"class_params.{key} must be a number; got {value!r}"]
-        )
-    return float(value)
-
-
-def _complex_matrix(value, dim, name, errors):
-    """A K x K nested list as a complex matrix; None, with an error, otherwise.
-
-    Each entry is a number or an [re, im] pair, the rule of inline weights.
-    """
-    rows = value if isinstance(value, list) and len(value) == dim else [None]
-    entries = [
-        [_complex_entry(x) for x in row]
-        if isinstance(row, list) and len(row) == dim else [None]
-        for row in rows
-    ]
-    if any(x is None for row in entries for x in row):
-        errors.append(
-            f"{name} must be a {dim} x {dim} nested list of numbers or [re, im] "
-            f"pairs; got {value!r}"
-        )
-        return None
-    return np.array(entries, dtype=complex)
-
-
-def _matrix_param(spec, key, dim):
-    errors = []
-    matrix = _complex_matrix(
-        _class_param(spec, key, required=True), dim, f"class_params.{key}", errors
-    )
-    if errors:
-        raise SpecValidationError(errors)
-    return matrix
-
-
-def _moments_param(spec, dim):
-    """``class_params.moments`` as K x K complex matrices.
-
-    Every malformed moment is a collected validation error naming its index.
-    """
-    value = _class_param(spec, "moments", required=True)
-    if not isinstance(value, list) or not value:
-        raise SpecValidationError(
-            ["class_params.moments must be a non-empty list of K x K matrices"]
-        )
-    errors = []
-    moments = [
-        _complex_matrix(mat, dim, f"class_params.moments[{m}]", errors)
-        for m, mat in enumerate(value)
-    ]
-    if errors:
-        raise SpecValidationError(errors)
-    return moments
-
-
-def _run_minimax(spec: ProblemSpec, out: Path):
-    task = spec.task
-    weights = _load_weights(spec, _TASK_HORIZON[task])
+def _run_minimax(spec: ProblemSpec, data: dict, out: Path):
+    task, params, weights = spec.task, spec.values, data["weights"]
     grid = spec.numerics.grid
     rng = np.random.default_rng(spec.numerics.seed)
-    samples_n = _int_param(spec, "samples", 50, upper=MAX_SAMPLES)
+    samples_n = params["class_params.samples"]
     optimal_error = None
 
     if task == "minimax-y":
-        power = _float_param(spec, "total_power", required=True)
+        power = params["class_params.total_power"]
         result = minimax.least_favorable_class_y(weights, power, grid_size=grid)
         samples = minimax.sample_power_class(
             rng, weights.dim, weights.n, power, samples_n, grid_size=grid
@@ -557,7 +596,7 @@ def _run_minimax(spec: ProblemSpec, out: Path):
         validator = partial(minimax.power_class_residual, total_power=power)
         keys = ("nu_squared", "eigen_residual")
     elif task == "minimax-extrap-d01":
-        P = _matrix_param(spec, "power_matrix", weights.dim)
+        P = params["class_params.power_matrix"]
         result = minimax.least_favorable_d01_extrapolation(weights, P, grid_size=grid)
         samples = minimax.sample_d01_class(
             rng, P, weights.n, samples_n, grid_size=grid
@@ -566,7 +605,7 @@ def _run_minimax(spec: ProblemSpec, out: Path):
         keys = ("nu_squared", "eigen_residual", "power_constraint_residual",
                 "in_class")
     elif task == "minimax-interp-dm":
-        p_list = _moments_param(spec, weights.dim)
+        p_list = params["class_params.moments"]
         result = minimax.least_favorable_dm_interpolation(
             p_list, weights, grid_size=grid
         )
@@ -580,10 +619,10 @@ def _run_minimax(spec: ProblemSpec, out: Path):
 
         keys = ()
     else:  # minimax-filter-d0eps
-        signal_power = _float_param(spec, "signal_power", required=True)
-        noise_power = _float_param(spec, "noise_power", required=True)
-        eps = _float_param(spec, "eps", required=True)
-        g2 = _load_density(spec, "g2", required=True)
+        signal_power = params["class_params.signal_power"]
+        noise_power = params["class_params.noise_power"]
+        eps = params["class_params.eps"]
+        g2 = data["g2"]
         result = minimax.least_favorable_d0eps_filtering_scalar(
             weights, signal_power, noise_power, eps, g2,
             grid_size=grid, truncation=spec.numerics.truncation,
@@ -620,17 +659,13 @@ def _run_minimax(spec: ProblemSpec, out: Path):
     return entries
 
 
-def _run_oracle_check(spec: ProblemSpec, out: Path):
-    target = _class_param(spec, "task", required=True)
-    if target not in ("interpolate", "extrapolate", "extrapolate-finite", "filter"):
-        raise SpecValidationError(
-            ["class_params.task must name an estimation task for oracle-check"]
-        )
-    initial = _int_param(spec, "initial_window", 8, upper=oracle.MAX_WINDOW)
-    tolerance = _float_param(spec, "tolerance", 1e-5)
-    weights, f, g, solution = _solve_task(spec, target)
+def _run_oracle_check(spec: ProblemSpec, data: dict, out: Path):
+    target = spec.values["class_params.task"]
+    tolerance = spec.values["class_params.tolerance"]
+    solution = _solve_task(spec, data, target)
     projection, _ = oracle.time_domain_projection_converged(
-        f, g, weights, initial_window=initial
+        data["f"], data.get("g"), data["weights"],
+        initial_window=spec.values["class_params.initial_window"],
     )
     entries = [
         ("task", "oracle-check"),
@@ -665,12 +700,9 @@ def _run_oracle_check(spec: ProblemSpec, out: Path):
     return entries
 
 
-def _run_simulate(spec: ProblemSpec, out: Path):
-    n_blocks = _int_param(spec, "n_blocks", required=True, upper=MAX_SIMULATED_BLOCKS)
-    if n_blocks == 0:
-        raise SpecValidationError(["class_params.n_blocks must be at least 1; got 0"])
-    f = _load_density(spec, "f", required=True)
-    fact = spectral_factorize(f, tol=spec.numerics.tolerance)
+def _run_simulate(spec: ProblemSpec, data: dict, out: Path):
+    n_blocks = spec.values["class_params.n_blocks"]
+    fact = spectral_factorize(data["f"], tol=spec.numerics.tolerance)
     path_blocks = oracle.simulate_sequence(fact, n_blocks, spec.numerics.seed)
     _write_table(out / "path.csv", ["j", "component", "re", "im"],
                  [np.arange(n) for n in path_blocks.shape], path_blocks)
@@ -686,19 +718,21 @@ def _run_simulate(spec: ProblemSpec, out: Path):
     return entries
 
 
+_RUNNERS = {
+    **dict.fromkeys(_ESTIMATION, _run_estimation),
+    "factorize": _run_factorize,
+    **dict.fromkeys(_MINIMAX, _run_minimax),
+    "oracle-check": _run_oracle_check,
+    "simulate": _run_simulate,
+}
+
+
 def run(spec: ProblemSpec, out_dir) -> list:
     """Execute a validated problem spec; returns the summary entries."""
+    data = _load(spec)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if spec.task in ("interpolate", "extrapolate", "extrapolate-finite", "filter"):
-        return _run_estimation(spec, out)
-    if spec.task == "factorize":
-        return _run_factorize(spec, out)
-    if spec.task.startswith("minimax-"):
-        return _run_minimax(spec, out)
-    if spec.task == "oracle-check":
-        return _run_oracle_check(spec, out)
-    return _run_simulate(spec, out)
+    return _RUNNERS[spec.task](spec, data, out)
 
 
 def main(argv=None) -> int:
@@ -713,7 +747,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="./out", help="output directory")
     parser.add_argument(
         "--dry-run", action="store_true",
-        help="validate the problem file and print the resolved numerics",
+        help="load the problem's inputs and run every check except the solve, "
+             "then print the resolved numerics",
     )
     parser.add_argument("--seed", type=int, default=None, help="override the seed")
     parser.add_argument("--grid", type=int, default=None, help="override the grid size")
@@ -728,39 +763,22 @@ def main(argv=None) -> int:
     )
 
     try:
-        spec = parse_spec(args.spec)
-    except SpecValidationError as exc:
-        for item in exc.errors:
-            print(f"error: {item}", file=sys.stderr)
-        return 1
-    if args.seed is not None:
-        spec.numerics.seed = args.seed
-    if args.grid is not None:
-        if not _is_grid(args.grid):
-            print(f"error: --grid must be a power of two in [8, {MAX_GRID}]",
-                  file=sys.stderr)
-            return 1
-        spec.numerics.grid = args.grid
-
-    if args.dry_run:
-        print(f"task = {spec.task}")
-        print(f"grid = {spec.numerics.grid}")
-        print(f"truncation = {spec.numerics.truncation}")
-        print(f"tolerance = {spec.numerics.tolerance}")
-        print(f"seed = {spec.numerics.seed}")
-        return 0
-
-    try:
+        spec = parse_spec(args.spec, seed=args.seed, grid=args.grid)
+        if args.dry_run:
+            _load(spec)
+            print(f"task = {spec.task}")
+            print(f"grid = {spec.numerics.grid}")
+            print(f"truncation = {spec.numerics.truncation}")
+            print(f"tolerance = {spec.numerics.tolerance}")
+            print(f"seed = {spec.numerics.seed}")
+            return 0
         entries = run(spec, args.out)
-    except SpecValidationError as exc:
-        for item in exc.errors:
-            print(f"error: {item}", file=sys.stderr)
-        return 1
     except PcwkError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, ValueError) as exc:  # a SpecValidationError lists its errors
+        for item in getattr(exc, "errors", [exc]):
+            print(f"error: {item}", file=sys.stderr)
         return 1
     print(_summary_block(entries), file=sys.stderr)
     return 0

@@ -298,6 +298,8 @@ def time_domain_projection_converged(
     is the symbol's ``max_condition``, its largest over least eigenvalue.
     """
     K = _check_dims(f, g, weights)
+    if initial_window < 1:  # a zero window would double forever
+        raise ValueError("initial_window must be >= 1")
     task, n = weights.horizon, weights.n
     largest = min(max_window, _largest_window(weights, f.grid_size))
     windows = [initial_window]

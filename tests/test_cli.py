@@ -24,6 +24,7 @@ from pcwk.cli import (
     MAX_SIMULATED_BLOCKS,
     MAX_WEIGHT_BLOCKS,
     SpecValidationError,
+    _KEYS,
     main,
     parse_spec,
     run,
@@ -622,6 +623,129 @@ class TestOversizedAndMalformedValues:
         assert not (tmp_path / "out" / "summary.csv").exists()
 
 
+class TestProblemTable:
+    """Every key is checked by its row of the table, before any solve, by
+    the run and by --dry-run alike; a refused spec writes nothing."""
+
+    def refused(self, tmp_path, capsys, spec, *flags):
+        """The stderr lines of a run and of a dry run, both refused with exit 1."""
+        out = tmp_path / "out"
+        assert main(["--spec", str(spec), "--out", str(out), *flags]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert main(["--spec", str(spec), "--dry-run", *flags]) == 1
+        assert capsys.readouterr().err.splitlines() == err
+        assert not out.exists()
+        return err
+
+    def test_unknown_class_params_key_refused(self, tmp_path, capsys):
+        # a typo of samples used to be ignored: 50 samples were drawn
+        spec = filter_spec(tmp_path, task="minimax-y",
+                           class_params={"total_power": 1.0, "sample": 5})
+        err = self.refused(tmp_path, capsys, spec)
+        assert err == ["error: class_params: unknown key 'sample'"]
+
+    def test_class_params_key_of_another_task_refused(self, tmp_path, capsys):
+        spec = filter_spec(tmp_path, task="oracle-check",
+                           class_params={"task": "filter", "samples": 5})
+        err = self.refused(tmp_path, capsys, spec)
+        assert err == ["error: class_params: unknown key 'samples'"]
+
+    def test_every_class_params_error_reported(self, tmp_path, capsys):
+        spec = filter_spec(tmp_path, task="minimax-y",
+                           class_params={"total_power": "x", "samples": -1})
+        err = self.refused(tmp_path, capsys, spec)
+        assert err == [
+            "error: class_params.total_power must be a number; got 'x'",
+            f"error: class_params.samples must be a nonnegative integer no larger "
+            f"than {MAX_SAMPLES}; got -1",
+        ]
+
+    @pytest.mark.parametrize("task, class_params", [
+        ("extrapolate", None),
+        ("minimax-y", {"total_power": 1.0, "samples": 3}),
+    ])
+    def test_negative_seed_flag_refused(self, tmp_path, capsys, task, class_params):
+        # the extrapolation used to write seed,-3 and the minimax run to fail
+        # in numpy with a message that did not name the flag
+        overrides = {"task": task}
+        if class_params:
+            overrides["class_params"] = class_params
+        spec = filter_spec(tmp_path, **overrides)
+        err = self.refused(tmp_path, capsys, spec, "--seed", "-3")
+        assert err == ["error: --seed must be a nonnegative integer"]
+
+    @pytest.mark.parametrize("task, class_params, key", [
+        ("minimax-y", {"total_power": float("inf")}, "total_power"),
+        ("minimax-y", {"total_power": 0}, "total_power"),
+        ("minimax-extrap-d01", {"power_matrix": [[float("nan")]]}, "power_matrix"),
+        ("minimax-interp-dm", {"moments": [[[float("inf")]]]}, "moments[0]"),
+        ("minimax-filter-d0eps",
+         {"signal_power": float("inf"), "noise_power": 1.0, "eps": 0.5}, "signal_power"),
+        ("minimax-filter-d0eps",
+         {"signal_power": 1.0, "noise_power": -1.0, "eps": 0.5}, "noise_power"),
+        ("minimax-filter-d0eps",
+         {"signal_power": 1.0, "noise_power": 1.0, "eps": 1.5}, "eps"),
+        ("oracle-check", {"task": "filter", "tolerance": -1}, "tolerance"),
+        ("oracle-check", {"task": "filter", "tolerance": float("nan")}, "tolerance"),
+        ("oracle-check", {"task": "filter", "initial_window": 0}, "initial_window"),
+    ])
+    def test_class_number_outside_its_domain_refused(self, tmp_path, capsys, task,
+                                                      class_params, key):
+        # these used to fail inside the solve ("SVD did not converge"), or,
+        # for a tolerance of -1 or NaN, to solve and then exit 2
+        spec = filter_spec(tmp_path, task=task, class_params=class_params,
+                           densities={"f": write_white(tmp_path, "f.csv"),
+                                      "g": write_white(tmp_path, "g.csv"),
+                                      "g2": write_white(tmp_path, "g.csv")})
+        err = self.refused(tmp_path, capsys, spec)
+        assert len(err) == 1 and err[0].startswith(f"error: class_params.{key} must be")
+
+    def test_non_finite_weight_csv_row_refused(self, tmp_path, capsys):
+        # the NaN row used to be sorted to the end and interpolated
+        (tmp_path / "a.csv").write_text("t,a\n0.0,1.0\nnan,0.5\n1.0,1.0\n",
+                                        encoding="utf-8")
+        spec = filter_spec(tmp_path, task="interpolate",
+                           lift={"period": 1.0, "harmonics": 1},
+                           weights={"csv": "a.csv", "blocks": 1})
+        err = self.refused(tmp_path, capsys, spec)
+        assert err == [f"error: {tmp_path / 'a.csv'}:3: malformed row"]
+
+    def test_empty_weight_block_refused(self, tmp_path, capsys):
+        # the solver used to refuse it, after the output directory was made
+        spec = filter_spec(tmp_path, weights={"inline": [[]]})
+        err = self.refused(tmp_path, capsys, spec)
+        assert err == ["error: weights.inline[0] must be a list of entries"]
+
+    def test_bad_lift_gives_one_error(self, tmp_path, capsys):
+        # a NaN period used to add a false "weights from csv require a lift"
+        spec = filter_spec(tmp_path, lift={"period": float("nan"), "harmonics": 1},
+                           weights={"csv": "a.csv", "blocks": 2})
+        err = self.refused(tmp_path, capsys, spec)
+        assert err == ["error: lift.period must be a positive number"]
+
+    def test_missing_density_file_refused_by_the_dry_run(self, tmp_path, capsys):
+        spec = filter_spec(tmp_path, densities={"f": "missing.csv", "g": "g.csv"})
+        err = self.refused(tmp_path, capsys, spec)
+        assert len(err) == 1 and "missing.csv" in err[0]
+
+    def test_readme_lists_the_class_params_of_each_task(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+            encoding="utf-8")
+        table = readme.split("Task-specific `class_params`", 1)[1].split("\n\n")[1]
+        listed = {}
+        for row in table.splitlines()[2:]:
+            key, tasks = row.split(" | ")[:2]
+            for task in tasks.split(", "):
+                listed.setdefault(task.strip("`"), set()).add(key.strip("| `"))
+        read = {}
+        for key in _KEYS:
+            section, _, name = key.path.partition(".")
+            for task in TASKS:
+                if section == "class_params" and key.reads(task):
+                    read.setdefault(task, set()).add(name)
+        assert listed == read
+
+
 FUZZ_GRID = 32
 FUZZ_WEIGHTS = {"inline": [[1.0], [0.5]]}
 # one valid problem per task on a small grid; the fuzzers replace one key
@@ -657,9 +781,11 @@ FUZZ_SPECS = {
     "simulate": {"densities": {"f": "f.csv"}, "class_params": {"n_blocks": 16}},
 }
 # null, booleans, negative and zero numbers, an integer beyond 64 bits, a
-# string, lists and objects
+# string, lists, objects, and the NaN and Infinity that Python's json reads
 FUZZ_VALUES = [None, True, False, -1, -2.5, 0, 2**70, "x", [], [1], [[1.0]], {},
-               {"a": 1}]
+               {"a": 1}, float("nan"), float("inf")]
+# a class_params key that no task reads: a typo of samples
+UNKNOWN_KEY = ("class_params", "sample")
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-(2**80), 2**80)
     | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4),
@@ -682,18 +808,25 @@ def key_paths(obj, prefix=()):
             yield from key_paths(value, prefix + (key,))
 
 
-def run_with_value(root, task, path, value):
+def fuzz_paths(task):
+    """The key paths the fuzzers set: every key of the task's spec, and one
+    class_params key that the task does not read."""
+    return list(key_paths(fuzz_spec(task))) + [UNKNOWN_KEY]
+
+
+def run_with_value(root, task, path, value, *flags):
     """Exit code and stderr of the task's spec with one key set to value."""
     payload = fuzz_spec(task)
     node = payload
     for key in path[:-1]:
-        node = node[key]
+        node = node.setdefault(key, {})
     node[path[-1]] = value
     spec = write_spec(root, payload)
     err = io.StringIO()
-    with contextlib.redirect_stderr(err), warnings.catch_warnings():
+    with (contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()),
+          warnings.catch_warnings()):
         warnings.simplefilter("ignore")
-        code = main(["--spec", str(spec), "--out", str(root / "out")])
+        code = main(["--spec", str(spec), "--out", str(root / "out"), *flags])
     return code, err.getvalue()
 
 
@@ -720,16 +853,25 @@ class TestFuzzedSpecs:
 
     @pytest.mark.parametrize("task", TASKS)
     def test_every_key_with_every_listed_value(self, fuzz_dir, task):
-        for path in key_paths(fuzz_spec(task)):
+        # --dry-run runs every check short of the solve: it refuses (exit 1)
+        # exactly the specs that the run refuses
+        for path in fuzz_paths(task):
             for value in FUZZ_VALUES:
                 code, err = run_with_value(fuzz_dir, task, path, value)
                 assert code in (0, 1, 2), (path, value)
                 assert "Traceback" not in err, (path, value)
+                dry_code, dry_err = run_with_value(fuzz_dir, task, path, value,
+                                                   "--dry-run")
+                assert (dry_code == 1) == (code == 1), (path, value, err, dry_err)
+                assert "Traceback" not in dry_err, (path, value)
+                if path == UNKNOWN_KEY:
+                    assert code == 1
+                    assert "class_params: unknown key 'sample'" in err
 
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(task=st.sampled_from(TASKS), data=st.data())
     def test_any_key_with_any_json_value(self, fuzz_dir, task, data):
-        path = data.draw(st.sampled_from(list(key_paths(fuzz_spec(task)))), label="key")
+        path = data.draw(st.sampled_from(fuzz_paths(task)), label="key")
         value = data.draw(json_values, label="value")
         code, err = run_with_value(fuzz_dir, task, path, value)
         assert code in (0, 1, 2)

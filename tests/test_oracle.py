@@ -225,6 +225,12 @@ class TestConvergedHistory:
         )
         assert [h.window for h in history] == [3, 6, 12, 24, 40]
 
+    def test_zero_initial_window_refused(self):
+        # doubling a zero window never reaches the largest one
+        w = FunctionalWeights.extrapolation([[1.0]])
+        with pytest.raises(ValueError, match="initial_window"):
+            time_domain_projection_converged(ma1(b=0.5), None, w, initial_window=0)
+
     def test_symbol_zero_refused(self):
         # |1 + e^{-i lambda}|^2 vanishes at lambda = -pi, a grid node; each
         # finite window's covariance is still positive definite, and the
