@@ -435,8 +435,10 @@ def parse_spec(path, seed=None, grid=None) -> ProblemSpec:
 def _load(spec: ProblemSpec) -> dict:
     """Read the weights and the densities the task uses, by name.
 
-    The run and ``--dry-run`` share this step, so they refuse the same
-    inputs, each before any solve and before the output directory exists.
+    The power matrix of the d01 class and the moments of the dm class are
+    admitted here by their solvers' own rules. The run and ``--dry-run``
+    share this step, so they refuse the same inputs, each before any solve
+    and before the output directory exists.
     """
     data, values = {}, spec.values
     horizon = _TASK_HORIZON[values.get("class_params.task", spec.task)]
@@ -448,6 +450,11 @@ def _load(spec: ProblemSpec) -> dict:
         a = partial(np.interp, xp=times, fp=samples, left=0.0, right=0.0)
         data["weights"] = compute_weights(a, spec.lift, values["weights.blocks"] - 1,
                                           horizon=horizon)
+    if spec.task == "minimax-extrap-d01":
+        minimax._power_matrix(values["class_params.power_matrix"], data["weights"].dim)
+    elif spec.task == "minimax-interp-dm":
+        minimax._dm_moments(values["class_params.moments"], data["weights"],
+                            spec.numerics.grid)
     for name in ("f", "g", "g2"):
         if f"densities.{name}" not in values:
             continue

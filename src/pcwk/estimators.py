@@ -680,14 +680,15 @@ def evaluate_mse(
 def _lag_table(vec):
     """Coefficients of the outer product vec vec^H of a (G, K) grid vector.
 
-    Entry i of the (G - 1, K, K) result is its coefficient at lag
-    G/2 - 1 - i, so with H = G/2 - 1 the rows H - L .. H + L hold the lags
-    -m that pair with a density's coefficients F(m), m = -L .. L, in the
-    order of its coefficient array.
+    Entry i of the (G + 1, K, K) result is its coefficient at lag G/2 - i,
+    so the rows G/2 - L .. G/2 + L hold the lags -m that pair with a
+    density's coefficients F(m), m = -L .. L, in the order of its
+    coefficient array; the lags -G/2 and G/2 share one coefficient, as
+    they share one node of the grid.
     """
     G = vec.shape[0]
     table = _all_fourier_coefficients(vec[:, :, None] * vec.conj()[:, None, :])
-    return table[(G // 2 - 1 - np.arange(G - 1)) % G]
+    return table[(G // 2 - np.arange(G + 1)) % G]
 
 
 class _ErrorFunctional:
@@ -700,13 +701,9 @@ class _ErrorFunctional:
 
     W_f(m) and W_g(m) being the lag-m coefficients of (A - h)(A - h)^H and
     h h^H, each tabulated by one FFT when first needed. A density is scored
-    from its 2L + 1 coefficients at O(L K^2), with no grid values. A
-    density whose grid values are already held, every ``from_grid`` one, is
-    scored on the grid as :func:`evaluate_mse` scores it: ``from_grid``
-    drops the Nyquist lag G/2 of its samples, so its coefficients and its
-    values can describe different densities, and the values are what the
-    solvers read. Both forms agree to round-off on a trigonometric
-    polynomial, whose retained band the grid integrates exactly.
+    from its 2L + 1 coefficients at O(L K^2), with no grid values; since a
+    density's coefficients and its values describe one function, this is
+    :func:`evaluate_mse`'s grid quadrature to round-off.
     """
 
     def __init__(self, h, weights: FunctionalWeights):
@@ -723,8 +720,6 @@ class _ErrorFunctional:
 
     def _term(self, density, noise):
         _check_characteristic_shape(self.h, density)
-        if "values" in vars(density):  # grid values held, see the class docstring
-            return _grid_term(self.h if noise else self.diff, density.values)
         table = self._noise_table if noise else self._signal_table
         mid, L = table.shape[0] // 2, density.max_lag
         return density.coeffs.ravel() @ table[mid - L : mid + L + 1].ravel()

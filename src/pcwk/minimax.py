@@ -27,9 +27,10 @@ more than the nominal pair does.
 Each class rule is written once, and the class's solver, sampler and
 validator read the same one: :func:`_power_matrix` admits a power matrix
 (Hermitian within 1e-10 of its norm, positive trace, no eigenvalue below
--1e-10 of the trace), :func:`d01_class_residual` measures membership in
-the fixed-power-matrix class, ``check_minimality`` decides definiteness of
-a moment polynomial, and :func:`_relation_residuals` evaluates the
+-1e-10 of the trace), :func:`_dm_moments` admits inverse moments (Hermitian,
+at least the horizon's number, a moment polynomial that passes
+``check_minimality``), :func:`d01_class_residual` measures membership in
+the fixed-power-matrix class, and :func:`_relation_residuals` evaluates the
 filtering optimality relations. Each ``*_class_residual`` is relative to
 its class's scale (the total power, ||P||_F, the largest moment norm, the
 larger of the two powers), so one tolerance judges classes of any scale;
@@ -294,6 +295,31 @@ def _moment_polynomial(p_constraints, dim, grid_size) -> SpectralDensity:
     return SpectralDensity(dim=dim, coeffs=coeffs, grid_size=grid_size)
 
 
+def _dm_moments(p_constraints, weights, grid_size) -> SpectralDensity:
+    """Admit the moments P(0..M) of the dm class for the weights' horizon n.
+
+    The moments must be Hermitian K x K matrices, M >= n, and their moment
+    polynomial must pass ``check_minimality``; that polynomial is returned.
+    The solver and the CLI's input check call this one rule.
+    """
+    M = len(p_constraints) - 1
+    if M < 0:
+        raise ValueError("need at least the zero-lag constraint")
+    P = _moment_polynomial(p_constraints, weights.dim, grid_size)
+    if M < weights.n:
+        raise InfeasibleClassError(
+            f"{M + 1} inverse moment(s) for horizon n = {weights.n} (the "
+            f"section needs {weights.n + 1}): the class's interpolation "
+            "errors are unbounded"
+        )
+    if not check_minimality(P).passed:
+        raise InfeasibleClassError(
+            "moment polynomial is not positive definite on the grid; "
+            "the class has no usable worst density"
+        )
+    return P
+
+
 def least_favorable_dm_interpolation(
     p_constraints: Sequence,
     weights: FunctionalWeights,
@@ -312,25 +338,11 @@ def least_favorable_dm_interpolation(
     arbitrarily close to singular, so the class's errors are unbounded and
     it raises ``InfeasibleClassError``. So does a moment polynomial that
     fails ``check_minimality``, which is not positive definite on the
-    circle.
+    circle. The moments are admitted by :func:`_dm_moments`.
     """
     if weights.horizon != "interpolation":
         raise ValueError("weights must carry the interpolation horizon")
-    M = len(p_constraints) - 1
-    if M < 0:
-        raise ValueError("need at least the zero-lag constraint")
-    P = _moment_polynomial(p_constraints, weights.dim, grid_size)
-    if M < weights.n:
-        raise InfeasibleClassError(
-            f"{M + 1} inverse moment(s) for horizon n = {weights.n} (the "
-            f"section needs {weights.n + 1}): the class's interpolation "
-            "errors are unbounded"
-        )
-    if not check_minimality(P).passed:
-        raise InfeasibleClassError(
-            "moment polynomial is not positive definite on the grid; "
-            "the class has no usable worst density"
-        )
+    P = _dm_moments(p_constraints, weights, grid_size)
     f0 = SpectralDensity.from_grid(_grid_inverse(P.values))
     h0 = interpolate(f0, None, weights)
     return LeastFavorableResult(
@@ -867,12 +879,8 @@ def saddle_point_check(
 
     The error of a fixed characteristic is linear in the densities, so its
     coefficient table is built once per check
-    (``estimators._ErrorFunctional``), and each sampled moving average,
-    with no grid values, is scored from its few coefficients. A sample
-    whose grid values are already held, every ``from_grid`` one (the noise
-    draws of ``sample_d0eps_class``, the members of ``sample_dm_class``),
-    keeps the grid quadrature of ``evaluate_mse``: ``from_grid`` drops
-    the Nyquist lag of its samples, so its coefficients can differ from its
+    (``estimators._ErrorFunctional``), and each sample is scored from its
+    coefficients: a sampled moving average from its few lags, with no grid
     values. The validators read moving averages through F(0) only, so such
     a sample never computes its grid values.
 

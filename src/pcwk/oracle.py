@@ -233,27 +233,6 @@ def time_domain_projection(
     )
 
 
-def _symbol(f: SpectralDensity, g: SpectralDensity | None) -> SpectralDensity:
-    """The coefficient symbol of f + g, as a density on the grid of f.
-
-    Its values are the coefficient table evaluated by one inverse FFT, not
-    the cached ``f.values``: a ``from_grid`` density's samples may carry a
-    Nyquist term that its coefficients, and so its covariances, lack. An
-    observation window whose lag span is below G/2 has a covariance that is
-    a principal submatrix of the block circulant of the table, whose
-    eigenvalues are those of the symbol at the G nodes; by Cauchy
-    interlacing, every window's eigenvalues lie between the least and the
-    largest of its ``eigenvalues``.
-    """
-    coeffs = f.coeffs
-    if g is not None:
-        L = max(f.max_lag, g.max_lag)
-        coeffs = np.zeros((2 * L + 1, f.dim, f.dim), dtype=complex)
-        for density in (f, g):
-            coeffs[L - density.max_lag : L + density.max_lag + 1] += density.coeffs
-    return SpectralDensity(f.dim, coeffs, grid_size=f.grid_size)
-
-
 def _nearest_first(task: str, n: int, window: int) -> np.ndarray:
     """The observed block indices of a window, nearest the target first.
 
@@ -291,11 +270,14 @@ def time_domain_projection_converged(
     bordered by each window's new block rows, and the error of a window is
     the target's variance minus ||L^{-1} cross||^2 over its prefix.
 
-    The gate is ``check_minimality`` of the coefficient symbol of f + g
-    (:func:`_symbol`), computed once: the call raises ``IllPosedError``
-    when the symbol fails it, which by interlacing refuses every window
-    :func:`time_domain_projection` refuses. Each projection's ``condition``
-    is the symbol's ``max_condition``, its largest over least eigenvalue.
+    The gate is ``check_minimality(f, g)``, the solvers' own, computed
+    once: the call raises ``IllPosedError`` when f + g fails it. A window
+    whose lag span is below G/2 has a covariance that is a principal
+    submatrix of the block circulant of the coefficient table, whose
+    eigenvalues are those of f + g at the G nodes, so by Cauchy interlacing
+    the gate refuses every window :func:`time_domain_projection` refuses.
+    Each projection's ``condition`` is the gate's ``max_condition``, its
+    largest over least eigenvalue.
     """
     K = _check_dims(f, g, weights)
     if initial_window < 1:  # a zero window would double forever
@@ -307,7 +289,7 @@ def time_domain_projection_converged(
         windows.append(min(2 * windows[-1], largest))
     obs = _nearest_first(task, n, windows[-1])
     cz, cx = _tables(f, g, weights, windows[-1])
-    report = check_minimality(_symbol(f, g))
+    report = check_minimality(f, g)
     if not report.passed:
         raise IllPosedError(
             "observation covariance symbol is singular on the grid; "

@@ -18,8 +18,10 @@ integrals are trapezoid sums over the uniform grid
 trigonometric band exactly. Densities that are not
 polynomials (inverses of polynomials, iterates of fixed-point solvers) are
 built from their grid samples with :meth:`SpectralDensity.from_grid`, which
-keeps the samples as the cached values and every resolvable coefficient
-above round-off as the array.
+keeps the samples as the cached values and their trigonometric interpolant
+as the array, so the values and the coefficients of every density describe
+one function. A band reaches at most lag G/2, where the interpolant holds
+the Nyquist coefficient as the pair +-G/2 at half weight each.
 
 This module is the one home of the grid convention: on ``lambda_g`` lag m
 carries the phase (-1)^m e^{2 pi i m g / G}, and the package's only two
@@ -79,7 +81,7 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 def _stack_lags(coeffs: Mapping, dim: int, grid_size: int) -> np.ndarray:
     """The (2 L + 1, K, K) array of a lag -> matrix mapping, L its largest |lag|."""
     lags = [int(m) for m in coeffs]
-    far = next((m for m in lags if abs(m) >= grid_size // 2), None)
+    far = next((m for m in lags if abs(m) > grid_size // 2), None)
     if far is not None:
         raise AliasingError(
             f"lag {far} is not resolvable on a grid of size {grid_size}"
@@ -136,7 +138,7 @@ class SpectralDensity:
                     f"coefficients must have shape (2 L + 1, {self.dim}, {self.dim}), "
                     f"got {arr.shape}"
                 )
-            if arr.shape[0] // 2 >= self.grid_size // 2:
+            if arr.shape[0] // 2 > self.grid_size // 2:
                 raise AliasingError(
                     f"lag {arr.shape[0] // 2} is not resolvable on a grid of size "
                     f"{self.grid_size}"
@@ -189,22 +191,26 @@ class SpectralDensity:
         """Recover a density from samples on the standard grid.
 
         The samples, copied and read-only, become the density's grid values,
-        and their number its grid size. Its coefficients are every resolvable
-        lag of their FFT, with the Hermitian pairs whose norms both fall below
-        1e-15 of the largest coefficient set to zero and the array cut after
-        the last kept lag.
+        and their number its grid size. Its coefficients are those of their
+        trigonometric interpolant: every lag of their FFT, with the Nyquist
+        coefficient split into the lags -G/2 and G/2 at half weight each
+        (Trefethen, *Spectral Methods in MATLAB*, SIAM 2000, ch. 3), so they
+        evaluate back to the samples. The Hermitian pairs whose norms both
+        fall below 1e-15 of the largest coefficient are set to zero and the
+        array is cut after the last kept lag.
         """
         samples = np.array(_as_grid_values(values))
         G = samples.shape[0]
         coeff_all = _all_fourier_coefficients(samples)
         norms = np.linalg.norm(coeff_all, axis=(1, 2))
-        half = G // 2 - 1
+        half = G // 2
         lags = np.arange(-half, half + 1)
         above = norms[lags % G] > 1e-15 * max(norms.max(), 1e-300)
         keep = above | above[::-1]
         keep[half] = True  # lag 0
         L = int(np.abs(lags[keep]).max())
         coeffs = np.where(keep[:, None, None], coeff_all[lags % G], 0.0)
+        coeffs[np.abs(lags) == G / 2] *= 0.5  # the Nyquist pair; one node has none
         density = cls(dim=samples.shape[1], coeffs=coeffs[half - L : half + L + 1],
                       grid_size=G)
         vars(density)["values"] = _read_only(samples)  # the cache of ``values``

@@ -700,6 +700,28 @@ class TestProblemTable:
         err = self.refused(tmp_path, capsys, spec)
         assert len(err) == 1 and err[0].startswith(f"error: class_params.{key} must be")
 
+    @pytest.mark.parametrize("task, class_params, code, message", [
+        ("minimax-extrap-d01", {"power_matrix": [[-1.0]]}, 1,
+         "power matrix must have positive trace"),
+        ("minimax-interp-dm", {"moments": [[[2.0]], [[[0.0, 0.5]]]]}, 1,
+         "constraint 1 must be Hermitian"),
+        ("minimax-interp-dm", {"moments": [[[2.0]]]}, 2, "errors are unbounded"),
+    ], ids=["d01-trace", "dm-hermitian", "dm-too-few"])
+    def test_class_admission_refused_before_the_output_exists(
+        self, tmp_path, capsys, task, class_params, code, message
+    ):
+        # the solvers' admission rules used to run only in the run, after the
+        # output directory was made, and --dry-run exited 0
+        spec = filter_spec(tmp_path, task=task, class_params=class_params,
+                           weights={"inline": [[1.0], [0.5]]})
+        out = tmp_path / "out"
+        assert main(["--spec", str(spec), "--out", str(out)]) == code
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and message in err[0]
+        assert main(["--spec", str(spec), "--dry-run"]) == code
+        assert capsys.readouterr().err.splitlines() == err
+        assert not out.exists()
+
     def test_non_finite_weight_csv_row_refused(self, tmp_path, capsys):
         # the NaN row used to be sorted to the end and interpolated
         (tmp_path / "a.csv").write_text("t,a\n0.0,1.0\nnan,0.5\n1.0,1.0\n",

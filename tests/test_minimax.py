@@ -17,11 +17,13 @@ from pcwk import (
     least_favorable_d01_extrapolation,
     least_favorable_d0eps_filtering_scalar,
     least_favorable_dm_interpolation,
+    read_density_csv,
     saddle_point_check,
     sample_d01_class,
     sample_d0eps_class,
     sample_dm_class,
     sample_power_class,
+    write_density_csv,
 )
 from pcwk.estimators import _ErrorFunctional, evaluate_mse
 from pcwk.minimax import (
@@ -530,16 +532,22 @@ def _random_ma(rng, dim, order):
     horizon=st.sampled_from(sorted(HORIZONS)),
     orders=st.tuples(st.integers(0, 5), st.integers(0, 5)),
     noisy=st.booleans(),
+    on_grid=st.booleans(),
 )
 def test_error_from_coefficients_equals_the_grid_quadrature(
-    seed, dim, horizon, orders, noisy
+    seed, dim, horizon, orders, noisy, on_grid
 ):
     rng, weights, h = _random_case(seed, dim, horizon)
     f = _random_ma(rng, dim, orders[0])
     g = _random_ma(rng, dim, orders[1]) if noisy else None
+    if on_grid:
+        # from_grid members: the grid inverses of the moving averages, whose
+        # bands run to the Nyquist pair -G/2, G/2
+        f, g = (None if d is None else SpectralDensity.from_grid(np.linalg.inv(d.values))
+                for d in (f, g))
     value = _ErrorFunctional(h, weights)(f, g)
-    # scored from the coefficients alone
-    assert "values" not in vars(f) and (g is None or "values" not in vars(g))
+    if not on_grid:  # scored from the coefficients alone
+        assert "values" not in vars(f) and (g is None or "values" not in vars(g))
     reference = evaluate_mse(h, f, g, weights)
     assert value == pytest.approx(reference, rel=1e-12)
 
@@ -547,11 +555,13 @@ def test_error_from_coefficients_equals_the_grid_quadrature(
 @pytest.mark.parametrize("noisy", [False, True])
 @pytest.mark.parametrize("dim", [1, 2, 4])
 def test_error_of_a_from_grid_member_is_its_grid_quadrature(dim, noisy):
-    # from_grid drops the Nyquist lag, so held grid values are scored as they are
+    # a from_grid member is scored from its coefficients like any density,
+    # and they describe its held grid values
     _, weights, h = _random_case(7, dim, "filtering" if noisy else "extrapolation")
     f = ar1(dim, phi=0.6)
     g = ar1(dim, phi=-0.3) if noisy else None
-    assert _ErrorFunctional(h, weights)(f, g) == evaluate_mse(h, f, g, weights)
+    value = _ErrorFunctional(h, weights)(f, g)
+    assert value == pytest.approx(evaluate_mse(h, f, g, weights), rel=1e-12)
 
 
 def _grid_power(f):
@@ -723,6 +733,22 @@ class TestD0EpsSolver:
             assert cert["residual_signal_relation"] <= 1e-6
         else:
             assert any("not certified" in str(w.message) for w in caught)
+
+    def test_least_favorable_csvs_read_back_to_the_solved_pair(self, tmp_path):
+        # the hard instance's pair holds a Nyquist term, which its coefficient
+        # CSVs used to drop: they read back 0.485 off at every node
+        w = FunctionalWeights.filtering([[1.0], [0.5]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            result = least_favorable_d0eps_filtering_scalar(
+                w, 1.0, 1.0, 1.0, white(), grid_size=GRID, max_iter=60
+            )
+        for name, density in (("f", result.f0), ("g", result.g0)):
+            path = tmp_path / f"least_favorable_{name}.csv"
+            write_density_csv(density, path)
+            back = read_density_csv(path, grid_size=GRID).values
+            scale = np.abs(density.values).max()
+            assert np.abs(back - density.values).max() <= 1e-12 * scale, name
 
     def test_grid_size_must_match_the_baseline(self):
         w = FunctionalWeights.filtering([[1.0]])

@@ -30,8 +30,8 @@ from pcwk import (
 )
 from pcwk.estimators import _kernel_table, _weighted_kernel
 from pcwk.factorization import Factorization
-from pcwk.oracle import _symbol, observation_indices
-from pcwk.spectral import _inverse_if_minimal
+from pcwk.oracle import observation_indices
+from pcwk.spectral import _inverse_if_minimal, _node_eigenvalues
 from conftest import GRID, ar1, coupled_ma2, ma1, white
 
 
@@ -205,13 +205,12 @@ class TestConvergedHistory:
         proj, history = time_domain_projection_converged(f, g, w, initial_window=2)
         assert proj.converged and history[-1] is proj
         assert len(history) >= (2 if proj.mse == 0.0 else 3)
-        eigs = _symbol(f, g).eigenvalues
-        lo, hi = eigs.min(), eigs.max()
+        gate = check_minimality(f, g).max_condition
         for entry in history:
             single = time_domain_projection(f, g, w, entry.window)
             assert entry.window == single.window
             assert entry.n_observations == single.n_observations
-            assert entry.condition == hi / lo >= single.condition
+            assert entry.condition == gate >= single.condition
             if horizon == "filtering" and not noisy:
                 # every block of the functional is observed exactly
                 assert entry.mse == single.mse == 0.0
@@ -243,29 +242,25 @@ class TestConvergedHistory:
             extrapolate(f, None, w)
 
 
-def test_symbol_bound_reads_the_coefficients_not_the_samples():
-    # samples of 1 + 0.9 cos(lambda) plus a Nyquist term 0.2 (-1)^k, which
-    # the coefficients, and so the covariances, cannot hold: the cached
-    # samples go negative at odd nodes near lambda = -pi, the coefficient
-    # symbol stays within [0.1, 1.9]
+def test_nyquist_term_is_held_by_the_coefficients_and_refused():
+    # samples of 1 + 0.9 cos(lambda) plus a Nyquist term 0.2 (-1)^k: the
+    # coefficients hold that term as 0.1 at lags -32 and 32, so they describe
+    # the samples, which go negative at odd nodes near lambda = -pi; the
+    # oracle and the spectral solver both refuse the density
     grid = 64
     base = 1.0 + 0.9 * np.cos(frequency_grid(grid))
     f = SpectralDensity.from_grid(base + 0.2 * (-1.0) ** np.arange(grid))
-    np.testing.assert_allclose(f.coeffs[:, 0, 0], [0.45, 1.0, 0.45], atol=1e-15)
+    assert f.max_lag == grid // 2
+    for m, value in ((-32, 0.1), (-1, 0.45), (0, 1.0), (1, 0.45), (32, 0.1)):
+        assert f.coeff(m)[0, 0] == pytest.approx(value, abs=1e-15)
+    assert np.abs(f.coeffs[[*range(1, 31), *range(34, 64)]]).max() <= 1e-15
     assert f.values.real.min() < 0.0
-    eigs = _symbol(f, None).eigenvalues
-    lo, hi = eigs.min(), eigs.max()
-    assert lo == pytest.approx(0.1, rel=1e-12)
-    assert hi == pytest.approx(1.9, rel=1e-12)
+    assert not check_minimality(f).passed
     w = FunctionalWeights.extrapolation([[1.0]])
-    proj, history = time_domain_projection_converged(f, None, w)
-    assert proj.converged
-    assert proj.condition == pytest.approx(19.0, rel=1e-12)
-    for entry in history:
-        eigs = np.linalg.eigvalsh(loop_covariance(f, None, w, entry.window))
-        assert lo <= eigs.min() and eigs.max() <= hi
-        single = time_domain_projection(f, None, w, entry.window)
-        assert entry.mse == pytest.approx(single.mse, rel=1e-12)
+    with pytest.raises(IllPosedError):
+        time_domain_projection_converged(f, None, w)
+    with pytest.raises(MinimalityError):
+        extrapolate(f, None, w)
 
 
 def _runtime_imports(module):
@@ -362,7 +357,8 @@ def test_symbol_bounds_bracket_the_window_covariance(problem, horizon, noisy, wi
     g = SpectralDensity.white(f.dim, scale=0.5, grid_size=PROPERTY_GRID)
     g = g if noisy else None
     w = FunctionalWeights(blocks=blocks, horizon=horizon)
-    symbol = _symbol(f, g).eigenvalues
+    # the node eigenvalues of f + g that check_minimality reads
+    symbol = f.eigenvalues if g is None else _node_eigenvalues(f.values + g.values)
     lo, hi = symbol.min(), symbol.max()
     sigma = loop_covariance(f, g, w, window)
     eigs = np.linalg.eigvalsh(0.5 * (sigma + sigma.conj().T))

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pcwk
 from pcwk import (
@@ -286,6 +287,39 @@ class TestMovingAverageConstruction:
     def test_scaled(self):
         f = ma1().scaled(3.0)
         assert f.coeff(0)[0, 0] == pytest.approx(3.75)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3),
+       grid=st.sampled_from([8, 64, 512]), nyquist=st.floats(0.1, 2.0))
+def test_from_grid_coefficients_describe_their_samples(
+    tmp_path_factory, seed, dim, grid, nyquist
+):
+    # Hermitian samples with a Nyquist term: the coefficients of from_grid,
+    # and the density read back from its CSV at the same grid, evaluate to them
+    rng = np.random.default_rng(seed)
+    shape = (grid, dim, dim)
+    raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    samples = raw + np.conj(np.transpose(raw, (0, 2, 1)))
+    samples += nyquist * np.multiply.outer((-1.0) ** np.arange(grid), np.eye(dim))
+    f = SpectralDensity.from_grid(samples)
+    assert f.max_lag == grid // 2
+    np.testing.assert_allclose(f.coeff(grid // 2), f.coeff(-grid // 2), atol=0.0)
+    bound = 1e-13 * np.abs(samples).max()
+    assert np.abs(SpectralDensity(dim, f.coeffs, grid).values - samples).max() <= bound
+    path = tmp_path_factory.mktemp("nyquist") / "f.csv"
+    write_density_csv(f, path)
+    assert np.abs(read_density_csv(path, grid_size=grid).values - samples).max() <= bound
+
+
+def test_coefficients_reach_the_nyquist_pair_and_no_further():
+    assert SpectralDensity.from_grid([2.0]).coeffs[:, 0, 0].tolist() == [2.0]
+    SpectralDensity(1, {-4: 0.5, 0: 2.0, 4: 0.5}, grid_size=8)
+    SpectralDensity(1, np.ones((9, 1, 1)), grid_size=8)
+    with pytest.raises(AliasingError, match="lag 5"):
+        SpectralDensity(1, {5: 0.5, 0: 2.0, -5: 0.5}, grid_size=8)
+    with pytest.raises(AliasingError, match="lag 5"):
+        SpectralDensity(1, np.ones((11, 1, 1)), grid_size=8)
 
 
 class TestDensityCsv:
