@@ -59,7 +59,6 @@ from .oracle import (
     covariances_from_density,
     empirical_mse,
     simulate_sequence,
-    time_domain_projection,
     time_domain_projection_converged,
 )
 from .spectral import (

@@ -8,8 +8,9 @@ byte-identical CSV bodies.
 
 Every key of the problem file is a row of ``_KEYS``: its rule, default and
 the tasks that require or read it. ``parse_spec`` walks the table once and
-reports every error together; ``_load`` then reads the weights and the
-densities the task uses, for the run and for ``--dry-run`` alike.
+reports every error together; ``_load`` then reads the densities and the
+weights the task uses and admits them by the solvers' own rules, for the
+run and for ``--dry-run`` alike.
 
 Exit status: 0 on success, 1 on usage or validation errors, 2 on numerical
 failures (minimality or conditioning).
@@ -33,13 +34,9 @@ import numpy as np
 
 from . import minimax, oracle
 from .errors import PcwkError, TruncationError
-from .estimators import (
-    extrapolate,
-    filtering,
-    interpolate,
-)
+from .estimators import _admit_truncation, extrapolate, filtering, interpolate
 from .factorization import spectral_factorize
-from .lifting import FunctionalWeights, LiftConfig, compute_weights
+from .lifting import FunctionalWeights, LiftConfig, _shared_dim, compute_weights
 from .spectral import (
     DEFAULT_GRID_SIZE,
     _write_table,
@@ -71,6 +68,8 @@ _ESTIMATION = ("interpolate", "extrapolate", "extrapolate-finite", "filter")
 _MINIMAX = tuple(task for task in TASKS if task.startswith("minimax-"))
 _D0EPS = ("minimax-filter-d0eps",)
 _WEIGHTED = _ESTIMATION + _MINIMAX  # the tasks that read weights
+# the tasks whose solve reads numerics.truncation
+_TRUNCATED = ("extrapolate", "extrapolate-finite", "filter") + _D0EPS
 # the sections of a problem file; lift and weights may be absent or null
 _SECTIONS = ("numerics", "lift", "densities", "weights", "class_params")
 _OPTIONAL = ("lift", "weights")
@@ -433,28 +432,18 @@ def parse_spec(path, seed=None, grid=None) -> ProblemSpec:
 
 
 def _load(spec: ProblemSpec) -> dict:
-    """Read the weights and the densities the task uses, by name.
+    """Read the densities and the weights the task uses, by name, and admit them.
 
-    The power matrix of the d01 class and the moments of the dm class are
-    admitted here by their solvers' own rules. The run and ``--dry-run``
-    share this step, so they refuse the same inputs, each before any solve
-    and before the output directory exists.
+    Each input is admitted by the rule its solver calls: the dimension of
+    the weights and the densities (``lifting._shared_dim``), a truncation
+    that a task's solve reads (``estimators._admit_truncation``), and the
+    class of each minimax task but the bounded-power one, whose power the
+    problem table admits (``minimax._power_matrix``, ``_dm_moments`` and
+    ``_d0eps_class``). The run and ``--dry-run`` share this step, so they
+    refuse the same inputs, each before any solve and before the output
+    directory exists.
     """
     data, values = {}, spec.values
-    horizon = _TASK_HORIZON[values.get("class_params.task", spec.task)]
-    if "weights.inline" in values:
-        blocks = np.array(values["weights.inline"], dtype=complex)
-        data["weights"] = FunctionalWeights(blocks=blocks, horizon=horizon)
-    elif "weights.csv" in values:
-        times, samples = _read_weight_csv(spec.base_dir / values["weights.csv"])
-        a = partial(np.interp, xp=times, fp=samples, left=0.0, right=0.0)
-        data["weights"] = compute_weights(a, spec.lift, values["weights.blocks"] - 1,
-                                          horizon=horizon)
-    if spec.task == "minimax-extrap-d01":
-        minimax._power_matrix(values["class_params.power_matrix"], data["weights"].dim)
-    elif spec.task == "minimax-interp-dm":
-        minimax._dm_moments(values["class_params.moments"], data["weights"],
-                            spec.numerics.grid)
     for name in ("f", "g", "g2"):
         if f"densities.{name}" not in values:
             continue
@@ -466,6 +455,31 @@ def _load(spec: ProblemSpec) -> dict:
                 f"density {name!r} failed validation: " + "; ".join(report.issues)
             )
         data[name] = density
+    target = values.get("class_params.task", spec.task)
+    horizon = _TASK_HORIZON[target]
+    if "weights.inline" in values:
+        blocks = np.array(values["weights.inline"], dtype=complex)
+        data["weights"] = FunctionalWeights(blocks=blocks, horizon=horizon)
+    elif "weights.csv" in values:
+        times, samples = _read_weight_csv(spec.base_dir / values["weights.csv"])
+        a = partial(np.interp, xp=times, fp=samples, left=0.0, right=0.0)
+        data["weights"] = compute_weights(a, spec.lift, values["weights.blocks"] - 1,
+                                          horizon=horizon)
+    else:
+        return data
+    weights = data["weights"]
+    K = _shared_dim(weights, *map(data.get, ("f", "g", "g2")))
+    if target in _TRUNCATED:
+        _admit_truncation(weights, spec.numerics.truncation)
+    if spec.task == "minimax-extrap-d01":
+        minimax._power_matrix(values["class_params.power_matrix"], K)
+    elif spec.task == "minimax-interp-dm":
+        minimax._dm_moments(values["class_params.moments"], K, weights.n,
+                            spec.numerics.grid)
+    elif spec.task in _D0EPS:
+        minimax._d0eps_class(values["class_params.signal_power"],
+                             values["class_params.noise_power"],
+                             values["class_params.eps"], data["g2"])
     return data
 
 

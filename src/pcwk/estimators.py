@@ -51,7 +51,7 @@ import numpy as np
 
 from .cholesky import border, cholesky, cholesky_solver
 from .errors import IllPosedError, MinimalityError, TruncationError
-from .lifting import FunctionalWeights, check_weight_summability
+from .lifting import FunctionalWeights, _shared_dim, check_weight_summability
 from .spectral import (
     DEFAULT_COND_THRESHOLD,
     SpectralDensity,
@@ -408,14 +408,23 @@ def _real_mse(value: complex) -> float:
 # -- truncation of the infinite systems ----------------------------------
 
 
+def _admit_truncation(weights, truncation):
+    """Refuse a given truncation below the last nonzero weight block.
+
+    The rule of every truncated solve, and of the command line's input check.
+    """
+    j_last = weights.last_nonzero
+    if truncation is not None and truncation < j_last:
+        raise ValueError(
+            "truncation must cover the last nonzero weight block "
+            f"({truncation} < {j_last})"
+        )
+
+
 def _truncation_schedule(weights, truncation, cap, context):
+    _admit_truncation(weights, truncation)
     j_last = weights.last_nonzero
     if truncation is not None:
-        if truncation < j_last:
-            raise ValueError(
-                "truncation must cover the last nonzero weight block "
-                f"({truncation} < {j_last})"
-            )
         if truncation > cap:
             raise TruncationError(
                 f"{context}: truncation {truncation} exceeds the grid resolution "
@@ -526,13 +535,11 @@ def _estimate(f, g, weights, truncation):
     Only B is gathered: D a and a* R a come from the weight symbol
     (:func:`_weighted_kernel`).
     """
-    if weights.dim != f.dim or (g is not None and g.dim != f.dim):
-        raise ValueError("weights and densities must share one dimension")
+    K, G = _shared_dim(weights, f, g), f.grid_size
     task = weights.horizon
     context = task.removesuffix("_finite")
     if task != "interpolation":
         _summability_warning(weights)
-    K, G = f.dim, f.grid_size
     inv, gv, B = _kernel_table(f, g)
     tail = _kernel_tail(B)
     first = 1 if task == "filtering" else 0

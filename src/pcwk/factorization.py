@@ -51,7 +51,7 @@ from .estimators import (
     _summability_warning,
     functional_symbol,
 )
-from .lifting import FunctionalWeights
+from .lifting import FunctionalWeights, _shared_dim
 from .spectral import (
     DEFAULT_GRID_SIZE,
     SpectralDensity,
@@ -420,10 +420,9 @@ def extrapolate_factorized(f, weights: FunctionalWeights) -> EstimateSolution:
     """
     if weights.horizon not in ("extrapolation", "extrapolation_finite"):
         raise ValueError("weights must carry an extrapolation horizon")
+    _shared_dim(weights, f)
     _summability_warning(weights)
     fact = f if isinstance(f, Factorization) else spectral_factorize(f)
-    if weights.dim != fact.dim:
-        raise ValueError("weights and factor must share one dimension")
     sums = _weighted_tap_sums(weights, fact)
     mse = float(np.sum(np.abs(sums) ** 2))
     Q = _left_inverse_values(fact.symbol())

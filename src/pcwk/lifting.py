@@ -149,6 +149,19 @@ class FunctionalWeights:
         return int(nz[-1]) if nz.size else 0
 
 
+def _shared_dim(weights: FunctionalWeights, *densities) -> int:
+    """The dimension K of the weights, refused unless every density has it.
+
+    ``None`` (absent noise) is skipped, and a density may be anything with a
+    ``dim``, such as a ``Factorization``. The one dimension rule of the
+    estimators, the factorization route, the oracle and the command line.
+    """
+    K = weights.dim
+    if any(d is not None and d.dim != K for d in densities):
+        raise ValueError("weights and densities must share one dimension")
+    return K
+
+
 def compute_weights(
     a: Callable[[np.ndarray], np.ndarray],
     cfg: LiftConfig,

@@ -25,15 +25,20 @@ and checking that none of them makes the fixed robust characteristic err
 more than the nominal pair does.
 
 Each class rule is written once, and the class's solver, sampler and
-validator read the same one: :func:`_power_matrix` admits a power matrix
-(Hermitian within 1e-10 of its norm, positive trace, no eigenvalue below
--1e-10 of the trace), :func:`_dm_moments` admits inverse moments (Hermitian,
-at least the horizon's number, a moment polynomial that passes
-``check_minimality``), :func:`d01_class_residual` measures membership in
-the fixed-power-matrix class, and :func:`_relation_residuals` evaluates the
-filtering optimality relations. Each ``*_class_residual`` is relative to
-its class's scale (the total power, ||P||_F, the largest moment norm, the
-larger of the two powers), so one tolerance judges classes of any scale;
+validator read the same one: :func:`_total_power` admits the bounded power
+(positive), :func:`_power_matrix` admits a power matrix (Hermitian within
+1e-10 of its norm, positive trace, no eigenvalue below -1e-10 of the
+trace), :func:`_dm_moments` admits inverse moments (Hermitian, at least the
+horizon's number, a moment polynomial that passes ``check_minimality``),
+:func:`_d0eps_class` admits the scalar filtering class (positive powers,
+eps in [0, 1], a nonnegative baseline g2 and a noise power that its floor
+admits), ``lifting._shared_dim`` matches the dimension of the weights and
+the densities, :func:`d01_class_residual` measures membership in the
+fixed-power-matrix class, and :func:`_relation_residuals` evaluates the
+filtering optimality relations. The command line's input check calls the
+same admission rules. Each ``*_class_residual`` is relative to its class's
+scale (the total power, ||P||_F, the largest moment norm, the larger of
+the two powers), so one tolerance judges classes of any scale;
 the saddle margins are absolute.
 """
 
@@ -54,7 +59,7 @@ from .estimators import (
     interpolate,
 )
 from .factorization import Factorization, extrapolate_factorized
-from .lifting import FunctionalWeights
+from .lifting import FunctionalWeights, _shared_dim
 from .spectral import (
     DEFAULT_GRID_SIZE,
     SpectralDensity,
@@ -208,11 +213,16 @@ def least_favorable_class_y(
     eigenvector of the weight gram operator scaled to the given power; the
     minimax error is the power times the top eigenvalue.
     """
-    if not (total_power > 0):
-        raise ValueError("total_power must be positive")
+    _total_power(total_power)
     result = _eigen_worst_case(weights, total_power, grid_size)
     result.certificate["total_power"] = total_power
     return result
+
+
+def _total_power(total_power):
+    """Admit the power of the bounded-power class: a positive number."""
+    if not (total_power > 0):
+        raise ValueError("total_power must be positive")
 
 
 def _hermitian_matrix(mat, dim, name) -> np.ndarray:
@@ -295,21 +305,24 @@ def _moment_polynomial(p_constraints, dim, grid_size) -> SpectralDensity:
     return SpectralDensity(dim=dim, coeffs=coeffs, grid_size=grid_size)
 
 
-def _dm_moments(p_constraints, weights, grid_size) -> SpectralDensity:
-    """Admit the moments P(0..M) of the dm class for the weights' horizon n.
+def _dm_moments(p_constraints, dim, n, grid_size) -> SpectralDensity:
+    """Admit the moments P(0..M) of the dm class for a horizon n.
 
-    The moments must be Hermitian K x K matrices, M >= n, and their moment
-    polynomial must pass ``check_minimality``; that polynomial is returned.
-    The solver and the CLI's input check call this one rule.
+    The moments must be Hermitian K x K matrices (``dim`` None takes K from
+    P(0)), M >= n, and their moment polynomial must pass
+    ``check_minimality``; that polynomial is returned. The solver, the
+    sampler (with n = 0) and the CLI's input check call this one rule.
     """
     M = len(p_constraints) - 1
     if M < 0:
         raise ValueError("need at least the zero-lag constraint")
-    P = _moment_polynomial(p_constraints, weights.dim, grid_size)
-    if M < weights.n:
+    if dim is None:
+        dim = np.atleast_2d(np.asarray(p_constraints[0])).shape[0]
+    P = _moment_polynomial(p_constraints, dim, grid_size)
+    if M < n:
         raise InfeasibleClassError(
-            f"{M + 1} inverse moment(s) for horizon n = {weights.n} (the "
-            f"section needs {weights.n + 1}): the class's interpolation "
+            f"{M + 1} inverse moment(s) for horizon n = {n} (the "
+            f"section needs {n + 1}): the class's interpolation "
             "errors are unbounded"
         )
     if not check_minimality(P).passed:
@@ -342,7 +355,7 @@ def least_favorable_dm_interpolation(
     """
     if weights.horizon != "interpolation":
         raise ValueError("weights must carry the interpolation horizon")
-    P = _dm_moments(p_constraints, weights, grid_size)
+    P = _dm_moments(p_constraints, weights.dim, weights.n, grid_size)
     f0 = SpectralDensity.from_grid(_grid_inverse(P.values))
     h0 = interpolate(f0, None, weights)
     return LeastFavorableResult(
@@ -480,6 +493,38 @@ _DAMPING = 0.5
 _RELATION_TOL = 1e-6
 
 
+def _d0eps_class(signal_power, noise_power, eps, g2) -> np.ndarray:
+    """Admit the scalar class of the d0eps filtering problem; return g2's
+    real samples.
+
+    g2 must be scalar and nonnegative on the grid, eps in [0, 1] and both
+    powers positive. The noise power must reach the floor power, that of
+    (1 - eps) g2, and with eps = 0, which pins the noise to g2, equal the
+    power of g2. The solver, the sampler and the CLI's input check call
+    this one rule.
+    """
+    if g2.dim != 1:
+        raise ValueError("only the scalar case is supported")
+    if not (0.0 <= eps <= 1.0):
+        raise ValueError("eps must lie in [0, 1]")
+    if signal_power <= 0 or noise_power <= 0:
+        raise ValueError("powers must be positive")
+    g2v = g2.values[:, 0, 0].real
+    if g2v.min() < -1e-12:
+        raise ValueError("contamination baseline must be nonnegative")
+    if noise_power < ((1.0 - eps) * g2v).mean() - 1e-12:
+        raise InfeasibleClassError(
+            "noise power is below the contamination floor; the class is empty"
+        )
+    p2 = float(g2v.mean())
+    if eps == 0.0 and abs(p2 - noise_power) > 1e-8 * max(1.0, noise_power):
+        raise InfeasibleClassError(
+            "with eps = 0 the noise density is pinned to the baseline, whose "
+            "power disagrees with the requested noise power"
+        )
+    return g2v
+
+
 def least_favorable_d0eps_filtering_scalar(
     weights: FunctionalWeights,
     signal_power: float,
@@ -500,35 +545,18 @@ def least_favorable_d0eps_filtering_scalar(
     normalizations. On convergence (relation residuals below 1e-6) the
     certificate is marked converged; otherwise the best iterate is returned
     flagged, never silently accepted. ``grid_size``, when given, must be the
-    grid of ``g2``.
+    grid of ``g2``. The class is admitted by :func:`_d0eps_class`.
     """
     if weights.horizon != "filtering":
         raise ValueError("weights must carry the filtering horizon")
-    if weights.dim != 1 or g2.dim != 1:
-        raise ValueError("only the scalar case is supported")
-    if not (0.0 <= eps <= 1.0):
-        raise ValueError("eps must lie in [0, 1]")
-    if signal_power <= 0 or noise_power <= 0:
-        raise ValueError("powers must be positive")
+    _shared_dim(weights, g2)
+    g2v = _d0eps_class(signal_power, noise_power, eps, g2)
     G = grid_size or g2.grid_size
     if G != g2.grid_size:
         raise ValueError(
             f"grid_size {G} does not match the grid size {g2.grid_size} of g2"
         )
-    g2v = g2.values[:, 0, 0].real
-    if g2v.min() < -1e-12:
-        raise ValueError("contamination baseline must be nonnegative")
-    p2 = float(g2v.mean())
     floor = (1.0 - eps) * g2v
-    if noise_power < floor.mean() - 1e-12:
-        raise InfeasibleClassError(
-            "noise power is below the contamination floor; the class is empty"
-        )
-    if eps == 0.0 and abs(p2 - noise_power) > 1e-8 * max(1.0, noise_power):
-        raise InfeasibleClassError(
-            "with eps = 0 the noise density is pinned to the baseline, whose "
-            "power disagrees with the requested noise power"
-        )
     A_col = functional_symbol(weights, G)
     A = A_col[:, 0]
     f_vals = np.full(G, signal_power)
@@ -657,7 +685,11 @@ def sample_power_class(
     count: int,
     grid_size: int = DEFAULT_GRID_SIZE,
 ) -> list[SpectralDensity]:
-    """Random moving-average densities with exact total power."""
+    """Random moving-average densities with exact total power.
+
+    The power is admitted by the solver's rule (:func:`_total_power`).
+    """
+    _total_power(total_power)
     out = []
     for _ in range(count):
         taps = _random_taps(rng, order, dim)
@@ -731,13 +763,11 @@ def sample_dm_class(
     rejects draws that fail ``check_minimality``, the solver's definiteness
     rule, with a budget of 200 draws per requested sample. The bumps are
     sized by the smallest eigenvalue of the moment polynomial on the grid.
+    The moments are admitted by the solver's rule (:func:`_dm_moments`),
+    for any horizon they cover.
     """
-    first = np.atleast_2d(np.asarray(p_constraints[0], dtype=complex))
-    dim = first.shape[0]
-    base = _moment_polynomial(p_constraints, dim, grid_size)
-    M = len(p_constraints) - 1
-    if not check_minimality(base).passed:
-        raise InfeasibleClassError("moment polynomial is not positive definite")
+    base = _dm_moments(p_constraints, None, 0, grid_size)
+    dim, M = base.dim, len(p_constraints) - 1
     margin = float(base.eigenvalues.min())
     out: list[SpectralDensity] = []
     tries = 0
@@ -792,14 +822,13 @@ def sample_d0eps_class(
     order: int,
     count: int,
 ) -> list[tuple[SpectralDensity, SpectralDensity]]:
-    """Random scalar (signal, noise) pairs in the power/mixture classes."""
-    if g2.dim != 1:
-        raise ValueError("scalar class sampling only")
+    """Random scalar (signal, noise) pairs in the power/mixture classes.
+
+    The class is admitted by the solver's rule (:func:`_d0eps_class`).
+    """
+    g2v = _d0eps_class(signal_power, noise_power, eps, g2)
     G = g2.grid_size
-    g2v = g2.values[:, 0, 0].real
     floor_power = (1.0 - eps) * float(g2v.mean())
-    if noise_power < floor_power - 1e-12:
-        raise InfeasibleClassError("noise power below the contamination floor")
     out = []
     for _ in range(count):
         f_taps = _random_taps(rng, order, 1)

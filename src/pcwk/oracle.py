@@ -4,8 +4,8 @@ Everything here works from lag covariances and finite linear algebra, with
 no shared machinery beyond the Fourier coefficients of the input densities
 and the bordered Cholesky factor of :mod:`pcwk.cholesky`: the projection
 oracle assembles the covariance of finite observation windows and solves
-their normal equations directly, and the simulator drives a moving average
-with seeded Gaussian innovations. Agreement between these values and the
+their normal equations, and the simulator drives a moving average with
+seeded Gaussian innovations. Agreement between these values and the
 spectral formulas is the package's main correctness check.
 """
 
@@ -18,7 +18,7 @@ import numpy as np
 
 from .cholesky import border, cholesky, forward, panels
 from .errors import AliasingError, IllPosedError
-from .lifting import FunctionalWeights
+from .lifting import FunctionalWeights, _shared_dim
 from .spectral import SpectralDensity, check_minimality
 
 if TYPE_CHECKING:  # the factorization module imports the spectral solvers
@@ -30,7 +30,6 @@ __all__ = [
     "CovarianceTable",
     "covariances_from_density",
     "observation_indices",
-    "time_domain_projection",
     "time_domain_projection_converged",
     "simulate_sequence",
     "empirical_mse",
@@ -134,15 +133,10 @@ def _largest_window(weights: FunctionalWeights, grid_size: int) -> int:
 class OracleProjection:
     """Residual variance of the projection onto one observation window.
 
-    ``condition`` bounds the 2-norm condition number of the window's
-    observation covariance. From :func:`time_domain_projection` it is that
-    number exactly, the ratio of the covariance's extreme eigenvalues. In
-    the history of :func:`time_domain_projection_converged` it is the ratio
-    of the extreme eigenvalues of the symbol of f + g on the grid, the same
-    for every window and never below the window's own ratio.
-
-    ``converged`` is False when :func:`time_domain_projection_converged`
-    stopped at its largest window without passing its Cauchy test.
+    ``condition`` is the gate's ``max_condition``, the ratio of the extreme
+    eigenvalues of f + g on the grid: the same for every window, and a bound
+    on the 2-norm condition number of each window's covariance. ``converged``
+    is False for a last window that did not pass the Cauchy test.
     """
 
     mse: float
@@ -150,13 +144,6 @@ class OracleProjection:
     n_observations: int
     condition: float
     converged: bool = True
-
-
-def _check_dims(f, g, weights) -> int:
-    K = weights.dim
-    if f.dim != K or (g is not None and g.dim != K):
-        raise ValueError("weights and densities must share one dimension")
-    return K
 
 
 def _tables(f, g, weights, window):
@@ -197,42 +184,6 @@ def _variance(cz, weights):
     )
 
 
-def time_domain_projection(
-    f: SpectralDensity,
-    g: SpectralDensity | None,
-    weights: FunctionalWeights,
-    window: int,
-) -> OracleProjection:
-    """Brute-force projection onto a finite observation window.
-
-    Builds the joint covariance of the observed blocks and the target
-    functional from lag covariances, solves the normal equations, and
-    returns the residual variance. Independent of the spectral solvers.
-    """
-    K = _check_dims(f, g, weights)
-    obs = np.array(observation_indices(weights.horizon, weights.n, window))
-    cz, cx = _tables(f, g, weights, window)
-    sigma = _covariance_block(cx, obs, obs)
-    cross = _cross(cz, obs, weights)
-    variance = _variance(cz, weights)
-
-    eigs = np.linalg.eigvalsh(0.5 * (sigma + sigma.conj().T))
-    emax = float(eigs.max())
-    emin = float(eigs.min())
-    if emax <= 0.0 or emin <= 1e-12 * emax:
-        raise IllPosedError(
-            "observation covariance is singular; regularization refused"
-        )
-    solved = np.linalg.solve(sigma, cross)
-    mse = float((variance - np.vdot(cross, solved)).real)
-    return OracleProjection(
-        mse=max(mse, 0.0),
-        window=window,
-        n_observations=obs.size * K,
-        condition=emax / emin,
-    )
-
-
 def _nearest_first(task: str, n: int, window: int) -> np.ndarray:
     """The observed block indices of a window, nearest the target first.
 
@@ -260,26 +211,27 @@ def time_domain_projection_converged(
     the grid resolves, whichever is smaller; the first window whose value
     is within ``rel_tol * max(1, |mse|)`` of the previous window's is
     returned. When the largest window gets there first, it is returned with
+    ``converged=False``. ``initial_window = max_window = W`` projects onto
+    the one window W, which has no Cauchy test and so reads
     ``converged=False``.
 
-    Each window's value is that of :func:`time_domain_projection`, computed
-    by the innovations algorithm (Brockwell & Davis 1991, *Time Series:
-    Theory and Methods*, sections 5.2 and 11.4). The observations are
-    ordered nearest the target first, so each window's covariance is the
-    leading block of the next window's: one lower Cholesky factor L is
-    bordered by each window's new block rows, and the error of a window is
-    the target's variance minus ||L^{-1} cross||^2 over its prefix.
+    Each window's value is its projection error, computed by the
+    innovations algorithm (Brockwell & Davis 1991, *Time Series: Theory and
+    Methods*, sections 5.2 and 11.4). The observations are ordered nearest
+    the target first, so each window's covariance is the leading block of
+    the next window's: one lower Cholesky factor L is bordered by each
+    window's new block rows, and the error of a window is the target's
+    variance minus ||L^{-1} cross||^2 over its prefix.
 
     The gate is ``check_minimality(f, g)``, the solvers' own, computed
     once: the call raises ``IllPosedError`` when f + g fails it. A window
     whose lag span is below G/2 has a covariance that is a principal
     submatrix of the block circulant of the coefficient table, whose
     eigenvalues are those of f + g at the G nodes, so by Cauchy interlacing
-    the gate refuses every window :func:`time_domain_projection` refuses.
-    Each projection's ``condition`` is the gate's ``max_condition``, its
-    largest over least eigenvalue.
+    the gate's ``max_condition``, each projection's ``condition``, bounds
+    the condition number of every window's covariance.
     """
-    K = _check_dims(f, g, weights)
+    K = _shared_dim(weights, f, g)
     if initial_window < 1:  # a zero window would double forever
         raise ValueError("initial_window must be >= 1")
     task, n = weights.horizon, weights.n

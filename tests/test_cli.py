@@ -700,20 +700,41 @@ class TestProblemTable:
         err = self.refused(tmp_path, capsys, spec)
         assert len(err) == 1 and err[0].startswith(f"error: class_params.{key} must be")
 
-    @pytest.mark.parametrize("task, class_params, code, message", [
-        ("minimax-extrap-d01", {"power_matrix": [[-1.0]]}, 1,
+    @pytest.mark.parametrize("task, dim, overrides, code, message", [
+        ("minimax-extrap-d01", 1, {"class_params": {"power_matrix": [[-1.0]]}}, 1,
          "power matrix must have positive trace"),
-        ("minimax-interp-dm", {"moments": [[[2.0]], [[[0.0, 0.5]]]]}, 1,
-         "constraint 1 must be Hermitian"),
-        ("minimax-interp-dm", {"moments": [[[2.0]]]}, 2, "errors are unbounded"),
-    ], ids=["d01-trace", "dm-hermitian", "dm-too-few"])
+        ("minimax-interp-dm", 1, {"class_params": {"moments": [[[2.0]], [[[0.0, 0.5]]]]}},
+         1, "constraint 1 must be Hermitian"),
+        ("minimax-interp-dm", 1, {"class_params": {"moments": [[[2.0]]]}}, 2,
+         "errors are unbounded"),
+        ("extrapolate", 1, {"numerics": {"grid": GRID, "truncation": 0}}, 1,
+         "truncation must cover the last nonzero weight block (0 < 1)"),
+        ("extrapolate", 2, {}, 1, "weights and densities must share one dimension"),
+        ("interpolate", 2, {}, 1, "weights and densities must share one dimension"),
+        ("oracle-check", 2, {"class_params": {"task": "interpolate"}}, 1,
+         "weights and densities must share one dimension"),
+        ("minimax-filter-d0eps", 2,
+         {"weights": {"inline": [[1.0, 0.0]]},
+          "class_params": {"signal_power": 1.0, "noise_power": 1.0, "eps": 0.5}},
+         1, "only the scalar case is supported"),
+        ("minimax-filter-d0eps", 1,
+         {"class_params": {"signal_power": 1.0, "noise_power": 0.2, "eps": 0.5}},
+         2, "noise power is below the contamination floor"),
+        ("minimax-filter-d0eps", 1,
+         {"class_params": {"signal_power": 1.0, "noise_power": 2.0, "eps": 0.0}},
+         2, "pinned to the baseline"),
+    ], ids=["d01-trace", "dm-hermitian", "dm-too-few", "truncation", "extrapolate-dim",
+            "interpolate-dim", "oracle-check-dim", "d0eps-dim", "d0eps-floor",
+            "d0eps-eps0"])
     def test_class_admission_refused_before_the_output_exists(
-        self, tmp_path, capsys, task, class_params, code, message
+        self, tmp_path, capsys, task, dim, overrides, code, message
     ):
         # the solvers' admission rules used to run only in the run, after the
         # output directory was made, and --dry-run exited 0
-        spec = filter_spec(tmp_path, task=task, class_params=class_params,
-                           weights={"inline": [[1.0], [0.5]]})
+        density = write_white(tmp_path, f"white{dim}.csv", dim=dim)
+        spec = filter_spec(tmp_path, **{
+            "task": task, "weights": {"inline": [[1.0], [0.5]]},
+            "densities": {"f": density, "g": density, "g2": density}, **overrides})
         out = tmp_path / "out"
         assert main(["--spec", str(spec), "--out", str(out)]) == code
         err = capsys.readouterr().err.splitlines()
@@ -721,6 +742,20 @@ class TestProblemTable:
         assert main(["--spec", str(spec), "--dry-run"]) == code
         assert capsys.readouterr().err.splitlines() == err
         assert not out.exists()
+
+    @pytest.mark.parametrize("task, class_params", [
+        ("interpolate", {}),
+        ("minimax-y", {"class_params": {"total_power": 1.0, "samples": 3}}),
+    ])
+    def test_truncation_admitted_only_where_the_solve_reads_it(
+        self, tmp_path, capsys, task, class_params
+    ):
+        # these solves ignore numerics.truncation, even below the last
+        # nonzero weight block
+        spec = filter_spec(tmp_path, task=task, weights={"inline": [[1.0], [0.5]]},
+                           numerics={"grid": GRID, "truncation": 0}, **class_params)
+        assert main(["--spec", str(spec), "--dry-run"]) == 0
+        assert main(["--spec", str(spec), "--out", str(tmp_path / "out")]) == 0
 
     def test_non_finite_weight_csv_row_refused(self, tmp_path, capsys):
         # the NaN row used to be sorted to the end and interpolated
@@ -819,7 +854,7 @@ json_values = st.recursive(
 
 def fuzz_spec(task):
     return {"task": task, **copy.deepcopy(FUZZ_SPECS[task]),
-            "numerics": {"grid": FUZZ_GRID, "seed": 1}}
+            "numerics": {"grid": FUZZ_GRID, "seed": 1, "truncation": None}}
 
 
 def key_paths(obj, prefix=()):

@@ -763,3 +763,53 @@ class TestD0EpsSolver:
             least_favorable_d0eps_filtering_scalar(
                 w, 1.0, 1.0, 0.5, white(), grid_size=GRID
             )
+
+
+def _refusal(call):
+    """The type and message of the exception ``call()`` raises."""
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+class TestSamplersAdmitByTheSolversRules:
+    """A class sampler refuses a class with its solver's error and message."""
+
+    @pytest.mark.parametrize("signal, noise, eps, dim, expected", [
+        (1.0, 1.0, 1.5, 1, "eps must lie in [0, 1]"),
+        (1.0, 2.0, 0.0, 1, "pinned to the baseline"),
+        (-1.0, 1.0, 0.5, 1, "powers must be positive"),
+        (1.0, 0.2, 0.5, 1, "below the contamination floor"),
+        (1.0, 1.0, 0.5, 2, "only the scalar case is supported"),
+    ], ids=["eps", "eps0-power", "signal-power", "floor", "dim"])
+    def test_d0eps(self, signal, noise, eps, dim, expected):
+        # the sampler used to return members for eps = 1.5, and for the pinned
+        # eps = 0 class members its validator rejects
+        g2 = white(dim=dim)
+        w = FunctionalWeights.filtering(np.ones((1, dim)))
+        refusal = _refusal(lambda: least_favorable_d0eps_filtering_scalar(
+            w, signal, noise, eps, g2))
+        assert expected in refusal[1]
+        assert _refusal(lambda: sample_d0eps_class(
+            np.random.default_rng(0), signal, noise, eps, g2, 1, 2)) == refusal
+
+    @pytest.mark.parametrize("power", [-1.0, 0.0])
+    def test_power(self, power):
+        # -1 used to fail on non-finite taps, and 0 to return zero densities
+        refusal = _refusal(lambda: least_favorable_class_y(
+            finite_weights([[1.0]]), power, grid_size=GRID))
+        assert refusal == (ValueError, "total_power must be positive")
+        assert _refusal(lambda: sample_power_class(
+            np.random.default_rng(0), 1, 1, power, 2, grid_size=GRID)) == refusal
+
+    @pytest.mark.parametrize("moments, expected", [
+        ([], "need at least the zero-lag constraint"),
+        ([[[2.0]], [[0.5j]]], "constraint 1 must be Hermitian"),
+        ([[[1.0]], [[0.8]]], "moment polynomial is not positive definite on the grid"),
+    ], ids=["empty", "hermitian", "indefinite"])
+    def test_dm(self, moments, expected):
+        refusal = _refusal(lambda: least_favorable_dm_interpolation(
+            moments, FunctionalWeights.interpolation([[1.0]]), grid_size=GRID))
+        assert expected in refusal[1]
+        assert _refusal(lambda: sample_dm_class(
+            np.random.default_rng(0), moments, 3, 2, grid_size=GRID)) == refusal

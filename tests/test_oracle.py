@@ -25,7 +25,6 @@ from pcwk import (
     interpolate,
     simulate_sequence,
     spectral_factorize,
-    time_domain_projection,
     time_domain_projection_converged,
 )
 from pcwk.estimators import _kernel_table, _weighted_kernel
@@ -75,10 +74,18 @@ class TestObservationIndices:
         assert observation_indices("filtering", 0, 2) == [-2, -1, 0]
 
 
+def one_window(f, g, weights, window):
+    """The oracle's projection onto the one window ``window``."""
+    proj, _ = time_domain_projection_converged(
+        f, g, weights, initial_window=window, max_window=window
+    )
+    return proj
+
+
 class TestProjection:
     def test_white_filtering(self):
         w = FunctionalWeights.filtering([[1.0]])
-        proj = time_domain_projection(white(), white(), w, window=64)
+        proj = one_window(white(), white(), w, 64)
         assert proj.mse == pytest.approx(0.5, abs=1e-8)
 
     def test_ar_single_gap_converges(self):
@@ -92,14 +99,14 @@ class TestProjection:
 
     def test_zero_weights(self):
         w = FunctionalWeights.filtering(np.zeros((1, 1)))
-        proj = time_domain_projection(white(), white(), w, window=8)
+        proj = one_window(white(), white(), w, 8)
         assert proj.mse == pytest.approx(0.0, abs=1e-12)
 
     def test_singular_observations_refused(self):
         zero = white(scale=0.0)
         w = FunctionalWeights.filtering([[1.0]])
         with pytest.raises(IllPosedError):
-            time_domain_projection(zero, zero, w, window=4)
+            one_window(zero, zero, w, 4)
 
     def test_unsettled_window_is_flagged(self):
         # near a unit root the projection error still moves at window 32
@@ -120,7 +127,7 @@ class TestProjection:
         assert not proj.converged
         assert [h.window for h in history] == [8, 16, 32, 64, 128, 254]
         with pytest.raises(AliasingError):
-            time_domain_projection(f, None, w, window=255)
+            loop_covariance(f, None, w, 255)
 
 
 def loop_covariance(f, g, weights, window):
@@ -175,9 +182,9 @@ class TestAgainstBlockLoop:
             blocks=np.array([[1.0, -0.5j], [0.3 + 0.2j, 0.4]]), horizon=horizon
         )
         mse, condition = loop_projection(f, g, w, window=3)
-        proj = time_domain_projection(f, g, w, window=3)
+        proj = one_window(f, g, w, 3)
         assert proj.mse == pytest.approx(mse, rel=1e-12)
-        assert proj.condition == pytest.approx(condition, rel=1e-12)
+        assert proj.condition == check_minimality(f, g).max_condition >= condition
 
 
 HISTORY_BLOCKS = np.array([[1.0, -0.5j], [0.3 + 0.2j, 0.4], [0.2, -0.1 + 0.3j]])
@@ -207,15 +214,14 @@ class TestConvergedHistory:
         assert len(history) >= (2 if proj.mse == 0.0 else 3)
         gate = check_minimality(f, g).max_condition
         for entry in history:
-            single = time_domain_projection(f, g, w, entry.window)
-            assert entry.window == single.window
-            assert entry.n_observations == single.n_observations
-            assert entry.condition == gate >= single.condition
+            mse, condition = loop_projection(f, g, w, entry.window)
+            obs = observation_indices(horizon, w.n, entry.window)
+            assert entry.n_observations == len(obs) * f.dim
+            assert entry.condition == gate >= condition
             if horizon == "filtering" and not noisy:
                 # every block of the functional is observed exactly
-                assert entry.mse == single.mse == 0.0
-            else:
-                assert entry.mse == pytest.approx(single.mse, rel=1e-12)
+                assert entry.mse == 0.0
+            assert entry.mse == pytest.approx(mse, rel=1e-12)
 
     def test_windows_follow_the_doubling_schedule(self):
         w = FunctionalWeights.extrapolation([[1.0]])
@@ -235,7 +241,7 @@ class TestConvergedHistory:
         # finite window's covariance is still positive definite, and the
         # spectral solvers refuse the density as not minimal
         f, w = ma1(b=1.0), FunctionalWeights.extrapolation([[1.0]])
-        assert time_domain_projection(f, None, w, window=8).condition < 1e3
+        assert loop_projection(f, None, w, 8)[1] < 1e3
         with pytest.raises(IllPosedError):
             time_domain_projection_converged(f, None, w)
         with pytest.raises(MinimalityError):
