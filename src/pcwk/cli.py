@@ -13,7 +13,7 @@ weights the task uses and admits them by the solvers' own rules, for the
 run and for ``--dry-run`` alike.
 
 Exit status: 0 on success, 1 on usage or validation errors, 2 on numerical
-failures (minimality or conditioning).
+failures (minimality, conditioning or grid resolution).
 """
 
 from __future__ import annotations
@@ -68,8 +68,6 @@ _ESTIMATION = ("interpolate", "extrapolate", "extrapolate-finite", "filter")
 _MINIMAX = tuple(task for task in TASKS if task.startswith("minimax-"))
 _D0EPS = ("minimax-filter-d0eps",)
 _WEIGHTED = _ESTIMATION + _MINIMAX  # the tasks that read weights
-# the tasks whose solve reads numerics.truncation
-_TRUNCATED = ("extrapolate", "extrapolate-finite", "filter") + _D0EPS
 # the sections of a problem file; lift and weights may be absent or null
 _SECTIONS = ("numerics", "lift", "densities", "weights", "class_params")
 _OPTIONAL = ("lift", "weights")
@@ -435,8 +433,11 @@ def _load(spec: ProblemSpec) -> dict:
     """Read the densities and the weights the task uses, by name, and admit them.
 
     Each input is admitted by the rule its solver calls: the dimension of
-    the weights and the densities (``lifting._shared_dim``), a truncation
-    that a task's solve reads (``estimators._admit_truncation``), and the
+    the weights and the densities (``lifting._shared_dim``); the largest
+    lag the solve reads on the grid, by ``spectral._admit_lag`` through
+    ``estimators._admit_truncation`` (the estimation tasks and the dm
+    solve, which interpolates), ``oracle._admit_window``,
+    ``minimax._admit_order`` and ``minimax._d0eps_truncation``; and the
     class of each minimax task but the bounded-power one, whose power the
     problem table admits (``minimax._power_matrix``, ``_dm_moments`` and
     ``_d0eps_class``). The run and ``--dry-run`` share this step, so they
@@ -469,17 +470,22 @@ def _load(spec: ProblemSpec) -> dict:
         return data
     weights = data["weights"]
     K = _shared_dim(weights, *map(data.get, ("f", "g", "g2")))
-    if target in _TRUNCATED:
-        _admit_truncation(weights, spec.numerics.truncation)
+    grid, truncation = spec.numerics.grid, spec.numerics.truncation
+    if target in _ESTIMATION + ("minimax-interp-dm",):
+        _admit_truncation(weights, truncation, grid)
+    if spec.task == "oracle-check":
+        oracle._admit_window(weights, values["class_params.initial_window"], grid)
+    elif spec.task in ("minimax-y", "minimax-extrap-d01"):
+        minimax._admit_order(weights, grid)
     if spec.task == "minimax-extrap-d01":
         minimax._power_matrix(values["class_params.power_matrix"], K)
     elif spec.task == "minimax-interp-dm":
-        minimax._dm_moments(values["class_params.moments"], K, weights.n,
-                            spec.numerics.grid)
+        minimax._dm_moments(values["class_params.moments"], K, weights.n, grid)
     elif spec.task in _D0EPS:
         minimax._d0eps_class(values["class_params.signal_power"],
                              values["class_params.noise_power"],
                              values["class_params.eps"], data["g2"])
+        minimax._d0eps_truncation(weights, truncation, grid)
     return data
 
 

@@ -24,11 +24,13 @@ class IllPosedError(PcwkError):
 
 class TruncationError(PcwkError):
     """A truncated infinite system did not stabilise within the allowed
-    truncation range."""
+    truncation range, or became ill-posed along it."""
 
 
 class AliasingError(PcwkError):
-    """A requested Fourier lag is not resolvable on the configured grid."""
+    """A lag, truncation, horizon or window is not resolvable on the
+    configured grid: every grid-resolution refusal, raised before any
+    solve by ``spectral._admit_lag``."""
 
 
 class MultiplicityError(PcwkError):

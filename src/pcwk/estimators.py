@@ -32,11 +32,11 @@ the automatic schedule starts at max(16, 2 j_last) blocks, j_last being
 the last nonzero weight block, and doubles the truncation until the error
 value changes by at most 1e-8 of itself. Each level borders the previous
 level's Cholesky factor with its new block rows, so the schedule factors
-each row of its last system once.
+each row of its last system once. Before any grid work, each solve admits
+the largest lag it reads through ``spectral._admit_lag``
+(:func:`_admit_truncation`).
 
-Exact observations are ``g=None`` (kernels f^{-1}, I and 0):
-``interpolate(f, None, w)`` and ``extrapolate(f, None, w)`` replace the
-removed ``interpolate_noiseless`` and ``extrapolate_noiseless``. Filtering
+Exact observations are ``g=None`` (kernels f^{-1}, I and 0). Filtering
 requires a noise density.
 """
 
@@ -55,6 +55,7 @@ from .lifting import FunctionalWeights, _shared_dim, check_weight_summability
 from .spectral import (
     DEFAULT_COND_THRESHOLD,
     SpectralDensity,
+    _admit_lag,
     _all_fourier_coefficients,
     _grid_inverse,
     _grid_symbol,
@@ -142,10 +143,7 @@ def _gather(table, kind, rows, cols):
     if kind == "W":
         lag = -lag
     G, K = table.shape[:2]
-    if np.abs(lag).max(initial=0) >= G // 2:
-        raise TruncationError(
-            f"requested block lags exceed the grid resolution (G = {G})"
-        )
+    _admit_lag(int(np.abs(lag).max(initial=0)), G, name="block lag")
     r, c = lag.shape
     return table[lag % G].transpose(0, 2, 1, 3).reshape(r * K, c * K)
 
@@ -408,34 +406,34 @@ def _real_mse(value: complex) -> float:
 # -- truncation of the infinite systems ----------------------------------
 
 
-def _admit_truncation(weights, truncation):
-    """Refuse a given truncation below the last nonzero weight block.
+def _admit_truncation(weights, truncation, grid_size):
+    """The truncations a solve on ``grid_size`` nodes runs at, admitted.
 
-    The rule of every truncated solve, and of the command line's input check.
+    Interpolation runs at its horizon n, the largest lag it reads, and
+    ignores ``truncation``. Extrapolation and filtering refuse a given
+    truncation J below the last nonzero weight block j_last (ValueError);
+    they read lag J, and filtering J + n_blocks - 1 through D a, which
+    ``spectral._admit_lag`` admits for the given J, or for j_last when the
+    schedule is automatic: it doubles from max(FIRST_TRUNCATION, 2 j_last)
+    up to the largest admissible J. The rule of every solve, and of the
+    command line's input check.
     """
+    if weights.horizon == "interpolation":
+        _admit_lag(weights.n, grid_size, name="horizon")
+        return [weights.n]
     j_last = weights.last_nonzero
     if truncation is not None and truncation < j_last:
         raise ValueError(
             "truncation must cover the last nonzero weight block "
             f"({truncation} < {j_last})"
         )
-
-
-def _truncation_schedule(weights, truncation, cap, context):
-    _admit_truncation(weights, truncation)
-    j_last = weights.last_nonzero
+    # the largest lag read is J (Toeplitz) or J + n_blocks - 1 (Hankel V)
+    extra = weights.n_blocks - 1 if weights.horizon == "filtering" else 0
+    cap = grid_size // 2 - 1 - extra
     if truncation is not None:
-        if truncation > cap:
-            raise TruncationError(
-                f"{context}: truncation {truncation} exceeds the grid resolution "
-                f"(largest {cap})"
-            )
+        _admit_lag(truncation, grid_size, largest=cap, name="truncation")
         return [int(truncation)]
-    if cap < j_last:
-        raise TruncationError(
-            f"{context}: the last nonzero weight block {j_last} lies beyond the "
-            f"largest truncation {cap} the grid resolves"
-        )
+    _admit_lag(j_last, grid_size, largest=cap, name="last nonzero weight block")
     start = min(max(FIRST_TRUNCATION, 2 * j_last), cap)
     if start == cap and j_last < cap:
         # one level alone can never pass the Cauchy test
@@ -446,16 +444,16 @@ def _truncation_schedule(weights, truncation, cap, context):
     return schedule
 
 
-def _solve_truncated(system_at, mse_of, weights, truncation, cap, context):
-    """Solve ``system_at(J)`` over a doubling schedule until the mse is Cauchy.
+def _solve_truncated(system_at, mse_of, schedule, fixed, context):
+    """Solve ``system_at(J)`` over a schedule of truncations until the mse is Cauchy.
 
     ``system_at(J)`` returns the matrix and right-hand side at truncation J,
     one block row per unknown block up to J; ``mse_of(c, rhs)`` the error
-    value of its solution. The automatic schedule starts at
-    max(FIRST_TRUNCATION, 2 j_last) blocks, j_last being the last nonzero
-    weight block, and stops at the first level whose error value m_J is
-    within MSE_CAUCHY_TOL * |m_J| of the previous level's, a test relative
-    to the error itself, so small errors are not held to an absolute one.
+    value of its solution. A ``fixed`` truncation is the one level of its
+    schedule; the automatic schedule (:func:`_admit_truncation`) stops at
+    the first level whose error value m_J is within MSE_CAUCHY_TOL * |m_J|
+    of the previous level's, a test relative to the error itself, so small
+    errors are not held to an absolute one.
 
     Each level's system is the leading block of the next level's, so one
     lower Cholesky factor is kept and bordered by each level's new block
@@ -465,7 +463,6 @@ def _solve_truncated(system_at, mse_of, weights, truncation, cap, context):
     leading block of every later level's, so by interlacing no later level
     is better conditioned.
     """
-    schedule = _truncation_schedule(weights, truncation, cap, context)
     history: list[tuple[int, float]] = []
     prev = factor = None
     for J in schedule:
@@ -483,7 +480,7 @@ def _solve_truncated(system_at, mse_of, weights, truncation, cap, context):
             ) from exc
         mse = mse_of(c, rhs)
         history.append((J, mse))
-        if truncation is not None or (
+        if fixed or (
             prev is not None and abs(mse - prev) <= MSE_CAUCHY_TOL * abs(mse)
         ):
             return (mse, c, cond, J), history
@@ -536,6 +533,7 @@ def _estimate(f, g, weights, truncation):
     (:func:`_weighted_kernel`).
     """
     K, G = _shared_dim(weights, f, g), f.grid_size
+    schedule = _admit_truncation(weights, truncation, G)
     task = weights.horizon
     context = task.removesuffix("_finite")
     if task != "interpolation":
@@ -566,10 +564,8 @@ def _estimate(f, g, weights, truncation):
         c, cond = _solve_hermitian(Bd, rhs, context)
         mse, truncated = mse_of(c, rhs), {}
     else:
-        # the largest lag read is J (Toeplitz) or J + n_blocks - 1 (Hankel V)
-        cap = G // 2 - weights.n_blocks if first else G // 2 - 1
         (mse, c, cond, J), history = _solve_truncated(
-            system_at, mse_of, weights, truncation, cap, context
+            system_at, mse_of, schedule, truncation is not None, context
         )
         truncated = {"truncation": J, "history": history}
     diagnostics = {"n": weights.n, "condition": cond, **truncated}

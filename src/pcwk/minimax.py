@@ -33,7 +33,9 @@ horizon's number, a moment polynomial that passes ``check_minimality``),
 :func:`_d0eps_class` admits the scalar filtering class (positive powers,
 eps in [0, 1], a nonnegative baseline g2 and a noise power that its floor
 admits), ``lifting._shared_dim`` matches the dimension of the weights and
-the densities, :func:`d01_class_residual` measures membership in the
+the densities, :func:`_admit_order` and :func:`_d0eps_truncation` admit
+the worst moving average's order and the d0eps working truncation on the
+grid, :func:`d01_class_residual` measures membership in the
 fixed-power-matrix class, and :func:`_relation_residuals` evaluates the
 filtering optimality relations. The command line's input check calls the
 same admission rules. Each ``*_class_residual`` is relative to its class's
@@ -53,6 +55,7 @@ import numpy as np
 from .errors import InfeasibleClassError, PcwkError, SingularFactorError
 from .estimators import (
     EstimateSolution,
+    _admit_truncation,
     _ErrorFunctional,
     filtering,
     functional_symbol,
@@ -63,6 +66,7 @@ from .lifting import FunctionalWeights, _shared_dim
 from .spectral import (
     DEFAULT_GRID_SIZE,
     SpectralDensity,
+    _admit_lag,
     _grid_inverse,
     _grid_symbol,
     _node_eigenvalues,
@@ -171,16 +175,23 @@ class LeastFavorableResult:
     certificate: dict
 
 
+def _admit_order(weights, grid_size):
+    """Admit the order n of the worst moving average: its density's band, up to G/2."""
+    _admit_lag(weights.n, grid_size, largest=grid_size // 2, name="moving-average order")
+
+
 def _eigen_worst_case(weights, power, grid_size) -> LeastFavorableResult:
     """The worst moving average of a power class: taps scaled to ``power``.
 
     The taps are the top eigenvector of the gram eigenproblem; the minimax
     error is the power times the top eigenvalue, and the characteristic's
     own error is checked against it. Zero weights give the zero error and
-    characteristic, and are marked degenerate.
+    characteristic, and are marked degenerate. The order is admitted by
+    :func:`_admit_order`.
     """
     if weights.horizon not in ("extrapolation", "extrapolation_finite"):
         raise ValueError("weights must carry an extrapolation horizon")
+    _admit_order(weights, grid_size)
     q_op = build_q_operator(weights)
     # the error quadratic form acts through the conjugated operator
     nu2, vec, residual = _top_eigenpair(np.conj(q_op.dense))
@@ -525,6 +536,14 @@ def _d0eps_class(signal_power, noise_power, eps, g2) -> np.ndarray:
     return g2v
 
 
+def _d0eps_truncation(weights, truncation, grid_size):
+    """The working truncation of the d0eps filtering solves, admitted by the
+    filtering rule: ``truncation``, or G/4 when it is None."""
+    work = grid_size // 4 if truncation is None else truncation
+    _admit_truncation(weights, work, grid_size)
+    return work
+
+
 def least_favorable_d0eps_filtering_scalar(
     weights: FunctionalWeights,
     signal_power: float,
@@ -545,7 +564,8 @@ def least_favorable_d0eps_filtering_scalar(
     normalizations. On convergence (relation residuals below 1e-6) the
     certificate is marked converged; otherwise the best iterate is returned
     flagged, never silently accepted. ``grid_size``, when given, must be the
-    grid of ``g2``. The class is admitted by :func:`_d0eps_class`.
+    grid of ``g2``. The class is admitted by :func:`_d0eps_class`, and the
+    working truncation by :func:`_d0eps_truncation`.
     """
     if weights.horizon != "filtering":
         raise ValueError("weights must carry the filtering horizon")
@@ -556,6 +576,7 @@ def least_favorable_d0eps_filtering_scalar(
         raise ValueError(
             f"grid_size {G} does not match the grid size {g2.grid_size} of g2"
         )
+    work_trunc = _d0eps_truncation(weights, truncation, G)
     floor = (1.0 - eps) * g2v
     A_col = functional_symbol(weights, G)
     A = A_col[:, 0]
@@ -571,7 +592,6 @@ def least_favorable_d0eps_filtering_scalar(
     iterations = 0
     abs_A2 = np.abs(A) ** 2
     bailed = None
-    work_trunc = truncation if truncation is not None else G // 4
     best = None  # (mse, f, g, alpha, beta, phi, res_noise, res_signal)
     while not converged and iterations < max_iter:
         iterations += 1

@@ -17,9 +17,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .cholesky import border, cholesky, forward, panels
-from .errors import AliasingError, IllPosedError
+from .errors import IllPosedError
 from .lifting import FunctionalWeights, _shared_dim
-from .spectral import SpectralDensity, check_minimality
+from .spectral import SpectralDensity, _admit_lag, check_minimality
 
 if TYPE_CHECKING:  # the factorization module imports the spectral solvers
     from .factorization import Factorization
@@ -72,10 +72,7 @@ def covariances_from_density(f: SpectralDensity, max_lag: int) -> CovarianceTabl
     moment), read from the density's coefficient array; lags beyond the
     stored band are zero.
     """
-    if max_lag >= f.grid_size // 2:
-        raise AliasingError(
-            f"max_lag {max_lag} is not resolvable on a grid of size {f.grid_size}"
-        )
+    _admit_lag(max_lag, f.grid_size, name="max_lag")
     L, n = f.max_lag, min(max_lag, f.max_lag)
     vals = np.zeros((2 * max_lag + 1, f.dim, f.dim), dtype=complex)
     # C(j) = F(-j): the reversed coefficient array holds it at index j + L
@@ -118,15 +115,24 @@ def _table_span(weights: FunctionalWeights, window: int) -> int:
     return obs[-1] - obs[0] + weights.n_blocks + 1
 
 
-def _largest_window(weights: FunctionalWeights, grid_size: int) -> int:
-    """Largest window whose covariance tables the grid resolves (lags < G/2).
+def _admit_window(weights: FunctionalWeights, initial_window: int,
+                  grid_size: int) -> int:
+    """The largest window whose covariance tables the grid resolves, once the
+    initial window is admitted.
 
-    The span grows linearly with the window: by one lag per block for the
-    one-sided observation sets, by two for interpolation's two sides.
+    The initial window must be at least 1 (ValueError), and its tables'
+    span a lag the grid resolves: ``spectral._admit_lag`` admits it against
+    the largest such window. The span grows linearly with the window: by
+    one lag per block for the one-sided observation sets, by two for
+    interpolation's two sides.
     """
+    if initial_window < 1:  # a zero window would double forever
+        raise ValueError("initial_window must be >= 1")
     base = _table_span(weights, 1)
     slope = _table_span(weights, 2) - base
-    return 1 + (grid_size // 2 - 1 - base) // slope
+    largest = 1 + (grid_size // 2 - 1 - base) // slope
+    _admit_lag(initial_window, grid_size, largest=largest, name="initial_window")
+    return largest
 
 
 @dataclass(frozen=True)
@@ -213,7 +219,8 @@ def time_domain_projection_converged(
     returned. When the largest window gets there first, it is returned with
     ``converged=False``. ``initial_window = max_window = W`` projects onto
     the one window W, which has no Cauchy test and so reads
-    ``converged=False``.
+    ``converged=False``. An initial window beyond the largest the grid
+    resolves raises ``AliasingError`` (:func:`_admit_window`).
 
     Each window's value is its projection error, computed by the
     innovations algorithm (Brockwell & Davis 1991, *Time Series: Theory and
@@ -232,10 +239,8 @@ def time_domain_projection_converged(
     the condition number of every window's covariance.
     """
     K = _shared_dim(weights, f, g)
-    if initial_window < 1:  # a zero window would double forever
-        raise ValueError("initial_window must be >= 1")
     task, n = weights.horizon, weights.n
-    largest = min(max_window, _largest_window(weights, f.grid_size))
+    largest = min(max_window, _admit_window(weights, initial_window, f.grid_size))
     windows = [initial_window]
     while windows[-1] < largest:
         windows.append(min(2 * windows[-1], largest))

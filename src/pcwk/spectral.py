@@ -25,7 +25,10 @@ the Nyquist coefficient as the pair +-G/2 at half weight each.
 
 This module is the one home of the grid convention: on ``lambda_g`` lag m
 carries the phase (-1)^m e^{2 pi i m g / G}, and the package's only two
-FFTs apply it. :func:`_grid_symbol` writes any run of lags to the grid
+FFTs apply it. :func:`_admit_lag` is its one resolution rule: every lag,
+truncation, horizon and window that a density, a coefficient read or a
+solve reaches is admitted there, by default up to G/2 - 1, the largest
+lag a read by lag mod G resolves, and up to G/2 for a density's band. :func:`_grid_symbol` writes any run of lags to the grid
 (density values, weight polynomials, solved blocks, causal factors) by one
 inverse FFT, and :func:`_all_fourier_coefficients`, behind the public
 :func:`fourier_coefficients`, reads lags back from grid samples by one
@@ -78,14 +81,24 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _admit_lag(lag, grid_size, largest=None, name="lag"):
+    """Refuse a lag beyond ``largest``, by default G/2 - 1.
+
+    G/2 - 1 is the largest lag that a read by lag mod G tells apart from
+    its alias -lag; a density's band, which holds lag G/2 as its Nyquist
+    pair, passes ``largest=G/2``. Raises ``AliasingError``.
+    """
+    largest = grid_size // 2 - 1 if largest is None else largest
+    if lag > largest:
+        raise AliasingError(f"{name} {lag} is not resolvable on a grid of size "
+                            f"{grid_size} (largest {largest})")
+
+
 def _stack_lags(coeffs: Mapping, dim: int, grid_size: int) -> np.ndarray:
     """The (2 L + 1, K, K) array of a lag -> matrix mapping, L its largest |lag|."""
     lags = [int(m) for m in coeffs]
-    far = next((m for m in lags if abs(m) > grid_size // 2), None)
-    if far is not None:
-        raise AliasingError(
-            f"lag {far} is not resolvable on a grid of size {grid_size}"
-        )
+    L = max((abs(m) for m in lags), default=0)
+    _admit_lag(L, grid_size, largest=grid_size // 2)
     mats = [np.asarray(value, dtype=complex) for value in coeffs.values()]
     mats = [arr.reshape(1, 1) if arr.ndim == 0 else arr for arr in mats]
     bad = next((arr.shape for arr in mats if arr.shape != (dim, dim)), None)
@@ -93,7 +106,6 @@ def _stack_lags(coeffs: Mapping, dim: int, grid_size: int) -> np.ndarray:
         if len(bad) != 2 or bad[0] != bad[1]:
             raise ValueError(f"coefficient must be a square matrix, got shape {bad}")
         raise ValueError(f"coefficient dimension {bad[0]} != {dim}")
-    L = max((abs(m) for m in lags), default=0)
     out = np.zeros((2 * L + 1, dim, dim), dtype=complex)
     if mats:
         out[np.array(lags) + L] = np.stack(mats)
@@ -138,11 +150,7 @@ class SpectralDensity:
                     f"coefficients must have shape (2 L + 1, {self.dim}, {self.dim}), "
                     f"got {arr.shape}"
                 )
-            if arr.shape[0] // 2 > self.grid_size // 2:
-                raise AliasingError(
-                    f"lag {arr.shape[0] // 2} is not resolvable on a grid of size "
-                    f"{self.grid_size}"
-                )
+            _admit_lag(arr.shape[0] // 2, self.grid_size, largest=self.grid_size // 2)
         if not np.all(np.isfinite(arr)):
             raise ValueError("coefficient contains non-finite entries")
         object.__setattr__(self, "coeffs", _read_only(arr))
@@ -361,10 +369,7 @@ def fourier_coefficients(values, lags) -> np.ndarray:
     vals = _as_grid_values(values)
     G = vals.shape[0]
     lags = np.asarray(lags, dtype=int)
-    if lags.size and np.abs(lags).max() >= G // 2:
-        raise AliasingError(
-            f"lag {np.abs(lags).max()} is not resolvable on a grid of size {G}"
-        )
+    _admit_lag(int(np.abs(lags).max(initial=0)), G)
     table = _all_fourier_coefficients(vals)
     return table[lags % G]
 

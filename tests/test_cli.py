@@ -50,6 +50,14 @@ def write_white(tmp_path, name, scale=1.0, dim=1):
     return name
 
 
+def blocks(count):
+    """Inline weights of ``count`` scalar blocks, 1 then halves."""
+    return {"inline": [[1.0]] + [[0.5]] * (count - 1)}
+
+
+D0EPS_CLASS = {"signal_power": 1.0, "noise_power": 1.0, "eps": 0.5}
+
+
 def filter_spec(tmp_path, **overrides):
     payload = {
         "task": "filter",
@@ -430,6 +438,18 @@ class TestMainOracleAndSimulate:
         assert summary["oracle_window"] == "254"
         assert not (out / "oracle.csv").exists()
 
+    def test_oracle_check_disagreement_exits_2(self, tmp_path, capsys):
+        spec = filter_spec(
+            tmp_path,
+            task="oracle-check",
+            class_params={"task": "filter", "tolerance": 1e-300},
+        )
+        out = tmp_path / "out"
+        assert main(["--spec", str(spec), "--out", str(out)]) == 2
+        assert "oracle disagreement" in capsys.readouterr().err
+        assert read_summary(out)["passed"] == "False"
+        assert (out / "oracle.csv").exists()
+
     def test_simulate_deterministic(self, tmp_path):
         spec = filter_spec(
             tmp_path, task="simulate", class_params={"n_blocks": 64}
@@ -723,9 +743,36 @@ class TestProblemTable:
         ("minimax-filter-d0eps", 1,
          {"class_params": {"signal_power": 1.0, "noise_power": 2.0, "eps": 0.0}},
          2, "pinned to the baseline"),
+        # the grid-resolution rule: each used to fail only in the run
+        ("extrapolate", 1, {"numerics": {"grid": GRID, "truncation": 2**40}}, 2,
+         "truncation 1099511627776 is not resolvable on a grid of size 256 (largest 127)"),
+        ("interpolate", 1, {"numerics": {"grid": 8}, "weights": blocks(5)}, 2,
+         "horizon 4 is not resolvable on a grid of size 8 (largest 3)"),
+        ("extrapolate", 1, {"numerics": {"grid": 8}, "weights": blocks(5)}, 2,
+         "last nonzero weight block 4 is not resolvable on a grid of size 8 (largest 3)"),
+        ("filter", 1, {"numerics": {"grid": 16, "truncation": 7}, "weights": blocks(3)}, 2,
+         "truncation 7 is not resolvable on a grid of size 16 (largest 5)"),
+        ("minimax-filter-d0eps", 1,
+         {"numerics": {"grid": 8}, "weights": blocks(4), "class_params": D0EPS_CLASS}, 1,
+         "truncation must cover the last nonzero weight block (2 < 3)"),
+        ("oracle-check", 1, {"numerics": {"grid": 16}, "class_params": {
+            "task": "interpolate", "initial_window": 64}}, 2,
+         "initial_window 64 is not resolvable on a grid of size 16 (largest 1)"),
+        ("minimax-y", 1, {"numerics": {"grid": 8}, "weights": blocks(9),
+                          "class_params": {"total_power": 1.0}}, 2,
+         "moving-average order 8 is not resolvable on a grid of size 8 (largest 4)"),
+        ("minimax-extrap-d01", 1, {"numerics": {"grid": 8}, "weights": blocks(9),
+                                   "class_params": {"power_matrix": [[1.0]]}}, 2,
+         "moving-average order 8 is not resolvable on a grid of size 8 (largest 4)"),
+        ("minimax-interp-dm", 1, {"numerics": {"grid": 8}, "weights": blocks(5),
+                                  "class_params": {"moments": [[[2.0]], [[0.5]]]
+                                                   + [[[0.0]]] * 3}}, 2,
+         "horizon 4 is not resolvable on a grid of size 8 (largest 3)"),
     ], ids=["d01-trace", "dm-hermitian", "dm-too-few", "truncation", "extrapolate-dim",
             "interpolate-dim", "oracle-check-dim", "d0eps-dim", "d0eps-floor",
-            "d0eps-eps0"])
+            "d0eps-eps0", "truncation-cap", "interpolate-horizon", "extrapolate-last-block",
+            "filter-truncation-cap", "d0eps-default-truncation", "oracle-window",
+            "minimax-y-order", "d01-order", "dm-horizon"])
     def test_class_admission_refused_before_the_output_exists(
         self, tmp_path, capsys, task, dim, overrides, code, message
     ):
@@ -742,6 +789,25 @@ class TestProblemTable:
         assert main(["--spec", str(spec), "--dry-run"]) == code
         assert capsys.readouterr().err.splitlines() == err
         assert not out.exists()
+
+    @pytest.mark.parametrize("task, overrides", [
+        ("interpolate", {"numerics": {"grid": 8}, "weights": blocks(4)}),
+        ("extrapolate", {"numerics": {"grid": 8, "truncation": 3}}),
+        ("filter", {"numerics": {"grid": 16, "truncation": 5}, "weights": blocks(3)}),
+        ("minimax-y", {"numerics": {"grid": 8}, "weights": blocks(5),
+                       "class_params": {"total_power": 1.0, "samples": 3}}),
+        ("minimax-filter-d0eps", {"numerics": {"grid": 16}, "weights": blocks(4),
+                                  "class_params": {**D0EPS_CLASS, "samples": 3}}),
+    ], ids=["interpolate-n", "extrapolate-truncation", "filter-truncation",
+            "minimax-y-order", "d0eps-default-truncation"])
+    def test_largest_resolvable_sizes_solve(self, tmp_path, capsys, task, overrides):
+        # each is the largest size the grid admits for its task
+        density = write_white(tmp_path, "white.csv")
+        spec = filter_spec(tmp_path, **{
+            "task": task, "densities": {"f": density, "g": density, "g2": density},
+            **overrides})
+        assert main(["--spec", str(spec), "--dry-run"]) == 0
+        assert main(["--spec", str(spec), "--out", str(tmp_path / "out")]) == 0
 
     @pytest.mark.parametrize("task, class_params", [
         ("interpolate", {}),
@@ -766,6 +832,30 @@ class TestProblemTable:
                            weights={"csv": "a.csv", "blocks": 1})
         err = self.refused(tmp_path, capsys, spec)
         assert err == [f"error: {tmp_path / 'a.csv'}:3: malformed row"]
+
+    @pytest.mark.parametrize("body, message", [
+        ("time,a\n0.0,1.0\n", "expected header t,a"),
+        ("t,a\n\n,\n", "no samples"),
+    ], ids=["header", "no-samples"])
+    def test_weight_csv_refused(self, tmp_path, capsys, body, message):
+        (tmp_path / "a.csv").write_text(body, encoding="utf-8")
+        spec = filter_spec(tmp_path, task="interpolate",
+                           lift={"period": 1.0, "harmonics": 1},
+                           weights={"csv": "a.csv", "blocks": 1})
+        err = self.refused(tmp_path, capsys, spec)
+        assert err == [f"error: {tmp_path / 'a.csv'}: {message}"]
+
+    def test_weight_csv_blank_rows_skipped(self, tmp_path, capsys):
+        (tmp_path / "a.csv").write_text("t,a\n\n0.0,1.0\n , \n2.0,1.0\n",
+                                        encoding="utf-8")
+        spec = filter_spec(tmp_path, task="extrapolate",
+                           lift={"period": 1.0, "harmonics": 1},
+                           weights={"csv": "a.csv", "blocks": 2},
+                           densities={"f": write_white(tmp_path, "f.csv")})
+        out = tmp_path / "out"
+        assert main(["--spec", str(spec), "--out", str(out)]) == 0
+        # constant weight on [0, 2]: two unit blocks of white noise
+        assert float(read_summary(out)["mse"]) == pytest.approx(2.0, abs=1e-8)
 
     def test_empty_weight_block_refused(self, tmp_path, capsys):
         # the solver used to refuse it, after the output directory was made
@@ -837,9 +927,10 @@ FUZZ_SPECS = {
     },
     "simulate": {"densities": {"f": "f.csv"}, "class_params": {"n_blocks": 16}},
 }
-# null, booleans, negative and zero numbers, an integer beyond 64 bits, a
-# string, lists, objects, and the NaN and Infinity that Python's json reads
-FUZZ_VALUES = [None, True, False, -1, -2.5, 0, 2**70, "x", [], [1], [[1.0]], {},
+# null, booleans, negative and zero numbers, 8 (the smallest grid), an
+# integer beyond 64 bits, a string, lists, objects, and the NaN and Infinity
+# that Python's json reads
+FUZZ_VALUES = [None, True, False, -1, -2.5, 0, 8, 2**70, "x", [], [1], [[1.0]], {},
                {"a": 1}, float("nan"), float("inf")]
 # a class_params key that no task reads: a typo of samples
 UNKNOWN_KEY = ("class_params", "sample")
@@ -911,7 +1002,9 @@ class TestFuzzedSpecs:
     @pytest.mark.parametrize("task", TASKS)
     def test_every_key_with_every_listed_value(self, fuzz_dir, task):
         # --dry-run runs every check short of the solve: it refuses (exit 1)
-        # exactly the specs that the run refuses
+        # exactly the specs that the run refuses; a spec it admits has passed
+        # the grid-resolution rule, and fails only where its solve does not
+        # settle (on the 8-node grid)
         for path in fuzz_paths(task):
             for value in FUZZ_VALUES:
                 code, err = run_with_value(fuzz_dir, task, path, value)
@@ -921,6 +1014,9 @@ class TestFuzzedSpecs:
                                                    "--dry-run")
                 assert (dry_code == 1) == (code == 1), (path, value, err, dry_err)
                 assert "Traceback" not in dry_err, (path, value)
+                if dry_code == 0:
+                    assert "is not resolvable" not in err, (path, value, err)
+                    assert code == 0 or "did not stabilise" in err, (path, value, err)
                 if path == UNKNOWN_KEY:
                     assert code == 1
                     assert "class_params: unknown key 'sample'" in err

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pcwk import (
+    AliasingError,
     FunctionalWeights,
     IllPosedError,
     MinimalityError,
@@ -54,6 +55,16 @@ class TestBlockMatrices:
             np.testing.assert_allclose(dense, dense.conj().T, atol=1e-12)
             assert np.linalg.eigvalsh(dense).min() > -1e-12
 
+    @pytest.mark.parametrize("kind", ["D", "V", "R", "W"])
+    def test_exact_data_kernels_are_identity_and_zero(self, kind):
+        # without noise f (f+g)^{-1} is I (kinds D and V, at lag 0) and
+        # f (f+g)^{-1} g is zero (kinds R and W)
+        rows = range(3)
+        cols = range(0, -3, -1) if kind == "V" else rows  # V reads lag row + col
+        dense = build_block_matrix(kind, ma1(2, 0.4), None, rows, cols)
+        expected = np.eye(6) if kind in "DV" else np.zeros((6, 6))
+        np.testing.assert_array_equal(dense, expected)
+
     def test_minimality_gate(self):
         f = SpectralDensity.from_coeffs({0: 2.0, 1: -1.0, -1: -1.0}, grid_size=GRID)
         with pytest.raises(MinimalityError):
@@ -81,6 +92,15 @@ class TestBlockMatrices:
 
 
 class TestInterpolation:
+    def test_horizon_beyond_grid_resolution_refused_before_the_kernel(self):
+        # the solve reads lag n, which a grid of 16 nodes resolves up to 7
+        f = SpectralDensity.from_moving_average([[[1.0]], [[0.5]]], grid_size=16)
+        interpolate(f, None, unit_interp(n=7))
+        f = SpectralDensity.from_moving_average([[[1.0]], [[0.5]]], grid_size=16)
+        with pytest.raises(AliasingError, match="horizon 8 is not resolvable"):
+            interpolate(f, None, unit_interp(n=8))
+        assert "_inverse" not in vars(f)
+
     def test_white_noisy_single_gap(self):
         sol = interpolate(white(), white(), unit_interp())
         assert sol.mse == pytest.approx(1.0, abs=1e-10)
@@ -186,9 +206,15 @@ class TestExtrapolation:
         assert sol.mse == pytest.approx(1.0, abs=1e-12)
         assert [J for J, _ in sol.diagnostics["history"]] == [16, 32]
 
+    def test_non_summable_weight_tail_warns(self):
+        w = FunctionalWeights.extrapolation(np.ones((16, 1)))
+        with pytest.warns(UserWarning, match="weight tail looks non-summable"):
+            sol = extrapolate(white(), None, w)
+        assert sol.mse == pytest.approx(16.0, rel=1e-12)
+
     def test_weights_beyond_grid_resolution_refused(self):
         w = FunctionalWeights.extrapolation(0.5 ** np.arange(40).reshape(40, 1))
-        with pytest.raises(TruncationError, match="beyond the largest truncation"):
+        with pytest.raises(AliasingError, match="is not resolvable"):
             extrapolate(SpectralDensity.white(1, grid_size=64), None, w)
 
     def test_monotone_and_cauchy_in_truncation(self):
@@ -281,7 +307,7 @@ class TestFiltering:
         assert sol.diagnostics["truncation"] == GRID // 2 - 2
         proj, _ = time_domain_projection_converged(f, g, w)
         assert sol.mse == pytest.approx(proj.mse, rel=1e-6)
-        with pytest.raises(TruncationError, match="exceeds the grid resolution"):
+        with pytest.raises(AliasingError, match="is not resolvable"):
             filtering(f, g, w, truncation=GRID // 2 - 1)
 
     def test_ma1_matches_oracle(self):

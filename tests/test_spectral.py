@@ -347,6 +347,17 @@ class TestDensityCsv:
         with pytest.raises(ValueError, match="malformed"):
             read_density_csv(path)
 
+    @pytest.mark.parametrize("body, message", [
+        ("lag,row,col,re,im\n0,0,0,1.0,0\n", "expected header m,row,col,re,im"),
+        ("m,row,col,re,im\n0,-1,0,1.0,0\n", ":2: negative matrix index"),
+        ("m,row,col,re,im\n\n,,\n", "no coefficients found"),
+    ], ids=["header", "negative-index", "empty"])
+    def test_refused_files(self, tmp_path, body, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(body, encoding="utf-8")
+        with pytest.raises(ValueError, match=message):
+            read_density_csv(path)
+
     def test_ar_density_survives_roundtrip_via_grid(self, tmp_path):
         f = ar1()
         path = tmp_path / "ar.csv"
