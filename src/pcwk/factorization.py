@@ -38,6 +38,7 @@ solved.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -78,6 +79,8 @@ MIN_ITERATION_GRID = 128
 # largest singular-value ratio of the factor's symbol that still has a
 # bounded left inverse
 FACTOR_COND_LIMIT = 1e12
+
+_log = logging.getLogger("pcwk")
 
 
 @dataclass(frozen=True)
@@ -409,20 +412,36 @@ def _weighted_tap_sums(weights: FunctionalWeights, fact: Factorization) -> np.nd
     return out
 
 
+def _memoized_factor(f: SpectralDensity) -> Factorization:
+    """``spectral_factorize(f)``, computed once per density and kept on it.
+
+    A density that the factorization refuses stores nothing. Logs one debug
+    record to the ``pcwk`` logger: the factor "computed" or "memo".
+    """
+    memo = "_factor" in vars(f)
+    if not memo:
+        vars(f)["_factor"] = spectral_factorize(f)
+    _log.debug("causal factor (G = %d, K = %d): %s", f.grid_size, f.dim,
+               "memo" if memo else "computed")
+    return vars(f)["_factor"]
+
+
 def extrapolate_factorized(f, weights: FunctionalWeights) -> EstimateSolution:
     """Forward estimation from exact past observations, factorization route.
 
-    Accepts either a density, factorized on every call, or a ready
-    :class:`Factorization`, whose cached symbol every call reuses. The mean
+    Accepts either a density or a ready :class:`Factorization`, used as
+    given. A density is factorized by its first call, at the default
+    ``tol``, and keeps its factor (:func:`_memoized_factor`), so every later
+    call on the same object reuses it and its cached symbol. The mean
     square error is the sum of squared weighted tap sums; the spectral
     characteristic is the weight polynomial minus their generating function
-    times the factor's left inverse.
+    times the factor's left inverse, which each call computes.
     """
     if weights.horizon not in ("extrapolation", "extrapolation_finite"):
         raise ValueError("weights must carry an extrapolation horizon")
     _shared_dim(weights, f)
     _summability_warning(weights)
-    fact = f if isinstance(f, Factorization) else spectral_factorize(f)
+    fact = f if isinstance(f, Factorization) else _memoized_factor(f)
     sums = _weighted_tap_sums(weights, fact)
     mse = float(np.sum(np.abs(sums) ** 2))
     Q = _left_inverse_values(fact.symbol())

@@ -67,8 +67,8 @@ from .spectral import (
     DEFAULT_GRID_SIZE,
     SpectralDensity,
     _admit_lag,
-    _grid_inverse,
     _grid_symbol,
+    _inverse_density,
     _node_eigenvalues,
     check_minimality,
 )
@@ -367,7 +367,7 @@ def least_favorable_dm_interpolation(
     if weights.horizon != "interpolation":
         raise ValueError("weights must carry the interpolation horizon")
     P = _dm_moments(p_constraints, weights.dim, weights.n, grid_size)
-    f0 = SpectralDensity.from_grid(_grid_inverse(P.values))
+    f0 = _inverse_density(P)
     h0 = interpolate(f0, None, weights)
     return LeastFavorableResult(
         f0=f0, g0=None, minimax_mse=h0.mse, h0=h0,
@@ -804,7 +804,7 @@ def sample_dm_class(
             coeffs[L - M - i] = bump.conj().T
         draw = SpectralDensity(dim=dim, coeffs=coeffs, grid_size=grid_size)
         if check_minimality(draw).passed:
-            out.append(SpectralDensity.from_grid(_grid_inverse(draw.values)))
+            out.append(_inverse_density(draw))
     if len(out) < count:
         raise InfeasibleClassError(
             "could not sample enough positive definite class members"

@@ -12,7 +12,12 @@ first use and then cached on the object, read-only, and so are the node
 eigenvalues ``f.eigenvalues`` of its Hermitian part, which every
 positive-definiteness decision reads, and the exact-data kernel: the grid
 inverse f^{-1} and its coefficient table, which every solve of f from
-exact observations and the inverse-moment class residual read. All
+exact observations and the inverse-moment class residual read. The
+solvers keep the rest of what they derive from the densities alone on the
+density too, each computed once per object: the noisy kernel (f+g)^{-1}
+and its table in one slot for the last noise density g
+(``estimators._kernel_table``), and the causal factor that
+``extrapolate_factorized`` reads (``factorization._memoized_factor``). All
 integrals are trapezoid sums over the uniform grid
 ``lambda_g = -pi + 2 pi g / G``, which integrate the retained
 trigonometric band exactly. Densities that are not
@@ -250,7 +255,8 @@ class SpectralDensity:
         The exact-data solves read it, through ``estimators._kernel_table``,
         only once ``check_minimality`` has passed, so a solve the gate
         refuses stores none; ``minimax.dm_class_residual`` reads the moments
-        of f^{-1} from ``_inverse_table``.
+        of f^{-1} from ``_inverse_table``. A density built as the inverse of
+        a polynomial p (:func:`_inverse_density`) has both seeded from p.
         """
         return _read_only(_grid_inverse(self.values))
 
@@ -274,6 +280,24 @@ class SpectralDensity:
         return SpectralDensity(
             dim=self.dim, coeffs=factor * self.coeffs, grid_size=self.grid_size
         )
+
+
+def _inverse_density(p: SpectralDensity) -> SpectralDensity:
+    """The density p^{-1} of a polynomial p: ``from_grid`` of its grid inverse.
+
+    Its exact-data kernel is p itself, so the memos ``_inverse`` and
+    ``_inverse_table`` are seeded with p's grid values and the table of
+    p's own lags, transposed, and no solve or moment read inverts the
+    density back.
+    """
+    f = SpectralDensity.from_grid(_grid_inverse(p.values))
+    G, L = p.grid_size, p.max_lag
+    table = np.zeros((G, p.dim, p.dim), dtype=complex)
+    # add.at: the lags +-G/2 of a band reaching G/2 share a row, as on the grid
+    np.add.at(table, np.arange(-L, L + 1) % G, np.transpose(p.coeffs, (0, 2, 1)))
+    vars(f)["_inverse"] = p.values
+    vars(f)["_inverse_table"] = _read_only(table)
+    return f
 
 
 def _as_grid_values(values) -> np.ndarray:

@@ -1031,14 +1031,19 @@ class TestFuzzedSpecs:
         assert "Traceback" not in err
 
 
+def source_env(**variables):
+    """The environment of a fresh interpreter that imports this pcwk."""
+    src = str(Path(pcwk.__file__).resolve().parents[1])
+    env = dict(os.environ, **variables)
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
+
+
 def scipy_modules_after(code):
     """The scipy modules loaded once ``code`` has run in a fresh interpreter."""
-    src = str(Path(pcwk.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
     code += "; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        [sys.executable, "-c", code], env=source_env(), capture_output=True, text=True,
         timeout=60, check=True,
     )
     return out.stdout.strip()
@@ -1057,3 +1062,14 @@ def test_oracle_leaves_scipy_unloaded():
         "assert proj.converged"
     )
     assert scipy_modules_after(code) == "[]"
+
+
+def test_debug_log_names_each_kernel(tmp_path):
+    # PCWK_LOG=debug reaches the solvers' records through the CLI's basicConfig
+    out = subprocess.run(
+        [sys.executable, "-m", "pcwk.cli", "--spec", str(filter_spec(tmp_path)),
+         "--out", str(tmp_path / "out")],
+        env=source_env(PCWK_LOG="debug"), capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert f"DEBUG:pcwk:kernel (f+g)^-1 (G = {GRID}, K = 1): computed" in out.stderr

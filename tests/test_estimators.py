@@ -1,3 +1,4 @@
+import logging
 import warnings
 
 import numpy as np
@@ -497,15 +498,76 @@ class TestOnePath:
     def test_memoized_kernel_is_read_only(self):
         f = coupled_ma2()
         interpolate(f, None, unit_interp(dim=2))
-        for memo in (f._inverse, f._inverse_table):
+        interpolate(f, white(dim=2, scale=0.5), unit_interp(dim=2))
+        for memo in (f._inverse, f._inverse_table, *vars(f)["_noisy_kernel"][1:]):
             with pytest.raises(ValueError):
                 memo[0, 0, 0] = 0.0
 
-    def test_noisy_kernel_is_not_memoized(self):
-        # (f+g)^{-1} belongs to the pair: neither density keeps it
+    def test_noisy_kernel_is_memoized_per_pair(self, monkeypatch):
+        # a second solve of the same (f, g), of any task, runs no gate,
+        # inversion or FFT of the kernel: it reads the arrays of f's slot and
+        # returns the same bits. (f+g)^{-1} is not f's exact-data kernel
+        f, g = coupled_ma2(), white(dim=2, scale=0.5)
+        w = FunctionalWeights.extrapolation(np.array([[1.0, -0.5], [0.3, 0.2j]]))
+        first = extrapolate(f, g, w)
+        held, inv, table = vars(f)["_noisy_kernel"]
+        assert held is g
+        calls = []
+        for name in ("_inverse_if_minimal", "check_minimality", "_grid_inverse",
+                     "_transposed_coefficients"):
+            monkeypatch.setattr(estimators, name, lambda *a, name=name: calls.append(name))
+        again = extrapolate(f, g, w)
+        interpolate(f, g, FunctionalWeights.interpolation(w.blocks))
+        filtering(f, g, FunctionalWeights.filtering(w.blocks))
+        assert calls == []
+        read = estimators._kernel_table(f, g)
+        assert read[0] is inv and read[1] is g.values and read[2] is table
+        assert again.mse == first.mse
+        np.testing.assert_array_equal(again.h_grid, first.h_grid)
+        assert not {"_inverse", "_inverse_table"} & (set(vars(f)) | set(vars(g)))
+
+    def test_other_noise_density_takes_the_slot(self):
+        # the slot holds g itself: a new density with equal values is gated
+        # and inverted afresh, to the same bits, and replaces it
+        f, g, twin = coupled_ma2(), white(dim=2, scale=0.5), white(dim=2, scale=0.5)
+        first = interpolate(f, g, unit_interp(dim=2))
+        _, inv, table = vars(f)["_noisy_kernel"]
+        second = interpolate(f, twin, unit_interp(dim=2))
+        held, twin_inv, twin_table = vars(f)["_noisy_kernel"]
+        assert held is twin and twin_inv is not inv and twin_table is not table
+        np.testing.assert_array_equal(twin_inv, inv)
+        np.testing.assert_array_equal(twin_table, table)
+        assert second.mse == first.mse
+
+    def test_refused_pair_stores_no_kernel(self):
+        # f + g = 0 fails the gate on every call and leaves the slot as it was
         f, g = coupled_ma2(), white(dim=2, scale=0.5)
         interpolate(f, g, unit_interp(dim=2))
-        assert not {"_inverse", "_inverse_table"} & (set(vars(f)) | set(vars(g)))
+        slot = vars(f)["_noisy_kernel"]
+        for _ in range(2):
+            with pytest.raises(MinimalityError):
+                interpolate(f, f.scaled(-1.0), unit_interp(dim=2))
+        assert vars(f)["_noisy_kernel"] is slot
+        coarse = SpectralDensity.white(2, scale=0.5, grid_size=2 * GRID)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                interpolate(f, coarse, unit_interp(dim=2))
+        assert vars(f)["_noisy_kernel"] is slot
+        fresh = coupled_ma2()
+        with pytest.raises(MinimalityError):
+            interpolate(fresh, fresh.scaled(-1.0), unit_interp(dim=2))
+        assert "_noisy_kernel" not in vars(fresh)
+
+    def test_kernel_records_say_computed_or_memo(self, caplog):
+        f, g = coupled_ma2(), white(dim=2, scale=0.5)
+        with caplog.at_level(logging.DEBUG, logger="pcwk"):
+            for noise in (g, g, None, None):
+                interpolate(f, noise, unit_interp(dim=2))
+        assert [r.getMessage() for r in caplog.records if r.name == "pcwk"] == [
+            f"kernel {name} (G = {GRID}, K = 2): {how}"
+            for name, how in [("(f+g)^-1", "computed"), ("(f+g)^-1", "memo"),
+                              ("f^-1", "computed"), ("f^-1", "memo")]
+        ]
 
     def test_refused_density_stores_no_kernel(self):
         f = SpectralDensity.constant(np.diag([1.0, 1e-13]), grid_size=GRID)

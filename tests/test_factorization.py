@@ -1,5 +1,6 @@
 import functools
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -486,6 +487,40 @@ class TestOutputGridVisitedOnce:
         assert direct.mse == ready.mse
         np.testing.assert_array_equal(direct.h_grid, ready.h_grid)
         np.testing.assert_array_equal(direct.solved_blocks, ready.solved_blocks)
+
+    def test_density_keeps_its_factor(self, monkeypatch, caplog):
+        # the first call factors f and keeps the factor on it; the next one
+        # reuses it, and a Factorization argument is used as given
+        calls = []
+        factorize = factorization.spectral_factorize
+        monkeypatch.setattr(
+            factorization, "spectral_factorize",
+            lambda f: calls.append(f) or factorize(f),
+        )
+        f = coupled_ma2()
+        w = FunctionalWeights.extrapolation(np.array([[1.0, -0.5], [0.3, 0.2j]]))
+        with caplog.at_level(logging.DEBUG, logger="pcwk"):
+            first = extrapolate_factorized(f, w)
+            again = extrapolate_factorized(f, FunctionalWeights.extrapolation_finite(w.blocks))
+        assert calls == [f]
+        assert [r.getMessage() for r in caplog.records if r.name == "pcwk"] == [
+            f"causal factor (G = {GRID}, K = 2): {how}" for how in ("computed", "memo")
+        ]
+        fact = vars(f)["_factor"]
+        assert again.diagnostics["factor_residual"] == fact.residual
+        ready = factorize(f)
+        handed = extrapolate_factorized(ready, w)
+        assert calls == [f] and vars(f)["_factor"] is fact
+        assert handed.mse == first.mse
+        np.testing.assert_array_equal(handed.h_grid, first.h_grid)
+
+    def test_refused_density_keeps_no_factor(self):
+        f = SpectralDensity.constant(np.diag([1.0, 0.0]), grid_size=GRID)
+        w = FunctionalWeights.extrapolation(np.ones((1, 2)))
+        for _ in range(2):
+            with pytest.raises(MultiplicityError):
+                extrapolate_factorized(f, w)
+        assert "_factor" not in vars(f)
 
     def test_coefficients_and_symbol_are_read_only(self):
         taps = np.array([[[1.0]], [[0.5]]])

@@ -377,10 +377,11 @@ class TestDmInterpolation:
         ],
         ids=["ar2", "coupled"],
     )
-    def test_saddle_check_inverts_each_member_twice(self, monkeypatch, p):
-        # the sampler inverts each draw into a member, and the validator
-        # inverts the member for the kernel table that interpolate then
-        # reads: two grid inversions and two (G, K, K) FFTs a member
+    def test_saddle_check_inverts_each_member_once(self, monkeypatch, p):
+        # the sampler inverts each draw into a member and seeds the member's
+        # kernel memo from the draw's own values and lags, so the validator
+        # and interpolate invert and transform nothing: one grid inversion
+        # and one (G, K, K) FFT (that of from_grid) a member
         K = p[0].shape[0]
         w = FunctionalWeights.interpolation(np.ones((2, K)))
         result = least_favorable_dm_interpolation(p, w, grid_size=GRID)
@@ -395,7 +396,7 @@ class TestDmInterpolation:
             calls["grid fft"] += np.ndim(a) == 3
             return fft(a, *args, **kwargs)
 
-        for module in (spectral, estimators, minimax):
+        for module in (spectral, estimators):
             monkeypatch.setattr(module, "_grid_inverse", inverse)
         monkeypatch.setattr(np.fft, "fft", counted_fft)
         members = sample_dm_class(
@@ -407,16 +408,41 @@ class TestDmInterpolation:
             optimal_error=lambda fs, gs: interpolate(fs, None, w).mse,
         )
         assert report.n_rejected == 0 and report.margins.size == 5
-        assert calls == {"inverse": 10, "grid fft": 10}
-        # the moments of one FFT of the member's own grid inverse
+        assert calls == {"inverse": 5, "grid fft": 5}
+        # the seeded memo is the member's own grid inverse and one FFT of it,
+        # to round-off, and so are the moments read from it
         scale = max(float(np.linalg.norm(target)) for target in p)
         for member in members:
-            table = _all_fourier_coefficients(grid_inverse(member.values))
+            inverse = grid_inverse(member.values)
+            table = _all_fourier_coefficients(np.transpose(inverse, (0, 2, 1)))
+            np.testing.assert_allclose(member._inverse, inverse, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(member._inverse_table, table, rtol=0, atol=1e-13)
             worst = max(
-                float(np.linalg.norm(0.5 * (table[m] + table[-m]) - target))
+                float(np.linalg.norm(0.5 * (table[m] + table[-m]).T - target))
                 for m, target in enumerate(p)
             )
             assert dm_class_residual(member, p) == pytest.approx(worst / scale, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            [np.array([[1.5]]), np.array([[0.4]]), np.array([[0.1]])],
+            [2.0 * np.eye(2), np.array([[0.3, 0.2j], [-0.2j, 0.1]])],
+        ],
+        ids=["ar2", "coupled"],
+    )
+    def test_worst_density_kernel_is_the_moment_polynomial(self, p):
+        # f0 is the inverse of the moment polynomial P: its exact-data kernel
+        # is P's own values and lags, and its solve agrees with one that
+        # inverts f0 back, to round-off
+        K = p[0].shape[0]
+        w = FunctionalWeights.interpolation(np.ones((len(p), K)))
+        result = least_favorable_dm_interpolation(p, w, grid_size=GRID)
+        f0 = result.f0
+        assert dm_class_residual(f0, p) <= 1e-15
+        fresh = interpolate(SpectralDensity.from_grid(f0.values), None, w)
+        assert result.minimax_mse == pytest.approx(fresh.mse, rel=1e-12)
+        np.testing.assert_allclose(result.h0.h_grid, fresh.h_grid, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize(
         "p",

@@ -326,6 +326,21 @@ def stable_problems(draw):
     return f, blocks
 
 
+@st.composite
+def noise_densities(draw, dim):
+    """White noise of scale 0.5, or colored noise that need not commute with
+    the signal: M g M^H + 0.05 I, g a random MA(1) and M a random complex
+    matrix."""
+    if draw(st.booleans()):
+        return SpectralDensity.white(dim, scale=0.5, grid_size=PROPERTY_GRID)
+    raw = draw(arrays(np.float64, (2, dim, dim, 2), elements=st.floats(-0.5, 0.5)))
+    tap, mix = raw[..., 0] + 1j * raw[..., 1]
+    g = SpectralDensity.from_moving_average([np.eye(dim), tap], grid_size=PROPERTY_GRID)
+    coeffs = mix @ g.coeffs @ mix.conj().T
+    coeffs[1] += 0.05 * np.eye(dim)
+    return SpectralDensity(dim, coeffs, grid_size=PROPERTY_GRID)
+
+
 @pytest.mark.parametrize(
     "solver, horizon, noisy",
     [
@@ -333,14 +348,16 @@ def stable_problems(draw):
         (interpolate, "interpolation", False),
         (extrapolate, "extrapolation", True),
         (extrapolate, "extrapolation", False),
+        (extrapolate, "extrapolation_finite", True),
+        (extrapolate, "extrapolation_finite", False),
         (filtering, "filtering", True),
     ],
 )
 @settings(derandomize=True, deadline=None, max_examples=10)
-@given(problem=stable_problems())
-def test_spectral_error_agrees_with_oracle(solver, horizon, noisy, problem):
+@given(problem=stable_problems(), data=st.data())
+def test_spectral_error_agrees_with_oracle(solver, horizon, noisy, problem, data):
     f, blocks = problem
-    g = SpectralDensity.white(f.dim, scale=0.5, grid_size=PROPERTY_GRID) if noisy else None
+    g = data.draw(noise_densities(f.dim)) if noisy else None
     w = FunctionalWeights(blocks=blocks, horizon=horizon)
     sol = solver(f, g, w)
     proj, _ = time_domain_projection_converged(f, g, w, initial_window=16, rel_tol=1e-8)
