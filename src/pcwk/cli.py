@@ -48,8 +48,6 @@ from .spectral import (
 
 from . import __version__
 
-logger = logging.getLogger("pcwk")
-
 _TASK_HORIZON = {
     "interpolate": "interpolation",
     "extrapolate": "extrapolation",

@@ -12,16 +12,15 @@ by the task:
   observed with noise.
 
 All tasks run one path, which differs between them only in its index sets:
-one minimality check and one inversion of f+g on the grid (with noise the
-inverse comes first, and a bound on its norms settles the check unless
-the grid is near the threshold), the Fourier coefficient table of the
-kernel (f+g)^{-1} (transposed inside the integral, as the component
-pairing of the lifted basis requires; f memoizes f^{-1} and its table,
-and (f+g)^{-1} and its table for the last g it was solved with, so only
-the first solve of a density or a pair computes them), its block matrix
-B, one Hermitian solve B c = D a for the unknown coefficient blocks, and
-the characteristic h = v - C (f+g)^{-1} on the grid with the mean square
-error. The kernels
+one minimality check (``spectral.check_minimality``) and one inversion of
+f+g on the grid, the Fourier coefficient table of the kernel (f+g)^{-1}
+(transposed inside the integral, as the component pairing of the lifted
+basis requires; f keeps f^{-1} and (f+g)^{-1} for the last g it was solved
+with, each with its table, in the kernel memo ``spectral._kernel_table``,
+so only the first solve of a density or a pair computes them), its block
+matrix B, one Hermitian solve B c = D a for the unknown coefficient
+blocks, and the characteristic h = v - C (f+g)^{-1} on the grid with the
+mean square error. The kernels
 f (f+g)^{-1} and f (f+g)^{-1} g of D and R act only on the fixed weights a,
 so neither is tabulated: with A the weight polynomial on the grid,
 v = A f (f+g)^{-1} = A - (A g)(f+g)^{-1}, the Fourier coefficients of v are
@@ -43,7 +42,6 @@ requires a noise density.
 
 from __future__ import annotations
 
-import logging
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -52,18 +50,16 @@ from typing import Iterable
 import numpy as np
 
 from .cholesky import border, cholesky, cholesky_solver
-from .errors import IllPosedError, MinimalityError, TruncationError
+from .errors import IllPosedError, TruncationError
 from .lifting import FunctionalWeights, _shared_dim, check_weight_summability
 from .spectral import (
     DEFAULT_COND_THRESHOLD,
     SpectralDensity,
     _admit_lag,
     _all_fourier_coefficients,
-    _grid_inverse,
     _grid_symbol,
-    _inverse_if_minimal,
-    _read_only,
-    check_minimality,
+    _kernel_table,
+    _transposed_coefficients,
 )
 
 __all__ = [
@@ -89,77 +85,8 @@ MSE_CAUCHY_TOL = 1e-8
 # relative error of a solve tracks the tail's square, here 1e-8
 KERNEL_TAIL_TOL = 1e-4
 
-_log = logging.getLogger("pcwk")
-
 
 # -- kernel tables and block matrices -----------------------------------
-
-
-def _kernel_table(f, g):
-    """Check minimality, invert f+g on the grid and tabulate its inverse, once.
-
-    Whatever a solve derives from the densities alone is computed once per
-    density object. Without noise the check reads the cached
-    ``f.eigenvalues`` on every call, and the kernel is the one f memoizes,
-    f^{-1} and its table, computed by the first call the check passes. With
-    noise f keeps one slot: the last noise density g it was solved with,
-    compared by ``is``, and (f+g)^{-1} with its table. A call with that g
-    reads the slot and skips the gate, the inversion and the FFT, since the
-    pair passed the gate and densities are immutable; any other g, even one
-    with equal values, is gated and inverted afresh and takes the slot.
-    Either memo is two read-only arrays, 2 G K^2 16 bytes (4 MB at
-    G = 2048, K = 8), and a refused pair stores nothing. Each call logs one
-    debug record to the ``pcwk`` logger: its kernel "computed" or "memo".
-
-    With noise, f+g is inverted first and the inverse is kept when
-    :func:`spectral._inverse_if_minimal` proves, from its norms and one
-    Cholesky factor of the Hermitian part, that ``check_minimality(f, g)``
-    passes; only when that bound cannot decide does the exact check run,
-    so every refusal keeps its error and message.
-
-    Returns the grid values of (f+g)^{-1} and of g, and the coefficient
-    table, indexed by lag mod G, of the transposed kernel (f+g)^{-1}
-    (f^{-1} without noise), the one kernel the solve tabulates.
-    """
-    if g is None:
-        _admit_kernel(check_minimality(f), g)
-        _log_kernel("f^-1", f, "_inverse_table" in vars(f))
-        return f._inverse, None, f._inverse_table
-    slot = vars(f).get("_noisy_kernel")
-    if slot is not None and slot[0] is g:
-        _log_kernel("(f+g)^-1", f, True)
-        return slot[1], g.values, slot[2]
-    fv, gv = f.values, g.values
-    inv = _inverse_if_minimal(fv + gv) if gv.shape == fv.shape else None
-    if inv is None:
-        _admit_kernel(check_minimality(f, g), g)
-        inv = _grid_inverse(fv + gv)
-    inv = _read_only(inv)
-    table = _read_only(_transposed_coefficients(inv))
-    vars(f)["_noisy_kernel"] = (g, inv, table)
-    _log_kernel("(f+g)^-1", f, False)
-    return inv, gv, table
-
-
-def _admit_kernel(report, g):
-    """Raise ``MinimalityError`` unless the minimality report passed."""
-    if not report.passed:
-        observed = "signal" if g is None else "observed"
-        raise MinimalityError(
-            f"minimality condition violated: {observed} density is singular "
-            f"near lambda = {report.worst_node:.6f} "
-            f"(grid condition {report.max_condition:.3e})"
-        )
-
-
-def _log_kernel(name, f, memo):
-    _log.debug("kernel %s (G = %d, K = %d): %s", name, f.grid_size, f.dim,
-               "memo" if memo else "computed")
-
-
-def _transposed_coefficients(kernel):
-    """Coefficient table, by lag mod G, of a (G, K, K) kernel transposed pointwise."""
-    return _all_fourier_coefficients(np.transpose(kernel, (0, 2, 1)))
 
 
 def _gather(table, kind, rows, cols):

@@ -69,6 +69,7 @@ from .spectral import (
     _admit_lag,
     _grid_symbol,
     _inverse_density,
+    _kernel_slot,
     _node_eigenvalues,
     check_minimality,
 )
@@ -817,12 +818,13 @@ def dm_class_residual(f: SpectralDensity, p_constraints: Sequence) -> float:
     relative to the largest constraint norm.
 
     The moments are the grid means of f^{-1} cos(m lambda), the mean of
-    its coefficients at lags m and -m. They are read from the kernel table
-    the density memoizes for its exact-data solves (of f^{-1} transposed,
-    so each block is transposed back): a member that is then solved, as
-    the dm saddle check solves each one, inverts its grid values once.
+    its coefficients at lags m and -m. They are read from the exact-data
+    kernel table of the density's memo (``spectral._kernel_slot``, of
+    f^{-1} transposed, so each block is transposed back), which a member
+    of the class has seeded and a solve of the density then reads; a
+    density that fails ``check_minimality`` raises ``MinimalityError``.
     """
-    table = f._inverse_table
+    _, table, _ = _kernel_slot(f, None)
     G = table.shape[0]
     worst = scale = 0.0
     for m, target in enumerate(p_constraints):

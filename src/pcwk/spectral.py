@@ -10,13 +10,12 @@ at index ``m + L`` (the layout of ``oracle.CovarianceTable``); lags beyond L
 are zero. Its grid values ``f.values`` are computed by one inverse FFT on
 first use and then cached on the object, read-only, and so are the node
 eigenvalues ``f.eigenvalues`` of its Hermitian part, which every
-positive-definiteness decision reads, and the exact-data kernel: the grid
-inverse f^{-1} and its coefficient table, which every solve of f from
-exact observations and the inverse-moment class residual read. The
-solvers keep the rest of what they derive from the densities alone on the
-density too, each computed once per object: the noisy kernel (f+g)^{-1}
-and its table in one slot for the last noise density g
-(``estimators._kernel_table``), and the causal factor that
+positive-definiteness decision reads. What the solvers derive from the
+densities alone is kept on the density too, computed once per object: the
+kernel (f+g)^{-1} and its coefficient table, gated by
+:func:`check_minimality` and written by :func:`_kernel_slot` alone, in one
+slot for exact data (f^{-1}, which the inverse-moment class residual reads
+too) and one for the last noise density g, and the causal factor that
 ``extrapolate_factorized`` reads (``factorization._memoized_factor``). All
 integrals are trapezoid sums over the uniform grid
 ``lambda_g = -pi + 2 pi g / G``, which integrate the retained
@@ -43,18 +42,22 @@ forward FFT.
 from __future__ import annotations
 
 import csv
+import logging
 import warnings
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import AliasingError
+from .errors import AliasingError, MinimalityError
 
 DEFAULT_GRID_SIZE = 2048
 PSD_TOLERANCE = 1e-10
 DEFAULT_COND_THRESHOLD = 1e12
+
+_log = logging.getLogger("pcwk")
 
 __all__ = [
     "DEFAULT_GRID_SIZE",
@@ -248,27 +251,6 @@ class SpectralDensity:
         """
         return _read_only(_node_eigenvalues(self.values))
 
-    @cached_property
-    def _inverse(self) -> np.ndarray:
-        """f^{-1} on the grid, (G, K, K): ``_grid_inverse(values)``, cached, read-only.
-
-        The exact-data solves read it, through ``estimators._kernel_table``,
-        only once ``check_minimality`` has passed, so a solve the gate
-        refuses stores none; ``minimax.dm_class_residual`` reads the moments
-        of f^{-1} from ``_inverse_table``. A density built as the inverse of
-        a polynomial p (:func:`_inverse_density`) has both seeded from p.
-        """
-        return _read_only(_grid_inverse(self.values))
-
-    @cached_property
-    def _inverse_table(self) -> np.ndarray:
-        """Coefficient table, by lag mod G, of f^{-1} transposed pointwise.
-
-        Computed once from ``_inverse`` and cached, read-only.
-        """
-        transposed = np.transpose(self._inverse, (0, 2, 1))
-        return _read_only(_all_fourier_coefficients(transposed))
-
     def coeff(self, m: int) -> np.ndarray:
         """F(m), a zero matrix beyond the stored lags."""
         m, L = int(m), self.max_lag
@@ -285,18 +267,19 @@ class SpectralDensity:
 def _inverse_density(p: SpectralDensity) -> SpectralDensity:
     """The density p^{-1} of a polynomial p: ``from_grid`` of its grid inverse.
 
-    Its exact-data kernel is p itself, so the memos ``_inverse`` and
-    ``_inverse_table`` are seeded with p's grid values and the table of
-    p's own lags, transposed, and no solve or moment read inverts the
-    density back.
+    Its exact-data kernel is p itself, so once its own gate passes its
+    exact slot (:func:`_kernel_slot`) is seeded with p's grid values and the
+    table of p's own lags, transposed, and no solve or moment read inverts
+    the density back. A density the gate refuses is returned unseeded, and
+    its solves meet the same refusal.
     """
     f = SpectralDensity.from_grid(_grid_inverse(p.values))
     G, L = p.grid_size, p.max_lag
     table = np.zeros((G, p.dim, p.dim), dtype=complex)
     # add.at: the lags +-G/2 of a band reaching G/2 share a row, as on the grid
     np.add.at(table, np.arange(-L, L + 1) % G, np.transpose(p.coeffs, (0, 2, 1)))
-    vars(f)["_inverse"] = p.values
-    vars(f)["_inverse_table"] = _read_only(table)
+    with suppress(MinimalityError):
+        _kernel_slot(f, None, seed=(p.values, _read_only(table)))
     return f
 
 
@@ -431,9 +414,8 @@ def check_minimality(
     pass flag. This is the one place the rule is written: a node whose
     condition exceeds ``DEFAULT_COND_THRESHOLD`` fails the check rather
     than being regularized. Alone, f is read through its cached
-    ``eigenvalues``. The estimators reach this check for f + g only when
-    :func:`_inverse_if_minimal` cannot prove that it passes, near the
-    threshold or on a refusal.
+    ``eigenvalues``. Every solve reaches it through the kernel memo
+    (:func:`_kernel_slot`), once per kernel it computes.
     """
     if g is None:
         eigs = f.eigenvalues
@@ -473,59 +455,68 @@ def check_minimality(
     )
 
 
-def _inverse_if_minimal(values: np.ndarray) -> np.ndarray | None:
-    """``_grid_inverse(values)`` when a bound proves that the minimality rule passes.
+# -- the kernel memo ----------------------------------------------------
 
-    ``values`` are (G, K, K) grid samples A with Hermitian part H and skew
-    part S = A - H. Returns None, and the caller runs
-    :func:`check_minimality`, whenever the bound cannot decide: A is
-    singular, H has no Cholesky factor, or the bound exceeds half of
-    ``DEFAULT_COND_THRESHOLD``. Otherwise the rule's condition
-    lambda_max / lambda_min of H is at most that half:
 
-    * the Cholesky factor (at K = 1, a positive real part) proves H
-      positive definite at every node (Higham, *Accuracy and Stability of
-      Numerical Algorithms*, 10.1);
-    * lambda_max(H_g) <= ||H_g||_2 <= ||A_g||_F at each node;
-    * 1 / lambda_min(H_g) = ||H_g^{-1}||_2 <= r_g / (1 - r_g s_g) with
-      r_g = ||A_g^{-1}||_F and s_g = ||S_g||_F, since H = A - S (the
-      perturbed-inverse bound; Golub & Van Loan, *Matrix Computations*,
-      2.3). For a Hermitian density S is round-off and the bound is r_g.
+def _kernel_slot(f, g, seed=None):
+    """Gate f+g (f alone for ``g=None``), invert it on the grid and tabulate it, once.
 
-    The factor two covers the rounding of the rule's own ``eigvalsh``,
-    which by Weyl's inequality moves each eigenvalue by about
-    K eps lambda_max at most (Golub & Van Loan, 8.1), below 1e-3 of
-    lambda_min at half the threshold, and the error of the computed
-    inverse, about cond * eps relative. An accepted grid therefore passes
-    ``check_minimality`` too: the bound changes the cost of a decision,
-    never the decision.
+    The one writer of the kernel memo. f keeps two slots, one for exact data
+    and one for the last noise density g it was solved with, so solves that
+    alternate the two compute each kernel once. A slot is the triple (g, the
+    grid inverse, its coefficient table by lag mod G, transposed pointwise):
+    two read-only arrays of 2 G K^2 16 bytes (4 MB at G = 2048, K = 8). A
+    slot that holds this g, compared by ``is``, is read as it is: it passed
+    the gate, and densities are immutable. Otherwise (an empty slot, or
+    another g, even one with equal values) ``check_minimality`` decides,
+    raising ``MinimalityError`` on a refusal, which stores nothing; then
+    :func:`_grid_inverse` inverts f+g, or ``seed`` stands in, the inverse and
+    table of a kernel known in closed form (:func:`_inverse_density`), and
+    the result takes the slot.
+
+    Returns the inverse, the table and whether they were read from the memo.
     """
-    try:
-        inverse = _grid_inverse(values)
-    except np.linalg.LinAlgError:
-        return None
-    # one work array, no other temporary: A^H - A = -2 S, then A^H + A = 2 H
-    work = np.conjugate(np.transpose(values, (0, 2, 1)), order="C")
-    work -= values
-    skew = _node_norms(work) / 2.0
-    work += values
-    work += values
-    if work.shape[1:] == (1, 1):
-        # the test of a 1 x 1 Cholesky factor; a NaN node fails it too
-        if not np.all(work.real > 0.0):
-            return None
-    else:
-        try:
-            np.linalg.cholesky(work)  # 2 H is definite exactly when H is
-        except np.linalg.LinAlgError:
-            return None
-    del work
-    r = _node_norms(inverse)
-    rs = r * skew
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inverse_norm = np.where(rs < 1.0, r / (1.0 - rs), np.inf)
-    bound = float(_node_norms(values).max()) * float(inverse_norm.max())
-    return inverse if bound <= DEFAULT_COND_THRESHOLD / 2 else None
+    key = "_exact_kernel" if g is None else "_noisy_kernel"
+    slot = vars(f).get(key)
+    if slot is not None and slot[0] is g:
+        return slot[1], slot[2], True
+    _admit_kernel(check_minimality(f, g), g)
+    if seed is None:
+        inv = _read_only(_grid_inverse(f.values if g is None else f.values + g.values))
+        seed = inv, _read_only(_transposed_coefficients(inv))
+    vars(f)[key] = (g, *seed)
+    return (*seed, False)
+
+
+def _kernel_table(f, g):
+    """The kernel of a solve of f observed with noise g (exact for ``g=None``).
+
+    Reads :func:`_kernel_slot` and logs one debug record to the ``pcwk``
+    logger: the kernel "computed" or "memo". Returns the grid values of
+    (f+g)^{-1} (f^{-1} without noise) and of g (None without noise), and the
+    coefficient table of the transposed kernel, the one kernel a solve
+    tabulates.
+    """
+    inv, table, memo = _kernel_slot(f, g)
+    _log.debug("kernel %s (G = %d, K = %d): %s", "f^-1" if g is None else "(f+g)^-1",
+               f.grid_size, f.dim, "memo" if memo else "computed")
+    return inv, None if g is None else g.values, table
+
+
+def _admit_kernel(report, g):
+    """Raise ``MinimalityError`` unless the minimality report passed."""
+    if not report.passed:
+        observed = "signal" if g is None else "observed"
+        raise MinimalityError(
+            f"minimality condition violated: {observed} density is singular "
+            f"near lambda = {report.worst_node:.6f} "
+            f"(grid condition {report.max_condition:.3e})"
+        )
+
+
+def _transposed_coefficients(kernel):
+    """Coefficient table, by lag mod G, of a (G, K, K) kernel transposed pointwise."""
+    return _all_fourier_coefficients(np.transpose(kernel, (0, 2, 1)))
 
 
 @dataclass(frozen=True)

@@ -77,17 +77,17 @@ class TestBlockMatrices:
 
     @pytest.mark.parametrize("kind", estimators.BLOCK_KINDS)
     def test_only_the_returned_kernel_is_tabulated(self, monkeypatch, kind):
-        # build_block_matrix reads the estimators' one kernel path, which
+        # build_block_matrix reads the solvers' one kernel memo, which
         # tabulates (f+g)^{-1} once; kinds D, V, R and W tabulate their own
-        # kernel on demand besides
+        # kernel on demand besides, by the same transform
         calls = []
-        table = estimators._all_fourier_coefficients
+        table = spectral._all_fourier_coefficients
 
         def counted(values):
             calls.append(kind)
             return table(values)
 
-        monkeypatch.setattr(estimators, "_all_fourier_coefficients", counted)
+        monkeypatch.setattr(spectral, "_all_fourier_coefficients", counted)
         build_block_matrix(kind, coupled_ma2(), white(dim=2, scale=0.5), [0, 1], [0, 1])
         assert len(calls) == (1 if kind in "BU" else 2)
 
@@ -100,7 +100,7 @@ class TestInterpolation:
         f = SpectralDensity.from_moving_average([[[1.0]], [[0.5]]], grid_size=16)
         with pytest.raises(AliasingError, match="horizon 8 is not resolvable"):
             interpolate(f, None, unit_interp(n=8))
-        assert "_inverse" not in vars(f)
+        assert "_exact_kernel" not in vars(f)
 
     def test_white_noisy_single_gap(self):
         sol = interpolate(white(), white(), unit_interp())
@@ -394,12 +394,11 @@ class TestOnePath:
         "task", ["interp", "interp_noiseless", "extrap", "extrap_noiseless", "filter"]
     )
     def test_one_minimality_check_and_one_inversion(self, monkeypatch, task):
-        # one inversion of f+g (of f without noise). The well-conditioned
-        # noisy pair passes the gate by its bound, so no grid eigenvalues
-        # are computed; without noise the one check_minimality call reads
-        # f.eigenvalues, computed once for the fresh density. One (G, K, K)
-        # FFT, that of the inverse: D a and a* R a come from the (G, K)
-        # weight symbol, and only B (U for filtering) is gathered
+        # one check_minimality call, with one grid eigvalsh (of f+g, or
+        # f.eigenvalues of the fresh density without noise), and one
+        # inversion of f+g (of f). One (G, K, K) FFT, that of the inverse:
+        # D a and a* R a come from the (G, K) weight symbol, and only B (U
+        # for filtering) is gathered
         calls = {"check_minimality": 0, "inv": 0, "grid eigvalsh": 0, "grid fft": 0}
         kinds = set()
 
@@ -411,8 +410,8 @@ class TestOnePath:
             return wrapper
 
         monkeypatch.setattr(
-            estimators, "check_minimality",
-            counted("check_minimality", estimators.check_minimality),
+            spectral, "check_minimality",
+            counted("check_minimality", spectral.check_minimality),
         )
         monkeypatch.setattr(
             estimators.np.linalg, "inv", counted("inv", estimators.np.linalg.inv)
@@ -436,9 +435,8 @@ class TestOnePath:
             extrapolate(f, g, FunctionalWeights.extrapolation(blocks))
         else:
             filtering(f, g, FunctionalWeights.filtering(blocks))
-        exact = int(g is None)
         assert calls == {
-            "check_minimality": exact, "inv": 1, "grid eigvalsh": exact, "grid fft": 1
+            "check_minimality": 1, "inv": 1, "grid eigvalsh": 1, "grid fft": 1
         }
         assert kinds == {"U" if task == "filter" else "B"}
 
@@ -468,24 +466,24 @@ class TestOnePath:
         ],
     )
     def test_exact_kernel_is_memoized_on_the_density(self, monkeypatch, solver, make):
-        # the first exact-data solve of f stores f^{-1} and its table; a later
-        # one, of any task, runs the gate again, inverts nothing and returns
-        # the bits a fresh copy of f returns
+        # the first exact-data solve of f gates f and stores f^{-1} and its
+        # table; a later one, of any task, reads them with no gate, inverts
+        # nothing and returns the bits a fresh copy of f returns
         inverses, checks = [], []
-        grid_inverse, check = spectral._grid_inverse, estimators.check_minimality
+        grid_inverse, check = spectral._grid_inverse, spectral.check_minimality
         monkeypatch.setattr(
             spectral, "_grid_inverse",
             lambda v: inverses.append(v.shape) or grid_inverse(v),
         )
         monkeypatch.setattr(
-            estimators, "check_minimality", lambda *a: checks.append(a) or check(*a)
+            spectral, "check_minimality", lambda *a: checks.append(a) or check(*a)
         )
         f = coupled_ma2()
         blocks = np.array([[1.0, -0.5], [0.3, 0.2j]])
         interpolate(f, None, FunctionalWeights.interpolation(blocks[:1]))
         assert inverses == [(GRID, 2, 2)]
         again = solver(f, None, make(blocks))
-        assert inverses == [(GRID, 2, 2)] and len(checks) == 2
+        assert inverses == [(GRID, 2, 2)] and len(checks) == 1
         copy = SpectralDensity(f.dim, f.coeffs, grid_size=GRID)
         fresh = solver(copy, None, make(blocks))
         assert len(inverses) == 2
@@ -499,7 +497,7 @@ class TestOnePath:
         f = coupled_ma2()
         interpolate(f, None, unit_interp(dim=2))
         interpolate(f, white(dim=2, scale=0.5), unit_interp(dim=2))
-        for memo in (f._inverse, f._inverse_table, *vars(f)["_noisy_kernel"][1:]):
+        for memo in (*vars(f)["_exact_kernel"][1:], *vars(f)["_noisy_kernel"][1:]):
             with pytest.raises(ValueError):
                 memo[0, 0, 0] = 0.0
 
@@ -513,18 +511,18 @@ class TestOnePath:
         held, inv, table = vars(f)["_noisy_kernel"]
         assert held is g
         calls = []
-        for name in ("_inverse_if_minimal", "check_minimality", "_grid_inverse",
-                     "_transposed_coefficients"):
-            monkeypatch.setattr(estimators, name, lambda *a, name=name: calls.append(name))
+        for name in ("check_minimality", "_grid_inverse", "_transposed_coefficients"):
+            monkeypatch.setattr(spectral, name, lambda *a, name=name: calls.append(name))
         again = extrapolate(f, g, w)
         interpolate(f, g, FunctionalWeights.interpolation(w.blocks))
         filtering(f, g, FunctionalWeights.filtering(w.blocks))
         assert calls == []
-        read = estimators._kernel_table(f, g)
+        read = spectral._kernel_table(f, g)
         assert read[0] is inv and read[1] is g.values and read[2] is table
         assert again.mse == first.mse
         np.testing.assert_array_equal(again.h_grid, first.h_grid)
-        assert not {"_inverse", "_inverse_table"} & (set(vars(f)) | set(vars(g)))
+        assert "_exact_kernel" not in vars(f)
+        assert not {"_exact_kernel", "_noisy_kernel"} & set(vars(g))
 
     def test_other_noise_density_takes_the_slot(self):
         # the slot holds g itself: a new density with equal values is gated
@@ -559,14 +557,25 @@ class TestOnePath:
         assert "_noisy_kernel" not in vars(fresh)
 
     def test_kernel_records_say_computed_or_memo(self, caplog):
+        # f keeps one slot for exact data and one for noise, so solves that
+        # alternate g and None on one f compute each kernel once; a density
+        # built as the inverse of a polynomial has its exact slot seeded
         f, g = coupled_ma2(), white(dim=2, scale=0.5)
+        alternating, g2 = coupled_ma2(), white(dim=2, scale=0.25)
+        inverse = spectral._inverse_density(coupled_ma2())
         with caplog.at_level(logging.DEBUG, logger="pcwk"):
             for noise in (g, g, None, None):
                 interpolate(f, noise, unit_interp(dim=2))
+            for noise in (g2, None, g2, None):
+                interpolate(alternating, noise, unit_interp(dim=2))
+            interpolate(inverse, None, unit_interp(dim=2))
         assert [r.getMessage() for r in caplog.records if r.name == "pcwk"] == [
             f"kernel {name} (G = {GRID}, K = 2): {how}"
             for name, how in [("(f+g)^-1", "computed"), ("(f+g)^-1", "memo"),
-                              ("f^-1", "computed"), ("f^-1", "memo")]
+                              ("f^-1", "computed"), ("f^-1", "memo"),
+                              ("(f+g)^-1", "computed"), ("f^-1", "computed"),
+                              ("(f+g)^-1", "memo"), ("f^-1", "memo"),
+                              ("f^-1", "memo")]
         ]
 
     def test_refused_density_stores_no_kernel(self):
@@ -574,7 +583,7 @@ class TestOnePath:
         for _ in range(2):
             with pytest.raises(MinimalityError):
                 interpolate(f, None, unit_interp(dim=2))
-        assert not {"_inverse", "_inverse_table"} & set(vars(f))
+        assert "_exact_kernel" not in vars(f)
 
     @pytest.mark.parametrize(
         "solver, make",
@@ -638,9 +647,8 @@ def constant_pair(spectrum, seed=None, skew=0.0):
     return f, f
 
 
-# f + g at grid conditions on both sides of the threshold 1e12 and of the
-# bound's acceptance limit 5e11, plus sums the bound must never accept: an
-# indefinite one (its inverse has small norms), a singular one (inv fails)
+# f + g at grid conditions on both sides of the threshold 1e12, plus an
+# indefinite sum (its inverse has small norms), a singular one (inv fails)
 # and a non-Hermitian one whose Hermitian part has condition 1e13
 GATE_CASES = [
     pytest.param(([1.0, 1.0 / cond], seed), id=f"cond{cond:.0e}-{name}")
@@ -651,9 +659,7 @@ GATE_CASES = [
     pytest.param(([1.0, 0.0], None), id="singular"),
     pytest.param(([1.0, 1e-13], None, 1.0), id="skew"),
 ] + [
-    # within the rounding of eigvalsh and inv of the threshold: without the
-    # bound's factor-two margin, some of these would be accepted by the bound
-    # and refused by check_minimality
+    # within the rounding of eigvalsh and inv of the threshold
     pytest.param(([1.0, 1.0 / (1e12 * (1.0 - 1e-5))], seed), id=f"edge-{seed}")
     for seed in range(20)
 ]
@@ -663,6 +669,8 @@ class TestMinimalityBound:
     @pytest.mark.filterwarnings("ignore:discarding imaginary part")
     @pytest.mark.parametrize("case", GATE_CASES)
     def test_bound_never_changes_the_decision(self, case):
+        # every entry takes the decision and the message of the one gate,
+        # check_minimality(f, g)
         f, g = constant_pair(*case)
         report = check_minimality(f, g)
         blocks = np.array([[1.0, 0.5]])

@@ -32,7 +32,7 @@ from pcwk.minimax import (
     dm_class_residual,
     power_class_residual,
 )
-from pcwk import estimators, minimax, spectral
+from pcwk import minimax, spectral
 from pcwk.spectral import _all_fourier_coefficients, _node_eigenvalues
 from conftest import GRID, ar1, white
 
@@ -396,8 +396,7 @@ class TestDmInterpolation:
             calls["grid fft"] += np.ndim(a) == 3
             return fft(a, *args, **kwargs)
 
-        for module in (spectral, estimators):
-            monkeypatch.setattr(module, "_grid_inverse", inverse)
+        monkeypatch.setattr(spectral, "_grid_inverse", inverse)
         monkeypatch.setattr(np.fft, "fft", counted_fft)
         members = sample_dm_class(
             np.random.default_rng(10), p, extra_degree=3, count=5, grid_size=GRID
@@ -415,8 +414,9 @@ class TestDmInterpolation:
         for member in members:
             inverse = grid_inverse(member.values)
             table = _all_fourier_coefficients(np.transpose(inverse, (0, 2, 1)))
-            np.testing.assert_allclose(member._inverse, inverse, rtol=0, atol=1e-13)
-            np.testing.assert_allclose(member._inverse_table, table, rtol=0, atol=1e-13)
+            _, seeded, seeded_table = vars(member)["_exact_kernel"]
+            np.testing.assert_allclose(seeded, inverse, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(seeded_table, table, rtol=0, atol=1e-13)
             worst = max(
                 float(np.linalg.norm(0.5 * (table[m] + table[-m]).T - target))
                 for m, target in enumerate(p)

@@ -27,10 +27,10 @@ from pcwk import (
     spectral_factorize,
     time_domain_projection_converged,
 )
-from pcwk.estimators import _kernel_table, _weighted_kernel
+from pcwk.estimators import _weighted_kernel
 from pcwk.factorization import Factorization
 from pcwk.oracle import observation_indices
-from pcwk.spectral import _inverse_if_minimal, _node_eigenvalues
+from pcwk.spectral import _kernel_table, _node_eigenvalues
 from conftest import GRID, ar1, coupled_ma2, ma1, white
 
 
@@ -393,22 +393,6 @@ def test_symbol_bounds_bracket_the_window_covariance(problem, horizon, noisy, wi
     )
     assert [h.window for h in history] == [window]
     assert history[0].condition == hi / lo
-
-
-@settings(derandomize=True, deadline=None, max_examples=60)
-@given(problem=stable_problems(), shift=st.floats(-1.5, 0.5))
-def test_minimality_bound_accepts_only_what_the_rule_passes(problem, shift):
-    # a noise of negative scale shifts f + g down: near-singular and
-    # indefinite sums are drawn beside well-conditioned ones
-    f, _ = problem
-    g = SpectralDensity.white(f.dim, scale=shift, grid_size=PROPERTY_GRID)
-    total = f.values + g.values
-    inverse = _inverse_if_minimal(total)
-    if inverse is not None:
-        assert check_minimality(f, g).passed
-        np.testing.assert_array_equal(inverse, np.linalg.inv(total))
-    if shift >= 0.0:  # grid condition <= 100: the bound decides alone
-        assert inverse is not None
 
 
 @pytest.mark.parametrize("horizon", ["interpolation", "extrapolation", "filtering"])

@@ -30,7 +30,6 @@ from pcwk.factorization import Factorization
 from pcwk.spectral import (
     _grid_inverse,
     _grid_symbol,
-    _inverse_if_minimal,
     _node_eigenvalues,
 )
 from conftest import GRID, ar1, coupled_ma2, ma1, white
@@ -450,13 +449,6 @@ class TestScalarKernels:
         with pytest.raises(MinimalityError, match=re.escape(message)):
             solve(f, FunctionalWeights.interpolation([[1.0]]))
 
-    @pytest.mark.parametrize("bad", [-1.0, np.nan], ids=["negative", "nan"])
-    def test_indefinite_stack_is_left_to_the_gate(self, bad):
-        values = np.ones((GRID, 1, 1), dtype=complex)
-        values[7] = bad
-        assert _inverse_if_minimal(values) is None
-        assert _inverse_if_minimal(np.ones((GRID, 1, 1), dtype=complex)) is not None
-
 
 def _linalg_inv_sites(tree):
     """Names of the functions holding each reference to ``numpy.linalg.inv``."""
@@ -487,6 +479,42 @@ def test_grid_inverses_go_through_one_helper():
     }
     assert {name: owners for name, owners in sites.items() if owners} == {
         "spectral.py": ["_grid_inverse"]
+    }
+
+
+def _vars_write_sites(tree):
+    """Names of the functions holding each write ``vars(x)[key] = ...``."""
+    sites = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Assign):
+            sites.extend(
+                owner for target in node.targets for sub in ast.walk(target)
+                if isinstance(sub, ast.Subscript) and isinstance(sub.value, ast.Call)
+                and ast.unparse(sub.value.func) == "vars"
+            )
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, None)
+    return sites
+
+
+def test_kernel_slots_are_written_in_spectral():
+    # what a density caches in its vars() is written in spectral.py: the
+    # grid values of from_grid and the kernel memo, whose one writer is
+    # _kernel_slot (_inverse_density seeds through it). The causal factor,
+    # which spectral cannot compute, is the one density slot written
+    # elsewhere; spectral_factorize caches a Factorization's own symbol
+    sites = {
+        path.name: _vars_write_sites(ast.parse(path.read_text()))
+        for path in sorted(Path(pcwk.__file__).parent.glob("*.py"))
+    }
+    assert {name: owners for name, owners in sites.items() if owners} == {
+        "factorization.py": ["spectral_factorize", "_memoized_factor"],
+        "spectral.py": ["from_grid", "_kernel_slot"],
     }
 
 
