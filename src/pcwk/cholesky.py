@@ -2,11 +2,14 @@
 
 The truncated estimator systems and the time-domain oracle both solve a
 sequence of Hermitian systems, each the leading block of the next. One
-lower Cholesky factor serves the whole sequence: each step borders it with
-the new block rows (:func:`border`), so every row is factored once. Both
-modules import these helpers from here, and this module imports nothing
-of the package beyond its error types, so the oracle stays independent of
-the spectral solvers.
+lower Cholesky factor serves the whole sequence: the oracle borders it with
+each window's new block rows (:func:`border`), and the estimators read the
+leading sections of one kernel matrix through a :class:`SectionFactor`, so
+every row is factored once. A factor is held as row strips: the rows
+L[i:j, :j] of each panel i..j-1 with the inverse of its diagonal block,
+which the substitutions read. Both modules import these helpers from here,
+and this module imports nothing of the package beyond its error types, so
+the oracle stays independent of the spectral solvers.
 """
 
 from __future__ import annotations
@@ -51,35 +54,37 @@ def panels(chol):
     return out
 
 
-def forward(chol, chol_panels, b):
+def strips(chol):
+    """The row strips of a square lower factor: (L[i:j, :j], inverse) per panel."""
+    return [(chol[i:j, :j], inv) for inv, i, j in panels(chol)]
+
+
+def forward(chol_strips, b):
     """L^{-1} b by blocked forward substitution, for b of shape (n,) or (n, m).
 
-    Each step is two products, one with a panel of L and one with the
-    panel's inverted diagonal block; ``chol_panels`` is ``panels(chol)``.
+    Each step is two products, one with a strip of L and one with the
+    inverse of its diagonal block.
     """
-    y = np.empty(b.shape, dtype=np.result_type(chol, b))
-    for inv, i, j in chol_panels:
-        y[i:j] = inv @ (b[i:j] - chol[i:j, :i] @ y[:i])
+    y = np.empty(b.shape, dtype=np.result_type(b, *[s for s, _ in chol_strips[:1]]))
+    for rows, inv in chol_strips:
+        i, j = rows.shape[1] - rows.shape[0], rows.shape[1]
+        y[i:j] = inv @ (b[i:j] - rows[:, :i] @ y[:i])
     return y
 
 
-def cholesky_solver(chol):
-    """The map b -> (L L^H)^{-1} b for a lower triangular factor L.
+def backward(chol_strips, y):
+    """L^{-H} y for a vector y, by blocked back substitution.
 
-    Both triangular solves are blocked substitutions over the panels of
-    :func:`panels`.
+    Right-looking: each strip, last first, solves its own rows and then
+    removes their share from the rows above it, reading the strip as
+    stored.
     """
-    chol_panels = panels(chol)
-
-    def solve(b):
-        y = forward(chol, chol_panels, b)
-        x = np.empty_like(y)
-        for inv, i, j in reversed(chol_panels):
-            r = y[i:j] - (x[j:].conj() @ chol[j:, i:j]).conj()
-            x[i:j] = (r.conj() @ inv).conj()
-        return x
-
-    return solve
+    x = y.copy()
+    for rows, inv in reversed(chol_strips):
+        i, j = rows.shape[1] - rows.shape[0], rows.shape[1]
+        x[i:j] = (x[i:j].conj() @ inv).conj()
+        x[:i] -= (x[i:j].conj() @ rows[:, :i]).conj()
+    return x
 
 
 def border(chol, a12, a22, context):
@@ -94,9 +99,63 @@ def border(chol, a12, a22, context):
     matrix, is not positive definite.
     """
     n0, n1 = chol.shape[0], a22.shape[0]
-    x = forward(chol, panels(chol), a12)
+    x = forward(strips(chol), a12)
     out = np.zeros((n0 + n1, n0 + n1), dtype=np.result_type(chol, a12, a22))
     out[:n0, :n0] = chol
     out[n0:, :n0] = x.conj().T
     out[n0:, n0:] = cholesky(a22 - x.conj().T @ x, context)
     return out
+
+
+class SectionFactor:
+    """Lower Cholesky factor of the leading sections of one Hermitian matrix.
+
+    The section of order n is the matrix's leading n x n block. The factor
+    grows in chunks of ``PANEL`` rows, one at a time, each bordered onto the
+    rows stored before it (see :func:`border`): X = L^{-1} A12 by forward
+    substitution over the stored strips, then the Cholesky factor L22 of
+    the Schur block A22 - X^H X. A chunk is stored as its row strip
+    [X^H, L22] with the inverse of L22, both read-only, about n^2 / 2
+    entries in all, and its bits depend on the matrix alone, never on the
+    sections read before. A section that ends inside a chunk factors its
+    tail on each read and stores none of it. ``conditions`` maps the order
+    of each section that passed its gate to its condition estimate.
+    """
+
+    def __init__(self):
+        self._strips = []
+        self.conditions = {}
+
+    def strips(self, matrix, context):
+        """The row strips of the section ``matrix``, a leading block of the matrix.
+
+        The stored chunks it covers, then its new chunks and its tail, each
+        factored from the rows of ``matrix``. Stores nothing (see
+        :meth:`keep`); raises ``IllPosedError`` when the section is not
+        positive definite.
+        """
+        n = matrix.shape[0]
+        out = self._strips[: n // PANEL]
+        for i in range(len(out) * PANEL, n, PANEL):
+            j = min(i + PANEL, n)
+            x = forward(out, matrix[i:j, :i].conj().T)
+            lower = cholesky(matrix[i:j, i:j] - x.conj().T @ x, context)
+            strip = np.concatenate([x.conj().T, lower], axis=1)
+            out.append((strip, np.linalg.solve(lower, np.eye(j - i, dtype=lower.dtype))))
+        return out
+
+    def status(self, n):
+        """What a read of the section of order n adds: "computed k chunks"
+        (the first read), "extended by k chunks" or "memo"."""
+        new = max(n // PANEL - len(self._strips), 0)
+        if not self.conditions:
+            return f"computed {new} chunks"
+        return f"extended by {new} chunks" if new else "memo"
+
+    def keep(self, section_strips, n, cond):
+        """Store the new full chunks of a section of order n that passed its gate."""
+        for arrays in section_strips[len(self._strips) : n // PANEL]:
+            for arr in arrays:
+                arr.flags.writeable = False
+            self._strips.append(arrays)
+        self.conditions[n] = cond

@@ -30,11 +30,14 @@ the grid does not resolve is flagged by its tail (``kernel_tail`` in the
 diagnostics, see :func:`_kernel_tail`). Infinite systems are truncated:
 the automatic schedule starts at max(16, 2 j_last) blocks, j_last being
 the last nonzero weight block, and doubles the truncation until the error
-value changes by at most 1e-8 of itself. Each level borders the previous
-level's Cholesky factor with its new block rows, so the schedule factors
-each row of its last system once. Before any grid work, each solve admits
-the largest lag it reads through ``spectral._admit_lag``
-(:func:`_admit_truncation`).
+value changes by at most 1e-8 of itself. Every system is a leading
+section of the kernel's one block-Toeplitz matrix (the U section of J
+blocks is the B section of J blocks), and the kernel memo keeps the
+Cholesky factor of its sections (``cholesky.SectionFactor``) with their
+condition estimates, so every row of every section a density or pair is
+solved with is factored once, and a solve returns the same bits whatever
+was solved before. Before any grid work, each solve admits the largest lag
+it reads through ``spectral._admit_lag`` (:func:`_admit_truncation`).
 
 Exact observations are ``g=None`` (kernels f^{-1}, I and 0). Filtering
 requires a noise density.
@@ -42,6 +45,7 @@ requires a noise density.
 
 from __future__ import annotations
 
+import logging
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -49,7 +53,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .cholesky import border, cholesky, cholesky_solver
+from .cholesky import SectionFactor, backward, forward
 from .errors import IllPosedError, TruncationError
 from .lifting import FunctionalWeights, _shared_dim, check_weight_summability
 from .spectral import (
@@ -85,6 +89,8 @@ MSE_CAUCHY_TOL = 1e-8
 # relative error of a solve tracks the tail's square, here 1e-8
 KERNEL_TAIL_TOL = 1e-4
 
+_log = logging.getLogger("pcwk")
+
 
 # -- kernel tables and block matrices -----------------------------------
 
@@ -101,7 +107,14 @@ def _gather(table, kind, rows, cols):
     G, K = table.shape[:2]
     _admit_lag(int(np.abs(lag).max(initial=0)), G, name="block lag")
     r, c = lag.shape
-    return table[lag % G].transpose(0, 2, 1, 3).reshape(r * K, c * K)
+    # the band of lags the matrix reads, by kernel row: (K, lags, K), contiguous
+    low, high = int(lag.min(initial=0)), int(lag.max(initial=0))
+    band = table[np.arange(low, high + 1) % G].transpose(1, 0, 2).copy()
+    local, out = lag - low, np.empty((r, K, c, K), dtype=table.dtype)
+    for k in range(K):  # one kernel row at a time: no full-size temporary
+        # "clip": the indices are in range, and take then writes out unbuffered
+        np.take(band[k], local, axis=0, out=out[:, k], mode="clip")
+    return out.reshape(r * K, c * K)
 
 
 def build_block_matrix(
@@ -136,7 +149,7 @@ def build_block_matrix(
     if not rows.size or not cols.size:
         raise ValueError("row and column ranges must be non-empty")
     which = BLOCK_KINDS.index(kind) % 3  # B and U, D and V, R and W share a kernel
-    inv, gv, table = _kernel_table(f, g)
+    inv, gv, table, _ = _kernel_table(f, g)
     if which and gv is None:
         table = np.zeros_like(table)
         if which == 1:
@@ -186,7 +199,7 @@ def _inverse_one_norm(solve, n):
     return float(max(est, 2.0 * np.abs(x).sum() / (3 * n)))
 
 
-def _solve_hermitian(matrix, rhs, context, factor=None):
+def _solve_hermitian(matrix, rhs, context, section=None):
     """Solve a Hermitian positive definite system through one Cholesky factor.
 
     The factor gives the solution, one refinement step and the condition
@@ -195,9 +208,12 @@ def _solve_hermitian(matrix, rhs, context, factor=None):
     The gate refuses the system (``IllPosedError``) when that estimate is
     not finite or exceeds ``DEFAULT_COND_THRESHOLD``, and also when the
     Cholesky factorization fails, since an indefinite system has no
-    estimate to return. ``factor``, when given, is the lower Cholesky
-    factor of ``matrix``, such as :func:`cholesky.border` grows along the
-    truncation schedule.
+    estimate to return. ``section``, when given, is the
+    ``cholesky.SectionFactor`` of a matrix whose leading section ``matrix``
+    is, such as a kernel's: the system reads its stored chunks and
+    condition estimate, factors and estimates only what it lacks, and once
+    the gate passes stores them for later sections. Without it the system
+    factors itself alone.
 
     The 1-norm gate is no looser than the former 2-norm one (largest over
     smallest |eigenvalue|): for Hermitian A, kappa_2(A) <= kappa_1(A). For
@@ -212,14 +228,21 @@ def _solve_hermitian(matrix, rhs, context, factor=None):
     n = matrix.shape[0]
     if n == 0:
         return np.zeros_like(rhs), 1.0
-    chol = cholesky(matrix, context) if factor is None else factor
-    solve = cholesky_solver(chol)
-    cond = float(np.linalg.norm(matrix, 1)) * _inverse_one_norm(solve, n)
+    section = SectionFactor() if section is None else section
+    strips = section.strips(matrix, context)
+
+    def solve(b):
+        return backward(strips, forward(strips, b))
+
+    cond = section.conditions.get(n)
+    if cond is None:
+        cond = float(np.linalg.norm(matrix, 1)) * _inverse_one_norm(solve, n)
     if not np.isfinite(cond) or cond > DEFAULT_COND_THRESHOLD:
         raise IllPosedError(
             f"{context}: system condition number {cond:.3e} exceeds "
             f"threshold {DEFAULT_COND_THRESHOLD:.1e}"
         )
+    section.keep(strips, n, cond)
     x = solve(rhs)
     x = x + solve(rhs - matrix @ x)
     return x, cond
@@ -275,8 +298,8 @@ def _weighted_kernel(A, inv, gv):
     carries the powers 0, -1, -2, ..., which turns the Hankel lags of V and
     W into the same products.
     """
-    v = A - np.einsum("gk,gkn->gn", np.einsum("gk,gkn->gn", A, gv), inv)
-    floor = np.einsum("gk,gkn,gn->", v, gv, A.conj()) / A.shape[0]
+    v = A - ((A[:, None] @ gv) @ inv)[:, 0]
+    floor = np.vdot(A, (v[:, None] @ gv)[:, 0]) / A.shape[0]
     return v, _all_fourier_coefficients(v), floor
 
 
@@ -293,7 +316,7 @@ def _characteristic(v, blocks, first_index, inv):
     is the one h synthesis of every task.
     """
     C = _grid_symbol(blocks, first_index, inv.shape[0])
-    return v - np.einsum("gk,gkn->gn", C, inv)
+    return v - (C[:, None] @ inv)[:, 0]
 
 
 def _vector_coefficients(h_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -400,41 +423,33 @@ def _admit_truncation(weights, truncation, grid_size):
     return schedule
 
 
-def _solve_truncated(system_at, mse_of, schedule, fixed, context):
-    """Solve ``system_at(J)`` over a schedule of truncations until the mse is Cauchy.
+def _solve_truncated(solve_at, schedule, fixed, context):
+    """Solve at each truncation of a schedule until the mse is Cauchy.
 
-    ``system_at(J)`` returns the matrix and right-hand side at truncation J,
-    one block row per unknown block up to J; ``mse_of(c, rhs)`` the error
-    value of its solution. A ``fixed`` truncation is the one level of its
+    ``solve_at(J)`` solves the system at truncation J, one block row per
+    unknown block up to J, and returns its error value, solution and
+    condition estimate. A ``fixed`` truncation is the one level of its
     schedule; the automatic schedule (:func:`_admit_truncation`) stops at
     the first level whose error value m_J is within MSE_CAUCHY_TOL * |m_J|
     of the previous level's, a test relative to the error itself, so small
     errors are not held to an absolute one.
 
-    Each level's system is the leading block of the next level's, so one
-    lower Cholesky factor is kept and bordered by each level's new block
-    rows (:func:`cholesky.border`): the whole schedule factors each row
-    once. Each level keeps its own condition estimate and gate, and the
-    first refused level raises ``TruncationError``: its system is the
-    leading block of every later level's, so by interlacing no later level
-    is better conditioned.
+    Each level's system is the leading section of the next level's, and
+    all of them read one section factor, so the schedule factors each full
+    chunk of rows once and each level only its own tail. Each level keeps
+    its own condition estimate and gate, and the first refused level
+    raises ``TruncationError``: its system is the leading block of every
+    later level's, so by interlacing no later level is better conditioned.
     """
     history: list[tuple[int, float]] = []
-    prev = factor = None
+    prev = None
     for J in schedule:
-        matrix, rhs = system_at(J)
         try:
-            if factor is None:
-                factor = cholesky(matrix, context)
-            else:
-                n0 = factor.shape[0]
-                factor = border(factor, matrix[:n0, n0:], matrix[n0:, n0:], context)
-            c, cond = _solve_hermitian(matrix, rhs, context, factor=factor)
+            mse, c, cond = solve_at(J)
         except IllPosedError as exc:
             raise TruncationError(
                 f"{context}: truncated system ill-posed at J = {J} ({exc})"
             ) from exc
-        mse = mse_of(c, rhs)
         history.append((J, mse))
         if fixed or (
             prev is not None and abs(mse - prev) <= MSE_CAUCHY_TOL * abs(mse)
@@ -486,7 +501,10 @@ def _estimate(f, g, weights, truncation):
     the error value is Cauchy. The system is B c = D a with error value
     a* R a + c* B c = a* R a + c* (D a); filtering uses the kinds U, V, W.
     Only B is gathered: D a and a* R a come from the weight symbol
-    (:func:`_weighted_kernel`).
+    (:func:`_weighted_kernel`). Each system is solved through the section
+    factor of the kernel memo, with one debug record to the ``pcwk``
+    logger per section read: "computed k chunks", "extended by k chunks"
+    or "memo" (``cholesky.SectionFactor.status``).
     """
     K, G = _shared_dim(weights, f, g), f.grid_size
     schedule = _admit_truncation(weights, truncation, G)
@@ -494,7 +512,7 @@ def _estimate(f, g, weights, truncation):
     context = task.removesuffix("_finite")
     if task != "interpolation":
         _summability_warning(weights)
-    inv, gv, B = _kernel_table(f, g)
+    inv, gv, B, section = _kernel_table(f, g)
     tail = _kernel_tail(B)
     first = 1 if task == "filtering" else 0
     kind_b = "U" if first else "B"
@@ -505,23 +523,25 @@ def _estimate(f, g, weights, truncation):
     else:
         v, Da, aRa = _weighted_kernel(A, inv, gv)
 
-    def system_at(J):
+    def solve_at(J):
         rows = np.arange(first, J + 1)
         Bd = _gather(B, kind_b, rows, rows)
         if gv is None:
-            return Bd, np.pad(a, (0, rows.size * K - a.size))
-        return Bd, Da[first : J + 1].reshape(-1)
-
-    def mse_of(c, rhs):
-        return _real_mse(aRa + np.vdot(c, rhs))
+            rhs = np.pad(a, (0, rows.size * K - a.size))
+        else:
+            rhs = Da[first : J + 1].reshape(-1)
+        status = section.status(rhs.size)
+        c, cond = _solve_hermitian(Bd, rhs, context, section)
+        _log.debug("section of %s (G = %d, K = %d, %d rows): %s",
+                   "f^-1" if gv is None else "(f+g)^-1", G, K, rhs.size, status)
+        return _real_mse(aRa + np.vdot(c, rhs)), c, cond
 
     if task == "interpolation":
-        Bd, rhs = system_at(weights.n)
-        c, cond = _solve_hermitian(Bd, rhs, context)
-        mse, truncated = mse_of(c, rhs), {}
+        mse, c, cond = solve_at(weights.n)
+        truncated = {}
     else:
         (mse, c, cond, J), history = _solve_truncated(
-            system_at, mse_of, schedule, truncation is not None, context
+            solve_at, schedule, truncation is not None, context
         )
         truncated = {"truncation": J, "history": history}
     diagnostics = {"n": weights.n, "condition": cond, **truncated}

@@ -131,6 +131,11 @@ class Factorization:
             raise ValueError("factor order exceeds the grid size")
         return _read_only(_grid_symbol(self.coeffs[::-1], -self.order, self.grid_size))
 
+    @cached_property
+    def _left_inverse(self) -> np.ndarray:
+        """The left inverse of the symbol (:func:`_left_inverse_values`), read-only."""
+        return _read_only(_left_inverse_values(self.symbol()))
+
     def density(self) -> SpectralDensity:
         """The moving-average density P P^*."""
         return SpectralDensity.from_moving_average(
@@ -393,11 +398,12 @@ def _left_inverse_values(p_values: np.ndarray):
 def left_inverse(fact: Factorization) -> np.ndarray:
     """Q(lambda) with Q P = I at every grid node, as a (G, K, K) array.
 
-    The factor must be square and of full rank.
+    The factor must be square and of full rank. Computed once per factor
+    and cached on it, read-only, like its symbol.
     """
     if fact.dim != fact.multiplicity:
         raise ValueError("left_inverse expects a square factor; got K != M")
-    return _left_inverse_values(fact.symbol())
+    return fact._left_inverse
 
 
 def _weighted_tap_sums(weights: FunctionalWeights, fact: Factorization) -> np.ndarray:
@@ -432,10 +438,10 @@ def extrapolate_factorized(f, weights: FunctionalWeights) -> EstimateSolution:
     Accepts either a density or a ready :class:`Factorization`, used as
     given. A density is factorized by its first call, at the default
     ``tol``, and keeps its factor (:func:`_memoized_factor`), so every later
-    call on the same object reuses it and its cached symbol. The mean
-    square error is the sum of squared weighted tap sums; the spectral
-    characteristic is the weight polynomial minus their generating function
-    times the factor's left inverse, which each call computes.
+    call on the same object reuses it and its cached symbol and left
+    inverse. The mean square error is the sum of squared weighted tap sums;
+    the spectral characteristic is the weight polynomial minus their
+    generating function times the factor's left inverse.
     """
     if weights.horizon not in ("extrapolation", "extrapolation_finite"):
         raise ValueError("weights must carry an extrapolation horizon")
@@ -444,8 +450,9 @@ def extrapolate_factorized(f, weights: FunctionalWeights) -> EstimateSolution:
     fact = f if isinstance(f, Factorization) else _memoized_factor(f)
     sums = _weighted_tap_sums(weights, fact)
     mse = float(np.sum(np.abs(sums) ** 2))
-    Q = _left_inverse_values(fact.symbol())
-    h = _characteristic(functional_symbol(weights, fact.grid_size), sums, 0, Q)
+    h = _characteristic(
+        functional_symbol(weights, fact.grid_size), sums, 0, fact._left_inverse
+    )
     return _finish_solution(
         weights.horizon,
         mse,

@@ -824,7 +824,7 @@ def dm_class_residual(f: SpectralDensity, p_constraints: Sequence) -> float:
     of the class has seeded and a solve of the density then reads; a
     density that fails ``check_minimality`` raises ``MinimalityError``.
     """
-    _, table, _ = _kernel_slot(f, None)
+    table = _kernel_slot(f, None)[1]
     G = table.shape[0]
     worst = scale = 0.0
     for m, target in enumerate(p_constraints):

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .cholesky import border, cholesky, forward, panels
+from .cholesky import border, cholesky, forward, strips
 from .errors import IllPosedError
 from .lifting import FunctionalWeights, _shared_dim
 from .spectral import SpectralDensity, _admit_lag, check_minimality
@@ -266,13 +266,13 @@ def time_domain_projection_converged(
         cross = _cross(cz, new, weights)
         if factor is None:
             factor = cholesky(a22, "time-domain oracle")
-            y = forward(factor, panels(factor), cross)
+            y = forward(strips(factor), cross)
         else:
             n0 = factor.shape[0]
             a12 = _covariance_block(cx, obs[:done], new)
             factor = border(factor, a12, a22, "time-domain oracle")
             lower = factor[n0:, n0:]
-            step = forward(lower, panels(lower), cross - factor[n0:, :n0] @ y)
+            step = forward(strips(lower), cross - factor[n0:, :n0] @ y)
             y = np.concatenate([y, step])
         done = count
         mse = float((variance - np.vdot(y, y)).real)

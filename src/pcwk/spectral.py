@@ -12,11 +12,12 @@ first use and then cached on the object, read-only, and so are the node
 eigenvalues ``f.eigenvalues`` of its Hermitian part, which every
 positive-definiteness decision reads. What the solvers derive from the
 densities alone is kept on the density too, computed once per object: the
-kernel (f+g)^{-1} and its coefficient table, gated by
-:func:`check_minimality` and written by :func:`_kernel_slot` alone, in one
-slot for exact data (f^{-1}, which the inverse-moment class residual reads
-too) and one for the last noise density g, and the causal factor that
-``extrapolate_factorized`` reads (``factorization._memoized_factor``). All
+kernel (f+g)^{-1}, its coefficient table and the Cholesky factor of its
+block-Toeplitz sections, gated by :func:`check_minimality` and written by
+:func:`_kernel_slot` alone, in one slot for exact data (f^{-1}, which
+the inverse-moment class residual reads too) and one for the last noise
+density g, and the causal factor that ``extrapolate_factorized`` reads
+(``factorization._memoized_factor``). All
 integrals are trapezoid sums over the uniform grid
 ``lambda_g = -pi + 2 pi g / G``, which integrate the retained
 trigonometric band exactly. Densities that are not
@@ -51,6 +52,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .cholesky import SectionFactor
 from .errors import AliasingError, MinimalityError
 
 DEFAULT_GRID_SIZE = 2048
@@ -463,29 +465,35 @@ def _kernel_slot(f, g, seed=None):
 
     The one writer of the kernel memo. f keeps two slots, one for exact data
     and one for the last noise density g it was solved with, so solves that
-    alternate the two compute each kernel once. A slot is the triple (g, the
-    grid inverse, its coefficient table by lag mod G, transposed pointwise):
-    two read-only arrays of 2 G K^2 16 bytes (4 MB at G = 2048, K = 8). A
-    slot that holds this g, compared by ``is``, is read as it is: it passed
-    the gate, and densities are immutable. Otherwise (an empty slot, or
-    another g, even one with equal values) ``check_minimality`` decides,
-    raising ``MinimalityError`` on a refusal, which stores nothing; then
-    :func:`_grid_inverse` inverts f+g, or ``seed`` stands in, the inverse and
-    table of a kernel known in closed form (:func:`_inverse_density`), and
-    the result takes the slot.
+    alternate the two compute each kernel once. A slot is the tuple (g, the
+    grid inverse, its coefficient table by lag mod G, transposed pointwise,
+    the section factor of its block-Toeplitz matrix): two read-only arrays
+    of 2 G K^2 16 bytes (4 MB at G = 2048, K = 8) and a
+    ``cholesky.SectionFactor``, empty until a solve reads a section and then
+    about (n K)^2 / 2 16 bytes for the largest section of n blocks read
+    (2.3 MB at K = 8, n = 65). A slot that holds this g, compared by
+    ``is``, is read as it is: it passed the gate, and densities are
+    immutable.
+    Otherwise (an empty slot, or another g, even one with equal values)
+    ``check_minimality`` decides, raising ``MinimalityError`` on a refusal,
+    which stores nothing; then :func:`_grid_inverse` inverts f+g, or
+    ``seed`` stands in, the inverse and table of a kernel known in closed
+    form (:func:`_inverse_density`), and the result, with an empty section
+    factor, takes the slot, dropping the factor of the kernel it replaces.
 
-    Returns the inverse, the table and whether they were read from the memo.
+    Returns the inverse, the table, the section factor and whether they
+    were read from the memo.
     """
     key = "_exact_kernel" if g is None else "_noisy_kernel"
     slot = vars(f).get(key)
     if slot is not None and slot[0] is g:
-        return slot[1], slot[2], True
+        return (*slot[1:], True)
     _admit_kernel(check_minimality(f, g), g)
     if seed is None:
         inv = _read_only(_grid_inverse(f.values if g is None else f.values + g.values))
         seed = inv, _read_only(_transposed_coefficients(inv))
-    vars(f)[key] = (g, *seed)
-    return (*seed, False)
+    slot = vars(f)[key] = (g, *seed, SectionFactor())
+    return (*slot[1:], False)
 
 
 def _kernel_table(f, g):
@@ -493,14 +501,14 @@ def _kernel_table(f, g):
 
     Reads :func:`_kernel_slot` and logs one debug record to the ``pcwk``
     logger: the kernel "computed" or "memo". Returns the grid values of
-    (f+g)^{-1} (f^{-1} without noise) and of g (None without noise), and the
+    (f+g)^{-1} (f^{-1} without noise) and of g (None without noise), the
     coefficient table of the transposed kernel, the one kernel a solve
-    tabulates.
+    tabulates, and the section factor of its block-Toeplitz matrix.
     """
-    inv, table, memo = _kernel_slot(f, g)
+    inv, table, section, memo = _kernel_slot(f, g)
     _log.debug("kernel %s (G = %d, K = %d): %s", "f^-1" if g is None else "(f+g)^-1",
                f.grid_size, f.dim, "memo" if memo else "computed")
-    return inv, None if g is None else g.values, table
+    return inv, None if g is None else g.values, table, section
 
 
 def _admit_kernel(report, g):

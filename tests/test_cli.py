@@ -1073,3 +1073,20 @@ def test_debug_log_names_each_kernel(tmp_path):
     )
     assert out.returncode == 0, out.stderr
     assert f"DEBUG:pcwk:kernel (f+g)^-1 (G = {GRID}, K = 1): computed" in out.stderr
+
+
+def test_debug_log_names_each_section_read(tmp_path):
+    # one record per section of the kernel a level reads: the first read
+    # computes the factor, the second level extends it by one chunk
+    out = subprocess.run(
+        [sys.executable, "-m", "pcwk.cli", "--spec", str(filter_spec(tmp_path)),
+         "--out", str(tmp_path / "out")],
+        env=source_env(PCWK_LOG="debug"), capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    sections = [line for line in out.stderr.splitlines()
+                if line.startswith("DEBUG:pcwk:section")]
+    assert sections == [
+        f"DEBUG:pcwk:section of (f+g)^-1 (G = {GRID}, K = 1, 16 rows): computed 0 chunks",
+        f"DEBUG:pcwk:section of (f+g)^-1 (G = {GRID}, K = 1, 32 rows): extended by 1 chunks",
+    ]

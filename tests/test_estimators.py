@@ -21,7 +21,7 @@ from pcwk import (
     interpolate,
 )
 from pcwk import estimators, spectral
-from pcwk.cholesky import PANEL, panels
+from pcwk.cholesky import PANEL, SectionFactor, panels
 from pcwk.estimators import _solve_hermitian
 from pcwk.spectral import _grid_symbol
 from pcwk.oracle import time_domain_projection_converged
@@ -74,6 +74,23 @@ class TestBlockMatrices:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             build_block_matrix("X", white(), None, [0], [0])
+
+    @pytest.mark.parametrize("kind", estimators.BLOCK_KINDS)
+    @pytest.mark.parametrize("dim, rows, cols", [
+        (1, range(40), range(40)), (3, range(1, 6), range(0, -4, -1)),
+        (2, [4], range(3)), (2, range(1, 1), range(1, 1)),
+    ])
+    def test_gather_fills_the_blocks_of_the_table(self, kind, dim, rows, cols):
+        # bit for bit the dense reference: block (r, c) is the table at its lag
+        rng = np.random.default_rng(dim)
+        shape = (256, dim, dim)
+        table = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        rows, cols = np.array(rows, dtype=int), np.array(cols, dtype=int)
+        lag = np.add.outer(rows, cols) if kind == "V" else np.subtract.outer(rows, cols)
+        lag = -lag if kind == "W" else lag
+        reference = table[lag % 256].transpose(0, 2, 1, 3)
+        reference = reference.reshape(rows.size * dim, cols.size * dim)
+        np.testing.assert_array_equal(estimators._gather(table, kind, rows, cols), reference)
 
     @pytest.mark.parametrize("kind", estimators.BLOCK_KINDS)
     def test_only_the_returned_kernel_is_tabulated(self, monkeypatch, kind):
@@ -497,7 +514,7 @@ class TestOnePath:
         f = coupled_ma2()
         interpolate(f, None, unit_interp(dim=2))
         interpolate(f, white(dim=2, scale=0.5), unit_interp(dim=2))
-        for memo in (*vars(f)["_exact_kernel"][1:], *vars(f)["_noisy_kernel"][1:]):
+        for memo in (*vars(f)["_exact_kernel"][1:3], *vars(f)["_noisy_kernel"][1:3]):
             with pytest.raises(ValueError):
                 memo[0, 0, 0] = 0.0
 
@@ -508,7 +525,7 @@ class TestOnePath:
         f, g = coupled_ma2(), white(dim=2, scale=0.5)
         w = FunctionalWeights.extrapolation(np.array([[1.0, -0.5], [0.3, 0.2j]]))
         first = extrapolate(f, g, w)
-        held, inv, table = vars(f)["_noisy_kernel"]
+        held, inv, table, _ = vars(f)["_noisy_kernel"]
         assert held is g
         calls = []
         for name in ("check_minimality", "_grid_inverse", "_transposed_coefficients"):
@@ -529,9 +546,9 @@ class TestOnePath:
         # and inverted afresh, to the same bits, and replaces it
         f, g, twin = coupled_ma2(), white(dim=2, scale=0.5), white(dim=2, scale=0.5)
         first = interpolate(f, g, unit_interp(dim=2))
-        _, inv, table = vars(f)["_noisy_kernel"]
+        _, inv, table, _ = vars(f)["_noisy_kernel"]
         second = interpolate(f, twin, unit_interp(dim=2))
-        held, twin_inv, twin_table = vars(f)["_noisy_kernel"]
+        held, twin_inv, twin_table, _ = vars(f)["_noisy_kernel"]
         assert held is twin and twin_inv is not inv and twin_table is not table
         np.testing.assert_array_equal(twin_inv, inv)
         np.testing.assert_array_equal(twin_table, table)
@@ -569,7 +586,8 @@ class TestOnePath:
             for noise in (g2, None, g2, None):
                 interpolate(alternating, noise, unit_interp(dim=2))
             interpolate(inverse, None, unit_interp(dim=2))
-        assert [r.getMessage() for r in caplog.records if r.name == "pcwk"] == [
+        assert [r.getMessage() for r in caplog.records
+                if r.name == "pcwk" and r.getMessage().startswith("kernel")] == [
             f"kernel {name} (G = {GRID}, K = 2): {how}"
             for name, how in [("(f+g)^-1", "computed"), ("(f+g)^-1", "memo"),
                               ("f^-1", "computed"), ("f^-1", "memo"),
@@ -600,6 +618,105 @@ class TestOnePath:
         noisy = solver(f, white(dim=2, scale=1e-10), w)
         assert noisy.mse == pytest.approx(exact.mse, abs=1e-8)
         np.testing.assert_allclose(noisy.h_grid, exact.h_grid, atol=1e-8)
+
+
+class TestSectionFactor:
+    """The Cholesky factor of the kernel's sections, kept on its memo slot."""
+
+    TASKS = ["interp", "interp_noiseless", "extrap", "extrap_noiseless", "filter"]
+
+    @staticmethod
+    def _task(task, g):
+        blocks = np.array([[1.0, -0.5], [0.3, 0.2j], [0.1, 0.0]])
+        if task.startswith("interp"):
+            return lambda f: interpolate(f, g, FunctionalWeights.interpolation(blocks))
+        if task.startswith("extrap"):
+            return lambda f: extrapolate(f, g, FunctionalWeights.extrapolation(blocks))
+        return lambda f: filtering(f, g, FunctionalWeights.filtering(blocks))
+
+    @pytest.mark.parametrize("warm_rows", [-1, 1])
+    @pytest.mark.parametrize("task", TASKS)
+    def test_warm_solve_equals_fresh(self, task, warm_rows):
+        # after a smaller and after a larger section of the same pair, a solve
+        # returns the bits of a fresh copy of f, whose factor starts empty
+        f = coupled_ma2()
+        g = None if task.endswith("noiseless") else white(dim=2, scale=0.5)
+        solve = self._task(task, g)
+        fresh = solve(SpectralDensity(f.dim, f.coeffs, grid_size=GRID))
+        rows = fresh.solved_blocks.size
+        # a section ending inside a chunk, half as long or two chunks longer
+        warm = rows // 2 + 1 if warm_rows < 0 else rows + 2 * PANEL + 6
+        interpolate(f, g, unit_interp(n=warm // 2 - 1, dim=2))
+        again = solve(f)
+        assert again.mse == fresh.mse
+        np.testing.assert_array_equal(again.h_grid, fresh.h_grid)
+        np.testing.assert_array_equal(again.solved_blocks, fresh.solved_blocks)
+        assert again.diagnostics["condition"] == fresh.diagnostics["condition"]
+        assert again.diagnostics.get("history") == fresh.diagnostics.get("history")
+
+    def test_section_records_say_computed_extended_or_memo(self, caplog):
+        f, g = coupled_ma2(), white(dim=2, scale=0.5)
+        with caplog.at_level(logging.DEBUG, logger="pcwk"):
+            for n in (0, 40, 40, 5, 70):
+                interpolate(f, g, unit_interp(n=n, dim=2))
+        assert [r.getMessage() for r in caplog.records
+                if r.getMessage().startswith("section")] == [
+            f"section of (f+g)^-1 (G = {GRID}, K = 2, {rows} rows): {how}"
+            for rows, how in [(2, "computed 0 chunks"), (82, "extended by 2 chunks"),
+                              (82, "memo"), (12, "memo"), (142, "extended by 2 chunks")]
+        ]
+
+    def test_other_noise_density_drops_the_section_factor(self):
+        f, g, twin = coupled_ma2(), white(dim=2, scale=0.5), white(dim=2, scale=0.5)
+        extrapolate(f, g, FunctionalWeights.extrapolation([[1.0, 0.5]]))
+        section = vars(f)["_noisy_kernel"][3]
+        assert section._strips and section.conditions
+        interpolate(f, twin, unit_interp(dim=2))
+        replaced = vars(f)["_noisy_kernel"][3]
+        assert replaced is not section
+        assert replaced._strips == [] and list(replaced.conditions) == [2]
+        assert vars(f)["_noisy_kernel"][0] is twin
+
+    def test_factor_arrays_are_read_only(self):
+        f, g = coupled_ma2(), white(dim=2, scale=0.5)
+        interpolate(f, g, unit_interp(n=40, dim=2))
+        interpolate(f, None, unit_interp(n=40, dim=2))
+        for key in ("_exact_kernel", "_noisy_kernel"):
+            strips = vars(f)[key][3]._strips
+            assert len(strips) == 82 // PANEL
+            for strip, inv in strips:
+                for arr in (strip, inv):
+                    with pytest.raises(ValueError):
+                        arr[0, 0] = 0.0
+
+    def test_refused_section_stores_no_chunk(self):
+        # the second chunk of the first matrix is not positive definite, and
+        # the second matrix's sections of more than 40 rows fail the gate:
+        # neither refusal stores a chunk or a condition, a later section
+        # that passes stores its own
+        rhs = np.ones(70, dtype=complex)
+        indefinite = np.diag(np.r_[np.ones(40), -np.ones(30)]).astype(complex)
+        section = SectionFactor()
+        with pytest.raises(IllPosedError, match="not positive definite"):
+            _solve_hermitian(indefinite, rhs, "test", section)
+        assert section._strips == [] and section.conditions == {}
+        ill = np.diag(np.r_[np.ones(40), np.full(30, 1e-14)]).astype(complex)
+        with pytest.raises(IllPosedError, match="exceeds threshold"):
+            _solve_hermitian(ill, rhs, "test", section)
+        assert section._strips == [] and section.conditions == {}
+        _solve_hermitian(ill[:40, :40], rhs[:40], "test", section)
+        assert len(section._strips) == 1 and list(section.conditions) == [40]
+        with pytest.raises(IllPosedError, match="exceeds threshold"):
+            _solve_hermitian(ill, rhs, "test", section)
+        assert len(section._strips) == 1 and list(section.conditions) == [40]
+
+    def test_empty_system_reads_no_section(self):
+        section = SectionFactor()
+        x, cond = _solve_hermitian(
+            np.zeros((0, 0), dtype=complex), np.zeros(0, dtype=complex), "test", section
+        )
+        assert x.shape == (0,) and cond == 1.0
+        assert section._strips == [] and section.conditions == {}
 
 
 class TestKernelTail:
@@ -778,9 +895,11 @@ class TestSolveGate:
 
     @pytest.mark.parametrize("task", ["extrap", "extrap_noiseless", "filter"])
     def test_history_levels_equal_explicit_truncation(self, monkeypatch, task):
-        # each level borders the previous level's factor with its new block
-        # rows, so the orders factored sum to the last level's: each row of
-        # the last system is factored once
+        # every level reads the kernel's one section factor: each full chunk
+        # of PANEL rows is factored once per kernel, by the first level that
+        # covers it, and each level factors only its own tail besides; the
+        # explicit re-solves of the same pair find every chunk stored and
+        # factor only their tails
         f = coupled_ma2()
         g = None if task == "extrap_noiseless" else white(dim=2, scale=0.5)
         blocks = np.array([[1.0, -0.5], [0.3, 0.2j]])
@@ -800,11 +919,21 @@ class TestSolveGate:
         sol = solver(f, g, w)
         history = sol.diagnostics["history"]
         assert len(history) >= 2
-        assert sum(orders) == sol.solved_blocks.size
+        first = 1 if task == "filter" else 0
+        sizes = [(J + 1 - first) * 2 for J, _ in history]
+        assert sizes[-1] == sol.solved_blocks.size
+        expected, stored = [], 0
+        for n in sizes:
+            expected += [PANEL] * (n // PANEL - stored) + [n % PANEL] * (n % PANEL > 0)
+            stored = n // PANEL
+        assert orders == expected
+        assert orders.count(PANEL) == sizes[-1] // PANEL
+        orders.clear()
         for J, mse in history:
             explicit = solver(f, g, w, truncation=J)
             assert explicit.diagnostics["history"] == [(J, explicit.mse)]
             assert mse == pytest.approx(explicit.mse, rel=1e-12)
+        assert orders == [n % PANEL for n in sizes if n % PANEL]
 
     @staticmethod
     def _stable_ma(rng, dim):

@@ -514,6 +514,28 @@ class TestOutputGridVisitedOnce:
         assert handed.mse == first.mse
         np.testing.assert_array_equal(handed.h_grid, first.h_grid)
 
+    def test_left_inverse_is_computed_once_per_factor(self, monkeypatch):
+        # the factor keeps its left inverse Q, read-only, next to its symbol:
+        # later calls on the factor read it and return the same bits
+        calls = []
+        values = factorization._left_inverse_values
+        monkeypatch.setattr(
+            factorization, "_left_inverse_values",
+            lambda p: calls.append(p.shape) or values(p),
+        )
+        f = coupled_ma2()
+        w = FunctionalWeights.extrapolation(np.array([[1.0, -0.5], [0.3, 0.2j]]))
+        first = extrapolate_factorized(f, w)
+        again = extrapolate_factorized(f, FunctionalWeights.extrapolation(w.blocks[:1]))
+        handed = extrapolate_factorized(vars(f)["_factor"], w)
+        assert calls == [(GRID, 2, 2)]
+        np.testing.assert_array_equal(handed.h_grid, first.h_grid)
+        assert again.mse != first.mse
+        Q = left_inverse(vars(f)["_factor"])
+        assert calls == [(GRID, 2, 2)] and Q is vars(f)["_factor"]._left_inverse
+        with pytest.raises(ValueError):
+            Q[0, 0, 0] = 0.0
+
     def test_refused_density_keeps_no_factor(self):
         f = SpectralDensity.constant(np.diag([1.0, 0.0]), grid_size=GRID)
         w = FunctionalWeights.extrapolation(np.ones((1, 2)))

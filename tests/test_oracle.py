@@ -404,7 +404,7 @@ def test_weight_symbol_applies_the_block_matrices(horizon, problem):
     f, blocks = problem
     g = SpectralDensity.white(f.dim, scale=0.5, grid_size=PROPERTY_GRID)
     w = FunctionalWeights(blocks=blocks, horizon=horizon)
-    inv, gv, _ = _kernel_table(f, g)
+    inv, gv, _, _ = _kernel_table(f, g)
     _, table, floor = _weighted_kernel(functional_symbol(w, PROPERTY_GRID), inv, gv)
     first = 1 if horizon == "filtering" else 0
     kind_d, kind_r = "VW" if first else "DR"
