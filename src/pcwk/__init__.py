@@ -40,8 +40,6 @@ from .lifting import (
 )
 from .minimax import (
     LeastFavorableResult,
-    QOperator,
-    build_q_operator,
     filtering_relation_residuals,
     least_favorable_class_y,
     least_favorable_d01_extrapolation,

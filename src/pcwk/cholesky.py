@@ -1,15 +1,15 @@
-"""Blocked triangular solves and bordered Cholesky factors, numpy only.
+"""Blocked triangular solves and the section Cholesky factor, numpy only.
 
 The truncated estimator systems and the time-domain oracle both solve a
 sequence of Hermitian systems, each the leading block of the next. One
-lower Cholesky factor serves the whole sequence: the oracle borders it with
-each window's new block rows (:func:`border`), and the estimators read the
-leading sections of one kernel matrix through a :class:`SectionFactor`, so
-every row is factored once. A factor is held as row strips: the rows
-L[i:j, :j] of each panel i..j-1 with the inverse of its diagonal block,
-which the substitutions read. Both modules import these helpers from here,
-and this module imports nothing of the package beyond its error types, so
-the oracle stays independent of the spectral solvers.
+:class:`SectionFactor` serves the whole sequence: it grows the lower
+Cholesky factor of the largest matrix one chunk of rows at a time, so every
+row is factored once, and each system reads the chunks of its own leading
+section. A factor is held as row strips: the rows L[i:j, :j] of each chunk
+i..j-1 with the inverse of its diagonal block, which the substitutions
+read. Both modules import these helpers from here, and this module imports
+nothing of the package beyond its error types, so the oracle stays
+independent of the spectral solvers.
 """
 
 from __future__ import annotations
@@ -29,34 +29,6 @@ def cholesky(matrix, context):
         return np.linalg.cholesky(matrix)
     except np.linalg.LinAlgError as exc:
         raise IllPosedError(f"{context}: system is not positive definite ({exc})") from exc
-
-
-def panels(chol):
-    """The diagonal panels of a lower triangular factor: (inverse, i, j) each.
-
-    Panel rows i..j-1 are ``PANEL`` wide, the last one possibly narrower.
-    The full diagonal blocks are inverted in one batched solve and a
-    narrower last one at its own width, so a small factor pays for a small
-    solve.
-    """
-    n = chol.shape[0]
-    full = n - n % PANEL
-    out = []
-    if full:
-        starts = range(0, full, PANEL)
-        stack = np.stack([chol[i : i + PANEL, i : i + PANEL] for i in starts])
-        eye = np.broadcast_to(np.eye(PANEL, dtype=chol.dtype), stack.shape)
-        inv_diag = np.linalg.solve(stack, eye)
-        out = [(inv_diag[k], i, i + PANEL) for k, i in enumerate(starts)]
-    if full < n:
-        last = chol[full:, full:]
-        out.append((np.linalg.solve(last, np.eye(n - full, dtype=chol.dtype)), full, n))
-    return out
-
-
-def strips(chol):
-    """The row strips of a square lower factor: (L[i:j, :j], inverse) per panel."""
-    return [(chol[i:j, :j], inv) for inv, i, j in panels(chol)]
 
 
 def forward(chol_strips, b):
@@ -87,32 +59,13 @@ def backward(chol_strips, y):
     return x
 
 
-def border(chol, a12, a22, context):
-    """Lower Cholesky factor of [[A11, A12], [A12^H, A22]] given ``chol``, that of A11.
-
-    Block Cholesky bordering (Golub & Van Loan, *Matrix Computations*,
-    section 4.2): with A11 = L L^H, the factor is [[L, 0], [X^H, L22]],
-    where X = L^{-1} A12 by blocked forward substitution and L22 is the
-    Cholesky factor of the Schur complement A22 - X^H X. Only the new rows
-    are factored, and only the new blocks ``a12`` and ``a22`` are read.
-    Raises ``IllPosedError`` when the Schur complement, hence the bordered
-    matrix, is not positive definite.
-    """
-    n0, n1 = chol.shape[0], a22.shape[0]
-    x = forward(strips(chol), a12)
-    out = np.zeros((n0 + n1, n0 + n1), dtype=np.result_type(chol, a12, a22))
-    out[:n0, :n0] = chol
-    out[n0:, :n0] = x.conj().T
-    out[n0:, n0:] = cholesky(a22 - x.conj().T @ x, context)
-    return out
-
-
 class SectionFactor:
     """Lower Cholesky factor of the leading sections of one Hermitian matrix.
 
     The section of order n is the matrix's leading n x n block. The factor
     grows in chunks of ``PANEL`` rows, one at a time, each bordered onto the
-    rows stored before it (see :func:`border`): X = L^{-1} A12 by forward
+    rows stored before it (block Cholesky bordering, Golub & Van Loan,
+    *Matrix Computations*, section 4.2): X = L^{-1} A12 by forward
     substitution over the stored strips, then the Cholesky factor L22 of
     the Schur block A22 - X^H X. A chunk is stored as its row strip
     [X^H, L22] with the inverse of L22, both read-only, about n^2 / 2

@@ -53,7 +53,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .cholesky import SectionFactor, backward, forward
+from .cholesky import backward, forward
 from .errors import IllPosedError, TruncationError
 from .lifting import FunctionalWeights, _shared_dim, check_weight_summability
 from .spectral import (
@@ -199,7 +199,7 @@ def _inverse_one_norm(solve, n):
     return float(max(est, 2.0 * np.abs(x).sum() / (3 * n)))
 
 
-def _solve_hermitian(matrix, rhs, context, section=None):
+def _solve_hermitian(matrix, rhs, context, section):
     """Solve a Hermitian positive definite system through one Cholesky factor.
 
     The factor gives the solution, one refinement step and the condition
@@ -208,12 +208,11 @@ def _solve_hermitian(matrix, rhs, context, section=None):
     The gate refuses the system (``IllPosedError``) when that estimate is
     not finite or exceeds ``DEFAULT_COND_THRESHOLD``, and also when the
     Cholesky factorization fails, since an indefinite system has no
-    estimate to return. ``section``, when given, is the
-    ``cholesky.SectionFactor`` of a matrix whose leading section ``matrix``
-    is, such as a kernel's: the system reads its stored chunks and
-    condition estimate, factors and estimates only what it lacks, and once
-    the gate passes stores them for later sections. Without it the system
-    factors itself alone.
+    estimate to return. ``section`` is the ``cholesky.SectionFactor`` of a
+    matrix whose leading section ``matrix`` is, such as a kernel's: the
+    system reads its stored chunks and condition estimate, factors and
+    estimates only what it lacks, and once the gate passes stores them for
+    later sections.
 
     The 1-norm gate is no looser than the former 2-norm one (largest over
     smallest |eigenvalue|): for Hermitian A, kappa_2(A) <= kappa_1(A). For
@@ -228,7 +227,6 @@ def _solve_hermitian(matrix, rhs, context, section=None):
     n = matrix.shape[0]
     if n == 0:
         return np.zeros_like(rhs), 1.0
-    section = SectionFactor() if section is None else section
     strips = section.strips(matrix, context)
 
     def solve(b):

@@ -47,7 +47,7 @@ the saddle margins are absolute.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -75,9 +75,7 @@ from .spectral import (
 )
 
 __all__ = [
-    "QOperator",
     "LeastFavorableResult",
-    "build_q_operator",
     "least_favorable_class_y",
     "least_favorable_dm_interpolation",
     "least_favorable_d01_extrapolation",
@@ -100,38 +98,15 @@ __all__ = [
 # -- the weight gram operator --------------------------------------------
 
 
-@dataclass(frozen=True)
-class QOperator:
-    """Gram operator of shifted weight blocks.
+def _weight_gram(weights: FunctionalWeights, n_range: int | None = None) -> np.ndarray:
+    """Gram operator of shifted weight blocks over shifts 0..n_range.
 
-    ``blocks[p, q] = sum_s a_{s+p} a_{s+q}^H`` (outer products of weight
-    blocks); the flattened matrix is Hermitian positive semidefinite and
-    its top eigenvalue bounds the error of any unit-power model.
-    """
-
-    blocks: np.ndarray = field(repr=False)  # (R, R, K, K)
-
-    @property
-    def range_len(self) -> int:
-        return self.blocks.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.blocks.shape[2]
-
-    @property
-    def dense(self) -> np.ndarray:
-        r, _, k, _ = self.blocks.shape
-        return self.blocks.transpose(0, 2, 1, 3).reshape(r * k, r * k)
-
-
-def build_q_operator(
-    weights: FunctionalWeights, n_range: int | None = None
-) -> QOperator:
-    """Assemble the weight gram operator over shifts 0..n_range.
-
-    ``n_range`` defaults to the stored horizon; a larger value pads with
-    zero blocks, which embeds the operator in a bigger index range.
+    Returns the (R, R, K, K) array ``gram[p, q] = sum_s a_{s+p} a_{s+q}^H``
+    (outer products of weight blocks), R = n_range + 1. Flattened to
+    (R K, R K) it is Hermitian positive semidefinite, and its top
+    eigenvalue bounds the error of any unit-power model. ``n_range``
+    defaults to the stored horizon; a larger value pads with zero blocks,
+    which embeds the operator in a bigger index range.
     """
     blocks = weights.blocks
     stored = blocks.shape[0]
@@ -144,7 +119,7 @@ def build_q_operator(
     terms = shifted[:, None, :, :, None] * shifted[None, :, :, None, :].conj()
     # a running sum adds the shifts s in order, so the operator does not
     # depend on the order numpy picks for a reduction
-    return QOperator(blocks=np.cumsum(terms, axis=2)[:, :, -1])
+    return np.cumsum(terms, axis=2)[:, :, -1]
 
 
 def _top_eigenpair(flat: np.ndarray) -> tuple[float, np.ndarray, float]:
@@ -193,10 +168,12 @@ def _eigen_worst_case(weights, power, grid_size) -> LeastFavorableResult:
     if weights.horizon not in ("extrapolation", "extrapolation_finite"):
         raise ValueError("weights must carry an extrapolation horizon")
     _admit_order(weights, grid_size)
-    q_op = build_q_operator(weights)
+    gram = _weight_gram(weights)
+    R, _, K, _ = gram.shape
+    dense = gram.transpose(0, 2, 1, 3).reshape(R * K, R * K)
     # the error quadratic form acts through the conjugated operator
-    nu2, vec, residual = _top_eigenpair(np.conj(q_op.dense))
-    taps = vec.reshape(q_op.range_len, q_op.dim, 1) * np.sqrt(power)
+    nu2, vec, residual = _top_eigenpair(np.conj(dense))
+    taps = vec.reshape(R, K, 1) * np.sqrt(power)
     fact = Factorization(coeffs=taps, residual=0.0, iterations=0, grid_size=grid_size)
     h0 = None
     certificate = {"kind": "eigenpair", "nu_squared": nu2, "eigen_residual": residual}

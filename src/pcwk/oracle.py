@@ -2,7 +2,7 @@
 
 Everything here works from lag covariances and finite linear algebra, with
 no shared machinery beyond the Fourier coefficients of the input densities
-and the bordered Cholesky factor of :mod:`pcwk.cholesky`: the projection
+and the section Cholesky factor of :mod:`pcwk.cholesky`: the projection
 oracle assembles the covariance of finite observation windows and solves
 their normal equations, and the simulator drives a moving average with
 seeded Gaussian innovations. Agreement between these values and the
@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .cholesky import border, cholesky, forward, strips
+from .cholesky import SectionFactor, forward
 from .errors import IllPosedError
 from .lifting import FunctionalWeights, _shared_dim
 from .spectral import SpectralDensity, _admit_lag, check_minimality
@@ -225,10 +225,12 @@ def time_domain_projection_converged(
     Each window's value is its projection error, computed by the
     innovations algorithm (Brockwell & Davis 1991, *Time Series: Theory and
     Methods*, sections 5.2 and 11.4). The observations are ordered nearest
-    the target first, so each window's covariance is the leading block of
-    the next window's: one lower Cholesky factor L is bordered by each
-    window's new block rows, and the error of a window is the target's
-    variance minus ||L^{-1} cross||^2 over its prefix.
+    the target first, so each window's covariance is the leading section of
+    the largest window's: one ``cholesky.SectionFactor`` grows the lower
+    Cholesky factor L of that covariance, each window factoring only the
+    chunks of rows its predecessors did not store, and the error of a
+    window is the target's variance minus ||L^{-1} cross||^2 over its
+    prefix.
 
     The gate is ``check_minimality(f, g)``, the solvers' own, computed
     once: the call raises ``IllPosedError`` when f + g fails it. A window
@@ -257,24 +259,14 @@ def time_domain_projection_converged(
         cx = cx.real
 
     history: list[OracleProjection] = []
-    factor = y = None
-    done = 0  # observed blocks already in the factor
+    section = SectionFactor()
+    cross = _cross(cz, obs, weights)
     for window in windows:
         count = len(observation_indices(task, n, window))
-        new = obs[done:count]
-        a22 = _covariance_block(cx, new, new)
-        cross = _cross(cz, new, weights)
-        if factor is None:
-            factor = cholesky(a22, "time-domain oracle")
-            y = forward(strips(factor), cross)
-        else:
-            n0 = factor.shape[0]
-            a12 = _covariance_block(cx, obs[:done], new)
-            factor = border(factor, a12, a22, "time-domain oracle")
-            lower = factor[n0:, n0:]
-            step = forward(strips(lower), cross - factor[n0:, :n0] @ y)
-            y = np.concatenate([y, step])
-        done = count
+        rows = obs[:count]
+        strips = section.strips(_covariance_block(cx, rows, rows), "time-domain oracle")
+        section.keep(strips, count * K, report.max_condition)
+        y = forward(strips, cross[: count * K])
         mse = float((variance - np.vdot(y, y)).real)
         current = OracleProjection(
             mse=max(mse, 0.0),

@@ -21,7 +21,7 @@ from pcwk import (
     interpolate,
 )
 from pcwk import estimators, spectral
-from pcwk.cholesky import PANEL, SectionFactor, panels
+from pcwk.cholesky import PANEL, SectionFactor
 from pcwk.estimators import _solve_hermitian
 from pcwk.spectral import _grid_symbol
 from pcwk.oracle import time_domain_projection_converged
@@ -853,14 +853,14 @@ class TestSolveGate:
         # solves it, the Cholesky factor does not exist
         matrix = np.diag([1.0, -2.0]).astype(complex)
         with pytest.raises(IllPosedError, match="not positive definite"):
-            _solve_hermitian(matrix, np.ones(2, dtype=complex), "test")
+            _solve_hermitian(matrix, np.ones(2, dtype=complex), "test", SectionFactor())
 
     def test_condition_is_one_norm_estimate(self):
         matrix = np.array(
             [[4.0, 1.0 + 1.0j, 0.0], [1.0 - 1.0j, 3.0, 0.5], [0.0, 0.5, 2.0]]
         )
         rhs = np.array([1.0, 2.0j, 3.0])
-        x, cond = _solve_hermitian(matrix, rhs, "test")
+        x, cond = _solve_hermitian(matrix, rhs, "test", SectionFactor())
         np.testing.assert_allclose(matrix @ x, rhs, atol=1e-14)
         assert cond == pytest.approx(np.linalg.cond(matrix, 1), rel=1e-12)
 
@@ -871,7 +871,7 @@ class TestSolveGate:
         z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         matrix = z @ z.conj().T + 0.1 * np.eye(n)
         rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        x, cond = _solve_hermitian(matrix, rhs, "test")
+        x, cond = _solve_hermitian(matrix, rhs, "test", SectionFactor())
         np.testing.assert_allclose(matrix @ x, rhs, rtol=0, atol=1e-10 * np.abs(rhs).max())
         chol, lower = linalg.cho_factor(matrix)
         (pocon,) = linalg.get_lapack_funcs(("pocon",), dtype=chol.dtype)
@@ -881,17 +881,18 @@ class TestSolveGate:
 
     @pytest.mark.parametrize("n", [2, 32, 33, 70])
     def test_panels_are_inverted_at_their_own_width(self, n):
-        # full panels in one batched solve, a narrower last one at its width
+        # the section factor's full chunks of PANEL rows and a narrower tail,
+        # each stored with the inverse of its diagonal block at its own width
         rng = np.random.default_rng(n)
         z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        chol = np.linalg.cholesky(z @ z.conj().T + np.eye(n))
-        spans = panels(chol)
-        assert [(i, j) for _, i, j in spans] == [
-            (i, min(i + PANEL, n)) for i in range(0, n, PANEL)
+        strips = SectionFactor().strips(z @ z.conj().T + np.eye(n), "test")
+        assert [rows.shape for rows, _ in strips] == [
+            (min(i + PANEL, n) - i, min(i + PANEL, n)) for i in range(0, n, PANEL)
         ]
-        for inv, i, j in spans:
+        for rows, inv in strips:
+            i, j = rows.shape[1] - rows.shape[0], rows.shape[1]
             assert inv.shape == (j - i, j - i)
-            np.testing.assert_allclose(inv @ chol[i:j, i:j], np.eye(j - i), atol=1e-12)
+            np.testing.assert_allclose(inv @ rows[:, i:j], np.eye(j - i), atol=1e-12)
 
     @pytest.mark.parametrize("task", ["extrap", "extrap_noiseless", "filter"])
     def test_history_levels_equal_explicit_truncation(self, monkeypatch, task):

@@ -8,7 +8,6 @@ from pcwk import (
     FunctionalWeights,
     InfeasibleClassError,
     SpectralDensity,
-    build_q_operator,
     check_minimality,
     filtering_relation_residuals,
     frequency_grid,
@@ -27,6 +26,7 @@ from pcwk import (
 )
 from pcwk.estimators import _ErrorFunctional, evaluate_mse
 from pcwk.minimax import (
+    _weight_gram,
     d01_class_residual,
     d0eps_class_residual,
     dm_class_residual,
@@ -43,33 +43,41 @@ def finite_weights(blocks):
     return FunctionalWeights.extrapolation_finite(blocks)
 
 
+def gram_matrix(weights, n_range=None):
+    """The weight gram operator flattened to its (R K, R K) matrix."""
+    gram = _weight_gram(weights, n_range)
+    R, _, K, _ = gram.shape
+    return gram.transpose(0, 2, 1, 3).reshape(R * K, R * K)
+
+
 class TestQOperator:
+    """The gram operator Q of shifted weight blocks (``minimax._weight_gram``)."""
+
     def test_single_unit_block(self):
-        q = build_q_operator(finite_weights([[1.0]]))
-        assert q.dense.shape == (1, 1)
-        assert q.dense[0, 0] == pytest.approx(1.0)
+        dense = gram_matrix(finite_weights([[1.0]]))
+        assert dense.shape == (1, 1)
+        assert dense[0, 0] == pytest.approx(1.0)
 
     def test_two_unit_blocks(self):
-        q = build_q_operator(finite_weights([[1.0], [1.0]]))
-        np.testing.assert_allclose(q.dense, [[2.0, 1.0], [1.0, 1.0]], atol=1e-14)
+        dense = gram_matrix(finite_weights([[1.0], [1.0]]))
+        np.testing.assert_allclose(dense, [[2.0, 1.0], [1.0, 1.0]], atol=1e-14)
 
     def test_zero_weights(self):
-        q = build_q_operator(finite_weights(np.zeros((2, 1))))
-        np.testing.assert_allclose(q.dense, 0.0)
+        dense = gram_matrix(finite_weights(np.zeros((2, 1))))
+        np.testing.assert_allclose(dense, 0.0)
 
     def test_hermitian_psd_and_floor(self):
         rng = np.random.default_rng(2)
         blocks = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
-        q = build_q_operator(FunctionalWeights.extrapolation(blocks))
-        dense = q.dense
+        dense = gram_matrix(FunctionalWeights.extrapolation(blocks))
         np.testing.assert_allclose(dense, dense.conj().T, atol=1e-13)
         eigs = np.linalg.eigvalsh(dense)
         assert eigs.min() > -1e-12
         assert eigs.max() >= np.linalg.norm(blocks[0]) ** 2 - 1e-12
 
     def test_padding_extends_range(self):
-        q = build_q_operator(finite_weights([[1.0]]), n_range=2)
-        assert q.dense.shape == (3, 3)
+        dense = gram_matrix(finite_weights([[1.0]]), n_range=2)
+        assert dense.shape == (3, 3)
 
     @pytest.mark.parametrize("n_range", [None, 1, 6])
     def test_matches_the_loop_reference(self, n_range):
@@ -81,7 +89,7 @@ class TestQOperator:
             for q in range(R):
                 for s in range(4 - max(p, q)):
                     ref[p, q] += np.outer(blocks[s + p], blocks[s + q].conj())
-        got = build_q_operator(FunctionalWeights.extrapolation(blocks), n_range).blocks
+        got = _weight_gram(FunctionalWeights.extrapolation(blocks), n_range)
         np.testing.assert_array_equal(got, ref)  # the same sums in the same order
 
 
@@ -116,7 +124,7 @@ class TestClassY:
         # embedded in ever larger shift ranges
         w = finite_weights([[1.0], [0.5]])
         nu = [
-            np.linalg.eigvalsh(np.conj(build_q_operator(w, n).dense))[-1]
+            np.linalg.eigvalsh(np.conj(gram_matrix(w, n)))[-1]
             for n in (1, 2, 4)
         ]
         assert nu[0] <= nu[1] + 1e-12 <= nu[2] + 2e-12

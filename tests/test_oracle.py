@@ -27,6 +27,7 @@ from pcwk import (
     spectral_factorize,
     time_domain_projection_converged,
 )
+from pcwk.cholesky import PANEL
 from pcwk.estimators import _weighted_kernel
 from pcwk.factorization import Factorization
 from pcwk.oracle import observation_indices
@@ -191,7 +192,7 @@ HISTORY_BLOCKS = np.array([[1.0, -0.5j], [0.3 + 0.2j, 0.4], [0.2, -0.1 + 0.3j]])
 
 
 class TestConvergedHistory:
-    """The bordered factor gives every window the value of its own solve."""
+    """One section factor gives every window the value of its own solve."""
 
     @pytest.mark.parametrize("noisy", [True, False])
     @pytest.mark.parametrize(
@@ -222,6 +223,34 @@ class TestConvergedHistory:
                 # every block of the functional is observed exactly
                 assert entry.mse == 0.0
             assert entry.mse == pytest.approx(mse, rel=1e-12)
+
+    def test_each_full_chunk_is_factored_once(self, monkeypatch):
+        # every window reads the one section factor of the call: each full
+        # chunk of PANEL rows is factored once, by the first window that
+        # covers it, and each window factors its own tail besides
+        f = SpectralDensity(2, coupled_ma2().coeffs + 0.6 * ma1(dim=2, b=0.9).coeffs,
+                            grid_size=GRID)
+        w = FunctionalWeights.extrapolation(HISTORY_BLOCKS[:2])
+        orders = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(
+            np.linalg,
+            "cholesky",
+            # window factors only, not a (G, K, K) grid of the gate
+            lambda m: (np.ndim(m) == 2 and orders.append(m.shape[0])) or cholesky(m),
+        )
+        # rel_tol 0 tries every window of the schedule
+        _, history = time_domain_projection_converged(
+            f, None, w, initial_window=3, rel_tol=0.0, max_window=48
+        )
+        assert [entry.window for entry in history] == [3, 6, 12, 24, 48]
+        sizes = [entry.n_observations for entry in history]
+        expected, stored = [], 0
+        for n in sizes:
+            expected += [PANEL] * (n // PANEL - stored) + [n % PANEL] * (n % PANEL > 0)
+            stored = n // PANEL
+        assert orders == expected
+        assert orders.count(PANEL) == sizes[-1] // PANEL
 
     def test_windows_follow_the_doubling_schedule(self):
         w = FunctionalWeights.extrapolation([[1.0]])
