@@ -71,28 +71,36 @@ class SectionFactor:
     [X^H, L22] with the inverse of L22, both read-only, about n^2 / 2
     entries in all, and its bits depend on the matrix alone, never on the
     sections read before. A section that ends inside a chunk factors its
-    tail on each read and stores none of it. ``conditions`` maps the order
-    of each section that passed its gate to its condition estimate.
+    tail on each read and stores none of it. The factor reads the matrix
+    through a row reader, only the rows it has not stored, and estimates
+    no condition number: the sections its callers read, the estimators'
+    kernel sections and the oracle's windows, are principal submatrices of
+    block circulants, so the grid bound
+    ``spectral.check_minimality(...).max_condition`` bounds the 2-norm
+    condition of each of them.
     """
 
     def __init__(self):
         self._strips = []
-        self.conditions = {}
+        self._read = False
 
-    def strips(self, matrix, context):
-        """The row strips of the section ``matrix``, a leading block of the matrix.
+    def strips(self, n, rows, context):
+        """The row strips of the section of order n.
 
         The stored chunks it covers, then its new chunks and its tail, each
-        factored from the rows of ``matrix``. Stores nothing (see
+        factored from ``rows(i, j)``, the rows A[i:j, :j] of the matrix,
+        read once for the rows past the stored chunks. Stores nothing (see
         :meth:`keep`); raises ``IllPosedError`` when the section is not
         positive definite.
         """
-        n = matrix.shape[0]
         out = self._strips[: n // PANEL]
-        for i in range(len(out) * PANEL, n, PANEL):
+        start = len(out) * PANEL
+        new = rows(start, n) if start < n else None
+        for i in range(start, n, PANEL):
             j = min(i + PANEL, n)
-            x = forward(out, matrix[i:j, :i].conj().T)
-            lower = cholesky(matrix[i:j, i:j] - x.conj().T @ x, context)
+            block = new[i - start : j - start]
+            x = forward(out, block[:, :i].conj().T)
+            lower = cholesky(block[:, i:j] - x.conj().T @ x, context)
             strip = np.concatenate([x.conj().T, lower], axis=1)
             out.append((strip, np.linalg.solve(lower, np.eye(j - i, dtype=lower.dtype))))
         return out
@@ -101,14 +109,14 @@ class SectionFactor:
         """What a read of the section of order n adds: "computed k chunks"
         (the first read), "extended by k chunks" or "memo"."""
         new = max(n // PANEL - len(self._strips), 0)
-        if not self.conditions:
+        if not self._read:
             return f"computed {new} chunks"
         return f"extended by {new} chunks" if new else "memo"
 
-    def keep(self, section_strips, n, cond):
-        """Store the new full chunks of a section of order n that passed its gate."""
+    def keep(self, section_strips, n):
+        """Store the new full chunks of a section of order n that was solved."""
         for arrays in section_strips[len(self._strips) : n // PANEL]:
             for arr in arrays:
                 arr.flags.writeable = False
             self._strips.append(arrays)
-        self.conditions[n] = cond
+        self._read = True

@@ -549,9 +549,10 @@ def _summary_block(entries):
 def _solution_summary(task, solution, seed):
     """Summary rows of an estimation task.
 
-    ``condition`` is the Hager-Higham estimate of the 1-norm condition
-    number of the solved system, computed from its Cholesky factor by the
-    numpy port of LAPACK's ``?lacn2`` in ``estimators._inverse_one_norm``.
+    ``condition`` is the minimality gate's ``max_condition``, the ratio of
+    the extreme eigenvalues of f + g (f alone for exact data) on the grid,
+    which bounds the 2-norm condition number of every system the solve
+    read and of every oracle window.
     """
     diag = solution.diagnostics
     entries = [

@@ -33,11 +33,15 @@ the last nonzero weight block, and doubles the truncation until the error
 value changes by at most 1e-8 of itself. Every system is a leading
 section of the kernel's one block-Toeplitz matrix (the U section of J
 blocks is the B section of J blocks), and the kernel memo keeps the
-Cholesky factor of its sections (``cholesky.SectionFactor``) with their
-condition estimates, so every row of every section a density or pair is
-solved with is factored once, and a solve returns the same bits whatever
-was solved before. Before any grid work, each solve admits the largest lag
-it reads through ``spectral._admit_lag`` (:func:`_admit_truncation`).
+Cholesky factor of its sections (``cholesky.SectionFactor``), so every row
+of every section a density or pair is solved with is factored once, and a
+solve returns the same bits whatever was solved before. The memo also keeps
+the gate's ``check_minimality(...).max_condition``, the ratio of the extreme
+eigenvalues of f+g (f alone without noise) on the grid, which every solve
+reports as ``condition``: by interlacing it bounds the 2-norm condition of
+every section, so no section is estimated on its own. Before any grid work,
+each solve admits the largest lag it reads through ``spectral._admit_lag``
+(:func:`_admit_truncation`).
 
 Exact observations are ``g=None`` (kernels f^{-1}, I and 0). Filtering
 requires a noise density.
@@ -57,7 +61,6 @@ from .cholesky import backward, forward
 from .errors import IllPosedError, TruncationError
 from .lifting import FunctionalWeights, _shared_dim, check_weight_summability
 from .spectral import (
-    DEFAULT_COND_THRESHOLD,
     SpectralDensity,
     _admit_lag,
     _all_fourier_coefficients,
@@ -149,7 +152,7 @@ def build_block_matrix(
     if not rows.size or not cols.size:
         raise ValueError("row and column ranges must be non-empty")
     which = BLOCK_KINDS.index(kind) % 3  # B and U, D and V, R and W share a kernel
-    inv, gv, table, _ = _kernel_table(f, g)
+    inv, gv, table, *_ = _kernel_table(f, g)
     if which and gv is None:
         table = np.zeros_like(table)
         if which == 1:
@@ -160,90 +163,32 @@ def build_block_matrix(
     return _gather(table, kind, rows, cols)
 
 
-_SAFMIN = np.finfo(float).tiny
-
-
-def _unit_phases(x):
-    """x_i / |x_i|, and 1 where |x_i| is below the safe minimum."""
-    size = np.abs(x)
-    small = size <= _SAFMIN
-    return np.where(small, 1.0, x / np.where(small, 1.0, size))
-
-
-def _inverse_one_norm(solve, n):
-    """Estimate of ||A^{-1}||_1 for a Hermitian A, given b -> A^{-1} b.
-
-    Hager's estimator in Higham's form, the complex LAPACK ``?lacn2`` step
-    for step (Hager 1984, SIAM J. Sci. Stat. Comput. 5; Higham 1988,
-    ACM TOMS 14). The estimate is a lower bound, in practice rarely more
-    than three times too small and often exact. A^{-H} = A^{-1}, so both
-    of its operator applications are ``solve``.
-    """
-    x = solve(np.full(n, 1.0 / n, dtype=complex))
-    if n == 1:
-        return float(abs(x[0]))
-    est = np.abs(x).sum()
-    x = solve(_unit_phases(x))
-    j = int(np.argmax(np.abs(x)))
-    for _ in range(4):  # ITMAX = 5 iterations, the steps above being the first
-        x = solve(np.eye(1, n, j, dtype=complex)[0])
-        est, previous = np.abs(x).sum(), est
-        if est <= previous:  # cycling: keep the smaller value, as LAPACK does
-            break
-        x = solve(_unit_phases(x))
-        last, j = j, int(np.argmax(np.abs(x)))
-        if abs(x[last]) == abs(x[j]):
-            break
-    alternating = (1.0 + np.arange(n) / (n - 1)) * np.where(np.arange(n) % 2, -1.0, 1.0)
-    x = solve(alternating.astype(complex))
-    return float(max(est, 2.0 * np.abs(x).sum() / (3 * n)))
-
-
 def _solve_hermitian(matrix, rhs, context, section):
     """Solve a Hermitian positive definite system through one Cholesky factor.
 
-    The factor gives the solution, one refinement step and the condition
-    estimate ``cond = ||A||_1 * est(||A^{-1}||_1)``, the Hager-Higham
-    1-norm estimate of LAPACK ``?pocon`` (see :func:`_inverse_one_norm`).
-    The gate refuses the system (``IllPosedError``) when that estimate is
-    not finite or exceeds ``DEFAULT_COND_THRESHOLD``, and also when the
-    Cholesky factorization fails, since an indefinite system has no
-    estimate to return. ``section`` is the ``cholesky.SectionFactor`` of a
-    matrix whose leading section ``matrix`` is, such as a kernel's: the
-    system reads its stored chunks and condition estimate, factors and
-    estimates only what it lacks, and once the gate passes stores them for
-    later sections.
-
-    The 1-norm gate is no looser than the former 2-norm one (largest over
-    smallest |eigenvalue|): for Hermitian A, kappa_2(A) <= kappa_1(A). For
-    the estimator systems there is also an exact bound from the grid. Their
-    blocks are DFT coefficients of the kernel (f+g)^{-1} (f^{-1} without
-    noise), so each system is a principal submatrix of a block circulant
-    whose eigenvalues are the kernel's eigenvalues on the grid. By
-    interlacing, kappa_2 of the system is at most
-    ``check_minimality(...).max_condition``, which every solver checks
-    against the same threshold before it solves.
+    ``section`` is the ``cholesky.SectionFactor`` of a matrix whose leading
+    section ``matrix`` is, such as a kernel's: the system reads its stored
+    chunks, factors only the rows past them, from ``matrix``, and stores
+    its new full chunks for later sections. The factor gives the solution
+    and one refinement step. A system whose Cholesky factorization fails is
+    refused (``IllPosedError``). No condition is estimated here: each
+    system is a principal submatrix of the block circulant whose
+    eigenvalues are the kernel's on the grid, so by interlacing its 2-norm
+    condition is at most ``check_minimality(...).max_condition``, which
+    every solver checks against ``DEFAULT_COND_THRESHOLD`` before it solves
+    and reports as ``condition``.
     """
     n = matrix.shape[0]
     if n == 0:
-        return np.zeros_like(rhs), 1.0
-    strips = section.strips(matrix, context)
+        return np.zeros_like(rhs)
+    strips = section.strips(n, lambda i, j: matrix[i:j, :j], context)
+    section.keep(strips, n)
 
     def solve(b):
         return backward(strips, forward(strips, b))
 
-    cond = section.conditions.get(n)
-    if cond is None:
-        cond = float(np.linalg.norm(matrix, 1)) * _inverse_one_norm(solve, n)
-    if not np.isfinite(cond) or cond > DEFAULT_COND_THRESHOLD:
-        raise IllPosedError(
-            f"{context}: system condition number {cond:.3e} exceeds "
-            f"threshold {DEFAULT_COND_THRESHOLD:.1e}"
-        )
-    section.keep(strips, n, cond)
     x = solve(rhs)
-    x = x + solve(rhs - matrix @ x)
-    return x, cond
+    return x + solve(rhs - matrix @ x)
 
 
 # -- solutions -----------------------------------------------------------
@@ -425,25 +370,25 @@ def _solve_truncated(solve_at, schedule, fixed, context):
     """Solve at each truncation of a schedule until the mse is Cauchy.
 
     ``solve_at(J)`` solves the system at truncation J, one block row per
-    unknown block up to J, and returns its error value, solution and
-    condition estimate. A ``fixed`` truncation is the one level of its
-    schedule; the automatic schedule (:func:`_admit_truncation`) stops at
+    unknown block up to J, and returns its error value and solution. A
+    ``fixed`` truncation is the one level of its schedule; the automatic
+    schedule (:func:`_admit_truncation`) stops at
     the first level whose error value m_J is within MSE_CAUCHY_TOL * |m_J|
     of the previous level's, a test relative to the error itself, so small
     errors are not held to an absolute one.
 
     Each level's system is the leading section of the next level's, and
     all of them read one section factor, so the schedule factors each full
-    chunk of rows once and each level only its own tail. Each level keeps
-    its own condition estimate and gate, and the first refused level
-    raises ``TruncationError``: its system is the leading block of every
-    later level's, so by interlacing no later level is better conditioned.
+    chunk of rows once and each level only its own tail. The first level
+    whose Cholesky factorization fails raises ``TruncationError``: its
+    system is the leading block of every later level's, none of which is
+    positive definite then.
     """
     history: list[tuple[int, float]] = []
     prev = None
     for J in schedule:
         try:
-            mse, c, cond = solve_at(J)
+            mse, c = solve_at(J)
         except IllPosedError as exc:
             raise TruncationError(
                 f"{context}: truncated system ill-posed at J = {J} ({exc})"
@@ -452,7 +397,7 @@ def _solve_truncated(solve_at, schedule, fixed, context):
         if fixed or (
             prev is not None and abs(mse - prev) <= MSE_CAUCHY_TOL * abs(mse)
         ):
-            return (mse, c, cond, J), history
+            return (mse, c, J), history
         prev = mse
     raise TruncationError(
         f"{context}: error value did not stabilise within the truncation cap; "
@@ -510,7 +455,7 @@ def _estimate(f, g, weights, truncation):
     context = task.removesuffix("_finite")
     if task != "interpolation":
         _summability_warning(weights)
-    inv, gv, B, section = _kernel_table(f, g)
+    inv, gv, B, section, condition = _kernel_table(f, g)
     tail = _kernel_tail(B)
     first = 1 if task == "filtering" else 0
     kind_b = "U" if first else "B"
@@ -529,20 +474,20 @@ def _estimate(f, g, weights, truncation):
         else:
             rhs = Da[first : J + 1].reshape(-1)
         status = section.status(rhs.size)
-        c, cond = _solve_hermitian(Bd, rhs, context, section)
+        c = _solve_hermitian(Bd, rhs, context, section)
         _log.debug("section of %s (G = %d, K = %d, %d rows): %s",
                    "f^-1" if gv is None else "(f+g)^-1", G, K, rhs.size, status)
-        return _real_mse(aRa + np.vdot(c, rhs)), c, cond
+        return _real_mse(aRa + np.vdot(c, rhs)), c
 
     if task == "interpolation":
-        mse, c, cond = solve_at(weights.n)
+        mse, c = solve_at(weights.n)
         truncated = {}
     else:
-        (mse, c, cond, J), history = _solve_truncated(
+        (mse, c, J), history = _solve_truncated(
             solve_at, schedule, truncation is not None, context
         )
         truncated = {"truncation": J, "history": history}
-    diagnostics = {"n": weights.n, "condition": cond, **truncated}
+    diagnostics = {"n": weights.n, "condition": condition, **truncated}
     if first:
         diagnostics["first_index"] = first
     diagnostics["noisy"] = g is not None

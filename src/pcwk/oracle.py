@@ -227,10 +227,10 @@ def time_domain_projection_converged(
     Methods*, sections 5.2 and 11.4). The observations are ordered nearest
     the target first, so each window's covariance is the leading section of
     the largest window's: one ``cholesky.SectionFactor`` grows the lower
-    Cholesky factor L of that covariance, each window factoring only the
-    chunks of rows its predecessors did not store, and the error of a
-    window is the target's variance minus ||L^{-1} cross||^2 over its
-    prefix.
+    Cholesky factor L of that covariance, each window gathering and
+    factoring only the chunks of rows its predecessors did not store, and
+    the error of a window is the target's variance minus ||L^{-1} cross||^2
+    over its prefix.
 
     The gate is ``check_minimality(f, g)``, the solvers' own, computed
     once: the call raises ``IllPosedError`` when f + g fails it. A window
@@ -261,11 +261,15 @@ def time_domain_projection_converged(
     history: list[OracleProjection] = []
     section = SectionFactor()
     cross = _cross(cz, obs, weights)
+
+    def rows(i, j):  # covariance rows i..j-1 through column j, gathered by blocks
+        lo, hi = i // K, -(-j // K)
+        return _covariance_block(cx, obs[lo:hi], obs[:hi])[i - lo * K : j - lo * K, :j]
+
     for window in windows:
         count = len(observation_indices(task, n, window))
-        rows = obs[:count]
-        strips = section.strips(_covariance_block(cx, rows, rows), "time-domain oracle")
-        section.keep(strips, count * K, report.max_condition)
+        strips = section.strips(count * K, rows, "time-domain oracle")
+        section.keep(strips, count * K)
         y = forward(strips, cross[: count * K])
         mse = float((variance - np.vdot(y, y)).real)
         current = OracleProjection(

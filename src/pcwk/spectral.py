@@ -467,7 +467,9 @@ def _kernel_slot(f, g, seed=None):
     and one for the last noise density g it was solved with, so solves that
     alternate the two compute each kernel once. A slot is the tuple (g, the
     grid inverse, its coefficient table by lag mod G, transposed pointwise,
-    the section factor of its block-Toeplitz matrix): two read-only arrays
+    the section factor of its block-Toeplitz matrix, the gate's
+    ``max_condition``, which bounds the 2-norm condition of every section
+    and which each solve reports as ``condition``): two read-only arrays
     of 2 G K^2 16 bytes (4 MB at G = 2048, K = 8) and a
     ``cholesky.SectionFactor``, empty until a solve reads a section and then
     about (n K)^2 / 2 16 bytes for the largest section of n blocks read
@@ -481,18 +483,19 @@ def _kernel_slot(f, g, seed=None):
     form (:func:`_inverse_density`), and the result, with an empty section
     factor, takes the slot, dropping the factor of the kernel it replaces.
 
-    Returns the inverse, the table, the section factor and whether they
-    were read from the memo.
+    Returns the inverse, the table, the section factor, the condition and
+    whether they were read from the memo.
     """
     key = "_exact_kernel" if g is None else "_noisy_kernel"
     slot = vars(f).get(key)
     if slot is not None and slot[0] is g:
         return (*slot[1:], True)
-    _admit_kernel(check_minimality(f, g), g)
+    report = check_minimality(f, g)
+    _admit_kernel(report, g)
     if seed is None:
         inv = _read_only(_grid_inverse(f.values if g is None else f.values + g.values))
         seed = inv, _read_only(_transposed_coefficients(inv))
-    slot = vars(f)[key] = (g, *seed, SectionFactor())
+    slot = vars(f)[key] = (g, *seed, SectionFactor(), report.max_condition)
     return (*slot[1:], False)
 
 
@@ -503,12 +506,13 @@ def _kernel_table(f, g):
     logger: the kernel "computed" or "memo". Returns the grid values of
     (f+g)^{-1} (f^{-1} without noise) and of g (None without noise), the
     coefficient table of the transposed kernel, the one kernel a solve
-    tabulates, and the section factor of its block-Toeplitz matrix.
+    tabulates, the section factor of its block-Toeplitz matrix and the
+    gate's ``max_condition``, the bound on the condition of every section.
     """
-    inv, table, section, memo = _kernel_slot(f, g)
+    inv, table, section, condition, memo = _kernel_slot(f, g)
     _log.debug("kernel %s (G = %d, K = %d): %s", "f^-1" if g is None else "(f+g)^-1",
                f.grid_size, f.dim, "memo" if memo else "computed")
-    return inv, None if g is None else g.values, table, section
+    return inv, None if g is None else g.values, table, section, condition
 
 
 def _admit_kernel(report, g):

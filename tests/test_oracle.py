@@ -1,4 +1,5 @@
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,7 @@ from pcwk import (
 from pcwk.cholesky import PANEL
 from pcwk.estimators import _weighted_kernel
 from pcwk.factorization import Factorization
+from pcwk import oracle
 from pcwk.oracle import observation_indices
 from pcwk.spectral import _kernel_table, _node_eigenvalues
 from conftest import GRID, ar1, coupled_ma2, ma1, white
@@ -252,6 +254,58 @@ class TestConvergedHistory:
         assert orders == expected
         assert orders.count(PANEL) == sizes[-1] // PANEL
 
+    @pytest.mark.parametrize("horizon", ["interpolation", "filtering"])
+    def test_windows_gather_only_rows_not_stored(self, monkeypatch, horizon):
+        # each window gathers the covariance of the observations past the
+        # chunks its factor stores, and nothing else: its values are, bit for
+        # bit, those of the same factor read from each window's full
+        # covariance
+        f = SpectralDensity(2, coupled_ma2().coeffs + 0.6 * ma1(dim=2, b=0.9).coeffs,
+                            grid_size=GRID)
+        g = white(dim=2, scale=0.5)
+        w = FunctionalWeights(blocks=HISTORY_BLOCKS[:2], horizon=horizon)
+        block = oracle._covariance_block
+        gathered = []
+
+        def spy(cx, rows, cols):
+            gathered.append((rows, cols))
+            return block(cx, rows, cols)
+
+        def full(cx, rows, cols):  # the whole window, sliced to the rows asked for
+            return block(cx, cols, cols)[(cols.size - rows.size) * 2 :]
+
+        kwargs = dict(initial_window=3, rel_tol=0.0, max_window=40)
+        monkeypatch.setattr(oracle, "_covariance_block", spy)
+        _, history = time_domain_projection_converged(f, g, w, **kwargs)
+        monkeypatch.setattr(oracle, "_covariance_block", full)
+        _, reference = time_domain_projection_converged(f, g, w, **kwargs)
+        assert [h.mse for h in history] == [h.mse for h in reference]
+        assert [h.window for h in history] == [3, 6, 12, 24, 40]
+        obs = oracle._nearest_first(horizon, w.n, 40)
+        stored = 0
+        assert len(gathered) == len(history)
+        for entry, (rows, cols) in zip(history, gathered):
+            count = entry.n_observations // 2
+            np.testing.assert_array_equal(cols, obs[:count])
+            np.testing.assert_array_equal(rows, obs[stored // 2 : count])
+            stored = entry.n_observations // PANEL * PANEL
+
+    def test_largest_window_peak_memory(self):
+        # at 1024 rows the peak holds the factor and the rows past its stored
+        # chunks, not the window's whole covariance and its gather copy
+        f = SpectralDensity.from_moving_average([np.eye(2), 0.95 * np.eye(2)],
+                                                grid_size=2048)
+        w = FunctionalWeights.interpolation(0.7 ** np.arange(3)[:, None] * [[1.0, 0.0]])
+        tracemalloc.start()
+        try:
+            proj, _ = time_domain_projection_converged(f, None, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n = proj.n_observations
+        assert n == 1024
+        assert peak < 1.5 * n * n * 8
+
     def test_windows_follow_the_doubling_schedule(self):
         w = FunctionalWeights.extrapolation([[1.0]])
         _, history = time_domain_projection_converged(
@@ -433,7 +487,7 @@ def test_weight_symbol_applies_the_block_matrices(horizon, problem):
     f, blocks = problem
     g = SpectralDensity.white(f.dim, scale=0.5, grid_size=PROPERTY_GRID)
     w = FunctionalWeights(blocks=blocks, horizon=horizon)
-    inv, gv, _, _ = _kernel_table(f, g)
+    inv, gv, *_ = _kernel_table(f, g)
     _, table, floor = _weighted_kernel(functional_symbol(w, PROPERTY_GRID), inv, gv)
     first = 1 if horizon == "filtering" else 0
     kind_d, kind_r = "VW" if first else "DR"
