@@ -23,14 +23,6 @@ from .errors import IllPosedError
 PANEL = 32
 
 
-def cholesky(matrix, context):
-    """Lower Cholesky factor of a Hermitian matrix; ``IllPosedError`` when none exists."""
-    try:
-        return np.linalg.cholesky(matrix)
-    except np.linalg.LinAlgError as exc:
-        raise IllPosedError(f"{context}: system is not positive definite ({exc})") from exc
-
-
 def forward(chol_strips, b):
     """L^{-1} b by blocked forward substitution, for b of shape (n,) or (n, m).
 
@@ -89,9 +81,10 @@ class SectionFactor:
 
         The stored chunks it covers, then its new chunks and its tail, each
         factored from ``rows(i, j)``, the rows A[i:j, :j] of the matrix,
-        read once for the rows past the stored chunks. Stores nothing (see
-        :meth:`keep`); raises ``IllPosedError`` when the section is not
-        positive definite.
+        read once for the rows past the stored chunks. Once every chunk of
+        the read is factored, its new full chunks are stored for later
+        reads; raises ``IllPosedError`` when the section is not positive
+        definite, and then stores nothing. A read of order 0 is no read.
         """
         out = self._strips[: n // PANEL]
         start = len(out) * PANEL
@@ -100,9 +93,18 @@ class SectionFactor:
             j = min(i + PANEL, n)
             block = new[i - start : j - start]
             x = forward(out, block[:, :i].conj().T)
-            lower = cholesky(block[:, i:j] - x.conj().T @ x, context)
+            try:
+                lower = np.linalg.cholesky(block[:, i:j] - x.conj().T @ x)
+            except np.linalg.LinAlgError as exc:
+                raise IllPosedError(
+                    f"{context}: system is not positive definite ({exc})") from exc
             strip = np.concatenate([x.conj().T, lower], axis=1)
             out.append((strip, np.linalg.solve(lower, np.eye(j - i, dtype=lower.dtype))))
+        for arrays in out[len(self._strips) : n // PANEL]:
+            for arr in arrays:
+                arr.flags.writeable = False
+            self._strips.append(arrays)
+        self._read |= n > 0
         return out
 
     def status(self, n):
@@ -112,11 +114,3 @@ class SectionFactor:
         if not self._read:
             return f"computed {new} chunks"
         return f"extended by {new} chunks" if new else "memo"
-
-    def keep(self, section_strips, n):
-        """Store the new full chunks of a section of order n that was solved."""
-        for arrays in section_strips[len(self._strips) : n // PANEL]:
-            for arr in arrays:
-                arr.flags.writeable = False
-            self._strips.append(arrays)
-        self._read = True

@@ -16,8 +16,9 @@ one minimality check (``spectral.check_minimality``) and one inversion of
 f+g on the grid, the Fourier coefficient table of the kernel (f+g)^{-1}
 (transposed inside the integral, as the component pairing of the lifted
 basis requires; f keeps f^{-1} and (f+g)^{-1} for the last g it was solved
-with, each with its table, in the kernel memo ``spectral._kernel_table``,
-so only the first solve of a density or a pair computes them), its block
+with, each with its table, in the kernel memo, whose one reader and writer
+``spectral._kernel_slot`` returns the slot as a named record, so only the
+first solve of a density or a pair computes them), its block
 matrix B, one Hermitian solve B c = D a for the unknown coefficient
 blocks, and the characteristic h = v - C (f+g)^{-1} on the grid with the
 mean square error. The kernels
@@ -43,7 +44,8 @@ every section, so no section is estimated on its own. Before any grid work,
 each solve admits the largest lag it reads through ``spectral._admit_lag``
 (:func:`_admit_truncation`).
 
-Exact observations are ``g=None`` (kernels f^{-1}, I and 0). Filtering
+Exact observations are ``g=None`` (kernels f^{-1}, I and 0): D a is then
+the weights' own coefficient table, read at the same rows. Filtering
 requires a noise density.
 """
 
@@ -65,7 +67,7 @@ from .spectral import (
     _admit_lag,
     _all_fourier_coefficients,
     _grid_symbol,
-    _kernel_table,
+    _kernel_slot,
     _transposed_coefficients,
 )
 
@@ -152,43 +154,16 @@ def build_block_matrix(
     if not rows.size or not cols.size:
         raise ValueError("row and column ranges must be non-empty")
     which = BLOCK_KINDS.index(kind) % 3  # B and U, D and V, R and W share a kernel
-    inv, gv, table, *_ = _kernel_table(f, g)
-    if which and gv is None:
+    kernel = _kernel_slot(f, g)
+    table = kernel.table
+    if which and g is None:
         table = np.zeros_like(table)
         if which == 1:
             table[0] = np.eye(f.dim)
     elif which:
-        kernel = f.values @ inv  # f (f+g)^{-1}
-        table = _transposed_coefficients(kernel if which == 1 else kernel @ gv)
+        product = f.values @ kernel.inv  # f (f+g)^{-1}
+        table = _transposed_coefficients(product if which == 1 else product @ g.values)
     return _gather(table, kind, rows, cols)
-
-
-def _solve_hermitian(matrix, rhs, context, section):
-    """Solve a Hermitian positive definite system through one Cholesky factor.
-
-    ``section`` is the ``cholesky.SectionFactor`` of a matrix whose leading
-    section ``matrix`` is, such as a kernel's: the system reads its stored
-    chunks, factors only the rows past them, from ``matrix``, and stores
-    its new full chunks for later sections. The factor gives the solution
-    and one refinement step. A system whose Cholesky factorization fails is
-    refused (``IllPosedError``). No condition is estimated here: each
-    system is a principal submatrix of the block circulant whose
-    eigenvalues are the kernel's on the grid, so by interlacing its 2-norm
-    condition is at most ``check_minimality(...).max_condition``, which
-    every solver checks against ``DEFAULT_COND_THRESHOLD`` before it solves
-    and reports as ``condition``.
-    """
-    n = matrix.shape[0]
-    if n == 0:
-        return np.zeros_like(rhs)
-    strips = section.strips(n, lambda i, j: matrix[i:j, :j], context)
-    section.keep(strips, n)
-
-    def solve(b):
-        return backward(strips, forward(strips, b))
-
-    x = solve(rhs)
-    return x + solve(rhs - matrix @ x)
 
 
 # -- solutions -----------------------------------------------------------
@@ -444,10 +419,13 @@ def _estimate(f, g, weights, truncation):
     the error value is Cauchy. The system is B c = D a with error value
     a* R a + c* B c = a* R a + c* (D a); filtering uses the kinds U, V, W.
     Only B is gathered: D a and a* R a come from the weight symbol
-    (:func:`_weighted_kernel`). Each system is solved through the section
-    factor of the kernel memo, with one debug record to the ``pcwk``
-    logger per section read: "computed k chunks", "extended by k chunks"
-    or "memo" (``cholesky.SectionFactor.status``).
+    (:func:`_weighted_kernel`). Each system is solved through one read of
+    the section factor of the kernel memo, which factors and stores its
+    new chunks, and one refinement step against the gathered section, with
+    one debug record to the ``pcwk`` logger per section read: "computed k
+    chunks", "extended by k chunks" or "memo"
+    (``cholesky.SectionFactor.status``). A section with no Cholesky factor
+    is refused (``IllPosedError``).
     """
     K, G = _shared_dim(weights, f, g), f.grid_size
     schedule = _admit_truncation(weights, truncation, G)
@@ -455,28 +433,28 @@ def _estimate(f, g, weights, truncation):
     context = task.removesuffix("_finite")
     if task != "interpolation":
         _summability_warning(weights)
-    inv, gv, B, section, condition = _kernel_table(f, g)
-    tail = _kernel_tail(B)
+    kernel = _kernel_slot(f, g)
+    tail = _kernel_tail(kernel.table)
     first = 1 if task == "filtering" else 0
     kind_b = "U" if first else "B"
     A = functional_symbol(weights, G)
-    if gv is None:  # exact observations: D = I and R = 0
+    if g is None:  # exact observations: D = I and R = 0, so D a is a
         v, aRa = A, 0.0
-        a = weights.blocks[: weights.last_nonzero + 1].reshape(-1)
+        a = weights.blocks[: weights.last_nonzero + 1]
+        Da = np.pad(a, ((0, G - len(a)), (0, 0)))  # its table by lag mod G
     else:
-        v, Da, aRa = _weighted_kernel(A, inv, gv)
+        v, Da, aRa = _weighted_kernel(A, kernel.inv, g.values)
 
     def solve_at(J):
         rows = np.arange(first, J + 1)
-        Bd = _gather(B, kind_b, rows, rows)
-        if gv is None:
-            rhs = np.pad(a, (0, rows.size * K - a.size))
-        else:
-            rhs = Da[first : J + 1].reshape(-1)
-        status = section.status(rhs.size)
-        c = _solve_hermitian(Bd, rhs, context, section)
+        rhs = Da[first : J + 1].reshape(-1)
+        Bd = _gather(kernel.table, kind_b, rows, rows)
+        status = kernel.section.status(rhs.size)
+        strips = kernel.section.strips(rhs.size, lambda i, j: Bd[i:j, :j], context)
         _log.debug("section of %s (G = %d, K = %d, %d rows): %s",
-                   "f^-1" if gv is None else "(f+g)^-1", G, K, rhs.size, status)
+                   "f^-1" if g is None else "(f+g)^-1", G, K, rhs.size, status)
+        c = backward(strips, forward(strips, rhs))
+        c = c + backward(strips, forward(strips, rhs - Bd @ c))  # one refinement step
         return _real_mse(aRa + np.vdot(c, rhs)), c
 
     if task == "interpolation":
@@ -487,14 +465,10 @@ def _estimate(f, g, weights, truncation):
             solve_at, schedule, truncation is not None, context
         )
         truncated = {"truncation": J, "history": history}
-    diagnostics = {"n": weights.n, "condition": condition, **truncated}
-    if first:
-        diagnostics["first_index"] = first
-    diagnostics["noisy"] = g is not None
-    diagnostics["kernel_tail"] = tail
-
+    diagnostics = {"n": weights.n, "condition": kernel.condition, **truncated,
+                   "kernel_tail": tail}
     c = c.reshape(-1, K)
-    h = _characteristic(v, c, first, inv)
+    h = _characteristic(v, c, first, kernel.inv)
     return _finish_solution(task, mse, h, c, diagnostics, weights)
 
 

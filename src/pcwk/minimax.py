@@ -98,24 +98,20 @@ __all__ = [
 # -- the weight gram operator --------------------------------------------
 
 
-def _weight_gram(weights: FunctionalWeights, n_range: int | None = None) -> np.ndarray:
-    """Gram operator of shifted weight blocks over shifts 0..n_range.
+def _weight_gram(weights: FunctionalWeights) -> np.ndarray:
+    """Gram operator of shifted weight blocks over the stored horizon.
 
     Returns the (R, R, K, K) array ``gram[p, q] = sum_s a_{s+p} a_{s+q}^H``
-    (outer products of weight blocks), R = n_range + 1. Flattened to
-    (R K, R K) it is Hermitian positive semidefinite, and its top
-    eigenvalue bounds the error of any unit-power model. ``n_range``
-    defaults to the stored horizon; a larger value pads with zero blocks,
-    which embeds the operator in a bigger index range.
+    (outer products of weight blocks), R the number of stored blocks.
+    Flattened to (R K, R K) it is Hermitian positive semidefinite, and its
+    top eigenvalue bounds the error of any unit-power model. Weights padded
+    with zero blocks give the operator of a bigger index range, in which
+    this one is embedded.
     """
-    blocks = weights.blocks
-    stored = blocks.shape[0]
-    R = stored if n_range is None else int(n_range) + 1
-    if R < 1:
-        raise ValueError("n_range must be >= 0")
-    # row p of ``shifted`` holds a_{s+p} for s < stored, zero past the weights
-    padded = np.concatenate([blocks, np.zeros((R, blocks.shape[1]), dtype=complex)])
-    shifted = padded[np.add.outer(np.arange(R), np.arange(stored))]
+    R = weights.n_blocks
+    # row p of ``shifted`` holds a_{s+p} for s < R, zero past the weights
+    padded = np.pad(weights.blocks, ((0, R), (0, 0)))
+    shifted = padded[np.add.outer(np.arange(R), np.arange(R))]
     terms = shifted[:, None, :, :, None] * shifted[None, :, :, None, :].conj()
     # a running sum adds the shifts s in order, so the operator does not
     # depend on the order numpy picks for a reduction
@@ -431,8 +427,7 @@ def filtering_relation_residuals(
     sol = filtering(f, g, weights, truncation=truncation)
     fv, gv, g2v = f.values, g.values, g2.values
     A = functional_symbol(weights, grid_size)
-    first = sol.diagnostics.get("first_index", 1)
-    D = _grid_symbol(sol.solved_blocks, first, grid_size)
+    D = _grid_symbol(sol.solved_blocks, 1, grid_size)
     res_noise, res_signal, rel_noise, rel_signal = _relation_residuals(
         fv, gv, A, D, alpha2, beta2, phi
     )
@@ -580,8 +575,7 @@ def least_favorable_d0eps_filtering_scalar(
         except PcwkError as exc:
             bailed = f"iteration left the solvable region: {exc}"
             break
-        first = sol.diagnostics.get("first_index", 1)
-        D_col = _grid_symbol(sol.solved_blocks, first, G)
+        D_col = _grid_symbol(sol.solved_blocks, 1, G)
         D = D_col[:, 0]
         cross = (A * D.conj()).real
         dd = np.abs(D) ** 2
@@ -801,7 +795,7 @@ def dm_class_residual(f: SpectralDensity, p_constraints: Sequence) -> float:
     of the class has seeded and a solve of the density then reads; a
     density that fails ``check_minimality`` raises ``MinimalityError``.
     """
-    table = _kernel_slot(f, None)[1]
+    table = _kernel_slot(f, None).table
     G = table.shape[0]
     worst = scale = 0.0
     for m, target in enumerate(p_constraints):

@@ -269,7 +269,6 @@ def time_domain_projection_converged(
     for window in windows:
         count = len(observation_indices(task, n, window))
         strips = section.strips(count * K, rows, "time-domain oracle")
-        section.keep(strips, count * K)
         y = forward(strips, cross[: count * K])
         mse = float((variance - np.vdot(y, y)).real)
         current = OracleProjection(

@@ -48,7 +48,7 @@ import warnings
 from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -320,7 +320,12 @@ def _node_eigenvalues(values: np.ndarray) -> np.ndarray:
     """
     if values.shape[1:] == (1, 1):
         return values[:, :, 0].real.copy()
-    return np.linalg.eigvalsh(0.5 * (values + np.conj(np.transpose(values, (0, 2, 1)))))
+    return np.linalg.eigvalsh(_hermitian_part(values))
+
+
+def _hermitian_part(values: np.ndarray) -> np.ndarray:
+    """(M + M^H) / 2 at each node of (G, K, K) samples, Hermitian to the bit."""
+    return 0.5 * (values + np.conj(np.transpose(values, (0, 2, 1))))
 
 
 def _node_norms(values: np.ndarray) -> np.ndarray:
@@ -460,70 +465,69 @@ def check_minimality(
 # -- the kernel memo ----------------------------------------------------
 
 
+class _KernelSlot(NamedTuple):
+    """One slot of the kernel memo (:func:`_kernel_slot`).
+
+    ``g`` is the noise density the kernel was computed with (None for exact
+    data), ``inv`` the grid values of (f+g)^{-1}, ``table`` its coefficient
+    table by lag mod G, transposed pointwise, ``section`` the section factor
+    of its block-Toeplitz matrix and ``condition`` the gate's
+    ``max_condition``, which bounds the 2-norm condition of every section
+    and which each solve reports as ``condition``.
+    """
+
+    g: SpectralDensity | None
+    inv: np.ndarray
+    table: np.ndarray
+    section: SectionFactor
+    condition: float
+
+
 def _kernel_slot(f, g, seed=None):
     """Gate f+g (f alone for ``g=None``), invert it on the grid and tabulate it, once.
 
     The one writer of the kernel memo. f keeps two slots, one for exact data
     and one for the last noise density g it was solved with, so solves that
-    alternate the two compute each kernel once. A slot is the tuple (g, the
-    grid inverse, its coefficient table by lag mod G, transposed pointwise,
-    the section factor of its block-Toeplitz matrix, the gate's
-    ``max_condition``, which bounds the 2-norm condition of every section
-    and which each solve reports as ``condition``): two read-only arrays
-    of 2 G K^2 16 bytes (4 MB at G = 2048, K = 8) and a
-    ``cholesky.SectionFactor``, empty until a solve reads a section and then
-    about (n K)^2 / 2 16 bytes for the largest section of n blocks read
-    (2.3 MB at K = 8, n = 65). A slot that holds this g, compared by
-    ``is``, is read as it is: it passed the gate, and densities are
-    immutable.
+    alternate the two compute each kernel once. A slot
+    (:class:`_KernelSlot`) holds two read-only arrays of 2 G K^2 16 bytes
+    (4 MB at G = 2048, K = 8) and a ``cholesky.SectionFactor``, empty until
+    a solve reads a section and then about (n K)^2 / 2 16 bytes for the
+    largest section of n blocks read (2.3 MB at K = 8, n = 65). A slot that
+    holds this g, compared by ``is``, is read as it is: it passed the gate,
+    and densities are immutable.
     Otherwise (an empty slot, or another g, even one with equal values)
     ``check_minimality`` decides, raising ``MinimalityError`` on a refusal,
-    which stores nothing; then :func:`_grid_inverse` inverts f+g, or
-    ``seed`` stands in, the inverse and table of a kernel known in closed
-    form (:func:`_inverse_density`), and the result, with an empty section
-    factor, takes the slot, dropping the factor of the kernel it replaces.
+    which stores nothing; then :func:`_grid_inverse` inverts f+g and the
+    slot keeps the inverse's Hermitian part, Hermitian to the bit: near the
+    gate's threshold LAPACK's inverse carries a skew part large enough that
+    the sections of its table have no Cholesky factor. ``seed`` stands in
+    for both, the inverse and table of a kernel known in closed form
+    (:func:`_inverse_density`, whose seeding logs "computed"). The result,
+    with an empty section factor, takes the slot, dropping the factor of
+    the kernel it replaces.
 
-    Returns the inverse, the table, the section factor, the condition and
-    whether they were read from the memo.
+    Returns the slot and logs one debug record to the ``pcwk`` logger: the
+    kernel "computed" or "memo".
     """
     key = "_exact_kernel" if g is None else "_noisy_kernel"
     slot = vars(f).get(key)
-    if slot is not None and slot[0] is g:
-        return (*slot[1:], True)
-    report = check_minimality(f, g)
-    _admit_kernel(report, g)
-    if seed is None:
-        inv = _read_only(_grid_inverse(f.values if g is None else f.values + g.values))
-        seed = inv, _read_only(_transposed_coefficients(inv))
-    slot = vars(f)[key] = (g, *seed, SectionFactor(), report.max_condition)
-    return (*slot[1:], False)
-
-
-def _kernel_table(f, g):
-    """The kernel of a solve of f observed with noise g (exact for ``g=None``).
-
-    Reads :func:`_kernel_slot` and logs one debug record to the ``pcwk``
-    logger: the kernel "computed" or "memo". Returns the grid values of
-    (f+g)^{-1} (f^{-1} without noise) and of g (None without noise), the
-    coefficient table of the transposed kernel, the one kernel a solve
-    tabulates, the section factor of its block-Toeplitz matrix and the
-    gate's ``max_condition``, the bound on the condition of every section.
-    """
-    inv, table, section, condition, memo = _kernel_slot(f, g)
+    memo = slot is not None and slot.g is g
+    if not memo:
+        report = check_minimality(f, g)
+        if not report.passed:
+            raise MinimalityError(
+                f"minimality condition violated: {'signal' if g is None else 'observed'} "
+                f"density is singular near lambda = {report.worst_node:.6f} "
+                f"(grid condition {report.max_condition:.3e})"
+            )
+        if seed is None:
+            inv = _grid_inverse(f.values if g is None else f.values + g.values)
+            inv = _read_only(_hermitian_part(inv))
+            seed = inv, _read_only(_transposed_coefficients(inv))
+        slot = vars(f)[key] = _KernelSlot(g, *seed, SectionFactor(), report.max_condition)
     _log.debug("kernel %s (G = %d, K = %d): %s", "f^-1" if g is None else "(f+g)^-1",
                f.grid_size, f.dim, "memo" if memo else "computed")
-    return inv, None if g is None else g.values, table, section, condition
-
-
-def _admit_kernel(report, g):
-    """Raise ``MinimalityError`` unless the minimality report passed."""
-    if not report.passed:
-        observed = "signal" if g is None else "observed"
-        raise MinimalityError(
-            f"minimality condition violated: {observed} density is singular "
-            f"near lambda = {report.worst_node:.6f} "
-            f"(grid condition {report.max_condition:.3e})"
-        )
+    return slot
 
 
 def _transposed_coefficients(kernel):

@@ -43,9 +43,9 @@ def finite_weights(blocks):
     return FunctionalWeights.extrapolation_finite(blocks)
 
 
-def gram_matrix(weights, n_range=None):
+def gram_matrix(weights):
     """The weight gram operator flattened to its (R K, R K) matrix."""
-    gram = _weight_gram(weights, n_range)
+    gram = _weight_gram(weights)
     R, _, K, _ = gram.shape
     return gram.transpose(0, 2, 1, 3).reshape(R * K, R * K)
 
@@ -76,7 +76,7 @@ class TestQOperator:
         assert eigs.max() >= np.linalg.norm(blocks[0]) ** 2 - 1e-12
 
     def test_padding_extends_range(self):
-        dense = gram_matrix(finite_weights([[1.0]]), n_range=2)
+        dense = gram_matrix(finite_weights([[1.0], [0.0], [0.0]]))
         assert dense.shape == (3, 3)
 
     @pytest.mark.parametrize("n_range", [None, 1, 6])
@@ -89,7 +89,10 @@ class TestQOperator:
             for q in range(R):
                 for s in range(4 - max(p, q)):
                     ref[p, q] += np.outer(blocks[s + p], blocks[s + q].conj())
-        got = _weight_gram(FunctionalWeights.extrapolation(blocks), n_range)
+        # a smaller range is a corner of the stored gram, a larger one the
+        # gram of the weights padded with zero blocks
+        padded = np.concatenate([blocks, np.zeros((max(R - 4, 0), 3))])
+        got = _weight_gram(FunctionalWeights.extrapolation(padded))[:R, :R]
         np.testing.assert_array_equal(got, ref)  # the same sums in the same order
 
 
@@ -121,10 +124,12 @@ class TestClassY:
 
     def test_monotone_in_horizon(self):
         # the top eigenvalue of the operator least_favorable_class_y solves,
-        # embedded in ever larger shift ranges
+        # embedded in ever larger shift ranges (the weights padded with zero
+        # blocks)
         w = finite_weights([[1.0], [0.5]])
         nu = [
-            np.linalg.eigvalsh(np.conj(gram_matrix(w, n)))[-1]
+            np.linalg.eigvalsh(np.conj(gram_matrix(finite_weights(
+                [[1.0], [0.5]] + [[0.0]] * (n - 1)))))[-1]
             for n in (1, 2, 4)
         ]
         assert nu[0] <= nu[1] + 1e-12 <= nu[2] + 2e-12

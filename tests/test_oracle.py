@@ -33,7 +33,7 @@ from pcwk.estimators import _weighted_kernel
 from pcwk.factorization import Factorization
 from pcwk import oracle
 from pcwk.oracle import observation_indices
-from pcwk.spectral import _kernel_table, _node_eigenvalues
+from pcwk.spectral import _kernel_slot, _node_eigenvalues
 from conftest import GRID, ar1, coupled_ma2, ma1, white
 
 
@@ -487,8 +487,9 @@ def test_weight_symbol_applies_the_block_matrices(horizon, problem):
     f, blocks = problem
     g = SpectralDensity.white(f.dim, scale=0.5, grid_size=PROPERTY_GRID)
     w = FunctionalWeights(blocks=blocks, horizon=horizon)
-    inv, gv, *_ = _kernel_table(f, g)
-    _, table, floor = _weighted_kernel(functional_symbol(w, PROPERTY_GRID), inv, gv)
+    kernel = _kernel_slot(f, g)
+    _, table, floor = _weighted_kernel(functional_symbol(w, PROPERTY_GRID), kernel.inv,
+                                       kernel.g.values)
     first = 1 if horizon == "filtering" else 0
     kind_d, kind_r = "VW" if first else "DR"
     rows, cols = np.arange(first, 24), np.arange(w.n_blocks)
