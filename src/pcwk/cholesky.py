@@ -3,13 +3,14 @@
 The truncated estimator systems and the time-domain oracle both solve a
 sequence of Hermitian systems, each the leading block of the next. One
 :class:`SectionFactor` serves the whole sequence: it grows the lower
-Cholesky factor of the largest matrix one chunk of rows at a time, so every
-row is factored once, and each system reads the chunks of its own leading
-section. A factor is held as row strips: the rows L[i:j, :j] of each chunk
-i..j-1 with the inverse of its diagonal block, which the substitutions
-read. Both modules import these helpers from here, and this module imports
-nothing of the package beyond its error types, so the oracle stays
-independent of the spectral solvers.
+Cholesky factor of the largest matrix one chunk of rows at a time, reading
+each chunk's rows through one block-row reader (:func:`block_rows`), so
+every row is factored once, and each system reads the chunks of its own
+leading section. A factor is held as row strips: the rows L[i:j, :j] of
+each chunk i..j-1 with the inverse of its diagonal block, which the
+substitutions read. Both modules import these helpers from here, and
+this module imports nothing of the package beyond its error types, so the
+oracle stays independent of the spectral solvers.
 """
 
 from __future__ import annotations
@@ -34,6 +35,21 @@ def forward(chol_strips, b):
         i, j = rows.shape[1] - rows.shape[0], rows.shape[1]
         y[i:j] = inv @ (b[i:j] - rows[:, :i] @ y[:i])
     return y
+
+
+def block_rows(gather, index, K):
+    """A row reader of the matrix of K x K blocks at ``index`` x ``index``.
+
+    ``gather(rows, cols)`` returns the dense matrix of the blocks at the
+    index arrays rows x cols. The reader ``rows(i, j)`` returns the rows
+    A[i:j, :j], gathered from the block rows that cover rows i..j-1 alone.
+    """
+
+    def rows(i, j):
+        lo, hi = i // K, -(-j // K)
+        return gather(index[lo:hi], index[:hi])[i - lo * K : j - lo * K, :j]
+
+    return rows
 
 
 def backward(chol_strips, y):
@@ -64,10 +80,13 @@ class SectionFactor:
     entries in all, and its bits depend on the matrix alone, never on the
     sections read before. A section that ends inside a chunk factors its
     tail on each read and stores none of it. The factor reads the matrix
-    through a row reader, only the rows it has not stored, and estimates
-    no condition number: the sections its callers read, the estimators'
-    kernel sections and the oracle's windows, are principal submatrices of
-    block circulants, so the grid bound
+    through a row reader (:func:`block_rows`), one chunk at a time and only
+    the rows it has not stored, so it never holds the matrix: a read's peak
+    is about the factor, n^2 / 2 * 16 bytes, plus one slab of ``PANEL``
+    rows. Its callers solve with the factor alone, with no refinement step.
+    It estimates no condition number: the sections its callers read, the
+    estimators' kernel sections and the oracle's windows, are principal
+    submatrices of block circulants, so the grid bound
     ``spectral.check_minimality(...).max_condition`` bounds the 2-norm
     condition of each of them.
     """
@@ -81,17 +100,17 @@ class SectionFactor:
 
         The stored chunks it covers, then its new chunks and its tail, each
         factored from ``rows(i, j)``, the rows A[i:j, :j] of the matrix,
-        read once for the rows past the stored chunks. Once every chunk of
-        the read is factored, its new full chunks are stored for later
-        reads; raises ``IllPosedError`` when the section is not positive
-        definite, and then stores nothing. A read of order 0 is no read.
+        read once per chunk past the stored ones: the largest array a read
+        gathers is ``PANEL`` x n, and the dense section is never formed.
+        Once every chunk of the read is factored, its new full chunks are
+        stored for later reads; raises ``IllPosedError`` when the section
+        is not positive definite, and then stores nothing. A read of order
+        0 is no read.
         """
         out = self._strips[: n // PANEL]
-        start = len(out) * PANEL
-        new = rows(start, n) if start < n else None
-        for i in range(start, n, PANEL):
+        for i in range(len(out) * PANEL, n, PANEL):
             j = min(i + PANEL, n)
-            block = new[i - start : j - start]
+            block = rows(i, j)
             x = forward(out, block[:, :i].conj().T)
             try:
                 lower = np.linalg.cholesky(block[:, i:j] - x.conj().T @ x)

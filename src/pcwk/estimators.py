@@ -36,13 +36,17 @@ section of the kernel's one block-Toeplitz matrix (the U section of J
 blocks is the B section of J blocks), and the kernel memo keeps the
 Cholesky factor of its sections (``cholesky.SectionFactor``), so every row
 of every section a density or pair is solved with is factored once, and a
-solve returns the same bits whatever was solved before. The memo also keeps
-the gate's ``check_minimality(...).max_condition``, the ratio of the extreme
-eigenvalues of f+g (f alone without noise) on the grid, which every solve
-reports as ``condition``: by interlacing it bounds the 2-norm condition of
-every section, so no section is estimated on its own. Before any grid work,
-each solve admits the largest lag it reads through ``spectral._admit_lag``
-(:func:`_admit_truncation`).
+solve returns the same bits whatever was solved before. A solve is the two
+triangular substitutions with that factor, with no refinement step, and it
+never forms the dense section: the factor reads the kernel table one chunk
+of 32 rows at a time, only past its stored chunks, so a solve's peak is
+about the factor, (n K)^2 / 2 * 16 bytes for n blocks, plus one 32-row
+slab. The memo also keeps the gate's ``check_minimality(...).max_condition``,
+the ratio of the extreme eigenvalues of f+g (f alone without noise) on the
+grid, which every solve reports as ``condition``: by interlacing it bounds
+the 2-norm condition of every section, so no section is estimated on its
+own. Before any grid work, each solve admits the largest lag it reads
+through ``spectral._admit_lag`` (:func:`_admit_truncation`).
 
 Exact observations are ``g=None`` (kernels f^{-1}, I and 0): D a is then
 the weights' own coefficient table, read at the same rows. Filtering
@@ -59,7 +63,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .cholesky import backward, forward
+from .cholesky import backward, block_rows, forward
 from .errors import IllPosedError, TruncationError
 from .lifting import FunctionalWeights, _shared_dim, check_weight_summability
 from .spectral import (
@@ -276,20 +280,19 @@ def forbidden_lag_residual(solution: EstimateSolution) -> float:
 
 
 def _finish_solution(task, mse, h_grid, solved_blocks, diagnostics, weights):
+    """The solution of one solve, logged as one info record to ``pcwk``."""
     diagnostics["weight_scale"] = float(
         np.linalg.norm(weights.blocks, axis=1).max(initial=0.0)
     )
     lags, coeffs = _vector_coefficients(h_grid)
-    sol = EstimateSolution(
-        task=task,
-        mse=float(mse),
-        h_grid=h_grid,
-        h_lags=lags,
-        h_coeffs=coeffs,
-        solved_blocks=solved_blocks,
-        diagnostics=diagnostics,
-    )
+    sol = EstimateSolution(task=task, mse=float(mse), h_grid=h_grid, h_lags=lags,
+                           h_coeffs=coeffs, solved_blocks=solved_blocks,
+                           diagnostics=diagnostics)
     diagnostics["forbidden_lag_residual"] = forbidden_lag_residual(sol)
+    J = diagnostics.get("truncation")
+    size = f"n = {diagnostics['n']}" if J is None else f"truncation = {J}"
+    _log.info("solve %s (G = %d, K = %d, %s): condition %s, mse %r",
+              task, *h_grid.shape, size, diagnostics.get("condition"), sol.mse)
     return sol
 
 
@@ -418,12 +421,14 @@ def _estimate(f, g, weights, truncation):
     solves for c_0..c_J and filtering for d_1..d_J, with J doubled until
     the error value is Cauchy. The system is B c = D a with error value
     a* R a + c* B c = a* R a + c* (D a); filtering uses the kinds U, V, W.
-    Only B is gathered: D a and a* R a come from the weight symbol
-    (:func:`_weighted_kernel`). Each system is solved through one read of
-    the section factor of the kernel memo, which factors and stores its
-    new chunks, and one refinement step against the gathered section, with
-    one debug record to the ``pcwk`` logger per section read: "computed k
-    chunks", "extended by k chunks" or "memo"
+    D a and a* R a come from the weight symbol (:func:`_weighted_kernel`),
+    and B is never formed: each system is solved by the two triangular
+    substitutions with one read of the section factor of the kernel memo,
+    with no refinement step. The read gathers from the kernel table, one
+    chunk of 32 rows at a time, only the block rows past the stored chunks,
+    then factors and stores its new chunks, so a warm solve gathers its
+    tail alone. One debug record goes to the ``pcwk`` logger per section
+    read: "computed k chunks", "extended by k chunks" or "memo"
     (``cholesky.SectionFactor.status``). A section with no Cholesky factor
     is refused (``IllPosedError``).
     """
@@ -445,16 +450,17 @@ def _estimate(f, g, weights, truncation):
     else:
         v, Da, aRa = _weighted_kernel(A, kernel.inv, g.values)
 
+    # the rows of the largest section, whose leading sections are the levels
+    rows = block_rows(lambda r, c: _gather(kernel.table, kind_b, r, c),
+                      np.arange(first, schedule[-1] + 1), K)
+
     def solve_at(J):
-        rows = np.arange(first, J + 1)
         rhs = Da[first : J + 1].reshape(-1)
-        Bd = _gather(kernel.table, kind_b, rows, rows)
         status = kernel.section.status(rhs.size)
-        strips = kernel.section.strips(rhs.size, lambda i, j: Bd[i:j, :j], context)
+        strips = kernel.section.strips(rhs.size, rows, context)
         _log.debug("section of %s (G = %d, K = %d, %d rows): %s",
                    "f^-1" if g is None else "(f+g)^-1", G, K, rhs.size, status)
         c = backward(strips, forward(strips, rhs))
-        c = c + backward(strips, forward(strips, rhs - Bd @ c))  # one refinement step
         return _real_mse(aRa + np.vdot(c, rhs)), c
 
     if task == "interpolation":

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .cholesky import SectionFactor, forward
+from .cholesky import SectionFactor, block_rows, forward
 from .errors import IllPosedError
 from .lifting import FunctionalWeights, _shared_dim
 from .spectral import SpectralDensity, _admit_lag, check_minimality
@@ -228,9 +228,9 @@ def time_domain_projection_converged(
     the target first, so each window's covariance is the leading section of
     the largest window's: one ``cholesky.SectionFactor`` grows the lower
     Cholesky factor L of that covariance, each window gathering and
-    factoring only the chunks of rows its predecessors did not store, and
-    the error of a window is the target's variance minus ||L^{-1} cross||^2
-    over its prefix.
+    factoring, one chunk at a time, only the chunks of rows its
+    predecessors did not store, and the error of a window is the target's
+    variance minus ||L^{-1} cross||^2 over its prefix.
 
     The gate is ``check_minimality(f, g)``, the solvers' own, computed
     once: the call raises ``IllPosedError`` when f + g fails it. A window
@@ -262,10 +262,7 @@ def time_domain_projection_converged(
     section = SectionFactor()
     cross = _cross(cz, obs, weights)
 
-    def rows(i, j):  # covariance rows i..j-1 through column j, gathered by blocks
-        lo, hi = i // K, -(-j // K)
-        return _covariance_block(cx, obs[lo:hi], obs[:hi])[i - lo * K : j - lo * K, :j]
-
+    rows = block_rows(lambda r, c: _covariance_block(cx, r, c), obs, K)
     for window in windows:
         count = len(observation_indices(task, n, window))
         strips = section.strips(count * K, rows, "time-domain oracle")

@@ -1075,6 +1075,24 @@ def test_debug_log_names_each_kernel(tmp_path):
     assert f"DEBUG:pcwk:kernel (f+g)^-1 (G = {GRID}, K = 1): computed" in out.stderr
 
 
+@pytest.mark.parametrize("task, size", [
+    ("filter", "filtering (G = 256, K = 1, truncation = 32)"),
+    ("interpolate", "interpolation (G = 256, K = 1, n = 0)"),
+])
+def test_info_log_has_one_record_per_solve(tmp_path, task, size):
+    # PCWK_LOG=info logs each solve once, with its sizes, condition and mse
+    out = subprocess.run(
+        [sys.executable, "-m", "pcwk.cli", "--spec", str(filter_spec(tmp_path, task=task)),
+         "--out", str(tmp_path / "out")],
+        env=source_env(PCWK_LOG="info"), capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    mse = float(read_summary(tmp_path / "out")["mse"])
+    records = [line for line in out.stderr.splitlines() if line.startswith("INFO:pcwk:")]
+    assert records == [f"INFO:pcwk:solve {size}: condition 1.0, mse {mse!r}"]
+    assert "DEBUG:" not in out.stderr
+
+
 def test_debug_log_names_each_section_read(tmp_path):
     # one record per section of the kernel a level reads: the first read
     # computes the factor, the second level extends it by one chunk

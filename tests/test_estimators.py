@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -484,6 +485,44 @@ class TestOnePath:
         }
         assert kinds == {"U" if task == "filter" else "B"}
 
+    @pytest.mark.parametrize("task", ["interp40", "interp47", "extrap", "filter"])
+    def test_section_rows_are_gathered_one_chunk_at_a_time(self, monkeypatch, task):
+        # the section factor gathers from the kernel table one slab per chunk
+        # of PANEL rows, each against the columns up to its last row; a warm
+        # re-solve of the same pair gathers the tail past its stored chunks
+        # alone, and nothing when the section's order is a multiple of PANEL
+        # (the 96 rows of n = 47)
+        shapes = []
+        gather = estimators._gather
+
+        def spy(*args):
+            out = gather(*args)
+            shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(estimators, "_gather", spy)
+        f, g = coupled_ma2(), white(dim=2, scale=0.5)
+        blocks = np.array([[1.0, -0.5], [0.3, 0.2j]])
+        if task.startswith("interp"):
+            solve = lambda: interpolate(f, g, unit_interp(n=int(task[6:]), dim=2))
+        elif task == "extrap":
+            solve = lambda: extrapolate(f, g, FunctionalWeights.extrapolation(blocks))
+        else:
+            solve = lambda: filtering(f, g, FunctionalWeights.filtering(blocks))
+        first = solve()
+        levels = [(J + (task != "filter")) * 2
+                  for J, _ in first.diagnostics.get("history", [(first.diagnostics["n"], 0)])]
+        expected, stored = [], 0
+        for n in levels:
+            expected += [(min(i + PANEL, n) - i, min(i + PANEL, n))
+                         for i in range(stored, n, PANEL)]
+            stored = n // PANEL * PANEL
+        assert shapes == expected and max(rows for rows, _ in shapes) <= PANEL
+        shapes.clear()
+        again = solve()
+        assert shapes == [(n % PANEL, n) for n in levels if n % PANEL]
+        assert again.mse == first.mse
+
     def test_grid_values_computed_once_per_density(self, monkeypatch):
         grids = []
         ifft = np.fft.ifft
@@ -692,6 +731,58 @@ class TestSectionFactor:
             for rows, how in [(2, "computed 0 chunks"), (82, "extended by 2 chunks"),
                               (82, "memo"), (12, "memo"), (142, "extended by 2 chunks")]
         ]
+
+    @pytest.mark.parametrize("task", TASKS)
+    @settings(derandomize=True, deadline=None, max_examples=12)
+    @given(dim=st.sampled_from([1, 2, 3]), data=st.data())
+    def test_solve_is_backward_stable(self, task, dim, data):
+        # a section is solved from its Cholesky factor alone, with no
+        # refinement step: at the returned truncation the residual against
+        # the independently assembled system B c = D a stays at the round-off
+        # of a backward-stable solve, plus that of the two right-hand sides:
+        # the solver forms D a from the weight symbol by FFT, at the scale of
+        # the lag-0 block, which is all there is when V a vanishes, as for
+        # filtering a white signal
+        f = data.draw(stable_ma_densities(dim))
+        scale = data.draw(st.floats(0.05, 2.0))
+        g = None if task.endswith("noiseless") else white(dim=dim, scale=scale)
+        rng = np.random.default_rng(dim)
+        blocks = rng.standard_normal((3, dim)) + 1j * rng.standard_normal((3, dim))
+        if task.startswith("interp"):
+            sol = interpolate(f, g, FunctionalWeights.interpolation(blocks))
+        elif task.startswith("extrap"):
+            sol = extrapolate(f, g, FunctionalWeights.extrapolation(blocks))
+        else:
+            sol = filtering(f, g, FunctionalWeights.filtering(blocks))
+        first = 1 if task == "filter" else 0
+        rows = np.arange(first, sol.diagnostics.get("truncation", 2) + 1)
+        B = build_block_matrix("U" if first else "B", f, g, rows, rows)
+        D = build_block_matrix("V" if first else "D", f, g, rows, range(3))
+        lag0 = np.linalg.norm(build_block_matrix("D", f, g, [0], [0]))
+        a, c = blocks.reshape(-1), sol.solved_blocks.reshape(-1)
+        scale = np.linalg.norm(B, 2) * np.linalg.norm(c) + lag0 * np.linalg.norm(a)
+        assert np.linalg.norm(B @ c - D @ a) <= 16 * c.size * np.finfo(float).eps * scale
+
+    def test_cold_solve_peak_is_the_factor_and_one_slab(self):
+        # K = 8, truncation 255: 2048 rows. The factor holds about n^2 / 2
+        # entries and each read gathers one slab of PANEL rows, so the peak
+        # stays below 3/4 of one dense n x n complex matrix
+        K, G = 8, 512
+        rng = np.random.default_rng(0)
+        taps = [np.eye(K), 0.15 * (rng.standard_normal((K, K))
+                                   + 1j * rng.standard_normal((K, K)))]
+        f = SpectralDensity.from_moving_average(taps, grid_size=G)
+        g = SpectralDensity.white(K, scale=0.5, grid_size=G)
+        w = FunctionalWeights.extrapolation(0.7 ** np.arange(3)[:, None] * np.ones((1, K)))
+        tracemalloc.start()
+        try:
+            sol = extrapolate(f, g, w, truncation=255)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n = sol.solved_blocks.size
+        assert n == 2048
+        assert peak < 0.75 * n * n * 16
 
     def test_other_noise_density_drops_the_section_factor(self):
         f, g, twin = coupled_ma2(), white(dim=2, scale=0.5), white(dim=2, scale=0.5)

@@ -504,7 +504,11 @@ class TestOutputGridVisitedOnce:
             again = extrapolate_factorized(f, FunctionalWeights.extrapolation_finite(w.blocks))
         assert calls == [f]
         assert [r.getMessage() for r in caplog.records if r.name == "pcwk"] == [
-            f"causal factor (G = {GRID}, K = 2): {how}" for how in ("computed", "memo")
+            line
+            for how, sol in (("computed", first), ("memo", again))
+            for line in (f"causal factor (G = {GRID}, K = 2): {how}",
+                         f"solve {sol.task} (G = {GRID}, K = 2, n = 1): "
+                         f"condition None, mse {sol.mse!r}")
         ]
         fact = vars(f)["_factor"]
         assert again.diagnostics["factor_residual"] == fact.residual

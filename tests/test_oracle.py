@@ -257,9 +257,9 @@ class TestConvergedHistory:
     @pytest.mark.parametrize("horizon", ["interpolation", "filtering"])
     def test_windows_gather_only_rows_not_stored(self, monkeypatch, horizon):
         # each window gathers the covariance of the observations past the
-        # chunks its factor stores, and nothing else: its values are, bit for
-        # bit, those of the same factor read from each window's full
-        # covariance
+        # chunks its factor stores, one slab of block rows per chunk, and
+        # nothing else: its values are, bit for bit, those of the same factor
+        # read from each window's full covariance
         f = SpectralDensity(2, coupled_ma2().coeffs + 0.6 * ma1(dim=2, b=0.9).coeffs,
                             grid_size=GRID)
         g = white(dim=2, scale=0.5)
@@ -283,12 +283,18 @@ class TestConvergedHistory:
         assert [h.window for h in history] == [3, 6, 12, 24, 40]
         obs = oracle._nearest_first(horizon, w.n, 40)
         stored = 0
-        assert len(gathered) == len(history)
-        for entry, (rows, cols) in zip(history, gathered):
+        for entry in history:
             count = entry.n_observations // 2
-            np.testing.assert_array_equal(cols, obs[:count])
-            np.testing.assert_array_equal(rows, obs[stored // 2 : count])
+            slabs = [gathered.pop(0) for _ in range(stored, 2 * count, PANEL)]
+            for rows, cols in slabs:
+                # the block rows of one chunk, against every column up to it
+                np.testing.assert_array_equal(cols, obs[: cols.size])
+                np.testing.assert_array_equal(rows, cols[cols.size - rows.size :])
+                assert rows.size <= PANEL // 2
+            covered = np.concatenate([rows for rows, _ in slabs])
+            np.testing.assert_array_equal(covered, obs[stored // 2 : count])
             stored = entry.n_observations // PANEL * PANEL
+        assert gathered == []
 
     def test_largest_window_peak_memory(self):
         # at 1024 rows the peak holds the factor and the rows past its stored
