@@ -6,11 +6,12 @@ sequence of Hermitian systems, each the leading block of the next. One
 Cholesky factor of the largest matrix one chunk of rows at a time, reading
 each chunk's rows through one block-row reader (:func:`block_rows`), so
 every row is factored once, and each system reads the chunks of its own
-leading section. A factor is held as row strips: the rows L[i:j, :j] of
-each chunk i..j-1 with the inverse of its diagonal block, which the
-substitutions read. Both modules import these helpers from here, and
-this module imports nothing of the package beyond its error types, so the
-oracle stays independent of the spectral solvers.
+leading section and the rows past them, its tail, kept per order. A
+factor is held as row strips: the rows L[i:j, :j] of each chunk i..j-1
+with the inverse of its diagonal block, which the substitutions read.
+Both modules import these helpers from here, and this module imports
+nothing of the package beyond its error types, so the oracle stays
+independent of the spectral solvers.
 """
 
 from __future__ import annotations
@@ -78,21 +79,26 @@ class SectionFactor:
     the Schur block A22 - X^H X. A chunk is stored as its row strip
     [X^H, L22] with the inverse of L22, both read-only, about n^2 / 2
     entries in all, and its bits depend on the matrix alone, never on the
-    sections read before. A section that ends inside a chunk factors its
-    tail on each read and stores none of it. The factor reads the matrix
-    through a row reader (:func:`block_rows`), one chunk at a time and only
-    the rows it has not stored, so it never holds the matrix: a read's peak
-    is about the factor, n^2 / 2 * 16 bytes, plus one slab of ``PANEL``
-    rows. Its callers solve with the factor alone, with no refinement step.
-    It estimates no condition number: the sections its callers read, the
-    estimators' kernel sections and the oracle's windows, are principal
-    submatrices of block circulants, so the grid bound
+    sections read before. A section that ends inside a chunk also has a
+    tail, its last n mod ``PANEL`` rows, factored the same way from the
+    stored chunks and kept per order, read-only: at most (``PANEL`` - 1) n
+    entries for each order read, so its bits too depend on the matrix
+    alone, and a repeated read of one order gathers and factors nothing.
+    The factor reads the matrix through a row reader (:func:`block_rows`),
+    one chunk at a time and only the rows it has not stored, so it never
+    holds the matrix: a read's peak is about the factor, n^2 / 2 * 16
+    bytes, plus one slab of ``PANEL`` rows. Its callers solve with the
+    factor alone, with no refinement step. It estimates no condition
+    number: the sections its callers read, the estimators' kernel sections
+    and the oracle's windows, are principal submatrices of block
+    circulants, so the grid bound
     ``spectral.check_minimality(...).max_condition`` bounds the 2-norm
     condition of each of them.
     """
 
     def __init__(self):
         self._strips = []
+        self._tails = {}
         self._read = False
 
     def strips(self, n, rows, context):
@@ -102,13 +108,17 @@ class SectionFactor:
         factored from ``rows(i, j)``, the rows A[i:j, :j] of the matrix,
         read once per chunk past the stored ones: the largest array a read
         gathers is ``PANEL`` x n, and the dense section is never formed.
-        Once every chunk of the read is factored, its new full chunks are
-        stored for later reads; raises ``IllPosedError`` when the section
-        is not positive definite, and then stores nothing. A read of order
-        0 is no read.
+        Once every chunk of the read is factored, its new full chunks and
+        its tail are stored for later reads, so a read whose chunks and tail
+        are stored returns them as they are; raises ``IllPosedError`` when
+        the section is not positive definite, and then stores nothing. A
+        read of order 0 is no read.
         """
         out = self._strips[: n // PANEL]
-        for i in range(len(out) * PANEL, n, PANEL):
+        if n in self._tails:  # stored with every chunk it covers
+            return out + [self._tails[n]]
+        start = len(out)
+        for i in range(start * PANEL, n, PANEL):
             j = min(i + PANEL, n)
             block = rows(i, j)
             x = forward(out, block[:, :i].conj().T)
@@ -119,17 +129,23 @@ class SectionFactor:
                     f"{context}: system is not positive definite ({exc})") from exc
             strip = np.concatenate([x.conj().T, lower], axis=1)
             out.append((strip, np.linalg.solve(lower, np.eye(j - i, dtype=lower.dtype))))
-        for arrays in out[len(self._strips) : n // PANEL]:
+        for arrays in out[start:]:
             for arr in arrays:
                 arr.flags.writeable = False
-            self._strips.append(arrays)
+        self._strips += out[start : n // PANEL]
+        if n % PANEL:
+            self._tails[n] = out[-1]
         self._read |= n > 0
         return out
 
     def status(self, n):
-        """What a read of the section of order n adds: "computed k chunks"
-        (the first read), "extended by k chunks" or "memo"."""
+        """What a read of the section of order n does: "computed k chunks"
+        (the first read), "extended by k chunks", "tail factored" (its
+        chunks are stored, its tail is not) or "memo" (it gathers and
+        factors nothing)."""
         new = max(n // PANEL - len(self._strips), 0)
         if not self._read:
             return f"computed {new} chunks"
-        return f"extended by {new} chunks" if new else "memo"
+        if new:
+            return f"extended by {new} chunks"
+        return "memo" if n % PANEL == 0 or n in self._tails else "tail factored"

@@ -35,12 +35,12 @@ value changes by at most 1e-8 of itself. Every system is a leading
 section of the kernel's one block-Toeplitz matrix (the U section of J
 blocks is the B section of J blocks), and the kernel memo keeps the
 Cholesky factor of its sections (``cholesky.SectionFactor``), so every row
-of every section a density or pair is solved with is factored once, and a
-solve returns the same bits whatever was solved before. A solve is the two
-triangular substitutions with that factor, with no refinement step, and it
-never forms the dense section: the factor reads the kernel table one chunk
-of 32 rows at a time, only past its stored chunks, so a solve's peak is
-about the factor, (n K)^2 / 2 * 16 bytes for n blocks, plus one 32-row
+of every section a density or pair is solved with is factored once, as is
+the tail of each order read, and a solve returns the same bits whatever
+was solved before. A solve is the two triangular substitutions with that
+factor, with no refinement step, and it never forms the dense section:
+the factor reads the kernel table one chunk of 32 rows at a time, only
+past its stored chunks, so a solve's peak is about the factor, (n K)^2 / 2 * 16 bytes for n blocks, plus one 32-row
 slab. The memo also keeps the gate's ``check_minimality(...).max_condition``,
 the ratio of the extreme eigenvalues of f+g (f alone without noise) on the
 grid, which every solve reports as ``condition``: by interlacing it bounds
@@ -72,6 +72,7 @@ from .spectral import (
     _all_fourier_coefficients,
     _grid_symbol,
     _kernel_slot,
+    _read_only,
     _transposed_coefficients,
 )
 
@@ -200,14 +201,22 @@ class EstimateSolution:
 
 
 def functional_symbol(weights: FunctionalWeights, grid_size: int) -> np.ndarray:
-    """The weight polynomial A on the grid, as a (G, K) array.
+    """The weight polynomial A on the grid, as a read-only (G, K) array.
 
     Interpolation and extrapolation weights enter at nonnegative powers of
-    e^{i lambda}; filtering weights at nonpositive powers.
+    e^{i lambda}; filtering weights at nonpositive powers. The weights are
+    immutable, so the symbol is computed once per grid size and kept on
+    the weights object, G K 16 bytes for each G (256 kB at G = 2048,
+    K = 8): every later solve with the same weights reads it.
     """
-    if weights.horizon == "filtering":
-        return _grid_symbol(weights.blocks[::-1], 1 - weights.n_blocks, grid_size)
-    return _grid_symbol(weights.blocks, 0, grid_size)
+    key = ("symbol", grid_size)
+    if key not in weights._memo:
+        if weights.horizon == "filtering":
+            A = _grid_symbol(weights.blocks[::-1], 1 - weights.n_blocks, grid_size)
+        else:
+            A = _grid_symbol(weights.blocks, 0, grid_size)
+        weights._memo[key] = _read_only(A)
+    return weights._memo[key]
 
 
 def _weighted_kernel(A, inv, gv):
@@ -357,10 +366,11 @@ def _solve_truncated(solve_at, schedule, fixed, context):
 
     Each level's system is the leading section of the next level's, and
     all of them read one section factor, so the schedule factors each full
-    chunk of rows once and each level only its own tail. The first level
-    whose Cholesky factorization fails raises ``TruncationError``: its
-    system is the leading block of every later level's, none of which is
-    positive definite then.
+    chunk of rows once and each level only its own tail, which the factor
+    keeps for a later solve at that level. The first level whose Cholesky
+    factorization fails raises ``TruncationError``: its system is the
+    leading block of every later level's, none of which is positive
+    definite then.
     """
     history: list[tuple[int, float]] = []
     prev = None
@@ -422,13 +432,15 @@ def _estimate(f, g, weights, truncation):
     the error value is Cauchy. The system is B c = D a with error value
     a* R a + c* B c = a* R a + c* (D a); filtering uses the kinds U, V, W.
     D a and a* R a come from the weight symbol (:func:`_weighted_kernel`),
-    and B is never formed: each system is solved by the two triangular
-    substitutions with one read of the section factor of the kernel memo,
-    with no refinement step. The read gathers from the kernel table, one
-    chunk of 32 rows at a time, only the block rows past the stored chunks,
-    then factors and stores its new chunks, so a warm solve gathers its
-    tail alone. One debug record goes to the ``pcwk`` logger per section
-    read: "computed k chunks", "extended by k chunks" or "memo"
+    which the weights keep (:func:`functional_symbol`), and B is never
+    formed: each system is solved by the two triangular substitutions with
+    one read of the section factor of the kernel memo, with no refinement
+    step. The read gathers from the kernel table, one chunk of 32 rows at a
+    time, only the block rows past the stored chunks, then factors and
+    stores its new chunks and its tail, so a warm solve gathers and
+    factors nothing. One debug record goes to the ``pcwk`` logger per
+    section read: "computed k chunks", "extended by k chunks", "tail
+    factored" or "memo", which gathered and factored nothing
     (``cholesky.SectionFactor.status``). A section with no Cholesky factor
     is refused (``IllPosedError``).
     """

@@ -19,6 +19,7 @@ component k of the lifted sequence in the target functional.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -98,19 +99,24 @@ class FunctionalWeights:
     sequence. ``horizon`` tags which estimation problem the weights define:
     interpolation and finite extrapolation store exactly n+1 blocks for a
     horizon of n; infinite-horizon kinds store a truncation of the tail.
+    The weights keep a read-only copy of the blocks they are given, so
+    they are immutable, and what is derived from them alone (the last
+    nonzero block, the summability report, the weight symbol of
+    ``estimators.functional_symbol``) is computed once per object.
     """
 
     blocks: np.ndarray = field(repr=False)
     horizon: str = "interpolation"
 
     def __post_init__(self):
-        arr = np.atleast_2d(np.asarray(self.blocks, dtype=complex))
+        arr = np.atleast_2d(np.array(self.blocks, dtype=complex))
         if arr.ndim != 2 or arr.shape[0] < 1:
             raise ValueError("blocks must form a (n_blocks, K) array")
         if not np.all(np.isfinite(arr)):
             raise ValueError("weight blocks contain non-finite entries")
         if self.horizon not in HORIZONS:
             raise ValueError(f"horizon must be one of {HORIZONS}")
+        arr.flags.writeable = False
         object.__setattr__(self, "blocks", arr)
 
     @classmethod
@@ -142,7 +148,13 @@ class FunctionalWeights:
         """Horizon index n (n+1 stored blocks)."""
         return self.n_blocks - 1
 
-    @property
+    @cached_property
+    def _memo(self) -> dict:
+        """What is derived from the blocks alone, filled on first use: the
+        summability report and the weight symbol of each grid size."""
+        return {}
+
+    @cached_property
     def last_nonzero(self) -> int:
         norms = np.linalg.norm(self.blocks, axis=1)
         nz = np.nonzero(norms > 0.0)[0]
@@ -244,7 +256,10 @@ def check_weight_summability(weights: FunctionalWeights) -> SummabilityReport:
     need a summable tail; since only a truncation is stored, this is judged
     by the growth of the partial sums over the final half of the stored
     blocks (more than 1% growth flags the tail). A heuristic, not a proof.
+    The report is computed once per weights object.
     """
+    if "summability" in weights._memo:
+        return weights._memo["summability"]
     norms = np.linalg.norm(weights.blocks, axis=1)
     s1 = float(norms.sum())
     weighted = (np.arange(weights.n_blocks) + 1.0) * norms**2
@@ -269,10 +284,11 @@ def check_weight_summability(weights: FunctionalWeights) -> SummabilityReport:
         passed = growth <= 0.01
     if not passed:
         notes.append("tail not decaying; infinite-horizon summability suspect")
-    return SummabilityReport(
+    report = weights._memo["summability"] = SummabilityReport(
         sum_norms=s1,
         sum_weighted_square_norms=s2,
         tail_growth=growth,
         passed=passed,
         notes=tuple(notes),
     )
+    return report

@@ -258,6 +258,15 @@ class TestExtrapolation:
             sol = extrapolate(white(), None, w)
         assert sol.mse == pytest.approx(16.0, rel=1e-12)
 
+    def test_non_summable_warning_fires_on_every_call(self):
+        # the verdict is computed once per weights object, the warning is
+        # given by each solve that reads it
+        w = FunctionalWeights.extrapolation(np.ones((16, 1)))
+        f = white()
+        for _ in range(2):
+            with pytest.warns(UserWarning, match="weight tail looks non-summable"):
+                extrapolate(f, None, w)
+
     def test_weights_beyond_grid_resolution_refused(self):
         w = FunctionalWeights.extrapolation(0.5 ** np.arange(40).reshape(40, 1))
         with pytest.raises(AliasingError, match="is not resolvable"):
@@ -489,11 +498,10 @@ class TestOnePath:
     def test_section_rows_are_gathered_one_chunk_at_a_time(self, monkeypatch, task):
         # the section factor gathers from the kernel table one slab per chunk
         # of PANEL rows, each against the columns up to its last row; a warm
-        # re-solve of the same pair gathers the tail past its stored chunks
-        # alone, and nothing when the section's order is a multiple of PANEL
-        # (the 96 rows of n = 47)
-        shapes = []
-        gather = estimators._gather
+        # re-solve of the same pair finds every chunk and every tail stored,
+        # so it gathers and factors nothing and returns the same bits
+        shapes, factored = [], []
+        gather, cholesky = estimators._gather, np.linalg.cholesky
 
         def spy(*args):
             out = gather(*args)
@@ -501,6 +509,10 @@ class TestOnePath:
             return out
 
         monkeypatch.setattr(estimators, "_gather", spy)
+        monkeypatch.setattr(
+            np.linalg, "cholesky",
+            lambda m: (np.ndim(m) == 2 and factored.append(m.shape[0])) or cholesky(m),
+        )
         f, g = coupled_ma2(), white(dim=2, scale=0.5)
         blocks = np.array([[1.0, -0.5], [0.3, 0.2j]])
         if task.startswith("interp"):
@@ -518,10 +530,14 @@ class TestOnePath:
                          for i in range(stored, n, PANEL)]
             stored = n // PANEL * PANEL
         assert shapes == expected and max(rows for rows, _ in shapes) <= PANEL
+        assert factored == [rows for rows, _ in expected]
         shapes.clear()
+        factored.clear()
         again = solve()
-        assert shapes == [(n % PANEL, n) for n in levels if n % PANEL]
+        assert shapes == [] and factored == []
         assert again.mse == first.mse
+        np.testing.assert_array_equal(again.solved_blocks, first.solved_blocks)
+        np.testing.assert_array_equal(again.h_grid, first.h_grid)
 
     def test_grid_values_computed_once_per_density(self, monkeypatch):
         grids = []
@@ -720,6 +736,71 @@ class TestSectionFactor:
         assert again.diagnostics["condition"] == fresh.diagnostics["condition"]
         assert again.diagnostics.get("history") == fresh.diagnostics.get("history")
 
+    def test_warm_resolve_records_say_memo(self, caplog):
+        # a cold solve computes its kernel and grows its factor level by
+        # level; the same solve again reads every kernel and section from
+        # the memo: "memo" means it gathered and factored nothing
+        f, g = coupled_ma2(), white(dim=2, scale=0.5)
+        w = FunctionalWeights.extrapolation([[1.0, -0.5], [0.3, 0.2j]])
+
+        def records():
+            with caplog.at_level(logging.DEBUG, logger="pcwk"):
+                sol = extrapolate(f, g, w)
+            out = [r.getMessage().rpartition(": ")[2] for r in caplog.records
+                   if r.getMessage().startswith(("kernel", "section"))]
+            caplog.clear()
+            return sol, out
+
+        cold, first = records()
+        levels = [(J + 1) * 2 for J, _ in cold.diagnostics["history"]]
+        assert first == ["computed", f"computed {levels[0] // PANEL} chunks"] + [
+            f"extended by {n // PANEL - m // PANEL} chunks"
+            for m, n in zip(levels, levels[1:])
+        ]
+        warm, again = records()
+        assert again == ["memo"] * (1 + len(levels))
+        assert warm.mse == cold.mse
+
+    def test_tail_bits_do_not_depend_on_earlier_reads(self):
+        # the tail of order n (its last n mod PANEL rows) read cold, after a
+        # smaller order, and after the factor has grown past n: equal bits,
+        # stored read-only once, and returned as stored by a repeated read
+        n = 70
+        rng = np.random.default_rng(n)
+        z = rng.standard_normal((130, 130)) + 1j * rng.standard_normal((130, 130))
+        matrix = z @ z.conj().T + 130 * np.eye(130)
+        rows = lambda i, j: matrix[i:j, :j]
+        strips = {}
+        for name, before in [("cold", []), ("after 40", [40]), ("after 130", [130])]:
+            section = SectionFactor()
+            for m in before:
+                section.strips(m, rows, "test")
+            strips[name] = section.strips(n, rows, "test")
+            assert set(section._tails) == {*(m for m in before if m % PANEL), n}
+            tail = section._tails[n]
+            assert tail is strips[name][-1] and tail[0].shape == (n % PANEL, n)
+            assert not tail[0].flags.writeable and not tail[1].flags.writeable
+            again = section.strips(n, lambda i, j: pytest.fail("gathered"), "test")
+            assert again[-1] is tail
+        for name in ("after 40", "after 130"):
+            assert len(strips[name]) == len(strips["cold"])
+            for (s, inv), (s0, inv0) in zip(strips[name], strips["cold"]):
+                np.testing.assert_array_equal(s, s0)
+                np.testing.assert_array_equal(inv, inv0)
+
+    def test_refused_read_stores_no_tail(self):
+        # positive definite on the first 64 rows alone: a read of order 70
+        # is refused in its tail, before and after the two chunks are stored
+        matrix = np.diag(np.r_[np.ones(64), -np.ones(6)]).astype(complex)
+        rows = lambda i, j: matrix[i:j, :j]
+        section = SectionFactor()
+        for stored in (0, 2):
+            with pytest.raises(IllPosedError, match="not positive definite"):
+                section.strips(70, rows, "test")
+            assert len(section._strips) == stored and section._tails == {}
+            section.strips(64, rows, "test")
+        assert section.status(70) == "tail factored"
+
     def test_section_records_say_computed_extended_or_memo(self, caplog):
         f, g = coupled_ma2(), white(dim=2, scale=0.5)
         with caplog.at_level(logging.DEBUG, logger="pcwk"):
@@ -729,7 +810,8 @@ class TestSectionFactor:
                 if r.getMessage().startswith("section")] == [
             f"section of (f+g)^-1 (G = {GRID}, K = 2, {rows} rows): {how}"
             for rows, how in [(2, "computed 0 chunks"), (82, "extended by 2 chunks"),
-                              (82, "memo"), (12, "memo"), (142, "extended by 2 chunks")]
+                              (82, "memo"), (12, "tail factored"),
+                              (142, "extended by 2 chunks")]
         ]
 
     @pytest.mark.parametrize("task", TASKS)
@@ -938,6 +1020,27 @@ class TestMinimalityBound:
                 assert str(refused.value) == message
 
 
+class TestFunctionalSymbol:
+    @pytest.mark.parametrize("horizon", ["interpolation", "extrapolation", "filtering"])
+    def test_one_read_only_symbol_per_grid_size(self, horizon):
+        # the weights keep one symbol per grid size, bit-equal to the lag ->
+        # grid transform of their blocks, in the powers of their horizon
+        rng = np.random.default_rng(3)
+        blocks = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+        w = FunctionalWeights(blocks, horizon)
+        first, coeffs = (-3, blocks[::-1]) if horizon == "filtering" else (0, blocks)
+        symbols = {}
+        for G in (64, 128):
+            A = estimators.functional_symbol(w, G)
+            assert A.shape == (G, 2) and not A.flags.writeable
+            np.testing.assert_array_equal(A, _grid_symbol(coeffs, first, G))
+            assert estimators.functional_symbol(w, G) is A
+            symbols[G] = A
+        assert estimators.functional_symbol(w, 64) is symbols[64]
+        other = FunctionalWeights(blocks, horizon)
+        assert estimators.functional_symbol(other, 64) is not symbols[64]
+
+
 class TestBlocksSymbol:
     # the solved blocks' symbol C(lambda) = sum_j blocks[j] e^{i (first + j) lambda}
     @pytest.mark.parametrize("first_index", [-9, -1, 0, 1, 5])
@@ -1000,8 +1103,8 @@ class TestSolveGate:
         # every level reads the kernel's one section factor: each full chunk
         # of PANEL rows is factored once per kernel, by the first level that
         # covers it, and each level factors only its own tail besides; the
-        # explicit re-solves of the same pair find every chunk stored and
-        # factor only their tails
+        # explicit re-solves of the same pair find every chunk and every
+        # tail stored, so they factor nothing and return the same bits
         f = coupled_ma2()
         g = None if task == "extrap_noiseless" else white(dim=2, scale=0.5)
         blocks = np.array([[1.0, -0.5], [0.3, 0.2j]])
@@ -1034,8 +1137,9 @@ class TestSolveGate:
         for J, mse in history:
             explicit = solver(f, g, w, truncation=J)
             assert explicit.diagnostics["history"] == [(J, explicit.mse)]
-            assert mse == pytest.approx(explicit.mse, rel=1e-12)
-        assert orders == [n % PANEL for n in sizes if n % PANEL]
+            assert explicit.mse == mse
+        np.testing.assert_array_equal(explicit.solved_blocks, sol.solved_blocks)
+        assert orders == []
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize(

@@ -5,10 +5,12 @@ from hypothesis import given, strategies as st
 from pcwk import (
     FunctionalWeights,
     LiftConfig,
+    SpectralDensity,
     check_weight_summability,
     compute_weights,
     conjugate_pair_permutation,
     frequency_index,
+    interpolate,
     reconstruct_pc,
 )
 
@@ -147,6 +149,28 @@ class TestReconstruction:
         for j in range(2):
             np.testing.assert_allclose(recon[j].real, a(u + 2.0 * j), atol=1e-10)
             np.testing.assert_allclose(recon[j].imag, 0.0, atol=1e-10)
+
+
+class TestWeightsAreImmutable:
+    def test_blocks_are_a_read_only_copy(self):
+        # the weights copy the caller's array, complex or not: a later write
+        # to it changes neither the blocks nor a solve with them, and the
+        # blocks themselves refuse writes
+        a = np.array([[1.0], [0.5]], dtype=complex)
+        w = FunctionalWeights.interpolation(a)
+        f = SpectralDensity.white(1, grid_size=64)
+        before = interpolate(f, None, w).mse
+        assert before == pytest.approx(1.25, rel=1e-12)
+        a[1, 0] = 5.0
+        assert a.flags.writeable and w.blocks[1, 0] == 0.5
+        with pytest.raises(ValueError):
+            w.blocks[0, 0] = 1.0
+        assert interpolate(f, None, w).mse == before
+
+    def test_derived_values_are_computed_once(self):
+        w = FunctionalWeights.extrapolation([[1.0], [0.5], [0.0]])
+        assert w.last_nonzero == 1
+        assert check_weight_summability(w) is check_weight_summability(w)
 
 
 class TestSummability:
