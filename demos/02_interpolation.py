@@ -14,6 +14,7 @@ import numpy as np
 from pcwk import (
     FunctionalWeights,
     SpectralDensity,
+    forbidden_lag_residual,
     frequency_grid,
     interpolate,
     time_domain_projection_converged,
@@ -65,4 +66,4 @@ proj2, _ = time_domain_projection_converged(f2, g2, w)
 print(f"\ncoupled two-component gap of length 3: mse = {sol2.mse:.6f}, "
       f"oracle {proj2.mse:.6f}")
 print("characteristic vanishes on the gap lags:",
-      sol2.diagnostics["forbidden_lag_residual"] < 1e-8)
+      forbidden_lag_residual(sol2) < 1e-8)

@@ -34,7 +34,13 @@ import numpy as np
 
 from . import minimax, oracle
 from .errors import PcwkError, TruncationError
-from .estimators import _admit_truncation, extrapolate, filtering, interpolate
+from .estimators import (
+    _admit_truncation,
+    extrapolate,
+    filtering,
+    forbidden_lag_residual,
+    interpolate,
+)
 from .factorization import spectral_factorize
 from .lifting import FunctionalWeights, LiftConfig, _shared_dim, compute_weights
 from .spectral import (
@@ -561,7 +567,7 @@ def _solution_summary(task, solution, seed):
         ("mse", repr(solution.mse)),
         ("grid", solution.grid_size),
         ("seed", seed),
-        ("forbidden_lag_residual", repr(diag.get("forbidden_lag_residual"))),
+        ("forbidden_lag_residual", repr(forbidden_lag_residual(solution))),
     ]
     if "condition" in diag:
         entries.append(("condition", repr(diag["condition"])))

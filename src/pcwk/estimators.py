@@ -174,20 +174,20 @@ def build_block_matrix(
 # -- solutions -----------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class EstimateSolution:
     """Spectral characteristic, solved coefficients and mean square error.
 
-    ``h_grid[g]`` is the K-vector h(e^{i lambda_g}); ``h_lags``/``h_coeffs``
-    hold its Fourier coefficients for subspace checks; ``solved_blocks``
+    ``h_grid[g]`` is the K-vector h(e^{i lambda_g}); ``solved_blocks``
     are the coefficient blocks of the defining linear system (c or d).
+    ``h_lags``/``h_coeffs`` hold h's Fourier coefficients at the lags
+    |m| <= G/4 for subspace checks: a view derived from ``h_grid``,
+    computed on first read, cached and read-only. Equality is identity.
     """
 
     task: str
     mse: float
     h_grid: np.ndarray = field(repr=False)
-    h_lags: np.ndarray = field(repr=False)
-    h_coeffs: np.ndarray = field(repr=False)
     solved_blocks: np.ndarray = field(repr=False)
     diagnostics: dict = field(default_factory=dict)
 
@@ -198,6 +198,19 @@ class EstimateSolution:
     @property
     def dim(self) -> int:
         return self.h_grid.shape[1]
+
+    @cached_property
+    def _coefficient_view(self) -> tuple[np.ndarray, np.ndarray]:
+        lags, coeffs = _vector_coefficients(self.h_grid)
+        return _read_only(lags), _read_only(coeffs)
+
+    @property
+    def h_lags(self) -> np.ndarray:
+        return self._coefficient_view[0]
+
+    @property
+    def h_coeffs(self) -> np.ndarray:
+        return self._coefficient_view[1]
 
 
 def functional_symbol(weights: FunctionalWeights, grid_size: int) -> np.ndarray:
@@ -225,13 +238,16 @@ def _weighted_kernel(A, inv, gv):
     Returns the grid vector v = A f (f+g)^{-1} = A - (A g)(f+g)^{-1}, (G, K),
     its coefficient table, whose rows first..J are D a (kinds D and V), and
     the error floor a* R a (kinds R and W), the grid mean of v g conj(A).
+    g is Hermitian at every node, conj(g_kj) = g_jk, so there
+    v g A^H = sum_j conj((A g)_j) v_j: the floor is vdot(A g, v) / G, which
+    reuses the product A g that v is formed from and forms no product v g.
     A is the weight polynomial of the weights' horizon; for filtering it
     carries the powers 0, -1, -2, ..., which turns the Hankel lags of V and
     W into the same products.
     """
-    v = A - ((A[:, None] @ gv) @ inv)[:, 0]
-    floor = np.vdot(A, (v[:, None] @ gv)[:, 0]) / A.shape[0]
-    return v, _all_fourier_coefficients(v), floor
+    Ag = (A[:, None] @ gv)[:, 0]
+    v = A - (Ag[:, None] @ inv)[:, 0]
+    return v, _all_fourier_coefficients(v), np.vdot(Ag, v) / A.shape[0]
 
 
 def _characteristic(v, blocks, first_index, inv):
@@ -288,16 +304,26 @@ def forbidden_lag_residual(solution: EstimateSolution) -> float:
     return float(norms[mask].max(initial=0.0)) / scale
 
 
+def _weight_scale(weights):
+    """The largest norm of a weight block, kept in the weights' memo."""
+    if "weight_scale" not in weights._memo:
+        norms = np.linalg.norm(weights.blocks, axis=1)
+        weights._memo["weight_scale"] = float(norms.max(initial=0.0))
+    return weights._memo["weight_scale"]
+
+
 def _finish_solution(task, mse, h_grid, solved_blocks, diagnostics, weights):
-    """The solution of one solve, logged as one info record to ``pcwk``."""
-    diagnostics["weight_scale"] = float(
-        np.linalg.norm(weights.blocks, axis=1).max(initial=0.0)
-    )
-    lags, coeffs = _vector_coefficients(h_grid)
-    sol = EstimateSolution(task=task, mse=float(mse), h_grid=h_grid, h_lags=lags,
-                           h_coeffs=coeffs, solved_blocks=solved_blocks,
-                           diagnostics=diagnostics)
-    diagnostics["forbidden_lag_residual"] = forbidden_lag_residual(sol)
+    """The solution of one solve, logged as one info record to ``pcwk``.
+
+    It holds the results of the solve: h on the grid, the solved blocks and
+    the mean square error. What derives from h alone is left to its
+    readers: the coefficient view ``h_lags``/``h_coeffs`` is transformed on
+    its first read, and :func:`forbidden_lag_residual` reads it, so a solve
+    whose caller reads neither takes no transform of h.
+    """
+    diagnostics["weight_scale"] = _weight_scale(weights)
+    sol = EstimateSolution(task=task, mse=float(mse), h_grid=h_grid,
+                           solved_blocks=solved_blocks, diagnostics=diagnostics)
     J = diagnostics.get("truncation")
     size = f"n = {diagnostics['n']}" if J is None else f"truncation = {J}"
     _log.info("solve %s (G = %d, K = %d, %s): condition %s, mse %r",
@@ -400,25 +426,26 @@ def _summability_warning(weights):
         )
 
 
-def _kernel_tail(table):
-    """||B(G/2)||_F / ||B(0)||_F of the kernel table, warned above KERNEL_TAIL_TOL.
+def _kernel_tail(kernel):
+    """The slot's kernel tail, warned above KERNEL_TAIL_TOL on every solve.
 
-    On G nodes the coefficient at lag m is the sum of the kernel's true
-    coefficients at lags m + kG, so a kernel (f+g)^{-1} whose coefficients
-    have not decayed by lag G/2 is aliased, and the error values solved
-    from it are wrong with no other sign: for MA(1) with b = 0.999 on
-    2048 nodes the tail is 0.64 and the exact interpolation error is 1.54e-3
-    against 2.00e-3. The relative error tracks the tail's square.
+    The tail is ||B(G/2)||_F / ||B(0)||_F of the kernel table, computed
+    once per slot (``spectral._KernelSlot``). On G nodes the coefficient at
+    lag m is the sum of the kernel's true coefficients at lags m + kG, so a
+    kernel (f+g)^{-1} whose coefficients have not decayed by lag G/2 is
+    aliased, and the error values solved from it are wrong with no other
+    sign: for MA(1) with b = 0.999 on 2048 nodes the tail is 0.64 and the
+    exact interpolation error is 1.54e-3 against 2.00e-3. The relative
+    error tracks the tail's square.
     """
-    G = table.shape[0]
-    tail = float(np.linalg.norm(table[G // 2]) / np.linalg.norm(table[0]))
-    if tail > KERNEL_TAIL_TOL:
+    if kernel.tail > KERNEL_TAIL_TOL:
+        G = kernel.table.shape[0]
         warnings.warn(
             f"kernel tail above {KERNEL_TAIL_TOL:.0e} at lag G/2 = {G // 2}: the "
             "grid does not resolve the inverse density (diagnostics "
             "'kernel_tail'); refine the grid"
         )
-    return tail
+    return kernel.tail
 
 
 # -- the estimation path -------------------------------------------------
@@ -451,7 +478,7 @@ def _estimate(f, g, weights, truncation):
     if task != "interpolation":
         _summability_warning(weights)
     kernel = _kernel_slot(f, g)
-    tail = _kernel_tail(kernel.table)
+    tail = _kernel_tail(kernel)
     first = 1 if task == "filtering" else 0
     kind_b = "U" if first else "B"
     A = functional_symbol(weights, G)

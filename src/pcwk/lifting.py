@@ -91,7 +91,7 @@ class LiftConfig:
         return np.array([frequency_index(k) for k in range(1, self.n_harmonics + 1)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FunctionalWeights:
     """Weight blocks of a lifted linear functional.
 
@@ -102,7 +102,8 @@ class FunctionalWeights:
     The weights keep a read-only copy of the blocks they are given, so
     they are immutable, and what is derived from them alone (the last
     nonzero block, the summability report, the weight symbol of
-    ``estimators.functional_symbol``) is computed once per object.
+    ``estimators.functional_symbol``, the largest block norm) is computed
+    once per object. Equality is identity, so weights can be dict keys.
     """
 
     blocks: np.ndarray = field(repr=False)
@@ -151,7 +152,8 @@ class FunctionalWeights:
     @cached_property
     def _memo(self) -> dict:
         """What is derived from the blocks alone, filled on first use: the
-        summability report and the weight symbol of each grid size."""
+        summability report, the weight symbol of each grid size and the
+        weight scale."""
         return {}
 
     @cached_property

@@ -122,7 +122,7 @@ def _stack_lags(coeffs: Mapping, dim: int, grid_size: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralDensity:
     """Trigonometric-polynomial matrix density.
 
@@ -138,6 +138,9 @@ class SpectralDensity:
         reports it). Stored read-only.
     grid_size : int
         Number of quadrature nodes G, a power of two.
+
+    Densities are immutable and compare by identity, as the kernel memo
+    does (``is``), so a density can be a dict key or a set member.
     """
 
     dim: int
@@ -471,9 +474,11 @@ class _KernelSlot(NamedTuple):
     ``g`` is the noise density the kernel was computed with (None for exact
     data), ``inv`` the grid values of (f+g)^{-1}, ``table`` its coefficient
     table by lag mod G, transposed pointwise, ``section`` the section factor
-    of its block-Toeplitz matrix and ``condition`` the gate's
+    of its block-Toeplitz matrix, ``condition`` the gate's
     ``max_condition``, which bounds the 2-norm condition of every section
-    and which each solve reports as ``condition``.
+    and which each solve reports as ``condition``, and ``tail`` the table's
+    ||B(G/2)||_F / ||B(0)||_F, which each solve reports as ``kernel_tail``
+    (``estimators._kernel_tail``).
     """
 
     g: SpectralDensity | None
@@ -481,6 +486,7 @@ class _KernelSlot(NamedTuple):
     table: np.ndarray
     section: SectionFactor
     condition: float
+    tail: float
 
 
 def _kernel_slot(f, g, seed=None):
@@ -503,8 +509,8 @@ def _kernel_slot(f, g, seed=None):
     the sections of its table have no Cholesky factor. ``seed`` stands in
     for both, the inverse and table of a kernel known in closed form
     (:func:`_inverse_density`, whose seeding logs "computed"). The result,
-    with an empty section factor, takes the slot, dropping the factor of
-    the kernel it replaces.
+    with an empty section factor and the table's tail, takes the slot,
+    dropping the factor of the kernel it replaces.
 
     Returns the slot and logs one debug record to the ``pcwk`` logger: the
     kernel "computed" or "memo".
@@ -524,7 +530,10 @@ def _kernel_slot(f, g, seed=None):
             inv = _grid_inverse(f.values if g is None else f.values + g.values)
             inv = _read_only(_hermitian_part(inv))
             seed = inv, _read_only(_transposed_coefficients(inv))
-        slot = vars(f)[key] = _KernelSlot(g, *seed, SectionFactor(), report.max_condition)
+        inv, table = seed
+        tail = float(np.linalg.norm(table[f.grid_size // 2]) / np.linalg.norm(table[0]))
+        slot = vars(f)[key] = _KernelSlot(g, inv, table, SectionFactor(),
+                                          report.max_condition, tail)
     _log.debug("kernel %s (G = %d, K = %d): %s", "f^-1" if g is None else "(f+g)^-1",
                f.grid_size, f.dim, "memo" if memo else "computed")
     return slot

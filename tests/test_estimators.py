@@ -18,7 +18,9 @@ from pcwk import (
     check_minimality,
     evaluate_mse,
     extrapolate,
+    extrapolate_factorized,
     filtering,
+    forbidden_lag_residual,
     forbidden_lags,
     frequency_grid,
     interpolate,
@@ -440,7 +442,95 @@ class TestForbiddenLags:
     )
     def test_solutions_live_in_their_subspace(self, make):
         sol = make()
-        assert sol.diagnostics["forbidden_lag_residual"] < 1e-8
+        assert forbidden_lag_residual(sol) < 1e-8
+
+
+SOLVES = {
+    "interpolate": lambda: interpolate(coupled_ma2(), white(dim=2, scale=0.5),
+                                       FunctionalWeights.interpolation([[1, 0.5], [0.2, 0]])),
+    "interpolate-exact": lambda: interpolate(ma1(), None, unit_interp(n=2)),
+    "extrapolate": lambda: extrapolate(ma1(), white(scale=0.5),
+                                       FunctionalWeights.extrapolation([[1.0], [0.5]])),
+    "extrapolate-exact": lambda: extrapolate(coupled_ma2(), None,
+                                             FunctionalWeights.extrapolation([[1, 0.5]])),
+    "filtering": lambda: filtering(ma1(), white(scale=0.5),
+                                   FunctionalWeights.filtering([[1.0], [0.5]])),
+    "extrapolate-factorized": lambda: extrapolate_factorized(
+        coupled_ma2(), FunctionalWeights.extrapolation([[1, 0.5], [0.2, 0]])),
+}
+
+
+class TestDeferredCoefficientView:
+    """h's coefficients derive from h_grid alone and are taken when read."""
+
+    @pytest.mark.parametrize("read", ["h_lags", "h_coeffs", "residual"])
+    @pytest.mark.parametrize("name", sorted(SOLVES))
+    def test_no_transform_until_read(self, monkeypatch, name, read):
+        calls = []
+        transform = estimators._vector_coefficients
+
+        def counted(h_grid):
+            calls.append(h_grid)
+            return transform(h_grid)
+
+        monkeypatch.setattr(estimators, "_vector_coefficients", counted)
+        sol = SOLVES[name]()
+        assert calls == [] and "forbidden_lag_residual" not in sol.diagnostics
+        if read == "residual":
+            forbidden_lag_residual(sol)
+        else:
+            getattr(sol, read)
+        assert len(calls) == 1 and calls[0] is sol.h_grid
+        forbidden_lag_residual(sol)
+        assert sol.h_lags is not None and sol.h_coeffs is not None
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("name", sorted(SOLVES))
+    def test_first_read_is_the_transform_read_only_and_kept(self, name):
+        sol = SOLVES[name]()
+        lags, coeffs = sol.h_lags, sol.h_coeffs
+        expected = estimators._vector_coefficients(sol.h_grid)
+        for view, reference in zip((lags, coeffs), expected):
+            assert view.dtype == reference.dtype and view.shape == reference.shape
+            assert view.tobytes() == reference.tobytes()
+            assert not view.flags.writeable
+        with pytest.raises(ValueError):
+            coeffs[0, 0] = 1.0
+        assert sol.h_lags is lags and sol.h_coeffs is coeffs
+
+    @pytest.mark.parametrize("task", ["interpolation", "extrapolation", "filtering"])
+    @settings(derandomize=True, deadline=None, max_examples=10)
+    @given(dim=st.sampled_from([1, 2, 3]), data=st.data())
+    def test_noisy_mse_is_the_error_of_h(self, task, dim, data):
+        # the error floor is read as vdot(A g, v) / G, which equals the grid
+        # mean of v g conj(A) for Hermitian g: a noise density that is not
+        # white still gives the error of the returned characteristic
+        f = data.draw(stable_ma_densities(dim))
+        g = data.draw(stable_ma_densities(dim)).scaled(data.draw(st.floats(0.05, 2.0)))
+        rng = np.random.default_rng(dim)
+        w = FunctionalWeights(
+            blocks=rng.standard_normal((3, dim)) + 1j * rng.standard_normal((3, dim)),
+            horizon=task)
+        solve = {"interpolation": interpolate, "extrapolation": extrapolate,
+                 "filtering": filtering}[task]
+        sol = solve(f, g, w)
+        assert evaluate_mse(sol.h_grid, f, g, w) == pytest.approx(sol.mse, rel=1e-12)
+
+
+class TestEqualityIsIdentity:
+    """The immutable types compare by identity, so they hash and key dicts."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: FunctionalWeights.extrapolation([[1, 2], [0.5, 0.1]]),
+        lambda: SpectralDensity.white(2),
+        SOLVES["filtering"],
+    ], ids=["weights", "density", "solution"])
+    def test_equal_values_are_distinct_objects(self, make):
+        a, b = make(), make()
+        assert a == a and not a == b and a != b
+        assert hash(a) == hash(a)
+        assert a in {a} and b not in {a}
+        assert {a: 1, b: 2}[b] == 2
 
 
 class TestOnePath:
@@ -945,6 +1035,19 @@ class TestKernelTail:
             for m in (0, GRID // 2)
         )
         assert sol.diagnostics["kernel_tail"] == pytest.approx(lag_half / lag0, rel=1e-6)
+
+    def test_tail_is_kept_on_the_slot_and_warned_on_every_solve(self):
+        # the tail depends on the kernel alone: the slot computes it once,
+        # and each solve that reads the slot gives the warning again
+        f = SpectralDensity.from_moving_average([[[1.0]], [[0.999]]], grid_size=2048)
+        tails = []
+        for _ in range(2):
+            with pytest.warns(UserWarning, match="kernel tail"):
+                tails.append(interpolate(f, None, unit_interp()).diagnostics["kernel_tail"])
+        slot = spectral._kernel_slot(f, None)
+        table = slot.table
+        assert tails == [slot.tail, slot.tail]
+        assert slot.tail == float(np.linalg.norm(table[1024]) / np.linalg.norm(table[0]))
 
 
 def constant_pair(spectrum, seed=None, skew=0.0):

@@ -172,6 +172,11 @@ class TestWeightsAreImmutable:
         assert w.last_nonzero == 1
         assert check_weight_summability(w) is check_weight_summability(w)
 
+    def test_weight_scale_is_kept_in_the_memo(self):
+        w = FunctionalWeights.interpolation([[3.0, 4.0], [1.0, 0.0]])
+        sol = interpolate(SpectralDensity.white(2, grid_size=64), None, w)
+        assert sol.diagnostics["weight_scale"] == w._memo["weight_scale"] == 5.0
+
 
 class TestSummability:
     def test_single_block_passes(self):
